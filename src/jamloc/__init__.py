@@ -5,7 +5,6 @@ Subpackages:
     sigsim    4-patch antenna-array snapshot simulator
     dsp       spectrogram / STFT / CFO / AoA feature extraction
     models    concat-fusion regressor and the attentive multi-path baseline
-    traineval losses, metrics, training loop, hyperparameter sweeps
 """
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..nn import Dense, Dropout, Mode, ReLU, Tensor
 
-__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE"]
+__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_input"]
 
 ALPHA_SCALE = 180.0   # azimuth head: tanh output * 180 -> degrees
 BETA_SCALE = 90.0     # elevation head: tanh output * 90 -> degrees
@@ -30,6 +30,12 @@ class Prediction:
     @property
     def beta_deg(self) -> np.ndarray:
         return BETA_SCALE * self.angle_raw.data[:, 1]
+
+
+def as_input(x, dtype) -> Tensor:
+    """One batch entry as a graph input. An array is copied to ``dtype``; a
+    Tensor is used as it is, so callers can take gradients w.r.t. the inputs."""
+    return x if isinstance(x, Tensor) else Tensor(np.ascontiguousarray(x, dtype=dtype))
 
 
 class TaskHead:

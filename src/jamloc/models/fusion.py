@@ -14,7 +14,7 @@ import numpy as np
 
 from ..nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Mode, ReLU,
                   Tanh, Tensor, concat)
-from .common import Prediction, TaskHead
+from .common import Prediction, TaskHead, as_input
 
 __all__ = ["FusionConfig", "FusionModel", "SpectrogramEncoder", "IQEncoder", "AoaEncoder"]
 
@@ -199,7 +199,7 @@ class FusionModel:
         for name in BRANCHES:
             if name not in self.encoders:
                 continue
-            x = Tensor(np.ascontiguousarray(batch[name], dtype=self.dtype))
+            x = as_input(batch[name], self.dtype)
             h = self.encoders[name](x, mode, rng).assert_finite(f"{name} branch output")
             if self.branch_dropout is not None:
                 h = self.branch_dropout(h, mode=mode, rng=rng)

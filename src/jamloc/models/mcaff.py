@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..nn import (Conv2D, Dense, GlobalAvgPool, GroupedConv2D, Mode, ReLU,
-                  Sigmoid, Tanh, Tensor, concat)
-from .common import Prediction, TaskHead
+from ..nn import (Conv2D, Dense, GlobalAvgPool, Mode, ReLU, Sigmoid, Tanh,
+                  Tensor, concat)
+from .common import Prediction, TaskHead, as_input
 
 __all__ = ["McaffConfig", "McaffModel", "SharedAttention", "MCAFF_PRESETS", "ALL_PATHS"]
 
@@ -115,8 +115,8 @@ class _GroupedBlock:
     def __init__(self, channels: int, width: int, cardinality: int,
                  rng: np.random.Generator, dtype):
         self.reduce = Conv2D(channels, width, 1, rng, dtype=dtype)
-        self.grouped = GroupedConv2D(width, width, 3, rng, groups=cardinality,
-                                     padding=1, dtype=dtype)
+        self.grouped = Conv2D(width, width, 3, rng, padding=1, groups=cardinality,
+                              dtype=dtype)
         self.expand = Conv2D(width, channels, 1, rng, dtype=dtype)
         self.relu = ReLU()
 
@@ -167,29 +167,27 @@ class McaffModel:
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params()))
 
-    def _path_input(self, name: str, batch: dict) -> np.ndarray:
+    def _path_input(self, name: str, batch: dict) -> Tensor:
         if name == "iq":
-            x = np.asarray(batch["iq"], dtype=self.dtype)
+            x = as_input(batch["iq"], self.dtype)
             return x.reshape(x.shape[0], 8, 32, 32)
         if name == "fft":
-            return np.asarray(batch["spec"], dtype=self.dtype)
+            return as_input(batch["spec"], self.dtype)
         if name == "cfo":
-            x = np.asarray(batch["cfo"], dtype=self.dtype)
+            x = as_input(batch["cfo"], self.dtype)
             return x.reshape(x.shape[0], 4, 32, 32)
         if name == "stft":
-            return np.asarray(batch["stft"], dtype=self.dtype)
+            return as_input(batch["stft"], self.dtype)
         raise KeyError(name)
 
     def forward(self, batch: dict, mode: Mode = Mode.EVAL,
                 rng: np.random.Generator | None = None) -> Prediction:
-        some = next(iter(batch.values()))
-        b = np.asarray(some).shape[0]
+        b = next(iter(batch.values())).shape[0]
         hw = (8, 8)
         slots = []
         for name in ALL_PATHS:
             if name in self.stems:
-                x = Tensor(np.ascontiguousarray(self._path_input(name, batch)))
-                h = self.stems[name](x)
+                h = self.stems[name](self._path_input(name, batch))
                 h = self.attention(h).assert_finite(f"{name} path features")
             else:
                 h = Tensor(np.zeros((b, self.cfg.path_feature_dim) + hw, dtype=self.dtype))

@@ -2,14 +2,14 @@
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .layers import (BatchConcat, Conv1D, Conv2D, Dense, Dropout, Flatten,
-                     GlobalAvgPool, GroupedConv2D, Layer, Mode, ReLU, Sigmoid,
-                     Tanh, glorot_uniform)
+                     GlobalAvgPool, Layer, Mode, ReLU, Sigmoid, Tanh,
+                     glorot_uniform)
 from .optim import SGD
 from .tensor import GraphConsumedError, ShapeError, Tensor, concat
 
 __all__ = [
     "Tensor", "concat", "ShapeError", "GraphConsumedError",
-    "Layer", "Mode", "Dense", "Conv1D", "Conv2D", "GroupedConv2D",
+    "Layer", "Mode", "Dense", "Conv1D", "Conv2D",
     "ReLU", "Tanh", "Sigmoid", "Dropout", "GlobalAvgPool", "Flatten",
     "BatchConcat", "glorot_uniform", "SGD",
     "save_checkpoint", "load_checkpoint", "CheckpointError",

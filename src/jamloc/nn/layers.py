@@ -1,9 +1,9 @@
 """Network layers built on the tensor autodiff core.
 
 Dense and the activations are plain tensor-op compositions; the convolutions
-register custom gradients (im2col + GEMM) for speed. All learned parameters
-are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) from the caller's
-seeded generator; biases start at zero.
+register custom gradients (im2col + one batched GEMM) for speed. All learned
+parameters are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) from the
+caller's seeded generator; biases start at zero.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .tensor import ShapeError, Tensor, concat
 
 __all__ = [
-    "Mode", "Layer", "Dense", "Conv1D", "Conv2D", "GroupedConv2D",
+    "Mode", "Layer", "Dense", "Conv1D", "Conv2D",
     "ReLU", "Tanh", "Sigmoid", "Dropout", "GlobalAvgPool", "Flatten",
     "BatchConcat", "glorot_uniform",
 ]
@@ -152,29 +152,35 @@ class Conv1D(Layer):
         K, d = self.kernel_size, self.dilation
         pad = (K - 1) * d
         w, b = self.weight, self.bias
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, 0))) if pad else x.data
-
-        # im2col: (B*T, C*K), taps ordered (channel, tap)
-        cols = np.empty((B, C, K, T), dtype=x.data.dtype)
-        for j in range(K):
-            cols[:, :, j, :] = xp[:, :, j * d: j * d + T]
-        cols2 = cols.reshape(B, C * K, T).transpose(0, 2, 1).reshape(B * T, C * K)
         w2 = w.data.reshape(self.out_channels, C * K)
-        out = (cols2 @ w2.T).reshape(B, T, self.out_channels).transpose(0, 2, 1)
-        out = out + b.data[None, :, None]
+
+        # im2col (B, C*K, T), taps ordered (channel, tap); kernel 1 needs none
+        if K == 1:
+            cols = x.data
+        else:
+            xp = np.pad(x.data, ((0, 0), (0, 0), (pad, 0)))
+            cols = np.empty((B, C, K, T), dtype=x.data.dtype)
+            for j in range(K):
+                cols[:, :, j, :] = xp[:, :, j * d: j * d + T]
+            cols = cols.reshape(B, C * K, T)
+        out = np.matmul(w2, cols)
+        out += b.data[:, None]
 
         def bw(g):
-            gflat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * T, self.out_channels)
             if w.requires_grad:
-                w._accum((gflat.T @ cols2).reshape(w.data.shape))
+                w._accum(np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
             if b.requires_grad:
                 b._accum(g.sum(axis=(0, 2)))
             if x.requires_grad:
-                dcols = (gflat @ w2).reshape(B, T, C, K)
-                dxp = np.zeros((B, C, T + pad), dtype=g.dtype)
-                for j in range(K):
-                    dxp[:, :, j * d: j * d + T] += dcols[:, :, :, j].transpose(0, 2, 1)
-                x._accum(dxp[:, :, pad:] if pad else dxp)
+                dcols = np.matmul(w2.T, g)
+                if K == 1:
+                    x._accum(dcols)
+                else:
+                    dcols = dcols.reshape(B, C, K, T)
+                    dxp = np.zeros((B, C, T + pad), dtype=g.dtype)
+                    for j in range(K):
+                        dxp[:, :, j * d: j * d + T] += dcols[:, :, j, :]
+                    x._accum(dxp[:, :, pad:])
 
         return Tensor.from_op(out, (x, w, b), bw)
 
@@ -226,52 +232,33 @@ class Conv2D(Layer):
         w, b = self.weight, self.bias
         xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
 
-        cols_list = []
-        out = np.empty((B, self.out_channels, Ho, Wo), dtype=x.data.dtype)
-        for grp in range(G):
-            xg = xp[:, grp * cg:(grp + 1) * cg]
-            cols = np.empty((B, cg, k, k, Ho, Wo), dtype=x.data.dtype)
-            for ki in range(k):
-                for kj in range(k):
-                    cols[:, :, ki, kj] = xg[:, :, ki: ki + sh * Ho: sh, kj: kj + sw * Wo: sw]
-            cols2 = cols.reshape(B, cg * k * k, Ho * Wo).transpose(0, 2, 1).reshape(B * Ho * Wo, cg * k * k)
-            w2 = w.data[grp * og:(grp + 1) * og].reshape(og, cg * k * k)
-            og_out = (cols2 @ w2.T).reshape(B, Ho * Wo, og).transpose(0, 2, 1)
-            out[:, grp * og:(grp + 1) * og] = og_out.reshape(B, og, Ho, Wo)
-            cols_list.append(cols2)
-        out += b.data[None, :, None, None]
+        # im2col (B, G, k*k*cg, Ho*Wo), rows in (tap, channel) order: each
+        # tap's block is then contiguous per group, for the copies here and
+        # the scatter in backward; the weight is permuted to match
+        cols = np.empty((B, G, k, k, cg, Ho, Wo), dtype=x.data.dtype)
+        xg = xp.reshape(B, G, cg, *xp.shape[2:])
+        for ki in range(k):
+            for kj in range(k):
+                cols[:, :, ki, kj] = xg[:, :, :, ki: ki + sh * Ho: sh, kj: kj + sw * Wo: sw]
+        cols = cols.reshape(B, G, k * k * cg, Ho * Wo)
+        w2 = w.data.reshape(G, og, cg, k * k).transpose(0, 1, 3, 2).reshape(G, og, k * k * cg)
+        out = np.matmul(w2, cols).reshape(B, self.out_channels, Ho, Wo)
+        out += b.data[:, None, None]
 
         def bw(g):
-            dw = np.empty_like(w.data) if w.requires_grad else None
-            dxp = np.zeros_like(xp) if x.requires_grad else None
-            for grp in range(G):
-                gg = g[:, grp * og:(grp + 1) * og]
-                gflat = np.ascontiguousarray(gg.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, og)
-                if dw is not None:
-                    dw[grp * og:(grp + 1) * og] = (gflat.T @ cols_list[grp]).reshape(og, cg, k, k)
-                if dxp is not None:
-                    w2 = w.data[grp * og:(grp + 1) * og].reshape(og, cg * k * k)
-                    dcols = (gflat @ w2).reshape(B, Ho, Wo, cg, k, k)
-                    dxg = dxp[:, grp * cg:(grp + 1) * cg]
-                    for ki in range(k):
-                        for kj in range(k):
-                            dxg[:, :, ki: ki + sh * Ho: sh, kj: kj + sw * Wo: sw] += \
-                                dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-            if dw is not None:
-                w._accum(dw)
+            gg = g.reshape(B, G, og, Ho * Wo)
+            if w.requires_grad:
+                dw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+                w._accum(dw.reshape(G, og, k * k, cg).transpose(0, 1, 3, 2).reshape(w.data.shape))
             if b.requires_grad:
                 b._accum(g.sum(axis=(0, 2, 3)))
-            if dxp is not None:
+            if x.requires_grad:
+                dcols = np.matmul(w2.transpose(0, 2, 1), gg).reshape(B, G, k, k, cg, Ho, Wo)
+                dxp = np.zeros_like(xp)
+                dxg = dxp.reshape(xg.shape)
+                for ki in range(k):
+                    for kj in range(k):
+                        dxg[:, :, :, ki: ki + sh * Ho: sh, kj: kj + sw * Wo: sw] += dcols[:, :, ki, kj]
                 x._accum(dxp[:, :, p:p + H, p:p + W] if p else dxp)
 
         return Tensor.from_op(out, (x, w, b), bw)
-
-
-class GroupedConv2D(Conv2D):
-    """Conv2D with mandatory channel groups (ResNeXt-style cardinality)."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, groups: int, stride=1, padding: int = 0,
-                 dtype=np.float64):
-        super().__init__(in_channels, out_channels, kernel_size, rng,
-                         stride=stride, padding=padding, groups=groups, dtype=dtype)

@@ -5,8 +5,13 @@ arithmetic with limited broadcasting, 2-D matmul, reductions, reshapes,
 concatenation, and the usual activations. Convolution layers register their
 own custom gradients through :meth:`Tensor.from_op`.
 
-Training runs in float32; gradient-check tests use float64 (the
-finite-difference tolerances are unreachable in single precision).
+Training runs in float32 from forward through backward; gradient-check tests
+use float64 (the finite-difference tolerances are unreachable in single
+precision). A non-Tensor operand (Python scalar or ndarray) is cast to the
+Tensor's own dtype before the op: under NEP 50 a 0-d float64 array, which is
+what a bare ``np.asarray(0.5)`` makes, would otherwise promote a float32
+operand, and the promotion would carry on through every later op and its
+gradient.
 """
 
 from __future__ import annotations
@@ -159,11 +164,10 @@ class Tensor:
     # arithmetic
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> np.ndarray:
+    def _coerce(self, other) -> np.ndarray:
         if isinstance(other, Tensor):
             raise TypeError("internal: use the two-tensor path")
-        return np.asarray(other)
+        return np.asarray(other, dtype=self.data.dtype)
 
     def __add__(self, other):
         if isinstance(other, Tensor):
@@ -245,7 +249,7 @@ class Tensor:
 
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
-            other = Tensor(other)
+            other = Tensor(other, dtype=self.data.dtype)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ShapeError(f"matmul supports 2-D operands, got {self.data.shape} @ {other.data.shape}")
         if self.data.shape[1] != other.data.shape[0]:

@@ -104,3 +104,16 @@ def test_non_finite_detection():
     x = Tensor(np.array([1.0, np.inf]))
     with pytest.raises(FloatingPointError):
         x.assert_finite("unit test")
+
+
+def test_scalar_and_ndarray_operands_keep_float32():
+    x = Tensor(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    outs = [x.mean(), x.mean(axis=1), x * 0.5, 0.5 * x, x / 2, x + 1, 1 - x,
+            x - np.ones((2, 3)), x * np.arange(3.0), x ** 2, x @ np.ones((3, 2))]
+    assert [y.dtype for y in outs] == [np.float32] * len(outs)
+    loss = outs[0]
+    for y in outs[1:]:
+        loss = loss + y.sum()
+    assert loss.dtype == np.float32
+    loss.backward()
+    assert x.grad.dtype == np.float32
