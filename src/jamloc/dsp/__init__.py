@@ -1,16 +1,16 @@
-"""Feature extraction: FFT/spectrogram, Welch, STFT, CFO, and AoA statistics."""
+"""Feature extraction: FFT/spectrogram, STFT, CFO, and AoA statistics."""
 
 from .aoa import (AOA_FEATURE_NAMES, N_AOA_FEATURES, aoa_features,
                   fit_aoa_stats, standardize_aoa)
 from .features import (SPEC_DB_MAX, SPEC_DB_MIN, NormalizationSpec,
                        cfo_accumulated, db_to_unit, fit_iq_stats, iq_planes,
-                       normalize_iq, power_db, spectrogram, stft, welch_psd)
-from .fourier import fft, fftshift, naive_dft
+                       normalize_iq, power_db, spectrogram, stft)
+from .fourier import fft
 
 __all__ = [
-    "fft", "naive_dft", "fftshift",
+    "fft",
     "NormalizationSpec", "SPEC_DB_MIN", "SPEC_DB_MAX",
-    "power_db", "db_to_unit", "spectrogram", "welch_psd", "stft",
+    "power_db", "db_to_unit", "spectrogram", "stft",
     "cfo_accumulated", "iq_planes", "fit_iq_stats", "normalize_iq",
     "aoa_features", "fit_aoa_stats", "standardize_aoa",
     "N_AOA_FEATURES", "AOA_FEATURE_NAMES",

@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .fourier import fft, fftshift
+from .fourier import fft
 
 __all__ = ["aoa_features", "fit_aoa_stats", "standardize_aoa", "N_AOA_FEATURES", "AOA_FEATURE_NAMES"]
 
@@ -50,7 +50,9 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     out = np.zeros((M, 4, N_AOA_FEATURES), dtype=np.float64)
 
     env = np.abs(x)
-    energy = (env ** 2).sum(axis=-1)                      # (M, 4)
+    env_sq = env ** 2
+    env_max = env.max(axis=-1)
+    energy = env_sq.sum(axis=-1)                          # (M, 4)
     dead = energy == 0
     if np.any(dead):
         logger.warning("aoa_features: %d zero-energy channel(s); spectral/envelope features set to 0",
@@ -65,13 +67,13 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     out[..., 1] = sig
     out[..., 2] = np.where(sig > 0, (cen ** 3).mean(axis=-1) / safe_sig ** 3, 0.0)
     out[..., 3] = np.where(sig > 0, (cen ** 4).mean(axis=-1) / safe_sig ** 4, 0.0)
-    rms = np.sqrt((env ** 2).mean(axis=-1))
+    rms = np.sqrt(env_sq.mean(axis=-1))
     out[..., 4] = rms
     i_part = x.real
     out[..., 5] = (i_part[..., 1:] * i_part[..., :-1] < 0).mean(axis=-1)
 
     # spectral (on the shifted 1024-bin power spectrum) -------------------
-    P = fftshift(np.abs(fft(x)) ** 2)
+    P = np.fft.fftshift(np.abs(fft(x)) ** 2, axes=-1)
     f = (np.arange(N) - N // 2) * (fs / N)                # shifted bin freqs, Hz
     Ptot = P.sum(axis=-1)
     Psafe = np.where(Ptot > 0, Ptot, 1.0)
@@ -88,7 +90,7 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
 
     # energy ---------------------------------------------------------------
     out[..., 12] = energy
-    peak = (env ** 2).max(axis=-1)
+    peak = env_sq.max(axis=-1)
     mean_pow = np.where(energy > 0, energy / N, 1.0)
     out[..., 13] = np.where(energy > 0, peak / mean_pow, 0.0)
     central = np.abs(f) <= fs / 4
@@ -97,8 +99,8 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     # envelope ---------------------------------------------------------------
     out[..., 15] = mu
     out[..., 16] = sig
-    out[..., 17] = env.max(axis=-1)
-    out[..., 18] = np.where(rms > 0, env.max(axis=-1) / np.where(rms > 0, rms, 1.0), 0.0)
+    out[..., 17] = env_max
+    out[..., 18] = np.where(rms > 0, env_max / np.where(rms > 0, rms, 1.0), 0.0)
 
     # phase difference vs patch 0 ------------------------------------------
     z = x * np.conj(x[:, :1])                            # (M, 4, N)

@@ -7,15 +7,15 @@ statistics, which must come from the training split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fft, fftshift
+from .fourier import fft
 
 __all__ = [
     "NormalizationSpec", "SPEC_DB_MIN", "SPEC_DB_MAX",
-    "power_db", "db_to_unit", "spectrogram", "welch_psd", "stft",
+    "power_db", "db_to_unit", "spectrogram", "stft",
     "cfo_accumulated", "iq_planes", "fit_iq_stats", "normalize_iq",
 ]
 
@@ -87,26 +87,7 @@ def spectrogram(samples: np.ndarray, norm: NormalizationSpec | None = None) -> n
     if n != 1024:
         raise ValueError(f"spectrogram expects snapshot_len 1024, got {n}")
     unit = db_to_unit(power_db(fft(samples), n), norm)
-    return fftshift(unit).reshape(samples.shape[:-1] + (32, 32))
-
-
-def welch_psd(x: np.ndarray, segment: int = 256, overlap: int = 128) -> np.ndarray:
-    """Hann-windowed averaged periodogram in dB (diagnostics only)."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if segment > n:
-        raise ValueError(f"segment {segment} longer than signal {n}")
-    if not 0 <= overlap < segment:
-        raise ValueError("overlap must satisfy 0 <= overlap < segment")
-    step = segment - overlap
-    win = _hann_periodic(segment)
-    scale = np.sum(win ** 2)
-    n_seg = 1 + (n - segment) // step
-    acc = np.zeros(x.shape[:-1] + (segment,), dtype=np.float64)
-    for i in range(n_seg):
-        seg = x[..., i * step: i * step + segment] * win
-        acc += np.abs(fft(seg)) ** 2 / scale
-    return 10.0 * np.log10(acc / n_seg + _EPS_POWER)
+    return np.fft.fftshift(unit, axes=-1).reshape(samples.shape[:-1] + (32, 32))
 
 
 def stft(x: np.ndarray, window: int = 128, hop: int = 64) -> np.ndarray:

@@ -1,25 +1,16 @@
-"""Discrete Fourier transforms: a vectorized radix-2 FFT plus the O(N^2) DFT.
+"""The package's one FFT: numpy's, behind a power-of-two and dtype contract.
 
-``fft`` transforms the last axis of any array (power-of-two length only) and
-is the production path; ``naive_dft`` is the textbook definition kept as the
-independent oracle for tests.
+``fft`` transforms the last axis of any array whose length is a power of
+two. Single precision in (complex64 or float32) gives complex64 out; double
+precision gives complex128. The textbook O(N^2) DFT that tests check it against
+lives in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fft", "naive_dft", "fftshift"]
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+__all__ = ["fft"]
 
 
 def fft(x: np.ndarray) -> np.ndarray:
@@ -28,31 +19,4 @@ def fft(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"fft length must be a power of two, got {n}")
-    out_dtype = np.complex64 if x.dtype in (np.complex64, np.float32) else np.complex128
-    y = np.ascontiguousarray(x[..., _bit_reverse_indices(n)], dtype=out_dtype)
-    if n == 1:
-        return y
-    lead = y.shape[:-1]
-    half = 1
-    while half < n:
-        tw = np.exp(-1j * np.pi * np.arange(half) / half).astype(out_dtype)
-        y = y.reshape(lead + (n // (2 * half), 2, half))
-        even = y[..., 0, :]
-        odd = y[..., 1, :] * tw
-        y = np.concatenate([even + odd, even - odd], axis=-1)
-        half *= 2
-    return y.reshape(lead + (n,))
-
-
-def naive_dft(x: np.ndarray) -> np.ndarray:
-    """Definition-level DFT along the last axis (any length); test oracle only."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    k = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return x @ w
-
-
-def fftshift(x: np.ndarray) -> np.ndarray:
-    """Move the zero-frequency bin to the center of the last axis."""
-    return np.fft.fftshift(x, axes=-1)
+    return np.fft.fft(x, axis=-1)

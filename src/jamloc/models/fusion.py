@@ -8,7 +8,7 @@ always the sum of the enabled branch dims.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +51,6 @@ class FusionConfig:
         dims = {"spec": self.spec_branch_dim, "iq": self.iq_branch_dim,
                 "aoa": self.aoa_branch_dim}
         return sum(dims[b] for b in self.enabled_branches)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FusionConfig":
-        d = dict(d)
-        for key in ("enabled_branches", "spec_channels", "iq_channels", "iq_dilations"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +178,6 @@ class FusionModel:
         if self.class_head is not None:
             out += self.class_head.params()
         return out
-
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params()))
 
     def forward(self, batch: dict, mode: Mode = Mode.EVAL,
                 rng: np.random.Generator | None = None) -> Prediction:

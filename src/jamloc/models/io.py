@@ -4,6 +4,8 @@ is self-contained."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from ..dsp import NormalizationSpec
@@ -13,10 +15,13 @@ from .mcaff import McaffConfig, McaffModel
 
 __all__ = ["save_model", "load_model"]
 
+_KINDS = {FusionModel.KIND: (FusionModel, FusionConfig),
+          McaffModel.KIND: (McaffModel, McaffConfig)}
+
 
 def save_model(path, model, norm: NormalizationSpec | None = None,
                extra: dict | None = None) -> None:
-    meta = {"kind": model.KIND, "config": model.cfg.to_dict()}
+    meta = {"kind": model.KIND, "config": asdict(model.cfg)}
     if norm is not None:
         meta["norm"] = norm.to_dict()
     if extra:
@@ -32,13 +37,13 @@ def load_model(path, dtype=np.float32):
     arrays, meta = load_checkpoint(path)
     if not meta or "kind" not in meta or "config" not in meta:
         raise CheckpointError(f"{path} has no model metadata block")
-    kind = meta["kind"]
-    if kind == FusionModel.KIND:
-        model = FusionModel(FusionConfig.from_dict(meta["config"]), dtype=dtype)
-    elif kind == McaffModel.KIND:
-        model = McaffModel(McaffConfig.from_dict(meta["config"]), dtype=dtype)
-    else:
-        raise CheckpointError(f"unknown model kind {kind!r}")
+    if meta["kind"] not in _KINDS:
+        raise CheckpointError(f"unknown model kind {meta['kind']!r}")
+    model_cls, cfg_cls = _KINDS[meta["kind"]]
+    # JSON turns the configs' tuple fields into lists
+    cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v
+                     for k, v in meta["config"].items()})
+    model = model_cls(cfg, dtype=dtype)
     params = model.params()
     if len(params) != len(arrays):
         raise CheckpointError(

@@ -10,7 +10,7 @@ so ablations change the parameter count by exactly that path's stem.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,16 +60,6 @@ class McaffConfig:
     @property
     def concat_channels(self) -> int:
         return self.path_feature_dim * len(ALL_PATHS)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McaffConfig":
-        d = dict(d)
-        if "enabled_paths" in d:
-            d["enabled_paths"] = tuple(d["enabled_paths"])
-        return cls(**d)
 
 
 class SharedAttention:
@@ -163,9 +153,6 @@ class McaffModel:
         for head in (self.disp_head, self.angle_head, self.class_head, self.subclass_head):
             out += head.params()
         return out
-
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params()))
 
     def _path_input(self, name: str, batch: dict) -> Tensor:
         if name == "iq":

@@ -12,12 +12,11 @@ import enum
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat
+from .tensor import ShapeError, Tensor
 
 __all__ = [
     "Mode", "Layer", "Dense", "Conv1D", "Conv2D",
-    "ReLU", "Tanh", "Sigmoid", "Dropout", "GlobalAvgPool", "Flatten",
-    "BatchConcat", "glorot_uniform",
+    "ReLU", "Tanh", "Sigmoid", "Dropout", "GlobalAvgPool", "glorot_uniform",
 ]
 
 
@@ -36,9 +35,6 @@ class Layer:
 
     def params(self) -> list[Tensor]:
         return []
-
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params()))
 
     def __call__(self, x, mode: Mode = Mode.EVAL, rng: np.random.Generator | None = None) -> Tensor:
         raise NotImplementedError
@@ -107,18 +103,6 @@ class GlobalAvgPool(Layer):
             raise ShapeError(f"GlobalAvgPool expects (B, C, spatial...), got {x.data.shape}")
         axes = tuple(range(2, x.data.ndim))
         return x.mean(axis=axes)
-
-
-class Flatten(Layer):
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        return x.reshape(x.data.shape[0], -1)
-
-
-class BatchConcat(Layer):
-    """Concatenate a list of (B, d_i) feature tensors along the feature axis."""
-
-    def __call__(self, xs, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        return concat(list(xs), axis=1)
 
 
 # ----------------------------------------------------------------------

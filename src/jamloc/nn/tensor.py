@@ -81,9 +81,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
@@ -94,9 +91,6 @@ class Tensor:
         if not np.all(np.isfinite(self.data)):
             raise FloatingPointError(f"non-finite values in {where or 'tensor'}")
         return self
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # ------------------------------------------------------------------
     # graph construction

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,14 +63,6 @@ def _pose_snapshots(cfg: SimConfig, geometry: ArrayGeometry, seed: int,
     return out
 
 
-def _pose_chunk(args) -> list[IQSnapshot]:
-    cfg, geometry, seed, chunk = args
-    out = []
-    for index, pose in chunk:
-        out.extend(_pose_snapshots(cfg, geometry, seed, index, pose))
-    return out
-
-
 def make_dataset(cfg: SimConfig, geometry: ArrayGeometry, seed: int,
                  jobs: int = 1) -> list[IQSnapshot]:
     """Generate one labeled snapshot list; deterministic for a fixed seed."""
@@ -82,22 +75,13 @@ def make_dataset(cfg: SimConfig, geometry: ArrayGeometry, seed: int,
     if len(poses) == 0:
         raise ValueError("trajectory produced no poses")
 
+    one_pose = partial(_pose_snapshots, cfg, geometry, seed)
     if jobs <= 1:
-        snapshots = []
-        for index, pose in enumerate(poses):
-            snapshots.extend(_pose_snapshots(cfg, geometry, seed, index, pose))
-        return snapshots
-
-    indexed = list(enumerate(poses))
-    chunks = [indexed[i::jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_pose_chunk, [(cfg, geometry, seed, c) for c in chunks]))
-    # reassemble in pose order regardless of scheduling
-    merged: list[tuple[int, IQSnapshot]] = []
-    for chunk, snaps in zip(chunks, results):
-        per_pose = len(snaps) // max(len(chunk), 1)
-        for (index, _), start in zip(chunk, range(0, len(snaps), per_pose)):
-            for k in range(per_pose):
-                merged.append((index * per_pose + k, snaps[start + k]))
-    merged.sort(key=lambda t: t[0])
-    return [s for _, s in merged]
+        per_pose = list(map(one_pose, range(len(poses)), poses))
+    else:
+        workers = min(jobs, len(poses))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # map keeps the input order, so the result is the serial order
+            per_pose = list(pool.map(one_pose, range(len(poses)), poses,
+                                     chunksize=-(-len(poses) // workers)))
+    return [snap for snaps in per_pose for snap in snaps]

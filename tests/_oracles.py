@@ -3,6 +3,15 @@
 import numpy as np
 
 
+def naive_dft(x):
+    """Definition-level DFT along the last axis (any length)."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    k = np.arange(n)
+    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    return x @ w
+
+
 def finite_diff_grad(f, tensors, eps=1e-5, picks=None):
     """Central-difference gradient of scalar f() w.r.t. each tensor's data.
 

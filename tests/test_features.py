@@ -3,7 +3,9 @@ import pytest
 
 from jamloc.dsp import (SPEC_DB_MAX, SPEC_DB_MIN, NormalizationSpec,
                         cfo_accumulated, db_to_unit, fit_iq_stats,
-                        normalize_iq, spectrogram, stft, welch_psd)
+                        normalize_iq, spectrogram, stft)
+
+from _oracles import naive_dft
 
 FS = 1e8
 N = 1024
@@ -69,34 +71,16 @@ def test_spectrogram_rejects_wrong_length():
         spectrogram(np.zeros((4, 512), dtype=complex))
 
 
-# ----------------------------------------------------------------------
-# welch
-# ----------------------------------------------------------------------
-
-def test_welch_white_noise_is_flat():
-    rng = np.random.default_rng(3)
-    acc = np.zeros(256)
-    for _ in range(100):
-        x = (rng.normal(size=N) + 1j * rng.normal(size=N)) / np.sqrt(2)
-        acc += 10 ** (welch_psd(x) / 10)
-    db = 10 * np.log10(acc / 100)
-    assert db.max() - db.min() < 3.0
-
-
-def test_welch_tone_peaks_at_tone_bin():
-    f = 20e6
-    psd = welch_psd(_tone(f))
-    assert np.argmax(psd) == round(f / FS * 256)
-
-
-def test_welch_zero_signal_at_floor():
-    psd = welch_psd(np.zeros(N, dtype=complex))
-    np.testing.assert_allclose(psd, -200.0)
-
-
-def test_welch_segment_validation():
-    with pytest.raises(ValueError):
-        welch_psd(np.zeros(128, dtype=complex), segment=256)
+def test_spectrogram_matches_naive_dft_oracle():
+    # noise near -100 dB per bin plus a -30 dB tone: inside the clamp bounds,
+    # so the comparison is not flattened to 0 or 1
+    rng = np.random.default_rng(7)
+    x = 1e-5 * (rng.normal(size=(2, 4, N)) + 1j * rng.normal(size=(2, 4, N))) + 1e-3 * _tone(13e6)
+    db = 10 * np.log10(np.abs(naive_dft(x)) ** 2 / N + 1e-20)
+    unit = (np.clip(db, SPEC_DB_MIN, SPEC_DB_MAX) - SPEC_DB_MIN) / (SPEC_DB_MAX - SPEC_DB_MIN)
+    ref = np.roll(unit, N // 2, axis=-1).reshape(2, 4, 32, 32)
+    assert 0 < ref.min() and ref.max() < 1
+    np.testing.assert_allclose(spectrogram(x), ref, rtol=0, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -126,6 +110,19 @@ def test_stft_chirp_argmax_monotone():
     mag = stft(x)
     signed = (np.argmax(mag, axis=0) + 64) % 128 - 64
     assert np.all(np.diff(signed) > 0)
+
+
+@pytest.mark.parametrize("window,hop", [(128, 64), (64, 48)])
+def test_stft_matches_naive_dft_oracle(window, hop):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 3, N)) + 1j * rng.normal(size=(2, 3, N))
+    hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window) / window)
+    n_frames = 1 + (N - window) // hop
+    ref = np.stack([np.abs(naive_dft(x[..., f * hop: f * hop + window] * hann))
+                    for f in range(n_frames)], axis=-1)
+    out = stft(x, window=window, hop=hop)
+    assert out.shape == (2, 3, window, n_frames)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
 
 
 def test_stft_hop_validation():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from jamloc.dsp import fft, naive_dft
+from jamloc.dsp import fft
+
+from _oracles import naive_dft
 
 
 def test_constant_input_is_dc_only():
@@ -48,5 +50,6 @@ def test_naive_dft_accepts_any_length():
 
 
 def test_single_precision_path_stays_complex64():
-    x = np.ones(16, dtype=np.complex64)
-    assert fft(x).dtype == np.complex64
+    for dtype in (np.complex64, np.float32):
+        assert fft(np.ones(16, dtype=dtype)).dtype == np.complex64
+    assert fft(np.ones(16)).dtype == np.complex128

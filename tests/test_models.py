@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jamloc.models import (FusionModel, McaffModel, tiny_fusion_config,
+from jamloc.models import (MCAFF_PRESETS, FusionModel, McaffModel,
+                           load_model, save_model, tiny_fusion_config,
                            tiny_mcaff_config)
 from jamloc.nn import Mode, Tensor
 
@@ -80,3 +81,20 @@ def test_mcaff_gradcheck_all_paths():
               model.attention.fc1.weight, model.attention.fc2.bias,
               model.disp_head.fc1.weight, model.subclass_head.fc2.weight]
     assert _gradcheck(model, ("iq", "spec", "cfo", "stft"), params, seed=6) < GRAD_TOL
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FusionModel(tiny_fusion_config(enabled_branches=("iq", "aoa"), with_classifier=True),
+                        seed=7),
+    lambda: McaffModel(tiny_mcaff_config(enabled_paths=MCAFF_PRESETS["iq+cfo+stft"]), seed=8),
+], ids=["fusion", "mcaff"])
+def test_save_load_round_trip(build, tmp_path):
+    model = build()
+    save_model(tmp_path / "model.gjw", model)
+    loaded, norm, _ = load_model(tmp_path / "model.gjw")
+    assert type(loaded) is type(model) and loaded.cfg == model.cfg and norm is None
+    batch = _batch(9)
+    want, got = model.forward(batch), loaded.forward(batch)
+    for a, b in zip(_outputs(want), _outputs(got)):
+        assert a.dtype == b.dtype == np.float32
+        assert a.data.tobytes() == b.data.tobytes()

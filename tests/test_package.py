@@ -1,0 +1,35 @@
+import ast
+import importlib
+import pathlib
+import sys
+
+import pytest
+
+import jamloc
+
+SRC = pathlib.Path(jamloc.__file__).parent
+ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "jamloc"}
+
+
+@pytest.mark.parametrize("name", ["jamloc.nn", "jamloc.dsp", "jamloc.models", "jamloc.sigsim"])
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def _imported_roots(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    foreign = {f"{path.relative_to(SRC)}: {root}"
+               for path in files for root in _imported_roots(path)
+               if root not in ALLOWED_ROOTS}
+    assert not foreign, sorted(foreign)

@@ -235,6 +235,22 @@ def test_cross_assignment_emits_pose_times_profiles():
     assert len(snaps) == 6 * 2
 
 
+@pytest.mark.parametrize("assignment", ["cycle", "cross"])
+def test_parallel_dataset_matches_serial(assignment):
+    # 7 workers for 6 poses: more jobs than poses must not change the result
+    cfg = _tiny_sim()
+    cfg.assignment = assignment
+    cfg.pose_jitter_m = 0.1
+    geom = ArrayGeometry()
+    serial = make_dataset(cfg, geom, seed=9)
+    for jobs in (2, 7):
+        parallel = make_dataset(cfg, geom, seed=9, jobs=jobs)
+        assert len(parallel) == len(serial)
+        for s, t in zip(serial, parallel):
+            assert s.samples.tobytes() == t.samples.tobytes()
+            assert s.label == t.label
+
+
 def test_empty_profiles_rejected():
     cfg = _tiny_sim()
     cfg.profiles = []
