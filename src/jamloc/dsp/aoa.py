@@ -62,11 +62,12 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     mu = env.mean(axis=-1)
     sig = env.std(axis=-1)
     cen = env - mu[..., None]
+    c2 = cen * cen  # integer powers above 2 go through a per-element pow
     safe_sig = np.where(sig > 0, sig, 1.0)
     out[..., 0] = mu
     out[..., 1] = sig
-    out[..., 2] = np.where(sig > 0, (cen ** 3).mean(axis=-1) / safe_sig ** 3, 0.0)
-    out[..., 3] = np.where(sig > 0, (cen ** 4).mean(axis=-1) / safe_sig ** 4, 0.0)
+    out[..., 2] = np.where(sig > 0, (c2 * cen).mean(axis=-1) / safe_sig ** 3, 0.0)
+    out[..., 3] = np.where(sig > 0, (c2 * c2).mean(axis=-1) / safe_sig ** 4, 0.0)
     rms = np.sqrt(env_sq.mean(axis=-1))
     out[..., 4] = rms
     i_part = x.real

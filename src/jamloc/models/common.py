@@ -1,4 +1,4 @@
-"""Shared model pieces: prediction record and the per-task regression heads."""
+"""Shared model pieces: prediction record, the per-task heads and their read-out."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Dense, Dropout, Mode, ReLU, Tensor
+from ..nn import Dense, Dropout, Layer, Mode, Tensor
 
-__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_input"]
+__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_input", "read_out"]
 
 ALPHA_SCALE = 180.0   # azimuth head: tanh output * 180 -> degrees
 BETA_SCALE = 90.0     # elevation head: tanh output * 90 -> degrees
@@ -38,21 +38,26 @@ def as_input(x, dtype) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.ascontiguousarray(x, dtype=dtype))
 
 
-class TaskHead:
-    """Dense(in -> hidden), ReLU, optional dropout, Dense(hidden -> out)."""
+class TaskHead(Layer):
+    """Dense(in -> hidden), ReLU, dropout, Dense(hidden -> out)."""
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int,
                  rng: np.random.Generator, dropout: float = 0.0, dtype=np.float64):
         self.fc1 = Dense(in_dim, hidden, rng, dtype=dtype)
         self.fc2 = Dense(hidden, out_dim, rng, dtype=dtype)
-        self.relu = ReLU()
-        self.dropout = Dropout(dropout) if dropout > 0 else None
+        self.dropout = Dropout(dropout)
 
-    def params(self):
-        return self.fc1.params() + self.fc2.params()
+    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+        return self.fc2(self.dropout(self.fc1(x).relu(), mode, rng))
 
-    def __call__(self, x: Tensor, mode: Mode, rng) -> Tensor:
-        h = self.relu(self.fc1(x))
-        if self.dropout is not None:
-            h = self.dropout(h, mode=mode, rng=rng)
-        return self.fc2(h)
+
+def read_out(model, fused: Tensor, mode: Mode, rng) -> Prediction:
+    """Run the model's displacement, angle (tanh), class and subclass heads on
+    the fused features, in that order (train-mode dropout draws follow it); a
+    head that is None reads out None."""
+    disp = model.disp_head(fused, mode, rng).assert_finite("displacement head")
+    angle = model.angle_head(fused, mode, rng).tanh().assert_finite("angle head")
+    logits = [None if head is None else head(fused, mode, rng).assert_finite(label)
+              for head, label in ((model.class_head, "class head"),
+                                  (model.subclass_head, "subclass head"))]
+    return Prediction(disp, angle, *logits)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Mode, ReLU,
-                  Tanh, Tensor, concat)
-from .common import Prediction, TaskHead, as_input
+from ..nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Layer, Mode,
+                  Tensor, concat)
+from .common import Prediction, TaskHead, as_input, read_out
 
 __all__ = ["FusionConfig", "FusionModel", "SpectrogramEncoder", "IQEncoder", "AoaEncoder"]
 
@@ -45,6 +45,9 @@ class FusionConfig:
             raise ValueError(f"enabled_branches must be a nonempty subset of {BRANCHES}")
         if len(self.iq_channels) != len(self.iq_dilations):
             raise ValueError("iq_channels and iq_dilations must have equal length")
+        for name in ("dropout_pre_concat", "dropout_post_head"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @property
     def fused_dim(self) -> int:
@@ -57,31 +60,24 @@ class FusionConfig:
 # branch encoders
 # ----------------------------------------------------------------------
 
-class SpectrogramEncoder:
+class SpectrogramEncoder(Layer):
     """4 stride-2 conv blocks over the 4x32x32 spectrogram, GAP, linear."""
 
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
         chans = (4,) + tuple(cfg.spec_channels)
         self.convs = [Conv2D(chans[i], chans[i + 1], 3, rng, stride=2, padding=1, dtype=dtype)
                       for i in range(len(cfg.spec_channels))]
-        self.relu = ReLU()
         self.pool = GlobalAvgPool()
         self.proj = Dense(chans[-1], cfg.spec_branch_dim, rng, dtype=dtype)
 
-    def params(self):
-        out = []
-        for c in self.convs:
-            out += c.params()
-        return out + self.proj.params()
-
-    def __call__(self, x: Tensor, mode: Mode, rng) -> Tensor:
+    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         h = x
         for conv in self.convs:
-            h = self.relu(conv(h))
+            h = conv(h).relu()
         return self.proj(self.pool(h))
 
 
-class IQEncoder:
+class IQEncoder(Layer):
     """Residual stack of dilated causal temporal convs over the 8x1024 IQ
     planes; one conv per block with a pointwise skip projection on width
     changes, then GAP over time and a linear map to the branch width."""
@@ -90,52 +86,44 @@ class IQEncoder:
         self.kernel = cfg.iq_kernel
         self.dilations = tuple(cfg.iq_dilations)
         chans = (8,) + tuple(cfg.iq_channels)
-        self.convs = []
-        self.skips = []
+        # (conv, skip or None) per block: params() then lists a block's conv
+        # before its skip, the GJW1 order
+        self.blocks = []
         for i, d in enumerate(self.dilations):
-            self.convs.append(Conv1D(chans[i], chans[i + 1], self.kernel, rng,
-                                     dilation=d, dtype=dtype))
-            self.skips.append(Conv1D(chans[i], chans[i + 1], 1, rng, dtype=dtype)
-                              if chans[i] != chans[i + 1] else None)
-        self.relu = ReLU()
+            conv = Conv1D(chans[i], chans[i + 1], self.kernel, rng, dilation=d, dtype=dtype)
+            skip = Conv1D(chans[i], chans[i + 1], 1, rng, dtype=dtype) \
+                if chans[i] != chans[i + 1] else None
+            self.blocks.append((conv, skip))
         self.pool = GlobalAvgPool()
         self.proj = Dense(chans[-1], cfg.iq_branch_dim, rng, dtype=dtype)
 
-    def params(self):
-        out = []
-        for c, s in zip(self.convs, self.skips):
-            out += c.params()
-            if s is not None:
-                out += s.params()
-        return out + self.proj.params()
+    @property
+    def convs(self) -> list[Conv1D]:
+        return [conv for conv, _ in self.blocks]
 
     def receptive_field(self) -> int:
         """Input span reaching one output sample: 1 + sum (k-1) * d."""
         return 1 + sum((self.kernel - 1) * d for d in self.dilations)
 
-    def __call__(self, x: Tensor, mode: Mode, rng) -> Tensor:
+    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         h = x
-        for conv, skip in zip(self.convs, self.skips):
+        for conv, skip in self.blocks:
             res = h if skip is None else skip(h)
-            h = self.relu(conv(h)) + res
+            h = conv(h).relu() + res
         return self.proj(self.pool(h))
 
 
-class AoaEncoder:
+class AoaEncoder(Layer):
     """Kernel-1 conv mixing the 22 features per patch, flatten, linear."""
 
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
         self.mix = Conv1D(22, cfg.aoa_conv_channels, 1, rng, dtype=dtype)
-        self.relu = ReLU()
         self.proj = Dense(cfg.aoa_conv_channels * 4, cfg.aoa_branch_dim, rng, dtype=dtype)
 
-    def params(self):
-        return self.mix.params() + self.proj.params()
-
-    def __call__(self, x: Tensor, mode: Mode, rng) -> Tensor:
+    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         # (B, 4, 22) -> channels-first (B, 22, 4) so the conv mixes features
         h = x.transpose((0, 2, 1))
-        h = self.relu(self.mix(h))
+        h = self.mix(h).relu()
         flat = h.reshape(h.shape[0], -1)
         return self.proj(flat)
 
@@ -144,22 +132,17 @@ class AoaEncoder:
 # full model
 # ----------------------------------------------------------------------
 
-class FusionModel:
+class FusionModel(Layer):
     KIND = "FUSION"
 
     def __init__(self, cfg: FusionConfig, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
         self.dtype = np.dtype(dtype).type
         rng = np.random.default_rng(seed)
-        self.encoders = {}
-        if "spec" in cfg.enabled_branches:
-            self.encoders["spec"] = SpectrogramEncoder(cfg, rng, self.dtype)
-        if "iq" in cfg.enabled_branches:
-            self.encoders["iq"] = IQEncoder(cfg, rng, self.dtype)
-        if "aoa" in cfg.enabled_branches:
-            self.encoders["aoa"] = AoaEncoder(cfg, rng, self.dtype)
-        self.branch_dropout = Dropout(cfg.dropout_pre_concat) \
-            if cfg.dropout_pre_concat > 0 else None
+        encoder_cls = {"spec": SpectrogramEncoder, "iq": IQEncoder, "aoa": AoaEncoder}
+        self.encoders = {name: encoder_cls[name](cfg, rng, self.dtype)
+                         for name in BRANCHES if name in cfg.enabled_branches}
+        self.branch_dropout = Dropout(cfg.dropout_pre_concat)
         self.disp_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 3, rng,
                                   dropout=cfg.dropout_post_head, dtype=self.dtype)
         self.angle_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 2, rng,
@@ -167,36 +150,17 @@ class FusionModel:
         self.class_head = TaskHead(cfg.fused_dim, cfg.head_hidden, cfg.n_classes, rng,
                                    dropout=cfg.dropout_post_head, dtype=self.dtype) \
             if cfg.with_classifier else None
-        self.tanh = Tanh()
-
-    def params(self):
-        out = []
-        for name in BRANCHES:
-            if name in self.encoders:
-                out += self.encoders[name].params()
-        out += self.disp_head.params() + self.angle_head.params()
-        if self.class_head is not None:
-            out += self.class_head.params()
-        return out
+        self.subclass_head = None
 
     def forward(self, batch: dict, mode: Mode = Mode.EVAL,
                 rng: np.random.Generator | None = None) -> Prediction:
         feats = []
-        for name in BRANCHES:
-            if name not in self.encoders:
-                continue
+        for name, encoder in self.encoders.items():
             x = as_input(batch[name], self.dtype)
-            h = self.encoders[name](x, mode, rng).assert_finite(f"{name} branch output")
-            if self.branch_dropout is not None:
-                h = self.branch_dropout(h, mode=mode, rng=rng)
-            feats.append(h)
+            h = encoder(x, mode, rng).assert_finite(f"{name} branch output")
+            feats.append(self.branch_dropout(h, mode, rng))
         fused = feats[0] if len(feats) == 1 else concat(feats, axis=1)
-        disp = self.disp_head(fused, mode, rng).assert_finite("displacement head")
-        angle = self.tanh(self.angle_head(fused, mode, rng)).assert_finite("angle head")
-        logits = None
-        if self.class_head is not None:
-            logits = self.class_head(fused, mode, rng).assert_finite("class head")
-        return Prediction(disp=disp, angle_raw=angle, class_logits=logits)
+        return read_out(self, fused, mode, rng)
 
 
 def tiny_fusion_config(**overrides) -> FusionConfig:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import (Conv2D, Dense, GlobalAvgPool, Mode, ReLU, Sigmoid, Tanh,
-                  Tensor, concat)
-from .common import Prediction, TaskHead, as_input
+from ..nn import Conv2D, Dense, GlobalAvgPool, Layer, Mode, Tensor, concat
+from .common import Prediction, TaskHead, as_input, read_out
 
 __all__ = ["McaffConfig", "McaffModel", "SharedAttention", "MCAFF_PRESETS", "ALL_PATHS"]
 
@@ -62,26 +61,21 @@ class McaffConfig:
         return self.path_feature_dim * len(ALL_PATHS)
 
 
-class SharedAttention:
+class SharedAttention(Layer):
     """Squeeze-excitation channel gate; one parameter set for every path."""
 
     def __init__(self, channels: int, reduction: int, rng: np.random.Generator, dtype):
         self.fc1 = Dense(channels, channels // reduction, rng, dtype=dtype)
         self.fc2 = Dense(channels // reduction, channels, rng, dtype=dtype)
-        self.relu = ReLU()
-        self.sigmoid = Sigmoid()
         self.pool = GlobalAvgPool()
 
-    def params(self):
-        return self.fc1.params() + self.fc2.params()
-
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        gate = self.sigmoid(self.fc2(self.relu(self.fc1(self.pool(x)))))
+        gate = self.fc2(self.fc1(self.pool(x)).relu()).sigmoid()
         b, c = gate.shape
         return x * gate.reshape(b, c, 1, 1)
 
 
-class _Stem:
+class _Stem(Layer):
     """Two strided convs mapping a path representation onto (C, 8, 8)."""
 
     def __init__(self, in_channels: int, strides, cfg: McaffConfig,
@@ -90,16 +84,12 @@ class _Stem:
                             stride=strides[0], padding=1, dtype=dtype)
         self.conv2 = Conv2D(cfg.stem_channels, cfg.path_feature_dim, 3, rng,
                             stride=strides[1], padding=1, dtype=dtype)
-        self.relu = ReLU()
 
-    def params(self):
-        return self.conv1.params() + self.conv2.params()
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.relu(self.conv2(self.relu(self.conv1(x))))
+    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+        return self.conv2(self.conv1(x).relu()).relu()
 
 
-class _GroupedBlock:
+class _GroupedBlock(Layer):
     """Bottleneck residual: 1x1 reduce, grouped 3x3, 1x1 expand, skip add."""
 
     def __init__(self, channels: int, width: int, cardinality: int,
@@ -108,18 +98,14 @@ class _GroupedBlock:
         self.grouped = Conv2D(width, width, 3, rng, padding=1, groups=cardinality,
                               dtype=dtype)
         self.expand = Conv2D(width, channels, 1, rng, dtype=dtype)
-        self.relu = ReLU()
 
-    def params(self):
-        return self.reduce.params() + self.grouped.params() + self.expand.params()
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.relu(self.reduce(x))
-        h = self.relu(self.grouped(h))
-        return self.relu(self.expand(h) + x)
+    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+        h = self.reduce(x).relu()
+        h = self.grouped(h).relu()
+        return (self.expand(h) + x).relu()
 
 
-class McaffModel:
+class McaffModel(Layer):
     KIND = "MCAFF"
 
     def __init__(self, cfg: McaffConfig, seed: int = 0, dtype=np.float32):
@@ -142,17 +128,6 @@ class McaffModel:
                                    rng, dtype=self.dtype)
         self.subclass_head = TaskHead(cfg.concat_channels, cfg.head_hidden, cfg.n_subclasses,
                                       rng, dtype=self.dtype)
-        self.tanh = Tanh()
-
-    def params(self):
-        out = []
-        for name in ALL_PATHS:
-            if name in self.stems:
-                out += self.stems[name].params()
-        out += self.attention.params() + self.block.params()
-        for head in (self.disp_head, self.angle_head, self.class_head, self.subclass_head):
-            out += head.params()
-        return out
 
     def _path_input(self, name: str, batch: dict) -> Tensor:
         if name == "iq":
@@ -181,11 +156,7 @@ class McaffModel:
             slots.append(h)
         fused = concat(slots, axis=1)
         pooled = self.pool(self.block(fused)).assert_finite("fusion trunk")
-        disp = self.disp_head(pooled, mode, rng).assert_finite("displacement head")
-        angle = self.tanh(self.angle_head(pooled, mode, rng)).assert_finite("angle head")
-        cls = self.class_head(pooled, mode, rng).assert_finite("class head")
-        sub = self.subclass_head(pooled, mode, rng).assert_finite("subclass head")
-        return Prediction(disp=disp, angle_raw=angle, class_logits=cls, subclass_logits=sub)
+        return read_out(self, pooled, mode, rng)
 
 
 def tiny_mcaff_config(**overrides) -> McaffConfig:

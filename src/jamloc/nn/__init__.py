@@ -2,13 +2,13 @@
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .layers import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Layer,
-                     Mode, ReLU, Sigmoid, Tanh, glorot_uniform)
+                     Mode, glorot_uniform)
 from .optim import SGD
 from .tensor import GraphConsumedError, ShapeError, Tensor, concat
 
 __all__ = [
     "Tensor", "concat", "ShapeError", "GraphConsumedError",
     "Layer", "Mode", "Dense", "Conv1D", "Conv2D",
-    "ReLU", "Tanh", "Sigmoid", "Dropout", "GlobalAvgPool", "glorot_uniform", "SGD",
+    "Dropout", "GlobalAvgPool", "glorot_uniform", "SGD",
     "save_checkpoint", "load_checkpoint", "CheckpointError",
 ]

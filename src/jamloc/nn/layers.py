@@ -1,9 +1,10 @@
 """Network layers built on the tensor autodiff core.
 
-Dense and the activations are plain tensor-op compositions; the convolutions
-register custom gradients (im2col + one batched GEMM) for speed. All learned
-parameters are initialized uniform in +/- sqrt(6 / (fan_in + fan_out)) from the
-caller's seeded generator; biases start at zero.
+``Layer.params()`` defines the GJW1 checkpoint order for every layer and model
+built from layers. The convolutions register custom gradients (im2col + one
+batched GEMM) for speed. All learned parameters are initialized uniform in
++/- sqrt(6 / (fan_in + fan_out)) from the caller's seeded generator; biases
+start at zero.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .tensor import ShapeError, Tensor
 
 __all__ = [
     "Mode", "Layer", "Dense", "Conv1D", "Conv2D",
-    "ReLU", "Tanh", "Sigmoid", "Dropout", "GlobalAvgPool", "glorot_uniform",
+    "Dropout", "GlobalAvgPool", "glorot_uniform",
 ]
 
 
@@ -31,17 +32,40 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
 
 
 class Layer:
-    """Base layer: stateless unless it declares parameters."""
+    """Base of every layer and model part.
+
+    ``params()`` walks ``vars(self)`` depth first in assignment order and
+    collects each Tensor with ``requires_grad``, recursing into lists, tuples,
+    dict values and Layers (other objects, such as configs, are not entered).
+    That order is the GJW1 checkpoint layout, so a part that pairs layers
+    keeps each pair in one attribute.
+    """
 
     def params(self) -> list[Tensor]:
-        return []
+        out = []
+
+        def walk(v):
+            if isinstance(v, Tensor):
+                if v.requires_grad:
+                    out.append(v)
+            elif isinstance(v, Layer):
+                out.extend(v.params())
+            elif isinstance(v, (list, tuple)):
+                for item in v:
+                    walk(item)
+            elif isinstance(v, dict):
+                for item in v.values():
+                    walk(item)
+
+        walk(list(vars(self).values()))
+        return out
 
     def __call__(self, x, mode: Mode = Mode.EVAL, rng: np.random.Generator | None = None) -> Tensor:
         raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
-# dense / activations / plumbing
+# dense / dropout / pooling
 # ----------------------------------------------------------------------
 
 class Dense(Layer):
@@ -54,28 +78,10 @@ class Dense(Layer):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
-    def params(self):
-        return [self.weight, self.bias]
-
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.in_features:
             raise ShapeError(f"Dense expects (B, {self.in_features}), got {x.data.shape}")
         return x @ self.weight + self.bias
-
-
-class ReLU(Layer):
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        return x.relu()
-
-
-class Tanh(Layer):
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Layer):
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        return x.sigmoid()
 
 
 class Dropout(Layer):
@@ -125,9 +131,6 @@ class Conv1D(Layer):
                                             fan_in, out_channels, dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-
-    def params(self):
-        return [self.weight, self.bias]
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         if x.data.ndim != 3 or x.data.shape[1] != self.in_channels:
@@ -195,9 +198,6 @@ class Conv2D(Layer):
                                             fan_in, fan_out, dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-
-    def params(self):
-        return [self.weight, self.bias]
 
     def out_hw(self, H: int, W: int) -> tuple[int, int]:
         k, (sh, sw), p = self.kernel_size, self.stride, self.padding

@@ -329,7 +329,9 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        # exp(-x) overflows to inf for very negative x, which gives the right 0
+        with np.errstate(over="ignore"):
+            out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def bw(g):
             a._accum(g * out_data * (1.0 - out_data))

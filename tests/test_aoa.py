@@ -26,6 +26,19 @@ def test_output_shape():
     assert aoa_features(batch, FS).shape == (3, 4, N_AOA_FEATURES)
 
 
+def test_envelope_skew_and_kurtosis_match_moment_oracle():
+    rng = np.random.default_rng(5)
+    x = np.stack([_random_snapshot(i) for i in range(8)]) * rng.uniform(0.1, 3.0, size=(8, 4, 1))
+    x[::2, :, ::7] *= 20  # heavy-tailed envelopes, as pulsed jammers give
+    feats = aoa_features(x, FS)
+    env = np.abs(x)
+    cen = env - env.mean(axis=-1, keepdims=True)
+    sig = env.std(axis=-1)
+    for col, k in ((2, 3), (3, 4)):
+        ref = (cen ** k).mean(axis=-1) / sig ** k
+        assert np.max(np.abs(feats[..., col] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_patch_zero_phase_features_are_zero():
     feats = aoa_features(_random_snapshot(1), FS)
     np.testing.assert_allclose(feats[0, 19:22], 0.0, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jamloc.nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Mode,
-                       ReLU, ShapeError, Sigmoid, Tanh, Tensor, concat)
+                       ShapeError, Tensor, concat)
 
 from _oracles import check_grads, conv1d_ref, conv2d_ref
 
@@ -34,7 +34,7 @@ def test_dense_rejects_wrong_width():
 
 
 def test_relu_values():
-    out = ReLU()(Tensor(np.array([-1.0, 0.0, 2.0])))
+    out = Tensor(np.array([-1.0, 0.0, 2.0])).relu()
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
@@ -179,9 +179,9 @@ def test_gradcheck_activations():
     rng = np.random.default_rng(14)
     # keep ReLU inputs away from the kink where the derivative is undefined
     base = rng.uniform(0.2, 1.5, size=(3, 5)) * np.sign(rng.normal(size=(3, 5)))
-    for layer in (ReLU(), Tanh(), Sigmoid()):
+    for act in (Tensor.relu, Tensor.tanh, Tensor.sigmoid):
         x = Tensor(base.copy(), requires_grad=True)
-        assert check_grads(lambda: _proj_loss(layer(x)), [x]) < GRAD_TOL
+        assert check_grads(lambda: _proj_loss(act(x)), [x]) < GRAD_TOL
 
 
 def test_gradcheck_pool_flatten_concat():
@@ -219,7 +219,6 @@ def test_every_layer_keeps_float32():
         (Conv1D(3, 4, 1, rng, dtype=f32), (2, 3, 11)),
         (Conv2D(4, 6, 3, rng, stride=2, padding=1, dtype=f32), (2, 4, 7, 7)),
         (Conv2D(4, 6, 3, rng, padding=1, groups=2, dtype=f32), (2, 4, 5, 5)),
-        (ReLU(), (3, 5)), (Tanh(), (3, 5)), (Sigmoid(), (3, 5)),
         (Dropout(0.4), (3, 6)), (GlobalAvgPool(), (2, 3, 4, 4)),
     ]
     for layer, shape in cases:
@@ -229,6 +228,12 @@ def test_every_layer_keeps_float32():
         _proj_loss(out).backward()
         for p in [x] + layer.params():
             assert p.grad.dtype == f32, type(layer).__name__
+    for act in (Tensor.relu, Tensor.tanh, Tensor.sigmoid):
+        x = Tensor(rng.normal(size=(3, 5)).astype(f32), requires_grad=True)
+        out = act(x)
+        assert out.dtype == f32, act.__name__
+        _proj_loss(out).backward()
+        assert x.grad.dtype == f32, act.__name__
     a = Tensor(rng.normal(size=(2, 3)).astype(f32), requires_grad=True)
     out = concat([a, Tensor(np.zeros((2, 5), dtype=f32))], axis=1)
     assert out.dtype == f32

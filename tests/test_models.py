@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_fusion_gradcheck_all_branches():
     model = _fusion(np.float64)
     spec, iq, aoa = (model.encoders[k] for k in ("spec", "iq", "aoa"))
     params = [spec.convs[0].weight, spec.convs[-1].bias,    # strided Conv2D
-              iq.convs[-1].weight, iq.skips[-1].weight,     # dilated and pointwise Conv1D
+              iq.convs[-1].weight, iq.blocks[-1][1].weight,  # dilated and pointwise Conv1D
               aoa.mix.weight, iq.proj.weight,               # Conv1D over features, Dense
               model.disp_head.fc1.weight, model.angle_head.fc2.weight,
               model.class_head.fc2.bias]
@@ -81,6 +83,47 @@ def test_mcaff_gradcheck_all_paths():
               model.attention.fc1.weight, model.attention.fc2.bias,
               model.disp_head.fc1.weight, model.subclass_head.fc2.weight]
     assert _gradcheck(model, ("iq", "spec", "cfo", "stft"), params, seed=6) < GRAD_TOL
+
+
+@pytest.mark.parametrize("field", ["dropout_pre_concat", "dropout_post_head"])
+@pytest.mark.parametrize("rate", [-0.1, 1.0, -3.0])
+def test_fusion_config_rejects_dropout_out_of_range(field, rate):
+    with pytest.raises(ValueError, match=field):
+        tiny_fusion_config(**{field: rate})
+
+
+# GJW1 stores params() in order with no names: the tensor count, the shapes and
+# the initial values pinned here are the checkpoint contract
+FUSION_SHAPES = [
+    (2, 4, 3, 3), (2,), (2, 2, 3, 3), (2,), (4, 2, 3, 3), (4,), (4, 4, 3, 3), (4,),
+    (4, 8), (8,),                                                   # spec encoder
+    (4, 8, 3), (4,), (4, 8, 1), (4,), (4, 4, 3), (4,), (8, 4, 3), (8,), (8, 4, 1), (8,),
+    (8, 8), (8,),                                                   # iq: conv, skip per block
+    (4, 22, 1), (4,), (16, 4), (4,),                                # aoa encoder
+    (20, 16), (16,), (16, 3), (3,), (20, 16), (16,), (16, 2), (2,),
+    (20, 16), (16,), (16, 6), (6,),                                 # disp, angle, class heads
+]
+MCAFF_SHAPES = [
+    (4, 8, 3, 3), (4,), (8, 4, 3, 3), (8,),                         # iq stem
+    *[(4, 4, 3, 3), (4,), (8, 4, 3, 3), (8,)] * 3,                  # fft, cfo, stft stems
+    (8, 2), (2,), (2, 8), (8,),                                     # shared attention
+    (8, 32, 1, 1), (8,), (8, 4, 3, 3), (8,), (32, 8, 1, 1), (32,),  # grouped block
+    (32, 8), (8,), (8, 3), (3,), (32, 8), (8,), (8, 2), (2,),
+    (32, 8), (8,), (8, 3), (3,), (32, 8), (8,), (8, 4), (4,),       # four heads
+]
+
+
+@pytest.mark.parametrize("build,shapes,digest", [
+    (lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1), FUSION_SHAPES,
+     "bb49a946e25378bd6b1c961a6cad14e765071694f31107075144ac44e2950e15"),
+    (lambda: McaffModel(tiny_mcaff_config(), seed=2), MCAFF_SHAPES,
+     "4944afb991368e71f04c76eb0d83e186ebabc4455d1f8a313624057773068e9e"),
+], ids=["fusion", "mcaff"])
+def test_params_order_is_the_checkpoint_contract(build, shapes, digest):
+    params = build().params()
+    assert len(params) == len(shapes)
+    assert [p.data.shape for p in params] == shapes
+    assert hashlib.sha256(b"".join(p.data.tobytes() for p in params)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("build", [

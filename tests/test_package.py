@@ -1,11 +1,14 @@
 import ast
 import importlib
+import inspect
+import pkgutil
 import pathlib
 import sys
 
 import pytest
 
 import jamloc
+from jamloc.nn import Layer
 
 SRC = pathlib.Path(jamloc.__file__).parent
 ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "jamloc"}
@@ -33,3 +36,19 @@ def test_numpy_is_the_only_runtime_dependency():
                for path in files for root in _imported_roots(path)
                if root not in ALLOWED_ROOTS}
     assert not foreign, sorted(foreign)
+
+
+def _defined_classes(package):
+    for info in pkgutil.iter_modules(importlib.import_module(package).__path__, f"{package}."):
+        module = importlib.import_module(info.name)
+        yield from (cls for cls in vars(module).values()
+                    if inspect.isclass(cls) and cls.__module__ == module.__name__)
+
+
+@pytest.mark.parametrize("package", ["jamloc.nn", "jamloc.models"])
+def test_layer_params_is_the_only_params(package):
+    # one module protocol: every part lists its tensors through Layer.params()
+    classes = list(_defined_classes(package))
+    assert classes
+    own = [cls.__qualname__ for cls in classes if cls is not Layer and "params" in vars(cls)]
+    assert not own

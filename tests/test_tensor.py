@@ -21,6 +21,13 @@ def test_tanh_grad_at_zero_is_one():
     np.testing.assert_array_equal(x.grad, np.ones(3))
 
 
+def test_sigmoid_saturates_without_overflow_warning():
+    # exp(-x) overflows float32 below x ~ -88.7; the warning filter makes it an error
+    out = Tensor(np.array([-100.0, 0.0, 100.0], dtype=np.float32)).sigmoid()
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.data, [0.0, 0.5, 1.0])
+
+
 def test_grad_accumulates_over_reuse():
     x = Tensor(np.array([3.0]), requires_grad=True)
     y = x * 2.0 + x  # x used twice
