@@ -1,10 +1,21 @@
 """Network layers built on the tensor autodiff core.
 
 ``Layer.params()`` defines the GJW1 checkpoint order for every layer and model
-built from layers. The convolutions register custom gradients (im2col + one
-batched GEMM) for speed. All learned parameters are initialized uniform in
+built from layers. All learned parameters are initialized uniform in
 +/- sqrt(6 / (fan_in + fan_out)) from the caller's seeded generator; biases
 start at zero.
+
+Layout contract of the convolutions: ``Conv1D`` and ``Conv2D`` take and return
+channels-first shapes, (B, C, T) and (B, C, H, W), and their weights are
+(O, C, K) and (O, C/groups, k, k). In memory they compute channels-last. Each
+returns a transposed view of a C-contiguous (B, T, O) or (B, H, W, O) buffer,
+and reads its input as channels-last, which costs no copy when the producer
+was a conv: numpy elementwise ops (ReLU, residual adds) and ``Tensor.sum``'s
+gradient keep their operand's layout, so a conv stack passes channels-last
+buffers from conv to conv, and their gradients take the same path back.
+Forward, weight gradient and input gradient are each one GEMM per channel group
+over all B*T or B*Ho*Wo output positions (the forward of a Conv2D over a
+C-contiguous input, such as a model input, runs one per batch item).
 """
 
 from __future__ import annotations
@@ -111,6 +122,12 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=axes)
 
 
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """(B, C, ...) -> a C-contiguous (B, ..., C) array; no copy when ``a`` is
+    already a channels-last view, as every conv output is."""
+    return np.ascontiguousarray(a.transpose(0, *range(2, a.ndim), 1))
+
+
 # ----------------------------------------------------------------------
 # 1-D convolution (dilated, causal, stride 1)
 # ----------------------------------------------------------------------
@@ -136,45 +153,58 @@ class Conv1D(Layer):
         if x.data.ndim != 3 or x.data.shape[1] != self.in_channels:
             raise ShapeError(f"Conv1D expects (B, {self.in_channels}, T), got {x.data.shape}")
         B, C, T = x.data.shape
-        K, d = self.kernel_size, self.dilation
-        pad = (K - 1) * d
+        K, d, O = self.kernel_size, self.dilation, self.out_channels
         w, b = self.weight, self.bias
-        w2 = w.data.reshape(self.out_channels, C * K)
+        # row j*C + c of the (K*C, O) weight is tap j of input channel c
+        w2 = w.data.transpose(2, 1, 0).reshape(K * C, O)
+        xl = _channels_last(x.data)
 
-        # im2col (B, C*K, T), taps ordered (channel, tap); kernel 1 needs none
+        # im2col (B, T, K, C): tap j reads x[t - (K-1-j)*d] and zero before
+        # the start, so tap K-1 is the input itself
         if K == 1:
-            cols = x.data
+            cols = xl
         else:
-            xp = np.pad(x.data, ((0, 0), (0, 0), (pad, 0)))
-            cols = np.empty((B, C, K, T), dtype=x.data.dtype)
-            for j in range(K):
-                cols[:, :, j, :] = xp[:, :, j * d: j * d + T]
-            cols = cols.reshape(B, C * K, T)
-        out = np.matmul(w2, cols)
-        out += b.data[:, None]
+            cols = np.empty((B, T, K, C), dtype=xl.dtype)
+            cols[:, :, K - 1] = xl
+            for j in range(K - 1):
+                s = min((K - 1 - j) * d, T)
+                cols[:, :s, j] = 0
+                cols[:, s:, j] = xl[:, :T - s]
+        cols = cols.reshape(B * T, K * C)
+        out = cols @ w2
+        out += b.data
 
         def bw(g):
+            g2 = _channels_last(g).reshape(B * T, O)
             if w.requires_grad:
-                w._accum(np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+                w._accum((cols.T @ g2).reshape(K, C, O).transpose(2, 1, 0))
             if b.requires_grad:
-                b._accum(g.sum(axis=(0, 2)))
+                b._accum(g2.sum(axis=0))
             if x.requires_grad:
-                dcols = np.matmul(w2.T, g)
-                if K == 1:
-                    x._accum(dcols)
-                else:
-                    dcols = dcols.reshape(B, C, K, T)
-                    dxp = np.zeros((B, C, T + pad), dtype=g.dtype)
-                    for j in range(K):
-                        dxp[:, :, j * d: j * d + T] += dcols[:, :, j, :]
-                    x._accum(dxp[:, :, pad:])
+                dcols = (g2 @ w2.T).reshape(B, T, K, C)
+                # tap K-1 covers every t; the others add shifted row blocks
+                dx = np.ascontiguousarray(dcols[:, :, K - 1])
+                for j in range(K - 1):
+                    s = (K - 1 - j) * d
+                    if s < T:
+                        dx[:, :T - s] += dcols[:, s:, j]
+                x._accum(dx.transpose(0, 2, 1))
 
-        return Tensor.from_op(out, (x, w, b), bw)
+        return Tensor.from_op(out.reshape(B, T, O).transpose(0, 2, 1), (x, w, b), bw)
 
 
 # ----------------------------------------------------------------------
 # 2-D convolution (stride, zero padding, channel groups)
 # ----------------------------------------------------------------------
+
+def _tap_span(tap: int, stride: int, pad: int, n_in: int, n_out: int) -> tuple[int, int, int]:
+    """Outputs [o0, o1) along one axis whose kernel ``tap`` lands inside the
+    input (output o reads input o*stride + tap - pad), and the input index
+    read by o0. The other outputs read the zero padding."""
+    o0 = min(n_out, -(-max(pad - tap, 0) // stride))
+    o1 = max(o0, min(n_out, (n_in - 1 + pad - tap) // stride + 1))
+    return o0, o1, o0 * stride + tap - pad
+
 
 class Conv2D(Layer):
     """2-D convolution over (B, C, H, W); stride may be an int or (sh, sw)."""
@@ -182,13 +212,20 @@ class Conv2D(Layer):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, stride=1, padding: int = 0,
                  groups: int = 1, dtype=np.float64):
+        stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
+        for name, value, ok in (("kernel_size", kernel_size, kernel_size >= 1),
+                                ("stride", stride, len(stride) == 2 and min(stride) >= 1),
+                                ("padding", padding, padding >= 0),
+                                ("groups", groups, groups >= 1)):
+            if not ok:
+                raise ValueError(f"Conv2D {name} out of range: {value}")
         if in_channels % groups or out_channels % groups:
             raise ValueError(
                 f"groups={groups} must divide in_channels={in_channels} and out_channels={out_channels}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
+        self.stride = stride
         self.padding = padding
         self.groups = groups
         cg = in_channels // groups
@@ -211,38 +248,78 @@ class Conv2D(Layer):
         Ho, Wo = self.out_hw(H, W)
         if Ho < 1 or Wo < 1:
             raise ShapeError(f"Conv2D output would be empty for input {x.data.shape}")
-        cg = C // G
-        og = self.out_channels // G
+        O = self.out_channels
+        cg, og, M, kkc = C // G, O // G, B * Ho * Wo, k * k * (C // G)
         w, b = self.weight, self.bias
-        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+        # (G, k*k*cg, og): group g's rows in (tap, channel) order, like cols
+        w2 = w.data.reshape(G, og, cg, k, k).transpose(0, 3, 4, 2, 1).reshape(G, kkc, og)
+        row_spans = [_tap_span(t, sh, p, H, Ho) for t in range(k)]
+        col_spans = [_tap_span(t, sw, p, W, Wo) for t in range(k)]
 
-        # im2col (B, G, k*k*cg, Ho*Wo), rows in (tap, channel) order: each
-        # tap's block is then contiguous per group, for the copies here and
-        # the scatter in backward; the weight is permuted to match
-        cols = np.empty((B, G, k, k, cg, Ho, Wo), dtype=x.data.dtype)
-        xg = xp.reshape(B, G, cg, *xp.shape[2:])
-        for ki in range(k):
-            for kj in range(k):
-                cols[:, :, ki, kj] = xg[:, :, :, ki: ki + sh * Ho: sh, kj: kj + sw * Wo: sw]
-        cols = cols.reshape(B, G, k * k * cg, Ho * Wo)
-        w2 = w.data.reshape(G, og, cg, k * k).transpose(0, 1, 3, 2).reshape(G, og, k * k * cg)
-        out = np.matmul(w2, cols).reshape(B, self.out_channels, Ho, Wo)
-        out += b.data[:, None, None]
+        # im2col: a (B, Ho, Wo, G, k, k, cg) array whose memory follows the
+        # input's, so each tap copies along the input's contiguous axis. A
+        # channels-last input (any conv output) gives channels-last cols, and
+        # each group's GEMM reads its strided (M, k*k*cg) block; a 1x1
+        # stride-1 conv reads the input itself. A C-contiguous input (a model
+        # input, with few channels) gives tap-major (G, k, k, cg, B, Ho, Wo)
+        # cols, which the forward GEMM reads per batch item as (Ho*Wo, k*k*cg)
+        # blocks: BLAS runs these short-row operands faster in pieces.
+        nchw = x.data.flags.c_contiguous
+        xhwc = x.data.transpose(0, 2, 3, 1) if nchw else _channels_last(x.data)
+        xv = xhwc.reshape(B, H, W, G, cg)
+        pointwise = k == 1 and (sh, sw) == (1, 1) and p == 0 and not nchw
+        if pointwise:
+            cols = xv.reshape(B, Ho, Wo, G, 1, 1, cg)
+        else:
+            if nchw:
+                cols = np.empty((G, k, k, cg, B, Ho, Wo), dtype=x.data.dtype)
+                cols = cols.transpose(4, 5, 6, 0, 1, 2, 3)
+            else:
+                cols = np.empty((B, Ho, Wo, G, k, k, cg), dtype=x.data.dtype)
+            for ki, (i0, i1, r0) in enumerate(row_spans):
+                for kj, (j0, j1, c0) in enumerate(col_spans):
+                    tap = cols[:, :, :, :, ki, kj]
+                    tap[:, i0:i1, j0:j1] = xv[:, r0:r0 + (i1 - i0) * sh:sh, c0:c0 + (j1 - j0) * sw:sw]
+                    # zero where the tap reads the padding
+                    if i0 > 0:
+                        tap[:, :i0] = 0
+                    if i1 < Ho:
+                        tap[:, i1:] = 0
+                    if j0 > 0:
+                        tap[:, i0:i1, :j0] = 0
+                    if j1 < Wo:
+                        tap[:, i0:i1, j1:] = 0
+        cols_g = cols.reshape(M, G, kkc).transpose(1, 0, 2)
+        # the GEMMs write each group's og columns of the (B, Ho, Wo, O) output
+        out = np.empty((B, Ho, Wo, O), dtype=x.data.dtype)
+        if nchw:
+            np.matmul(cols.reshape(B, Ho * Wo, G, kkc).transpose(2, 0, 1, 3), w2[:, None],
+                      out=out.reshape(B, Ho * Wo, G, og).transpose(2, 0, 1, 3))
+        else:
+            np.matmul(cols_g, w2, out=out.reshape(M, G, og).transpose(1, 0, 2))
+        out += b.data
 
         def bw(g):
-            gg = g.reshape(B, G, og, Ho * Wo)
+            gl = _channels_last(g)
+            g_g = gl.reshape(M, G, og).transpose(1, 0, 2)
             if w.requires_grad:
-                dw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-                w._accum(dw.reshape(G, og, k * k, cg).transpose(0, 1, 3, 2).reshape(w.data.shape))
+                dw = np.matmul(cols_g.transpose(0, 2, 1), g_g)
+                w._accum(dw.reshape(G, k, k, cg, og).transpose(0, 4, 3, 1, 2).reshape(w.data.shape))
             if b.requires_grad:
-                b._accum(g.sum(axis=(0, 2, 3)))
+                b._accum(gl.reshape(M, O).sum(axis=0))
             if x.requires_grad:
-                dcols = np.matmul(w2.transpose(0, 2, 1), gg).reshape(B, G, k, k, cg, Ho, Wo)
-                dxp = np.zeros_like(xp)
-                dxg = dxp.reshape(xg.shape)
-                for ki in range(k):
-                    for kj in range(k):
-                        dxg[:, :, :, ki: ki + sh * Ho: sh, kj: kj + sw * Wo: sw] += dcols[:, :, ki, kj]
-                x._accum(dxp[:, :, p:p + H, p:p + W] if p else dxp)
+                dcols = np.empty_like(cols)  # cols' memory layout
+                np.matmul(g_g, w2.transpose(0, 2, 1),
+                          out=dcols.reshape(M, G, kkc).transpose(1, 0, 2))
+                if pointwise:
+                    dx = dcols.reshape(xhwc.shape)
+                else:
+                    dx = np.zeros_like(xhwc)  # the input's memory layout
+                    dxv = dx.reshape(B, H, W, G, cg)
+                    for ki, (i0, i1, r0) in enumerate(row_spans):
+                        for kj, (j0, j1, c0) in enumerate(col_spans):
+                            dxv[:, r0:r0 + (i1 - i0) * sh:sh, c0:c0 + (j1 - j0) * sw:sw] += \
+                                dcols[:, i0:i1, j0:j1, :, ki, kj]
+                x._accum(dx.transpose(0, 3, 1, 2))
 
-        return Tensor.from_op(out, (x, w, b), bw)
+        return Tensor.from_op(out.transpose(0, 3, 1, 2), (x, w, b), bw)

@@ -278,11 +278,11 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def bw(g):
-            if axis is None:
-                a._accum(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(gg, a.data.shape).copy())
+            # empty_like keeps the operand's memory layout (a channels-last
+            # conv output gets a channels-last gradient)
+            grad = np.empty_like(a.data)
+            grad[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a._accum(grad)
 
         return Tensor.from_op(out_data, (a,), bw)
 

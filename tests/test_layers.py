@@ -113,6 +113,94 @@ def test_conv2d_matches_direct_oracle(stride, padding, groups):
         assert np.max(np.abs(out.data - ref)) <= tol * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("kernel_size", dict(kernel_size=0)), ("stride", dict(stride=0)),
+    ("stride", dict(stride=(2, 0))), ("padding", dict(padding=-1)), ("groups", dict(groups=0)),
+], ids=["kernel_size", "stride", "stride-pair", "padding", "groups"])
+def test_conv2d_rejects_bad_arguments(field, kwargs):
+    args = dict(in_channels=4, out_channels=4, kernel_size=3, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"Conv2D {field}"):
+        Conv2D(**{**args, **kwargs})
+
+
+# ----------------------------------------------------------------------
+# memory layouts: the convs compute channels-last, whatever they are fed
+# ----------------------------------------------------------------------
+
+# (in_channels, out_channels, kernel_size, dilation, T); the last two have
+# (K-1)*d >= T, so the earliest taps read only the zero history
+CONV1D_CASES = [(3, 4, 3, 2, 11), (3, 4, 1, 1, 7), (2, 3, 3, 4, 5), (2, 3, 3, 2, 4)]
+# (in_channels, out_channels, kernel_size, stride, padding, groups, (H, W))
+CONV2D_CASES = [(3, 4, 3, 2, 1, 1, (7, 6)), (4, 6, 3, 1, 1, 2, (5, 5)),
+                (4, 6, 1, 1, 0, 1, (3, 4)), (2, 2, 3, (2, 1), 2, 2, (4, 3))]
+
+
+def _channels_last_view(leaf: Tensor) -> Tensor:
+    """A C-contiguous (B, ..., C) leaf seen as (B, C, ...) through the
+    autodiff transpose: the channels-last view a conv returns."""
+    n = leaf.data.ndim
+    return leaf.transpose((0, n - 1, *range(1, n - 1)))
+
+
+def _conv_case(dim, case, dtype=np.float64):
+    """A conv with a random bias, a (2, C, ...) input, and the oracle's output."""
+    rng = np.random.default_rng(20)
+    if dim == 1:
+        cin, cout, k, d, t = case
+        layer = Conv1D(cin, cout, k, rng, dilation=d, dtype=dtype)
+        x = rng.normal(size=(2, cin, t)).astype(dtype)
+        layer.bias.data[...] = rng.normal(size=cout)
+        return layer, x, conv1d_ref(x, layer.weight.data, layer.bias.data, d)
+    cin, cout, k, s, p, g, hw = case
+    layer = Conv2D(cin, cout, k, rng, stride=s, padding=p, groups=g, dtype=dtype)
+    x = rng.normal(size=(2, cin, *hw)).astype(dtype)
+    layer.bias.data[...] = rng.normal(size=cout)
+    return layer, x, conv2d_ref(x, layer.weight.data, layer.bias.data, layer.stride, p, g)
+
+
+def _upstream(shape, kind, rng):
+    """A gradient array of logical ``shape`` (B, C, ...) in the named layout."""
+    if kind == "channels-first":
+        return rng.normal(size=shape)
+    if kind == "channels-last":
+        return np.moveaxis(rng.normal(size=(shape[0], *shape[2:], shape[1])), -1, 1)
+    return rng.normal(size=(*shape[:-1], 2 * shape[-1]))[..., ::2]  # strided
+
+
+def _loss_with_upstream(out: Tensor, G: np.ndarray) -> Tensor:
+    """sum(out * G) whose backward hands ``out`` the array G itself (the loss
+    is the graph's root, so its own gradient is 1)."""
+    return Tensor.from_op(np.sum(out.data * G), (out,), lambda g: out._accum(G))
+
+
+@pytest.mark.parametrize("dim,case", [(1, c) for c in CONV1D_CASES] + [(2, c) for c in CONV2D_CASES])
+def test_conv_matches_oracle_in_either_input_layout(dim, case):
+    for dtype, tol in FWD_TOL.items():
+        layer, x, want = _conv_case(dim, case, dtype)
+        for xin in (Tensor(x), _channels_last_view(Tensor(np.moveaxis(x, 1, -1).copy()))):
+            out = layer(xin)
+            assert out.dtype == dtype and out.shape == want.shape
+            assert np.max(np.abs(out.data - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("upstream", ["channels-first", "channels-last", "strided"])
+@pytest.mark.parametrize("channels_last", [False, True], ids=["in-cf", "in-cl"])
+@pytest.mark.parametrize("dim,case", [(1, c) for c in CONV1D_CASES] + [(2, c) for c in CONV2D_CASES])
+def test_gradcheck_conv_any_layout(dim, case, channels_last, upstream):
+    layer, x, _ = _conv_case(dim, case)
+    if channels_last:
+        leaf = Tensor(np.moveaxis(x, 1, -1).copy(), requires_grad=True)
+    else:
+        leaf = Tensor(x, requires_grad=True)
+
+    def xin():  # rebuilt per call, so finite differences see the leaf's edits
+        return _channels_last_view(leaf) if channels_last else leaf
+
+    G = _upstream(layer(xin()).shape, upstream, np.random.default_rng(21))
+    params = [leaf, layer.weight, layer.bias]
+    assert check_grads(lambda: _loss_with_upstream(layer(xin()), G), params, probes=16) < GRAD_TOL
+
+
 def test_grouped_conv_requires_divisibility():
     with pytest.raises(ValueError):
         Conv2D(6, 8, 3, np.random.default_rng(0), groups=4)

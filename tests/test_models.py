@@ -1,12 +1,13 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jamloc.models import (MCAFF_PRESETS, FusionModel, McaffModel,
-                           load_model, save_model, tiny_fusion_config,
+from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig,
+                           McaffModel, load_model, save_model, tiny_fusion_config,
                            tiny_mcaff_config)
-from jamloc.nn import Mode, Tensor
+from jamloc.nn import Conv1D, Conv2D, Mode, Tensor
 
 from _oracles import check_grads
 
@@ -141,3 +142,139 @@ def test_save_load_round_trip(build, tmp_path):
     for a, b in zip(_outputs(want), _outputs(got)):
         assert a.dtype == b.dtype == np.float32
         assert a.data.tobytes() == b.data.tobytes()
+
+
+# eval predictions of the paper-width models (seed 0) on _batch(0, b=4),
+# captured before the convolutions moved to channels-last memory; the GEMMs
+# sum in another order now, so the bound is a float32 tolerance
+GOLDEN = Path(__file__).with_name("golden_predictions.npz")
+
+
+@pytest.mark.parametrize("name,build", [("fusion", lambda: FusionModel(FusionConfig(), seed=0)),
+                                        ("mcaff", lambda: McaffModel(McaffConfig(), seed=0))])
+def test_paper_width_predictions_match_golden(name, build):
+    golden = np.load(GOLDEN)
+    pred = build().forward(_batch(0, b=4))
+    fields = ("disp", "angle_raw", "class_logits", "subclass_logits")
+    want = {f: golden[f"{name}_{f}"] for f in fields if f"{name}_{f}" in golden.files}
+    assert set(want) == {f for f in fields if getattr(pred, f) is not None}
+    for f, ref in want.items():
+        np.testing.assert_allclose(getattr(pred, f).data, ref, atol=1e-5, rtol=1e-4, err_msg=f)
+
+
+def _spy_convs(monkeypatch):
+    """Record, for every conv call, [layer, input array, upstream gradient]."""
+    seen = []
+    for cls in (Conv1D, Conv2D):
+        def spy(self, x, mode=Mode.EVAL, rng=None, call=cls.__call__):
+            out = call(self, x, mode, rng)
+            rec, bw = [self, x.data, None], out._backward_fn
+            seen.append(rec)
+
+            def spy_bw(g):
+                rec[2] = g
+                bw(g)
+
+            out._backward_fn = spy_bw
+            return out
+        monkeypatch.setattr(cls, "__call__", spy)
+    return seen
+
+
+def _channels_last(a):
+    return np.moveaxis(a, 1, -1).flags.c_contiguous
+
+
+def _normal32(*shape):
+    return np.random.default_rng(0).normal(size=shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("part,make_input", [
+    (lambda: FusionModel(tiny_fusion_config()).encoders["iq"], lambda: _normal32(2, 8, 64)),
+    (lambda: McaffModel(tiny_mcaff_config()).stems["iq"], lambda: _normal32(2, 8, 32, 32)),
+    # the block reads the concat of channels-last stem outputs, which numpy
+    # keeps channels-last
+    (lambda: McaffModel(tiny_mcaff_config()).block,
+     lambda: np.moveaxis(_normal32(2, 8, 8, 32), -1, 1)),
+], ids=["iq-encoder", "stem", "grouped-block"])
+def test_convs_hand_over_channels_last_buffers(part, make_input, monkeypatch):
+    # a conv reading a conv's output (through ReLUs and residual adds) must
+    # get a channels-last array, and every conv's upstream gradient must be
+    # channels-last, so no transposing copy happens between convs
+    part, x = part(), make_input()
+    seen = _spy_convs(monkeypatch)
+    out = part(Tensor(x))
+    (out * out).sum().backward()  # hands the last conv an upstream in its own layout
+    convs = {id(layer) for layer, _, _ in seen}
+    assert len(seen) == len(convs) >= 2
+    inner = [(layer, a) for layer, a, _ in seen if a is not x]
+    assert len(inner) >= len(seen) - 2
+    for layer, a in inner:
+        assert _channels_last(a), (type(layer).__name__, a.strides)
+    for layer, _, g in seen:
+        assert g is not None and _channels_last(g), type(layer).__name__
+
+
+def _fwd_bwd(forward, params, rng):
+    """One forward and a backward from sum(out * G), as the benchmark's layer
+    sweep times them; every parameter must get a finite float32 gradient."""
+    outs = forward()
+    outs = outs if isinstance(outs, list) else [outs]
+    loss = None
+    for o in outs:
+        term = (o * rng.standard_normal(o.shape).astype(o.dtype)).sum()
+        loss = term if loss is None else loss + term
+    loss.backward()
+    for p in params:
+        if p.requires_grad:
+            assert p.grad is not None and p.grad.shape == p.shape
+            assert p.grad.dtype == np.float32 and np.all(np.isfinite(p.grad))
+            p.grad = None
+
+
+def test_bench_layer_calls_fusion():
+    # the calls perfbench/layers.py makes on the fusion model, at tiny widths
+    rng = np.random.default_rng(0)
+    model = FusionModel(tiny_fusion_config(iq_channels=(4, 4, 8, 8, 8),
+                                           iq_dilations=(1, 2, 4, 8, 16)), seed=0)
+    batch = {k: v.astype(np.float32) for k, v in _batch(1).items()}
+    for name, enc in model.encoders.items():
+        inp = Tensor(batch[name])
+        _fwd_bwd(lambda: enc(inp, Mode.TRAIN, rng), enc.params(), rng)
+    fused = Tensor(rng.standard_normal((2, model.cfg.fused_dim)).astype(np.float32),
+                   requires_grad=True)
+    for head in (model.disp_head, model.angle_head):
+        _fwd_bwd(lambda: head(fused, Mode.TRAIN, rng), head.params() + [fused], rng)
+    t = batch["iq"].shape[-1]
+    for i, conv in enumerate(model.encoders["iq"].convs):
+        inp = Tensor(rng.standard_normal((2, conv.in_channels, t)).astype(np.float32),
+                     requires_grad=i > 0)
+        _fwd_bwd(lambda: conv(inp), conv.params() + [inp], rng)
+
+
+def test_bench_layer_calls_mcaff():
+    # the calls perfbench/layers.py makes on the MCAFF model, at tiny widths
+    rng = np.random.default_rng(0)
+    model = McaffModel(tiny_mcaff_config(n_classes=6, n_subclasses=12), seed=0)
+    cfg = model.cfg
+    batch = {k: v.astype(np.float32) for k, v in _batch(2).items()}
+    paths = {"iq": batch["iq"].reshape(2, 8, 32, 32), "fft": batch["spec"],
+             "cfo": batch["cfo"].reshape(2, 4, 32, 32), "stft": batch["stft"]}
+    for name, x in paths.items():
+        stem, inp = model.stems[name], Tensor(x)
+        _fwd_bwd(lambda: stem(inp), stem.params(), rng)
+
+    def grid(c):
+        return Tensor(rng.standard_normal((2, c, 8, 8)).astype(np.float32), requires_grad=True)
+
+    h, fused, g_in = grid(cfg.path_feature_dim), grid(cfg.concat_channels), \
+        grid(model.block.grouped.in_channels)
+    _fwd_bwd(lambda: model.attention(h), model.attention.params() + [h], rng)
+    _fwd_bwd(lambda: model.block(fused), model.block.params() + [fused], rng)
+    pooled = Tensor(rng.standard_normal((2, cfg.concat_channels)).astype(np.float32),
+                    requires_grad=True)
+    heads = [model.disp_head, model.angle_head, model.class_head, model.subclass_head]
+    _fwd_bwd(lambda: [hd(pooled, Mode.TRAIN, rng) for hd in heads],
+             [p for hd in heads for p in hd.params()] + [pooled], rng)
+    grouped = model.block.grouped
+    _fwd_bwd(lambda: grouped(g_in), grouped.params() + [g_in], rng)

@@ -124,3 +124,21 @@ def test_scalar_and_ndarray_operands_keep_float32():
     assert loss.dtype == np.float32
     loss.backward()
     assert x.grad.dtype == np.float32
+
+
+
+@pytest.mark.parametrize("reduce", [lambda x: x.sum(axis=2), lambda x: x.mean(axis=(2, 3)),
+                                    lambda x: x.sum(), lambda x: x.mean(axis=1, keepdims=True)],
+                         ids=["sum-axis", "mean-axes", "sum-all", "mean-keepdims"])
+def test_sum_and_mean_backward_keep_operand_layout(reduce):
+    # a channels-last (B, C, H, W) view, as a conv returns: its gradient must
+    # stay channels-last, or the conv below it pays a transposing copy
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(2, 5, 4, 3)).transpose(0, 3, 1, 2)
+    grads = []
+    for leaf in (Tensor(data, requires_grad=True), Tensor(data.copy(), requires_grad=True)):
+        out = reduce(leaf)
+        (out * np.random.default_rng(4).normal(size=out.shape)).sum().backward()
+        grads.append(leaf.grad)
+    assert grads[0].strides == data.strides
+    np.testing.assert_array_equal(grads[0], grads[1])
