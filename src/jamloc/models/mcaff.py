@@ -152,7 +152,10 @@ class McaffModel(Layer):
                 h = self.stems[name](self._path_input(name, batch))
                 h = self.attention(h).assert_finite(f"{name} path features")
             else:
-                h = Tensor(np.zeros((b, self.cfg.path_feature_dim) + hw, dtype=self.dtype))
+                # channels-last like the stems' outputs, so the concat stays
+                # channels-last for the block's convs
+                h = np.zeros((b,) + hw + (self.cfg.path_feature_dim,), dtype=self.dtype)
+                h = Tensor(h.transpose(0, 3, 1, 2))
             slots.append(h)
         fused = concat(slots, axis=1)
         pooled = self.pool(self.block(fused)).assert_finite("fusion trunk")

@@ -14,8 +14,7 @@ was a conv: numpy elementwise ops (ReLU, residual adds) and ``Tensor.sum``'s
 gradient keep their operand's layout, so a conv stack passes channels-last
 buffers from conv to conv, and their gradients take the same path back.
 Forward, weight gradient and input gradient are each one GEMM per channel group
-over all B*T or B*Ho*Wo output positions (the forward of a Conv2D over a
-C-contiguous input, such as a model input, runs one per batch item).
+over all B*T or B*Ho*Wo output positions.
 """
 
 from __future__ import annotations
@@ -258,12 +257,11 @@ class Conv2D(Layer):
 
         # im2col: a (B, Ho, Wo, G, k, k, cg) array whose memory follows the
         # input's, so each tap copies along the input's contiguous axis. A
-        # channels-last input (any conv output) gives channels-last cols, and
-        # each group's GEMM reads its strided (M, k*k*cg) block; a 1x1
-        # stride-1 conv reads the input itself. A C-contiguous input (a model
-        # input, with few channels) gives tap-major (G, k, k, cg, B, Ho, Wo)
-        # cols, which the forward GEMM reads per batch item as (Ho*Wo, k*k*cg)
-        # blocks: BLAS runs these short-row operands faster in pieces.
+        # channels-last input (any conv output) gives channels-last cols; a
+        # 1x1 stride-1 conv reads the input itself. A C-contiguous input (a
+        # model input, with few channels) gives tap-major (G, k, k, cg, B, Ho,
+        # Wo) cols. Either way each group's GEMM reads its strided
+        # (M, k*k*cg) block.
         nchw = x.data.flags.c_contiguous
         xhwc = x.data.transpose(0, 2, 3, 1) if nchw else _channels_last(x.data)
         xv = xhwc.reshape(B, H, W, G, cg)
@@ -292,11 +290,7 @@ class Conv2D(Layer):
         cols_g = cols.reshape(M, G, kkc).transpose(1, 0, 2)
         # the GEMMs write each group's og columns of the (B, Ho, Wo, O) output
         out = np.empty((B, Ho, Wo, O), dtype=x.data.dtype)
-        if nchw:
-            np.matmul(cols.reshape(B, Ho * Wo, G, kkc).transpose(2, 0, 1, 3), w2[:, None],
-                      out=out.reshape(B, Ho * Wo, G, og).transpose(2, 0, 1, 3))
-        else:
-            np.matmul(cols_g, w2, out=out.reshape(M, G, og).transpose(1, 0, 2))
+        np.matmul(cols_g, w2, out=out.reshape(M, G, og).transpose(1, 0, 2))
         out += b.data
 
         def bw(g):

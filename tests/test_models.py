@@ -192,11 +192,7 @@ def _normal32(*shape):
 @pytest.mark.parametrize("part,make_input", [
     (lambda: FusionModel(tiny_fusion_config()).encoders["iq"], lambda: _normal32(2, 8, 64)),
     (lambda: McaffModel(tiny_mcaff_config()).stems["iq"], lambda: _normal32(2, 8, 32, 32)),
-    # the block reads the concat of channels-last stem outputs, which numpy
-    # keeps channels-last
-    (lambda: McaffModel(tiny_mcaff_config()).block,
-     lambda: np.moveaxis(_normal32(2, 8, 8, 32), -1, 1)),
-], ids=["iq-encoder", "stem", "grouped-block"])
+], ids=["iq-encoder", "stem"])
 def test_convs_hand_over_channels_last_buffers(part, make_input, monkeypatch):
     # a conv reading a conv's output (through ReLUs and residual adds) must
     # get a channels-last array, and every conv's upstream gradient must be
@@ -213,6 +209,22 @@ def test_convs_hand_over_channels_last_buffers(part, make_input, monkeypatch):
         assert _channels_last(a), (type(layer).__name__, a.strides)
     for layer, _, g in seen:
         assert g is not None and _channels_last(g), type(layer).__name__
+
+
+@pytest.mark.parametrize("preset", sorted(MCAFF_PRESETS))
+def test_mcaff_block_reads_channels_last_concat(preset, monkeypatch):
+    # the block's convs read the concat of the stems' outputs and of the zero
+    # slots of disabled paths; every slot must be channels-last, or numpy
+    # makes the concat channels-first
+    model = McaffModel(tiny_mcaff_config(enabled_paths=MCAFF_PRESETS[preset]))
+    seen = _spy_convs(monkeypatch)
+    batch = {k: v.astype(np.float32) for k, v in _batch(6).items()}
+    _proj_loss(model.forward(batch)).backward()
+    stem_inputs = {id(stem.conv1) for stem in model.stems.values()}
+    assert len(seen) == 2 * len(model.stems) + 3
+    for layer, a, g in seen:
+        assert id(layer) in stem_inputs or _channels_last(a), a.strides
+        assert g is not None and _channels_last(g), g.strides
 
 
 def _fwd_bwd(forward, params, rng):
