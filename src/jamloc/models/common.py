@@ -8,7 +8,8 @@ import numpy as np
 
 from ..nn import Dense, Dropout, Layer, Mode, Tensor
 
-__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_input", "read_out"]
+__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_input", "read_out",
+           "require_positive"]
 
 ALPHA_SCALE = 180.0   # azimuth head: tanh output * 180 -> degrees
 BETA_SCALE = 90.0     # elevation head: tanh output * 90 -> degrees
@@ -30,6 +31,18 @@ class Prediction:
     @property
     def beta_deg(self) -> np.ndarray:
         return BETA_SCALE * self.angle_raw.data[:, 1]
+
+
+def require_positive(cfg, *fields: str) -> None:
+    """Reject a config whose named int field is below 1, or whose named tuple
+    field is empty or holds an entry below 1; the error names the field."""
+    for name in fields:
+        value = getattr(cfg, name)
+        if isinstance(value, (tuple, list)):
+            if not value or min(value) < 1:
+                raise ValueError(f"{name} must be a nonempty tuple of ints >= 1, got {value!r}")
+        elif value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 def as_input(x, dtype) -> Tensor:

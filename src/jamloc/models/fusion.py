@@ -14,7 +14,7 @@ import numpy as np
 
 from ..nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Layer, Mode,
                   Tensor, concat)
-from .common import Prediction, TaskHead, as_input, read_out
+from .common import Prediction, TaskHead, as_input, read_out, require_positive
 
 __all__ = ["FusionConfig", "FusionModel", "SpectrogramEncoder", "IQEncoder", "AoaEncoder"]
 
@@ -43,6 +43,9 @@ class FusionConfig:
         unknown = set(self.enabled_branches) - set(BRANCHES)
         if unknown or not self.enabled_branches:
             raise ValueError(f"enabled_branches must be a nonempty subset of {BRANCHES}")
+        require_positive(self, "spec_branch_dim", "iq_branch_dim", "aoa_branch_dim",
+                         "head_hidden", "n_classes", "spec_channels", "iq_channels",
+                         "iq_dilations", "iq_kernel", "aoa_conv_channels")
         if len(self.iq_channels) != len(self.iq_dilations):
             raise ValueError("iq_channels and iq_dilations must have equal length")
         for name in ("dropout_pre_concat", "dropout_post_head"):
@@ -80,7 +83,14 @@ class SpectrogramEncoder(Layer):
 class IQEncoder(Layer):
     """Residual stack of dilated causal temporal convs over the 8x1024 IQ
     planes; one conv per block with a pointwise skip projection on width
-    changes, then GAP over time and a linear map to the branch width."""
+    changes, then GAP over time and a linear map to the branch width.
+
+    The last block's skip runs after the pool: only that block feeds the
+    GAP, and a mean over time commutes with a pointwise (kernel-1) conv, so
+    ``pool(relu(conv(h)) + skip(h)) == pool(relu(conv(h))) + skip(pool(h))``
+    in exact arithmetic. The skip then maps one (C,) vector per item instead
+    of every timestep, and no full-length residual sum is built.
+    """
 
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
         self.kernel = cfg.iq_kernel
@@ -106,11 +116,16 @@ class IQEncoder(Layer):
         return 1 + sum((self.kernel - 1) * d for d in self.dilations)
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+        *blocks, (conv, skip) = self.blocks
         h = x
-        for conv, skip in self.blocks:
-            res = h if skip is None else skip(h)
-            h = conv(h).relu() + res
-        return self.proj(self.pool(h))
+        for block_conv, block_skip in blocks:
+            res = h if block_skip is None else block_skip(h)
+            h = block_conv(h).relu() + res
+        res = self.pool(h)
+        if skip is not None:
+            b, c = res.shape
+            res = skip(res.reshape(b, c, 1)).reshape(b, -1)
+        return self.proj(self.pool(conv(h).relu()) + res)
 
 
 class AoaEncoder(Layer):

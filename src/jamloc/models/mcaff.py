@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Conv2D, Dense, GlobalAvgPool, Layer, Mode, Tensor, concat
-from .common import Prediction, TaskHead, as_input, read_out
+from .common import Prediction, TaskHead, as_input, read_out, require_positive
 
 __all__ = ["McaffConfig", "McaffModel", "SharedAttention", "MCAFF_PRESETS", "ALL_PATHS"]
 
@@ -51,6 +51,9 @@ class McaffConfig:
             raise ValueError(f"unknown paths {sorted(unknown)}; valid: {ALL_PATHS}")
         if not self.enabled_paths:
             raise ValueError("enabled_paths must be nonempty")
+        require_positive(self, "path_feature_dim", "attention_reduction", "cardinality",
+                         "block_width", "stem_channels", "head_hidden", "n_classes",
+                         "n_subclasses")
         if self.path_feature_dim % self.attention_reduction:
             raise ValueError("attention_reduction must divide path_feature_dim")
         if self.block_width % self.cardinality:

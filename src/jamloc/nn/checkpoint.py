@@ -67,6 +67,14 @@ def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
         tail = f.read(4)
         if not tail:
             return arrays, None
+        if len(tail) != 4:
+            raise CheckpointError("truncated checkpoint while reading metadata length")
         (mlen,) = struct.unpack("<I", tail)
         blob = _read_exact(f, mlen, "metadata")
-        return arrays, json.loads(blob.decode("utf-8"))
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"metadata block of {path} is not UTF-8 JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"metadata block of {path} is not a JSON object")
+    return arrays, meta

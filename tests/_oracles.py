@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from jamloc.nn import Tensor
+
 
 def naive_dft(x):
     """Definition-level DFT along the last axis (any length)."""
@@ -109,3 +111,15 @@ def conv2d_ref(x, w, b, stride, padding, groups):
                     window = xp[n, c0:c0 + cg, i * sh:i * sh + k, j * sw:j * sw + k]
                     out[n, o, i, j] = b[o] + np.sum(window * w[o])
     return out
+
+
+def iq_encoder_ref(encoder, x):
+    """The IQ encoder's forward as the paper draws it: every residual block,
+    the last block's skip included, runs at every timestep; then GAP over
+    time and the projection. Built from the public layers of ``encoder``
+    (float64 parameters expected); returns the (B, branch_dim) Tensor."""
+    h = Tensor(np.asarray(x, dtype=np.float64))
+    for conv, skip in encoder.blocks:
+        res = h if skip is None else skip(h)
+        h = conv(h).relu() + res
+    return encoder.proj(encoder.pool(h))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,24 @@ def test_float64_params_stored_as_f32(tmp_path):
     save_checkpoint(path, [Tensor(np.array([1.0, 2.0]))])
     arrays, _ = load_checkpoint(path)
     assert arrays[0].dtype == np.float32
+
+
+@pytest.mark.parametrize("kept", [1, 2, 3])
+def test_truncated_metadata_length_detected(tmp_path, kept):
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))])
+    n = len(path.read_bytes())
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))], {"kind": "MCAFF"})
+    path.write_bytes(path.read_bytes()[:n + kept])
+    with pytest.raises(CheckpointError, match="metadata length"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json", b"[1, 2]"],
+                         ids=["not-utf8", "not-json", "not-an-object"])
+def test_bad_metadata_block_detected(tmp_path, blob):
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))])
+    path.write_bytes(path.read_bytes() + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(CheckpointError, match="metadata"):
+        load_checkpoint(path)

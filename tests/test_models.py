@@ -9,7 +9,7 @@ from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig
                            tiny_mcaff_config)
 from jamloc.nn import Conv1D, Conv2D, Mode, Tensor
 
-from _oracles import check_grads
+from _oracles import check_grads, iq_encoder_ref
 
 GRAD_TOL = 1e-4
 PROBES = 12  # finite-difference entries checked per tensor
@@ -91,6 +91,51 @@ def test_mcaff_gradcheck_all_paths():
 def test_fusion_config_rejects_dropout_out_of_range(field, rate):
     with pytest.raises(ValueError, match=field):
         tiny_fusion_config(**{field: rate})
+
+
+@pytest.mark.parametrize("make,overrides", [
+    *[(tiny_fusion_config, kw) for kw in (
+        dict(iq_channels=(4, 0, 8)), dict(iq_channels=(4, -2, 8)), dict(head_hidden=0),
+        dict(n_classes=0), dict(iq_kernel=0), dict(iq_dilations=(1, 0, 4)),
+        dict(iq_channels=(), iq_dilations=()), dict(spec_channels=()),
+        dict(spec_channels=(2, 0, 4, 4)), dict(spec_branch_dim=0), dict(iq_branch_dim=-1),
+        dict(aoa_branch_dim=0), dict(aoa_conv_channels=0))],
+    *[(tiny_mcaff_config, {field: value}) for field, value in (
+        ("stem_channels", 0), ("stem_channels", -4), ("head_hidden", 0), ("n_classes", 0),
+        ("n_subclasses", 0), ("path_feature_dim", 0), ("block_width", 0),
+        ("cardinality", 0), ("attention_reduction", 0))],
+], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict)
+   else v.__name__.split("_")[1])
+def test_config_rejects_out_of_range_sizes(make, overrides):
+    field = next(iter(overrides))
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        make(**overrides)
+
+
+@pytest.mark.parametrize("iq_channels", [(4, 4, 8), (4, 4, 8, 8, 8)],
+                         ids=["last-skip-1x1", "last-skip-identity"])
+def test_iq_encoder_matches_per_timestep_skip_oracle(iq_channels):
+    # the encoder applies the last block's skip after the pool; the oracle
+    # applies it at every timestep and pools the residual sum
+    cfg = tiny_fusion_config(iq_channels=iq_channels,
+                             iq_dilations=(1, 2, 4, 8, 16)[:len(iq_channels)])
+    enc = FusionModel(cfg, seed=3, dtype=np.float64).encoders["iq"]
+    assert (enc.blocks[-1][1] is None) == (iq_channels[-2] == iq_channels[-1])
+    rng = np.random.default_rng(4)
+    for p in enc.params():  # nonzero biases, so the skip's bias is checked too
+        if p.data.ndim == 1:
+            p.data[...] = rng.normal(size=p.shape)
+    x = rng.normal(size=(3, 8, 256))
+    g = rng.normal(size=(3, cfg.iq_branch_dim))
+    results = []
+    for forward in (lambda: enc(Tensor(x)), lambda: iq_encoder_ref(enc, x)):
+        out = forward()
+        (out * g).sum().backward()
+        results.append([out.data] + [p.grad for p in enc.params()])
+        for p in enc.params():
+            p.grad = None
+    for got, want in zip(*results):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # GJW1 stores params() in order with no names: the tensor count, the shapes and
