@@ -39,6 +39,11 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     Patch 0 is the phase reference, so its three phase-difference features
     are identically zero. Zero-energy channels get zeroed spectral/envelope
     features and are flagged in the log.
+
+    The central-band energy (column 14) adds the bins with |f| <= fs/4 one by
+    one in ascending frequency, a sequential sum rather than numpy's pairwise
+    one; the two differ in the last bits, and the sequential order keeps the
+    column bitwise stable across versions.
     """
     x = np.asarray(samples)
     single = x.ndim == 2
@@ -46,6 +51,8 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
         x = x[None]
     if x.ndim != 3 or x.shape[1] != 4:
         raise ValueError(f"aoa_features expects (4, N) or (M, 4, N), got {np.shape(samples)}")
+    if not fs > 0:
+        raise ValueError(f"aoa_features expects a positive sample rate fs, got {fs}")
     M, _, N = x.shape
     out = np.zeros((M, 4, N_AOA_FEATURES), dtype=np.float64)
 
@@ -94,8 +101,9 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     peak = env_sq.max(axis=-1)
     mean_pow = np.where(energy > 0, energy / N, 1.0)
     out[..., 13] = np.where(energy > 0, peak / mean_pow, 0.0)
-    central = np.abs(f) <= fs / 4
-    out[..., 14] = P[..., central].sum(axis=-1) / Psafe
+    # the band |f| <= fs/4 is bins N/4 .. 3N/4; summed bin by bin in order
+    band = np.cumsum(P[..., N // 4:N - N // 4 + 1], axis=-1)[..., -1]
+    out[..., 14] = band / Psafe
 
     # envelope ---------------------------------------------------------------
     out[..., 15] = mu
@@ -106,8 +114,11 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     # phase difference vs patch 0 ------------------------------------------
     z = x * np.conj(x[:, :1])                            # (M, 4, N)
     zmag = np.abs(z)
-    unit = np.where(zmag > 0, z / np.where(zmag > 0, zmag, 1.0), 0.0)
-    count = (zmag > 0).sum(axis=-1)
+    live = zmag > 0
+    # z / |z| as a product with 1/|z|, which numpy's complex division by a
+    # real divisor computes anyway; 0 where z = 0
+    unit = z * np.divide(1.0, zmag, out=np.zeros_like(zmag), where=live)
+    count = live.sum(axis=-1)
     m = unit.sum(axis=-1) / np.maximum(count, 1)
     m = np.where(count > 0, m, 1.0 + 0.0j)               # dead pair: mean 0, std 0
     out[..., 19] = np.angle(m)
@@ -115,7 +126,8 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     out[..., 20] = np.sqrt(-2.0 * np.log(R))
 
     inc = x[..., 1:] * np.conj(x[..., :-1])
-    phi = np.where(np.abs(inc) > 0, np.angle(inc), 0.0)
+    phi = np.angle(inc)
+    phi[inc == 0] = 0.0                  # angle(-0 + 0j) would be pi
     mean_if = phi.mean(axis=-1) * fs / (2.0 * np.pi)
     out[..., 21] = mean_if - mean_if[:, :1]
     out[:, 0, 19:22] = 0.0               # self-reference: exactly zero by definition
@@ -132,13 +144,19 @@ def fit_aoa_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-(patch, feature) mean/std over a training batch (M, 4, 22).
 
     Features that are constant on the fit split (the patch-0 phase
-    references, by construction) get std 1 so they standardize to 0.
+    references, by construction) get std 1 so they standardize to 0. A
+    non-finite mean or std is an error.
     """
     feats = np.asarray(features)
-    if feats.ndim != 3:
-        raise ValueError("fit_aoa_stats expects a batch (M, 4, 22)")
+    if feats.shape[1:] != (4, N_AOA_FEATURES):
+        raise ValueError(f"fit_aoa_stats expects a batch of shape (M, 4, {N_AOA_FEATURES}), "
+                         f"got {feats.shape}")
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if np.any(bad):
+        names = ", ".join(f"patch {p} {AOA_FEATURE_NAMES[k]}" for p, k in zip(*np.nonzero(bad)))
+        raise ValueError(f"fit_aoa_stats: mean or std is not finite for {names}")
     std = np.where(std > 0, std, 1.0)
     return mean, std
 

@@ -25,10 +25,16 @@ SPEC_DB_MAX = -19.89
 
 _EPS_POWER = 1e-20
 
+# rows per pass of fit_iq_stats over the squared deviations
+_FIT_CHUNK = 256
+
 
 def _hann_periodic(n: int) -> np.ndarray:
     # periodic variant: DFT main lobe is exactly bins {-1, 0, +1}
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+_STAT_SHAPES = {"iq_mean": (8,), "iq_std": (8,), "aoa_mean": (4, 22), "aoa_std": (4, 22)}
 
 
 @dataclass
@@ -37,6 +43,9 @@ class NormalizationSpec:
 
     ``iq_mean``/``iq_std`` are per real channel (patch-major, I before Q,
     shape (8,)); ``aoa_mean``/``aoa_std`` are per (patch, feature), (4, 22).
+    Construction checks that the bounds are finite with ``spec_min <
+    spec_max`` and that each statistic given has its shape, is finite and,
+    for a std, is positive.
     """
 
     spec_min: float = SPEC_DB_MIN
@@ -45,6 +54,23 @@ class NormalizationSpec:
     iq_std: np.ndarray | None = None
     aoa_mean: np.ndarray | None = None
     aoa_std: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not (np.isfinite(self.spec_min) and np.isfinite(self.spec_max)
+                and self.spec_min < self.spec_max):
+            raise ValueError(f"NormalizationSpec needs finite spec_min < spec_max, "
+                             f"got {self.spec_min!r}, {self.spec_max!r}")
+        for name, shape in _STAT_SHAPES.items():
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if np.shape(v) != shape:
+                raise ValueError(f"NormalizationSpec.{name} must have shape {shape}, "
+                                 f"got {np.shape(v)}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"NormalizationSpec.{name} holds non-finite values")
+            if name.endswith("_std") and not np.all(np.asarray(v) > 0):
+                raise ValueError(f"NormalizationSpec.{name} must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -58,6 +84,9 @@ class NormalizationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationSpec":
+        missing = [k for k in ("spec_min", "spec_max", *_STAT_SHAPES) if k not in d]
+        if missing:
+            raise ValueError(f"normalization block lacks key(s) {missing}")
         arr = lambda v: None if v is None else np.asarray(v, dtype=np.float64)
         return cls(spec_min=d["spec_min"], spec_max=d["spec_max"],
                    iq_mean=arr(d["iq_mean"]), iq_std=arr(d["iq_std"]),
@@ -91,20 +120,25 @@ def spectrogram(samples: np.ndarray, norm: NormalizationSpec | None = None) -> n
 
 
 def stft(x: np.ndarray, window: int = 128, hop: int = 64) -> np.ndarray:
-    """Hann-windowed magnitude STFT: (..., N) -> (..., window, n_frames)."""
+    """Hann-windowed magnitude STFT: (..., N) -> (..., window, n_frames).
+
+    Frame f covers samples [f * hop, f * hop + window). The frames are read
+    through a strided view of ``x``, so the windowed copy that the FFT reads
+    is contiguous; its values equal ``x[..., idx] * win`` for
+    ``idx[f, k] = f * hop + k``.
+    """
     x = np.asarray(x)
-    if window & (window - 1):
-        raise ValueError(f"stft window must be a power of two, got {window}")
+    if window <= 0 or window & (window - 1):
+        raise ValueError(f"stft window must be a positive power of two, got {window}")
     if hop <= 0:
-        raise ValueError("hop must be positive")
+        raise ValueError(f"stft hop must be positive, got {hop}")
     n = x.shape[-1]
     n_frames = 1 + (n - window) // hop
     if n_frames < 1:
         raise ValueError(f"signal of length {n} shorter than one window {window}")
     win = _hann_periodic(window)
-    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[..., idx] * win          # (..., n_frames, window)
-    mag = np.abs(fft(frames))
+    frames = np.lib.stride_tricks.sliding_window_view(x, window, axis=-1)[..., ::hop, :] * win
+    mag = np.abs(fft(frames))           # (..., n_frames, window)
     return np.swapaxes(mag, -1, -2)     # (..., window, n_frames)
 
 
@@ -115,7 +149,8 @@ def cfo_accumulated(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x)
     prod = x[..., 1:] * np.conj(x[..., :-1])
-    inc = np.where(np.abs(prod) > 0, np.angle(prod), 0.0)
+    inc = np.angle(prod)
+    inc[prod == 0] = 0.0                # angle(-0 + 0j) would be pi
     out = np.zeros(x.shape, dtype=np.float64)
     np.cumsum(inc, axis=-1, out=out[..., 1:])
     return out
@@ -125,24 +160,64 @@ def cfo_accumulated(x: np.ndarray) -> np.ndarray:
 # IQ standardization
 # ----------------------------------------------------------------------
 
+def _check_patches(samples, fn: str) -> np.ndarray:
+    x = np.asarray(samples)
+    if x.ndim < 2 or x.shape[-2] != 4:
+        raise ValueError(f"{fn} expects samples of shape (..., 4, N), got {x.shape}")
+    return x
+
+
+def _channel_names(channels) -> str:
+    return ", ".join(f"{c} (patch {c // 2} {'IQ'[c % 2]})" for c in channels)
+
+
 def iq_planes(samples: np.ndarray) -> np.ndarray:
     """(..., 4, N) complex -> (..., 8, N) real; per patch, I plane then Q plane."""
-    samples = np.asarray(samples)
+    samples = _check_patches(samples, "iq_planes")
     planes = np.stack([samples.real, samples.imag], axis=-2)   # (..., 4, 2, N)
     return planes.reshape(samples.shape[:-2] + (8, samples.shape[-1]))
 
 
 def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std over a training batch (M, 4, N); std 0 is an error."""
-    planes = iq_planes(np.asarray(samples))
-    if planes.ndim != 3:
-        raise ValueError("fit_iq_stats expects a batch (M, 4, N)")
-    mean = planes.mean(axis=(0, 2))
-    std = planes.std(axis=(0, 2))
+    """Per-channel mean/std over a training batch (M, 4, N), channels as in
+    ``iq_planes``; a non-finite or constant channel is an error.
+
+    Bitwise equal to ``iq_planes(samples).mean/std(axis=(0, 2))`` without
+    building the planes: the mean sums the real and imaginary views, and the
+    squared deviations are summed ``_FIT_CHUNK`` rows at a time, each row
+    over N (pairwise, as numpy's reduction does), with the running sum
+    carried row by row in order. Temporaries stay within two
+    (_FIT_CHUNK, 4, N) blocks, 16 MB at N = 1024, whatever M.
+    """
+    x = np.asarray(samples)
+    if x.ndim != 3 or x.shape[1] != 4 or x.size == 0:
+        raise ValueError(f"fit_iq_stats expects a non-empty batch of shape (M, 4, N), got {x.shape}")
+    count = x.shape[0] * x.shape[2]
+    parts = (x.real, x.imag)
+    mean = np.stack([p.sum(axis=(0, 2)) for p in parts], axis=-1).reshape(8) / count
+    _require_finite("mean", mean)
+    acc = np.zeros((1, 8), dtype=mean.dtype)
+    for start in range(0, len(x), _FIT_CHUNK):
+        block, rows = slice(start, start + _FIT_CHUNK), []
+        for j, p in enumerate(parts):
+            d = p[block] - mean[j::2, None]
+            d *= d
+            rows.append(d.sum(axis=-1))                         # (rows, 4)
+        rows = np.stack(rows, axis=-1).reshape(-1, 8)
+        acc = np.cumsum(np.concatenate([acc, rows]), axis=0)[-1:]
+    std = np.sqrt(acc[0] / count)
+    _require_finite("std", std)
     if np.any(std == 0):
-        bad = np.flatnonzero(std == 0).tolist()
-        raise ValueError(f"constant IQ channel(s) {bad} in the fit split; std would be 0")
+        raise ValueError(f"fit_iq_stats: constant IQ channel(s) "
+                         f"{_channel_names(np.flatnonzero(std == 0))} in the fit split; std would be 0")
     return mean, std
+
+
+def _require_finite(stat: str, values: np.ndarray) -> None:
+    # NaN or inf samples, or sums that overflow, leave a non-finite statistic
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"fit_iq_stats: {stat} is not finite on IQ channel(s) {_channel_names(bad)}")
 
 
 def normalize_iq(samples: np.ndarray, norm: NormalizationSpec) -> np.ndarray:

@@ -52,5 +52,10 @@ def load_model(path, dtype=np.float32):
         if p.data.shape != a.shape:
             raise CheckpointError(f"shape mismatch: {p.data.shape} vs stored {a.shape}")
         p.data[...] = a.astype(p.data.dtype)
-    norm = NormalizationSpec.from_dict(meta["norm"]) if "norm" in meta else None
+    norm = None
+    if "norm" in meta:
+        try:
+            norm = NormalizationSpec.from_dict(meta["norm"])
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad normalization block: {e}") from e
     return model, norm, meta

@@ -123,3 +123,66 @@ def iq_encoder_ref(encoder, x):
         res = h if skip is None else skip(h)
         h = conv(h).relu() + res
     return encoder.proj(encoder.pool(h))
+
+
+# ----------------------------------------------------------------------
+# feature extraction: the direct formulas of the dsp passes. Each gives
+# the same floating-point operations, in the same order, as the library's
+# faster form, so the two must agree bitwise.
+# ----------------------------------------------------------------------
+
+def stft_gather_ref(x, window=128, hop=64):
+    """Magnitude STFT with the frames gathered by a fancy index:
+    (..., N) -> (..., window, n_frames)."""
+    n_frames = 1 + (x.shape[-1] - window) // hop
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
+    return np.swapaxes(np.abs(np.fft.fft(x[..., idx] * win, axis=-1)), -1, -2)
+
+
+def phase_increments_ref(x):
+    """angle(x[n] * conj(x[n-1])), 0 where the product has zero magnitude."""
+    inc = x[..., 1:] * np.conj(x[..., :-1])
+    return np.where(np.abs(inc) > 0, np.angle(inc), 0.0)
+
+
+def cfo_ref(x):
+    """Accumulated phase increments, starting at 0."""
+    inc = phase_increments_ref(x)
+    return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
+
+
+def unit_phasors_ref(z):
+    """z / |z| by complex division, 0 where z = 0."""
+    zmag = np.abs(z)
+    return np.where(zmag > 0, z / np.where(zmag > 0, zmag, 1.0), 0.0)
+
+
+def aoa_band_phase_ref(x, fs):
+    """AoA columns 14 (central-band energy fraction, the band gathered by a
+    boolean mask), 19-20 (circular mean and std of the phase difference to
+    patch 0) and 21 (mean instantaneous frequency against patch 0) of
+    (M, 4, N) samples, as {column: (M, 4) array}."""
+    n = x.shape[-1]
+    P = np.fft.fftshift(np.abs(np.fft.fft(x, axis=-1)) ** 2, axes=-1)
+    f = (np.arange(n) - n // 2) * (fs / n)
+    ptot = P.sum(axis=-1)
+    band = P[..., np.abs(f) <= fs / 4].sum(axis=-1) / np.where(ptot > 0, ptot, 1.0)
+    band[(np.abs(x) ** 2).sum(axis=-1) == 0] = 0.0
+
+    z = x * np.conj(x[:, :1])
+    count = (np.abs(z) > 0).sum(axis=-1)
+    m = unit_phasors_ref(z).sum(axis=-1) / np.maximum(count, 1)
+    m = np.where(count > 0, m, 1.0 + 0.0j)
+    mean_if = phase_increments_ref(x).mean(axis=-1) * fs / (2.0 * np.pi)
+    out = {14: band, 19: np.angle(m), 20: np.sqrt(-2.0 * np.log(np.clip(np.abs(m), 1e-12, 1.0))),
+           21: mean_if - mean_if[:, :1]}
+    for col in (19, 20, 21):
+        out[col][:, 0] = 0.0
+    return out
+
+
+def iq_stats_ref(samples):
+    """Per-channel mean and std of the stacked (M, 8, N) I/Q planes."""
+    planes = np.stack([samples.real, samples.imag], axis=-2).reshape(len(samples), 8, -1)
+    return planes.mean(axis=(0, 2)), planes.std(axis=(0, 2))

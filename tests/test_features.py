@@ -203,3 +203,27 @@ def test_normalization_spec_round_trips_through_dict():
     again = NormalizationSpec.from_dict(norm.to_dict())
     np.testing.assert_array_equal(again.iq_mean, mean)
     assert again.spec_min == SPEC_DB_MIN
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"spec_min": -20.0, "spec_max": -20.0}, "spec_min < spec_max"),
+    ({"spec_min": -19.0, "spec_max": -196.0}, "spec_min < spec_max"),
+    ({"spec_max": np.inf}, "spec_min < spec_max"),
+    ({"iq_mean": np.zeros(7)}, "iq_mean must have shape"),
+    ({"iq_std": np.ones((8, 1))}, "iq_std must have shape"),
+    ({"aoa_mean": np.zeros((22, 4))}, "aoa_mean must have shape"),
+    ({"iq_std": np.r_[np.ones(7), 0.0]}, "iq_std must be positive"),
+    ({"aoa_std": -np.ones((4, 22))}, "aoa_std must be positive"),
+    ({"iq_mean": np.r_[np.zeros(7), np.nan]}, "iq_mean holds non-finite"),
+    ({"aoa_std": np.full((4, 22), np.inf)}, "aoa_std holds non-finite"),
+])
+def test_normalization_spec_rejects_broken_statistics(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        NormalizationSpec(**kwargs)
+
+
+def test_normalization_spec_from_dict_names_missing_key():
+    d = NormalizationSpec().to_dict()
+    del d["spec_max"]
+    with pytest.raises(ValueError, match="spec_max"):
+        NormalizationSpec.from_dict(d)

@@ -1,13 +1,15 @@
 import hashlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jamloc.dsp import NormalizationSpec
 from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig,
                            McaffModel, load_model, save_model, tiny_fusion_config,
                            tiny_mcaff_config)
-from jamloc.nn import Conv1D, Conv2D, Mode, Tensor
+from jamloc.nn import CheckpointError, Conv1D, Conv2D, Mode, Tensor, save_checkpoint
 
 from _oracles import check_grads, iq_encoder_ref
 
@@ -187,6 +189,16 @@ def test_save_load_round_trip(build, tmp_path):
     for a, b in zip(_outputs(want), _outputs(got)):
         assert a.dtype == b.dtype == np.float32
         assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_load_rejects_bad_normalization_block(tmp_path):
+    model = FusionModel(tiny_fusion_config(), seed=0)
+    norm = NormalizationSpec(iq_mean=np.zeros(8), iq_std=np.ones(8)).to_dict()
+    norm["iq_std"] = [1.0] * 7
+    save_checkpoint(tmp_path / "model.gjw", model.params(),
+                    {"kind": model.KIND, "config": asdict(model.cfg), "norm": norm})
+    with pytest.raises(CheckpointError, match="normalization block.*iq_std must have shape"):
+        load_model(tmp_path / "model.gjw")
 
 
 # eval predictions of the paper-width models (seed 0) on _batch(0, b=4),
