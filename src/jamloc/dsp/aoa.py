@@ -163,6 +163,5 @@ def fit_aoa_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize_aoa(features: np.ndarray, norm) -> np.ndarray:
     """Apply fitted train-split statistics: (..., 4, 22) -> same shape."""
-    if norm.aoa_mean is None or norm.aoa_std is None:
-        raise ValueError("normalization spec has no fitted AoA statistics")
-    return (np.asarray(features) - norm.aoa_mean) / norm.aoa_std
+    mean, std = norm.fitted("aoa")
+    return (np.asarray(features) - mean) / std

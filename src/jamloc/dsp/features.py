@@ -35,6 +35,18 @@ def _hann_periodic(n: int) -> np.ndarray:
 
 
 _STAT_SHAPES = {"iq_mean": (8,), "iq_std": (8,), "aoa_mean": (4, 22), "aoa_std": (4, 22)}
+_KIND_NAMES = {"iq": "IQ", "aoa": "AoA"}
+
+
+def _check_stat(name: str, value) -> None:
+    """A fitted statistic has its shape, is finite and, for a std, positive."""
+    shape = _STAT_SHAPES[name]
+    if np.shape(value) != shape:
+        raise ValueError(f"NormalizationSpec.{name} must have shape {shape}, got {np.shape(value)}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"NormalizationSpec.{name} holds non-finite values")
+    if name.endswith("_std") and not np.all(np.asarray(value) > 0):
+        raise ValueError(f"NormalizationSpec.{name} must be positive")
 
 
 @dataclass
@@ -45,7 +57,9 @@ class NormalizationSpec:
     shape (8,)); ``aoa_mean``/``aoa_std`` are per (patch, feature), (4, 22).
     Construction checks that the bounds are finite with ``spec_min <
     spec_max`` and that each statistic given has its shape, is finite and,
-    for a std, is positive.
+    for a std, is positive. ``normalize_iq`` and ``standardize_aoa`` run the
+    same check on the statistics they apply (``fitted``), so statistics
+    assigned after construction are checked too.
     """
 
     spec_min: float = SPEC_DB_MIN
@@ -60,17 +74,19 @@ class NormalizationSpec:
                 and self.spec_min < self.spec_max):
             raise ValueError(f"NormalizationSpec needs finite spec_min < spec_max, "
                              f"got {self.spec_min!r}, {self.spec_max!r}")
-        for name, shape in _STAT_SHAPES.items():
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if np.shape(v) != shape:
-                raise ValueError(f"NormalizationSpec.{name} must have shape {shape}, "
-                                 f"got {np.shape(v)}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"NormalizationSpec.{name} holds non-finite values")
-            if name.endswith("_std") and not np.all(np.asarray(v) > 0):
-                raise ValueError(f"NormalizationSpec.{name} must be positive")
+        for name in _STAT_SHAPES:
+            if getattr(self, name) is not None:
+                _check_stat(name, getattr(self, name))
+
+    def fitted(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """The (mean, std) pair of ``kind`` ("iq" or "aoa"), checked as at
+        construction, since the statistics may have been assigned since."""
+        mean, std = getattr(self, f"{kind}_mean"), getattr(self, f"{kind}_std")
+        if mean is None or std is None:
+            raise ValueError(f"normalization spec has no fitted {_KIND_NAMES[kind]} statistics")
+        _check_stat(f"{kind}_mean", mean)
+        _check_stat(f"{kind}_std", std)
+        return np.asarray(mean), np.asarray(std)
 
     def to_dict(self) -> dict:
         return {
@@ -222,7 +238,6 @@ def _require_finite(stat: str, values: np.ndarray) -> None:
 
 def normalize_iq(samples: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     """Apply the fitted per-(patch, I/Q) standardization: (..., 4, N) -> (..., 8, N)."""
-    if norm.iq_mean is None or norm.iq_std is None:
-        raise ValueError("normalization spec has no fitted IQ statistics")
+    mean, std = norm.fitted("iq")
     planes = iq_planes(samples)
-    return (planes - norm.iq_mean[:, None]) / norm.iq_std[:, None]
+    return (planes - mean[:, None]) / std[:, None]

@@ -30,10 +30,16 @@ class ArrayGeometry:
         return C_LIGHT / self.carrier_frequency
 
     def steering_vector(self, u: np.ndarray) -> np.ndarray:
-        """Per-element response exp(-j 2 pi (e_k . u) / lambda) for unit arrival direction u."""
-        u = np.asarray(u, dtype=np.float64)
-        phase = -2.0 * np.pi * (self.element_positions @ u) / self.wavelength
-        return np.exp(1j * phase)
+        """Per-element response exp(-j 2 pi (e_k . u) / lambda) for unit arrival
+        directions u (..., 3), shape (..., 4).
+
+        e_k . u is summed term by term, not by a matmul, so each direction's
+        response has the same bits however many directions share the call.
+        """
+        u = np.asarray(u, dtype=np.float64)[..., None, :]
+        e = self.element_positions
+        dot = e[:, 0] * u[..., 0] + e[:, 1] * u[..., 1] + e[:, 2] * u[..., 2]
+        return np.exp(1j * (-2.0 * np.pi * dot / self.wavelength))
 
 
 def _square_layout(carrier_hz: float) -> np.ndarray:

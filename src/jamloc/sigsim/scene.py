@@ -4,12 +4,35 @@ steering, and additive receiver noise.
 
 Walls and reflectors are vertical surfaces given by 2-D plan-view segments;
 crossing tests and mirror images are computed in the plan and combined with
-the source height for 3-D path lengths and arrival directions.
+the source height for 3-D path lengths and arrival directions (image method:
+Allen & Berkley, JASA 1979).
+
+Poses are simulated in chunks. For P jammer poses and S reflecting surfaces
+(the ambient reflectors, then the walls), ``_path_arrays`` returns the path
+lengths, gains and arrival directions as (P, 1+S) arrays, column 0 the direct
+path and column 1+i the bounce off surface i, with a mask of the paths that
+exist; the wall-crossing tests of every path leg are one (W, P, 1+2S) array
+for W walls. ``_synthesize`` turns them into snapshots: one
+``(amp * carrier) * steer`` coefficient per path and patch, the delayed
+copies of each waveform gathered with one fancy index into a strided view of
+the zero-headed waveform, and one batched matmul. The number of numpy calls
+per chunk does not depend on P or S. ``compute_paths`` and ``propagate`` are
+the P = 1 calls.
+
+Every operation is elementwise over poses, the steering phase is an explicit
+three-term sum and the matmul runs one GEMM per snapshot, so a pose's output
+does not depend on which or how many poses share its chunk. Against the
+per-path loop this replaced (kept in ``tests/_oracles.py``), path kinds,
+order and gains are bitwise equal (the crossing factors are multiplied in
+wall order), distances and directions agree to 1e-12, and samples to
+1e-12 of the snapshot's peak magnitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +58,6 @@ class WallSegment:
         if not 0.0 <= self.reflection_coeff <= 1.0:
             raise ValueError("reflection_coeff must be in [0, 1]")
 
-    @property
-    def a(self) -> np.ndarray:
-        return np.array([self.x1, self.y1])
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.array([self.x2, self.y2])
-
 
 @dataclass(frozen=True)
 class Reflector:
@@ -53,14 +68,6 @@ class Reflector:
     x2: float
     y2: float
     reflection_coeff: float
-
-    @property
-    def a(self) -> np.ndarray:
-        return np.array([self.x1, self.y1])
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.array([self.x2, self.y2])
 
 
 @dataclass
@@ -84,104 +91,230 @@ class PropPath:
     kind: str
 
 
-# ----------------------------------------------------------------------
-# 2-D plan geometry
-# ----------------------------------------------------------------------
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _segments_cross(p, q, a, b) -> bool:
-    """Strict proper intersection of open segments pq and ab."""
-    d1 = _cross(a, b, p)
-    d2 = _cross(a, b, q)
-    d3 = _cross(p, q, a)
-    d4 = _cross(p, q, b)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
-
-
-def _intersect_param(p, q, a, b):
-    """Parameter t on pq and u on ab of the line intersection, or None if parallel."""
-    d1 = q - p
-    d2 = b - a
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) < 1e-12:
-        return None
-    w = a - p
-    t = (w[0] * d2[1] - w[1] * d2[0]) / denom
-    u = (w[0] * d1[1] - w[1] * d1[0]) / denom
-    return t, u
+def _check_scene(scene: SceneConfig) -> None:
+    """Reject a scene whose simulation would fail late or give non-finite samples."""
+    ext = np.asarray(scene.hall_extent, dtype=np.float64)
+    if ext.shape != (3,) or not np.all(np.isfinite(ext) & (ext > 0)):
+        raise ValueError(f"SceneConfig.hall_extent must be 3 finite positive lengths, "
+                         f"got {scene.hall_extent!r}")
+    ant = np.asarray(scene.antenna_position, dtype=np.float64)
+    if ant.shape != (3,) or not _inside(ext, ant[None])[0]:
+        raise ValueError(f"SceneConfig.antenna_position {scene.antenna_position!r} lies "
+                         f"outside hall_extent {scene.hall_extent!r}")
+    if scene.noise_floor_dbm is not None and not np.isfinite(scene.noise_floor_dbm):
+        raise ValueError(f"SceneConfig.noise_floor_dbm must be finite or None, "
+                         f"got {scene.noise_floor_dbm!r}")
+    if not (np.isfinite(scene.sample_rate) and scene.sample_rate > 0):
+        raise ValueError(f"SceneConfig.sample_rate must be finite and positive, "
+                         f"got {scene.sample_rate!r}")
+    n = scene.snapshot_len
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"SceneConfig.snapshot_len must be an integer >= 1, got {n!r}")
 
 
-def _mirror_point(p, a, b) -> np.ndarray:
-    d = b - a
-    d = d / np.linalg.norm(d)
-    v = p - a
-    proj = a + d * (v @ d)
-    return 2.0 * proj - p
+def _inside(extent, points: np.ndarray) -> np.ndarray:
+    ex, ey, ez = extent
+    return np.all(((-ex / 2, 0.0, 0.0) <= points) & (points <= (ex / 2, ey, ez)), axis=-1)
 
 
-def _side(p, a, b) -> float:
-    return _cross(a, b, p)
-
-
-def _transmission_gain(leg_p, leg_q, walls, exclude=None) -> float:
-    gain = 1.0
-    for w in walls:
-        if w is exclude:
-            continue
-        if _segments_cross(leg_p, leg_q, w.a, w.b):
-            gain *= 10.0 ** (-w.transmission_loss_db / 20.0)
-    return gain
+def _check_jammers(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray) -> None:
+    """Every pose of ``jammers`` (P, 3) inside the hall and off the antenna."""
+    outside = ~_inside(scene.hall_extent, jammers)
+    if outside.any():
+        bad = jammers[np.argmax(outside)]
+        raise ValueError(f"jammer {bad.tolist()} outside hall extent {scene.hall_extent}")
+    delta = jammers - antenna
+    if np.any(np.sqrt(np.sum(delta * delta, axis=-1)) < 1e-6):
+        raise ValueError("jammer coincides with the antenna position")
 
 
 # ----------------------------------------------------------------------
 # path enumeration
 # ----------------------------------------------------------------------
 
+class _Paths(NamedTuple):
+    distance: np.ndarray        # (P, 1+S) 3-D path length, m
+    gain: np.ndarray            # (P, 1+S) reflection x transmission product
+    direction: np.ndarray       # (P, 1+S, 3) unit vector antenna -> (image) source
+    valid: np.ndarray           # (P, 1+S) the path exists
+
+
+class _Surfaces(NamedTuple):
+    """What the path arrays need of a scene's surfaces and antenna; the
+    reflecting surfaces are the reflectors, then the walls."""
+
+    reflect: np.ndarray         # (8, S): a_x, a_y, e_x, e_y, unit e_x, unit e_y, w_x, w_y
+    reflects: np.ndarray        # (S,) the coefficient is positive
+    coeff: np.ndarray           # (S,) reflection coefficient
+    side_ant: np.ndarray        # (S,) which side of each surface's line the antenna is on
+    t_num: np.ndarray           # (S,) numerator of the antenna -> image ray parameter
+    wall: np.ndarray            # (6, W, 1, 1): a_x, a_y, b_x, b_y, e_x, e_y
+    loss: np.ndarray            # (W, 1, 1) crossing factor 10^(-loss_dB / 20)
+    free: np.ndarray            # (W, 1, 1+2S) the leg may cross the wall
+
+
+@lru_cache(maxsize=16)
+def _surfaces(reflectors: tuple, walls: tuple, antenna: tuple) -> _Surfaces:
+    """Built once per scene: ``compute_paths`` would otherwise spend about a
+    sixth of its time on these per-surface arrays. Keys are frozen
+    surfaces, so a scene edited in place gets a new entry."""
+    surfaces = reflectors + walls
+    n_s, n_w = len(surfaces), len(walls)
+    ax, ay, bx, by, coeff = np.array([(s.x1, s.y1, s.x2, s.y2, s.reflection_coeff)
+                                      for s in surfaces], dtype=np.float64).reshape(n_s, 5).T
+    ex, ey = bx - ax, by - ay
+    norm = np.sqrt(ex * ex + ey * ey)
+    wx, wy = ax - antenna[0], ay - antenna[1]                       # a - antenna
+    wall = np.array([(w.x1, w.y1, w.x2, w.y2) for w in walls], dtype=np.float64).reshape(n_w, 4).T
+    wall = np.concatenate([wall, wall[2:] - wall[:2]])[..., None, None]
+    free = np.ones((n_w, 1, 1 + 2 * n_s), dtype=bool)
+    own = n_s - n_w + np.arange(n_w)                                # wall w is surface own[w]
+    free[np.arange(n_w), 0, 1 + own] = free[np.arange(n_w), 0, 1 + n_s + own] = False
+    out = _Surfaces(
+        reflect=np.stack([ax, ay, ex, ey, ex / norm, ey / norm, wx, wy]),
+        reflects=~(coeff <= 0.0), coeff=coeff,
+        side_ant=ex * (antenna[1] - ay) - ey * (antenna[0] - ax),
+        t_num=wx * ey - wy * ex,
+        wall=wall,
+        loss=np.array([10.0 ** (-w.transmission_loss_db / 20.0) for w in walls])[:, None, None],
+        free=free)
+    for arr in out:
+        arr.flags.writeable = False     # shared by every caller with these surfaces
+    return out
+
+
+def _path_arrays(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray) -> _Paths:
+    """Direct and single-bounce paths from each pose of ``jammers`` (P, 3).
+
+    A bounce off surface i exists when its reflection coefficient is
+    positive, the jammer and antenna sit strictly on the same side of the
+    surface's line, and the antenna -> image segment meets the surface
+    inside it. Its gain is the coefficient times the crossing factors of the
+    jammer -> bounce point and bounce point -> antenna legs, the surface
+    itself excluded. Entries of paths that do not exist are finite filler.
+    """
+    surf = _surfaces(tuple(scene.ambient_reflectors), tuple(scene.wall_segments),
+                     tuple(antenna.tolist()))
+    ax, ay, ex, ey, ux, uy, wx, wy = surf.reflect                  # (S,) each
+    n_p, n_s = len(jammers), len(ax)
+    ant_x, ant_y, ant_z = antenna.tolist()
+    jx, jy = jammers[:, 0:1], jammers[:, 1:2]                      # (P, 1)
+
+    # image source of each pose in each surface, and where its ray to the
+    # antenna meets the surface line: antenna + t * r, r = image - antenna
+    vx, vy = jx - ax, jy - ay                                       # (P, S)
+    along = vx * ux + vy * uy
+    rx = 2.0 * (ax + ux * along) - jx - ant_x
+    ry = 2.0 * (ay + uy * along) - jy - ant_y
+    denom = rx * ey - ry * ex
+    parallel = np.abs(denom) < 1e-12
+    denom = np.where(parallel, 1.0, denom)
+    t = surf.t_num / denom
+    u = (wx * ry - wy * rx) / denom
+    valid = np.ones((n_p, 1 + n_s), dtype=bool)
+    valid[:, 1:] = (surf.reflects & ~((ex * vy - ey * vx) * surf.side_ant <= 0) & ~parallel
+                    & (0.0 < t) & (t < 1.0) & (0.0 <= u) & (u <= 1.0))
+
+    legs = _transmission(surf, antenna, jammers, t * rx, t * ry)  # (P, 1+2S)
+
+    vec = np.empty((n_p, 1 + n_s, 3))
+    vec[:, 0] = jammers - antenna
+    vec[:, 1:, 0], vec[:, 1:, 1], vec[:, 1:, 2] = rx, ry, jammers[:, 2:3] - ant_z
+    dx, dy, dz = vec[..., 0], vec[..., 1], vec[..., 2]
+    dist = np.where(valid, np.sqrt(dx * dx + dy * dy + dz * dz), 1.0)
+    gain = np.empty_like(dist)
+    gain[:, 0] = legs[:, 0]
+    gain[:, 1:] = surf.coeff * legs[:, 1:1 + n_s] * legs[:, 1 + n_s:]
+    return _Paths(dist, gain, vec / dist[..., None], valid)
+
+
+def _transmission(surf: _Surfaces, antenna: np.ndarray, jammers: np.ndarray,
+                  hit_dx: np.ndarray, hit_dy: np.ndarray) -> np.ndarray:
+    """Crossing factor product of each leg: leg 0 antenna -> jammer, legs 1+i
+    jammer -> bounce point on surface i (antenna + (hit_dx, hit_dy)), legs
+    1+S+i bounce point -> antenna.
+
+    A leg that crosses a wall (strict proper intersection of the open
+    segments) picks up its factor, unless the leg belongs to that wall's own
+    bounce. The factors are multiplied in wall order, a reduction over the
+    leading wall axis, as the per-wall loop this replaced did.
+    """
+    n_p, n_s = hit_dx.shape
+    if not len(surf.loss):              # no walls: every product is empty
+        return np.ones((n_p, 1 + 2 * n_s))
+    p = np.empty((2, n_p, 1 + 2 * n_s))
+    q = np.empty_like(p)
+    p[:, :, :1] = q[:, :, 1 + n_s:] = antenna[:2, None, None]
+    p[:, :, 1:1 + n_s] = q[:, :, :1] = jammers.T[:2, :, None]
+    np.add(antenna[0], hit_dx, out=p[0, :, 1 + n_s:])
+    np.add(antenna[1], hit_dy, out=p[1, :, 1 + n_s:])
+    q[:, :, 1:1 + n_s] = p[:, :, 1 + n_s:]
+
+    ax, ay, bx, by, ex, ey = surf.wall                              # (W, 1, 1) each
+    (px, py), (qx, qy) = p, q                                       # (P, L) each
+    fx, fy = qx - px, qy - py
+    crossed = (((ex * (py - ay) - ey * (px - ax)) * (ex * (qy - ay) - ey * (qx - ax)) < 0)
+               & ((fx * (ay - py) - fy * (ax - px)) * (fx * (by - py) - fy * (bx - px)) < 0)
+               & surf.free)
+    return np.where(crossed, surf.loss, 1.0).prod(axis=0)
+
+
 def compute_paths(scene: SceneConfig, antenna: np.ndarray, jammer: np.ndarray) -> list[PropPath]:
     """Direct path plus one single-bounce path per reflecting surface."""
-    ant_xy, jam_xy = antenna[:2], jammer[:2]
-    walls = list(scene.wall_segments)
-    paths = []
-
-    delta = jammer - antenna
-    d_direct = float(np.linalg.norm(delta))
-    paths.append(PropPath(direction=delta / d_direct, distance=d_direct,
-                          gain=_transmission_gain(ant_xy, jam_xy, walls), kind="direct"))
-
-    surfaces = [(r, r.reflection_coeff) for r in scene.ambient_reflectors]
-    surfaces += [(w, w.reflection_coeff) for w in walls]
-    for i, (s, coeff) in enumerate(surfaces):
-        if coeff <= 0.0:
-            continue
-        side_j = _side(jam_xy, s.a, s.b)
-        side_a = _side(ant_xy, s.a, s.b)
-        if side_j * side_a <= 0:       # both must sit strictly on the same side
-            continue
-        img_xy = _mirror_point(jam_xy, s.a, s.b)
-        hit = _intersect_param(ant_xy, img_xy, s.a, s.b)
-        if hit is None:
-            continue
-        t, u = hit
-        if not (0.0 < t < 1.0 and 0.0 <= u <= 1.0):
-            continue
-        refl_xy = ant_xy + t * (img_xy - ant_xy)
-        img3 = np.array([img_xy[0], img_xy[1], jammer[2]])
-        vec = img3 - antenna
-        dist = float(np.linalg.norm(vec))
-        gain = coeff
-        gain *= _transmission_gain(jam_xy, refl_xy, walls, exclude=s)
-        gain *= _transmission_gain(refl_xy, ant_xy, walls, exclude=s)
-        paths.append(PropPath(direction=vec / dist, distance=dist, gain=gain,
-                              kind=f"reflect:{i}"))
-    return paths
+    antenna = np.asarray(antenna, dtype=np.float64)
+    paths = _path_arrays(scene, antenna, np.asarray(jammer, dtype=np.float64)[None])
+    return [PropPath(direction=paths.direction[0, i], distance=float(paths.distance[0, i]),
+                     gain=float(paths.gain[0, i]), kind="direct" if i == 0 else f"reflect:{i - 1}")
+            for i in np.flatnonzero(paths.valid[0])]
 
 
 # ----------------------------------------------------------------------
 # snapshot synthesis
 # ----------------------------------------------------------------------
+
+def _draw_noise(scene: SceneConfig, rng: np.random.Generator, n: int) -> np.ndarray | None:
+    """Receiver noise (2, 4, n): real parts, then imaginary parts; None when
+    the scene is noise free. One draw of the stream two (4, n) draws take."""
+    if scene.noise_floor_dbm is None:
+        return None
+    sigma = np.sqrt(10.0 ** (scene.noise_floor_dbm / 10.0) / 2.0)
+    return rng.normal(scale=sigma, size=(2, 4, n))
+
+
+def _synthesize(scene: SceneConfig, geometry: ArrayGeometry, paths: _Paths,
+                pose_of_row: np.ndarray, waveforms: np.ndarray,
+                noise: np.ndarray | None) -> np.ndarray:
+    """Snapshots (Q, 4, n): row q receives ``waveforms[q]`` (Q, n) sent from
+    pose ``pose_of_row[q]`` of ``paths``, plus ``noise[q]`` (Q, 2, 4, n).
+
+    Each path contributes amp * carrier * steer times the waveform delayed
+    by a whole number of samples, the delay relative to the direct path; a
+    path is dropped when its amplitude is 0 or its delay is the whole
+    snapshot or more.
+    """
+    n = waveforms.shape[-1]
+    lam = geometry.wavelength
+    d = paths.distance
+    amp = (lam / (4.0 * np.pi * d)) * paths.gain                    # (P, L)
+    shift = np.rint((d - d[:, :1]) / C_LIGHT * scene.sample_rate)
+    live = paths.valid & (amp != 0.0) & (shift < n)
+    shift = np.where(live, shift, 0.0).astype(np.intp)
+    carrier = np.exp(1j * (-2.0 * np.pi * d / lam))
+    steer = geometry.steering_vector(paths.direction)              # (P, L, 4)
+    coef = np.where(live[..., None], (amp * carrier)[..., None] * steer, 0.0)
+
+    head = int(shift.max())
+    padded = np.zeros((len(waveforms), head + n), dtype=np.complex128)
+    padded[:, head:] = waveforms
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=-1)
+    rows = np.arange(len(waveforms))[:, None]
+    delayed = windows[rows, head - shift[pose_of_row]]             # (Q, L, n)
+    out = np.matmul(coef[pose_of_row].transpose(0, 2, 1), delayed)
+    if noise is not None:
+        out.real += noise[:, 0]
+        out.imag += noise[:, 1]
+    return out
+
 
 def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
               waveform: np.ndarray, rng: np.random.Generator, *,
@@ -196,36 +329,11 @@ def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
     """
     jammer = np.asarray(jammer_pos, dtype=np.float64)
     antenna = np.asarray(scene.antenna_position, dtype=np.float64)
-    ex, ey, ez = scene.hall_extent
-    if not (abs(jammer[0]) <= ex / 2 and 0 <= jammer[1] <= ey and 0 <= jammer[2] <= ez):
-        raise ValueError(f"jammer {jammer.tolist()} outside hall extent {scene.hall_extent}")
-    if np.linalg.norm(jammer - antenna) < 1e-6:
-        raise ValueError("jammer coincides with the antenna position")
-
+    _check_jammers(scene, antenna, jammer[None])
     waveform = np.asarray(waveform)
-    n = waveform.shape[-1]
-    lam = geometry.wavelength
-    fs = scene.sample_rate
-    paths = compute_paths(scene, antenna, jammer)
-    d_ref = paths[0].distance
-
-    out = np.zeros((4, n), dtype=np.complex128)
-    for p in paths:
-        amp = (lam / (4.0 * np.pi * p.distance)) * p.gain
-        if amp == 0.0:
-            continue
-        carrier = np.exp(-2j * np.pi * p.distance / lam)
-        shift = int(round((p.distance - d_ref) / C_LIGHT * fs))
-        if shift >= n:
-            continue
-        delayed = waveform if shift == 0 else np.concatenate(
-            [np.zeros(shift, dtype=waveform.dtype), waveform[: n - shift]])
-        steer = geometry.steering_vector(p.direction)
-        out += (amp * carrier) * steer[:, None] * delayed[None, :]
-
-    if scene.noise_floor_dbm is not None:
-        sigma = np.sqrt(10.0 ** (scene.noise_floor_dbm / 10.0) / 2.0)
-        out += rng.normal(scale=sigma, size=(4, n)) + 1j * rng.normal(scale=sigma, size=(4, n))
-
+    noise = _draw_noise(scene, rng, waveform.shape[-1])
+    out = _synthesize(scene, geometry, _path_arrays(scene, antenna, jammer[None]),
+                      np.zeros(1, dtype=np.intp), waveform[None],
+                      None if noise is None else noise[None])
     label = Label.from_displacement(jammer - antenna, class_id, subclass_id)
-    return IQSnapshot(samples=out, label=label, scenario_tag=scenario_tag)
+    return IQSnapshot(samples=out[0], label=label, scenario_tag=scenario_tag)

@@ -186,3 +186,97 @@ def iq_stats_ref(samples):
     """Per-channel mean and std of the stacked (M, 8, N) I/Q planes."""
     planes = np.stack([samples.real, samples.imag], axis=-2).reshape(len(samples), 8, -1)
     return planes.mean(axis=(0, 2)), planes.std(axis=(0, 2))
+
+
+# ----------------------------------------------------------------------
+# sigsim: the per-pose, per-path simulation that the chunked arrays replace
+# ----------------------------------------------------------------------
+
+def _cross2(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _segments_cross(p, q, a, b):
+    """Strict proper intersection of open segments pq and ab."""
+    d1, d2 = _cross2(a, b, p), _cross2(a, b, q)
+    d3, d4 = _cross2(p, q, a), _cross2(p, q, b)
+    return (d1 * d2 < 0) and (d3 * d4 < 0)
+
+
+def _intersect_param(p, q, a, b):
+    """Parameter t on pq and u on ab of the line intersection, or None if parallel."""
+    d1, d2 = q - p, b - a
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if abs(denom) < 1e-12:
+        return None
+    w = a - p
+    return (w[0] * d2[1] - w[1] * d2[0]) / denom, (w[0] * d1[1] - w[1] * d1[0]) / denom
+
+
+def _mirror_point(p, a, b):
+    d = b - a
+    d = d / np.linalg.norm(d)
+    return 2.0 * (a + d * ((p - a) @ d)) - p
+
+
+def _ends(s):
+    return np.array([s.x1, s.y1]), np.array([s.x2, s.y2])
+
+
+def _transmission_gain(leg_p, leg_q, walls, exclude=None):
+    gain = 1.0
+    for w in walls:
+        if w is not exclude and _segments_cross(leg_p, leg_q, *_ends(w)):
+            gain *= 10.0 ** (-w.transmission_loss_db / 20.0)
+    return gain
+
+
+def paths_ref(scene, antenna, jammer):
+    """[(kind, distance, gain, direction)]: the direct path, then one bounce
+    per reflecting surface (reflectors, then walls), one surface at a time."""
+    ant_xy, jam_xy = antenna[:2], jammer[:2]
+    walls = list(scene.wall_segments)
+    delta = jammer - antenna
+    d_direct = float(np.linalg.norm(delta))
+    out = [("direct", d_direct, _transmission_gain(ant_xy, jam_xy, walls), delta / d_direct)]
+    for i, s in enumerate(list(scene.ambient_reflectors) + walls):
+        a, b = _ends(s)
+        if s.reflection_coeff <= 0.0 or _cross2(a, b, jam_xy) * _cross2(a, b, ant_xy) <= 0:
+            continue
+        img_xy = _mirror_point(jam_xy, a, b)
+        hit = _intersect_param(ant_xy, img_xy, a, b)
+        if hit is None or not (0.0 < hit[0] < 1.0 and 0.0 <= hit[1] <= 1.0):
+            continue
+        refl_xy = ant_xy + hit[0] * (img_xy - ant_xy)
+        vec = np.array([img_xy[0], img_xy[1], jammer[2]]) - antenna
+        dist = float(np.linalg.norm(vec))
+        gain = s.reflection_coeff
+        gain *= _transmission_gain(jam_xy, refl_xy, walls, exclude=s)
+        gain *= _transmission_gain(refl_xy, ant_xy, walls, exclude=s)
+        out.append((f"reflect:{i}", dist, gain, vec / dist))
+    return out
+
+
+def propagate_ref(scene, geometry, jammer, waveform, rng):
+    """(4, n) samples: each path's delayed, steered waveform added in turn,
+    then two (4, n) noise draws, real parts first."""
+    from jamloc.sigsim import C_LIGHT
+    antenna = np.asarray(scene.antenna_position, dtype=np.float64)
+    jammer = np.asarray(jammer, dtype=np.float64)
+    n, lam = waveform.shape[-1], geometry.wavelength
+    paths = paths_ref(scene, antenna, jammer)
+    out = np.zeros((4, n), dtype=np.complex128)
+    for _, dist, gain, direction in paths:
+        amp = (lam / (4.0 * np.pi * dist)) * gain
+        if amp == 0.0:
+            continue
+        shift = int(round((dist - paths[0][1]) / C_LIGHT * scene.sample_rate))
+        if shift >= n:
+            continue
+        delayed = np.concatenate([np.zeros(shift, dtype=waveform.dtype), waveform[: n - shift]])
+        steer = np.exp(1j * (-2.0 * np.pi * (geometry.element_positions @ direction) / lam))
+        out += (amp * np.exp(-2j * np.pi * dist / lam)) * steer[:, None] * delayed[None, :]
+    if scene.noise_floor_dbm is not None:
+        sigma = np.sqrt(10.0 ** (scene.noise_floor_dbm / 10.0) / 2.0)
+        out += rng.normal(scale=sigma, size=(4, n)) + 1j * rng.normal(scale=sigma, size=(4, n))
+    return out

@@ -3,7 +3,7 @@ import pytest
 
 from jamloc.dsp import (SPEC_DB_MAX, SPEC_DB_MIN, NormalizationSpec,
                         cfo_accumulated, db_to_unit, fit_iq_stats,
-                        normalize_iq, spectrogram, stft)
+                        normalize_iq, spectrogram, standardize_aoa, stft)
 
 from _oracles import naive_dft
 
@@ -227,3 +227,24 @@ def test_normalization_spec_from_dict_names_missing_key():
     del d["spec_max"]
     with pytest.raises(ValueError, match="spec_max"):
         NormalizationSpec.from_dict(d)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("iq_std", np.ones(7), r"iq_std must have shape \(8,\)"),
+    ("iq_mean", np.ones((8, 1)), r"iq_mean must have shape \(8,\)"),
+    ("iq_std", np.zeros(8), "iq_std must be positive"),
+    ("iq_mean", np.full(8, np.nan), "iq_mean holds non-finite"),
+    ("aoa_std", np.zeros((4, 22)), "aoa_std must be positive"),
+    ("aoa_mean", np.zeros((22, 4)), r"aoa_mean must have shape \(4, 22\)"),
+    ("aoa_std", np.full((4, 22), np.inf), "aoa_std holds non-finite"),
+], ids=["iq_std-shape", "iq_mean-shape", "iq_std-zero", "iq_mean-nan", "aoa_std-zero",
+        "aoa_mean-shape", "aoa_std-inf"])
+def test_statistics_assigned_after_construction_are_checked_where_applied(field, value, match):
+    # the benchmark glue builds an empty spec and assigns fitted statistics
+    norm = NormalizationSpec(iq_mean=np.zeros(8), iq_std=np.ones(8),
+                             aoa_mean=np.zeros((4, 22)), aoa_std=np.ones((4, 22)))
+    setattr(norm, field, value)
+    apply = {"iq": lambda: normalize_iq(np.ones((2, 4, 16), dtype=complex), norm),
+             "aoa": lambda: standardize_aoa(np.ones((2, 4, 22)), norm)}[field.split("_")[0]]
+    with pytest.raises(ValueError, match=f"NormalizationSpec.{match}"):
+        apply()

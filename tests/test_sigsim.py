@@ -251,6 +251,32 @@ def test_parallel_dataset_matches_serial(assignment):
             assert s.label == t.label
 
 
+@pytest.mark.parametrize("field,value", [
+    ("pose_jitter_m", -0.1),
+    ("pose_jitter_m", np.nan),
+    ("assignment", "round_robin"),
+    ("scene.noise_floor_dbm", np.nan),
+    ("scene.antenna_position", (0.0, -1.0, 1.0)),
+    ("scene.snapshot_len", 0),
+    ("scene.sample_rate", 0.0),
+], ids=["jitter-negative", "jitter-nan", "assignment-unknown", "noise-nan",
+        "antenna-outside", "snapshot_len-zero", "sample_rate-zero"])
+def test_sim_config_fails_at_entry_naming_the_field(field, value):
+    # fields reassigned after construction, as callers do
+    cfg = _tiny_sim()
+    owner, _, name = field.rpartition(".")
+    setattr(cfg.scene if owner else cfg, name, value)
+    where = "SceneConfig" if owner else "SimConfig"
+    with pytest.raises(ValueError, match=rf"^{where}\.{name} "):
+        make_dataset(cfg, ArrayGeometry(), seed=0)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_make_dataset_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match=r"jobs must be an integer >= 1"):
+        make_dataset(_tiny_sim(), ArrayGeometry(), seed=0, jobs=jobs)
+
+
 def test_empty_profiles_rejected():
     cfg = _tiny_sim()
     cfg.profiles = []
