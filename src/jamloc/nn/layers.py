@@ -13,8 +13,13 @@ and reads its input as channels-last, which costs no copy when the producer
 was a conv: numpy elementwise ops (ReLU, residual adds) and ``Tensor.sum``'s
 gradient keep their operand's layout, so a conv stack passes channels-last
 buffers from conv to conv, and their gradients take the same path back.
-Forward, weight gradient and input gradient are each one GEMM per channel group
-over all B*T or B*Ho*Wo output positions.
+
+``Conv2D`` and a kernel-1 ``Conv1D`` run the forward, weight gradient and
+input gradient each as one GEMM per channel group over all B*Ho*Wo or B*T
+output positions. A wider ``Conv1D`` runs them over chunks of whole samples,
+about ``_ROWS`` output rows each, so its im2col never exists for the whole
+batch: backward rebuilds each chunk's cols from the channels-last input
+rather than keep them. ``Conv1D``'s bias gradient is one GEMV.
 """
 
 from __future__ import annotations
@@ -131,13 +136,50 @@ def _channels_last(a: np.ndarray) -> np.ndarray:
 # 1-D convolution (dilated, causal, stride 1)
 # ----------------------------------------------------------------------
 
+# Output rows per Conv1D chunk (whole samples, at least one). At the IQ
+# encoder's widths a chunk's (rows, K*C) cols and (rows, O) output stay in
+# cache from the im2col through the GEMM to the bias add. Its fwd+bwd (B=32,
+# float32, one BLAS thread, 2-vCPU x86-64 VM) took 64 ms at 4096 rows,
+# 66-68 ms at 1024 or 8192 and 77 ms at 16384.
+_ROWS = 4096
+
+
+def _causal_cols(xc: np.ndarray, d: int, ws: np.ndarray) -> np.ndarray:
+    """The causal im2col of ``xc`` (n, T, C) in the first n samples of the
+    (bc, T, K, C) workspace ``ws``, returned as (n*T, K*C). Tap j reads
+    x[t - (K-1-j)*d] and zero before the start, so tap K-1 is the input."""
+    n, T, C = xc.shape
+    K = ws.shape[2]
+    cols = ws[:n]
+    cols[:, :, K - 1] = xc
+    for j in range(K - 1):
+        s = min((K - 1 - j) * d, T)
+        cols[:, :s, j] = 0
+        cols[:, s:, j] = xc[:, :T - s]
+    return cols.reshape(n * T, K * C)
+
+
 class Conv1D(Layer):
-    """Causal 1-D convolution over (B, C, T) with dilation; output length = T."""
+    """Causal 1-D convolution over (B, C, T) with dilation; output length = T.
+
+    A kernel-1 conv is one GEMM on the channels-last input. A wider kernel
+    works over chunks of ``_ROWS // T`` whole samples: each chunk's im2col is
+    built in one reused (bc, T, K, C) workspace, multiplied into its rows of
+    the (B, T, O) output and given its bias while still in cache, so no
+    whole-batch cols is ever held. Backward keeps only the channels-last
+    input, which the producing conv's output keeps alive anyway, and
+    rebuilds each chunk's cols from it for the weight gradient;
+    the input gradient's cols go through a second chunk workspace and are
+    scattered into that chunk's rows of dx. The bias gradient is the GEMV
+    ``ones(B*T) @ g``.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, dilation: int = 1, dtype=np.float64):
-        if kernel_size < 1 or dilation < 1:
-            raise ValueError("kernel_size and dilation must be >= 1")
+        for name, value in (("in_channels", in_channels), ("out_channels", out_channels),
+                            ("kernel_size", kernel_size), ("dilation", dilation)):
+            if value < 1:
+                raise ValueError(f"Conv1D {name} out of range: {value}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -157,36 +199,53 @@ class Conv1D(Layer):
         # row j*C + c of the (K*C, O) weight is tap j of input channel c
         w2 = w.data.transpose(2, 1, 0).reshape(K * C, O)
         xl = _channels_last(x.data)
+        bc = max(1, _ROWS // T)
 
-        # im2col (B, T, K, C): tap j reads x[t - (K-1-j)*d] and zero before
-        # the start, so tap K-1 is the input itself
         if K == 1:
-            cols = xl
+            out = xl.reshape(B * T, C) @ w2
+            out += b.data
         else:
-            cols = np.empty((B, T, K, C), dtype=xl.dtype)
-            cols[:, :, K - 1] = xl
-            for j in range(K - 1):
-                s = min((K - 1 - j) * d, T)
-                cols[:, :s, j] = 0
-                cols[:, s:, j] = xl[:, :T - s]
-        cols = cols.reshape(B * T, K * C)
-        out = cols @ w2
-        out += b.data
+            out = np.empty((B * T, O), dtype=xl.dtype)
+            ws = np.empty((min(bc, B), T, K, C), dtype=xl.dtype)
+            for b0 in range(0, B, bc):
+                oc = out[b0 * T:(b0 + bc) * T]
+                np.matmul(_causal_cols(xl[b0:b0 + bc], d, ws), w2, out=oc)
+                oc += b.data
 
         def bw(g):
             g2 = _channels_last(g).reshape(B * T, O)
-            if w.requires_grad:
-                w._accum((cols.T @ g2).reshape(K, C, O).transpose(2, 1, 0))
             if b.requires_grad:
-                b._accum(g2.sum(axis=0))
-            if x.requires_grad:
-                dcols = (g2 @ w2.T).reshape(B, T, K, C)
-                # tap K-1 covers every t; the others add shifted row blocks
-                dx = np.ascontiguousarray(dcols[:, :, K - 1])
-                for j in range(K - 1):
-                    s = (K - 1 - j) * d
-                    if s < T:
-                        dx[:, :T - s] += dcols[:, s:, j]
+                b._accum(np.ones(B * T, dtype=g2.dtype) @ g2)
+            if K == 1:
+                dw = xl.reshape(B * T, C).T @ g2 if w.requires_grad else None
+                dx = (g2 @ w2.T).reshape(B, T, C) if x.requires_grad else None
+            else:
+                dw = dx = None
+                if w.requires_grad:
+                    dw = np.zeros((K * C, O), dtype=g2.dtype)
+                    ws = np.empty((min(bc, B), T, K, C), dtype=g2.dtype)
+                if x.requires_grad:
+                    dx = np.empty((B, T, C), dtype=g2.dtype)
+                    dws = np.empty((min(bc, B), T, K, C), dtype=g2.dtype)
+                for b0 in range(0, B, bc):
+                    xc = xl[b0:b0 + bc]
+                    n = len(xc)
+                    gc = g2[b0 * T:(b0 + n) * T]
+                    if dw is not None:
+                        dw += _causal_cols(xc, d, ws).T @ gc
+                    if dx is not None:
+                        dcols = dws[:n]
+                        np.matmul(gc, w2.T, out=dcols.reshape(n * T, K * C))
+                        # tap K-1 covers every t; the others add shifted row blocks
+                        dxc = dx[b0:b0 + n]
+                        dxc[...] = dcols[:, :, K - 1]
+                        for j in range(K - 1):
+                            s = (K - 1 - j) * d
+                            if s < T:
+                                dxc[:, :T - s] += dcols[:, s:, j]
+            if dw is not None:
+                w._accum(dw.reshape(K, C, O).transpose(2, 1, 0))
+            if dx is not None:
                 x._accum(dx.transpose(0, 2, 1))
 
         return Tensor.from_op(out.reshape(B, T, O).transpose(0, 2, 1), (x, w, b), bw)

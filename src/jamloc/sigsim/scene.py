@@ -43,6 +43,20 @@ __all__ = ["WallSegment", "Reflector", "SceneConfig", "PropPath",
            "compute_paths", "propagate"]
 
 
+def _check_surface(surface) -> None:
+    """Finite, distinct end points and a reflection coefficient in [0, 1]: a
+    larger one would amplify the bounce, and NaN would reach every sample."""
+    name = type(surface).__name__
+    for f in ("x1", "y1", "x2", "y2"):
+        if not np.isfinite(getattr(surface, f)):
+            raise ValueError(f"{name}.{f} must be finite, got {getattr(surface, f)!r}")
+    if (surface.x1, surface.y1) == (surface.x2, surface.y2):
+        raise ValueError(f"{name}.x2, y2 must differ from x1, y1 (a zero-length surface)")
+    c = surface.reflection_coeff
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"{name}.reflection_coeff must be in [0, 1], got {c!r}")
+
+
 @dataclass(frozen=True)
 class WallSegment:
     """Absorber wall: attenuates every crossing path; may also reflect."""
@@ -55,8 +69,11 @@ class WallSegment:
     reflection_coeff: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.reflection_coeff <= 1.0:
-            raise ValueError("reflection_coeff must be in [0, 1]")
+        _check_surface(self)
+        loss = self.transmission_loss_db
+        if not (np.isfinite(loss) and loss >= 0.0):
+            raise ValueError(f"WallSegment.transmission_loss_db must be finite and >= 0, "
+                             f"got {loss!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,9 @@ class Reflector:
     x2: float
     y2: float
     reflection_coeff: float
+
+    def __post_init__(self):
+        _check_surface(self)
 
 
 @dataclass
@@ -327,6 +347,7 @@ def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
     wall crossings, and reflection coefficients. Per-path delay is an
     integer-sample shift plus the exact carrier phase rotation.
     """
+    _check_scene(scene)
     jammer = np.asarray(jammer_pos, dtype=np.float64)
     antenna = np.asarray(scene.antenna_position, dtype=np.float64)
     _check_jammers(scene, antenna, jammer[None])

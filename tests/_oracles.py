@@ -88,6 +88,24 @@ def conv1d_ref(x, w, b, dilation):
     return out
 
 
+def conv1d_grads_ref(x, w, g, dilation):
+    """Gradients (dx, dw, db) of sum(conv1d(x, w, b) * g), in float64 by einsum
+    over explicitly shifted copies: shift s_j = (K - 1 - j) * dilation moves
+    x right for the forward taps and g left for the input gradient."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    B, C, T = x.shape
+    K = w.shape[2]
+    xs = np.zeros((B, C, K, T))
+    gs = np.zeros((B, g.shape[1], K, T))
+    for j in range(K):
+        s = (K - 1 - j) * dilation
+        if s < T:
+            xs[:, :, j, s:] = x[:, :, :T - s]
+            gs[:, :, j, :T - s] = g[:, :, s:]
+    return (np.einsum("ocj,bojt->bct", w, gs), np.einsum("bot,bcjt->ocj", g, xs),
+            g.sum(axis=(0, 2)))
+
+
 def conv2d_ref(x, w, b, stride, padding, groups):
     """Direct grouped 2-D convolution, (B, C, H, W) -> (B, O, Ho, Wo), in float64.
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jamloc.nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Mode,
-                       ShapeError, Tensor, concat)
+                       ShapeError, Tensor, concat, layers)
 
-from _oracles import check_grads, conv1d_ref, conv2d_ref
+from _oracles import check_grads, conv1d_grads_ref, conv1d_ref, conv2d_ref
 
 GRAD_TOL = 1e-4  # layer-level finite-difference tolerance at 64-bit
 # forward oracle tolerance, relative to max |reference|, per dtype
@@ -113,14 +115,18 @@ def test_conv2d_matches_direct_oracle(stride, padding, groups):
         assert np.max(np.abs(out.data - ref)) <= tol * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("field,kwargs", [
-    ("kernel_size", dict(kernel_size=0)), ("stride", dict(stride=0)),
-    ("stride", dict(stride=(2, 0))), ("padding", dict(padding=-1)), ("groups", dict(groups=0)),
-], ids=["kernel_size", "stride", "stride-pair", "padding", "groups"])
-def test_conv2d_rejects_bad_arguments(field, kwargs):
+@pytest.mark.parametrize("cls,field,kwargs", [
+    (Conv2D, "kernel_size", dict(kernel_size=0)), (Conv2D, "stride", dict(stride=0)),
+    (Conv2D, "stride", dict(stride=(2, 0))), (Conv2D, "padding", dict(padding=-1)),
+    (Conv2D, "groups", dict(groups=0)),
+    (Conv1D, "in_channels", dict(in_channels=0)), (Conv1D, "out_channels", dict(out_channels=0)),
+    (Conv1D, "kernel_size", dict(kernel_size=0)), (Conv1D, "dilation", dict(dilation=0)),
+], ids=["kernel_size", "stride", "stride-pair", "padding", "groups", "conv1d-in_channels",
+        "conv1d-out_channels", "conv1d-kernel_size", "conv1d-dilation"])
+def test_conv2d_rejects_bad_arguments(cls, field, kwargs):
     args = dict(in_channels=4, out_channels=4, kernel_size=3, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match=f"Conv2D {field}"):
-        Conv2D(**{**args, **kwargs})
+    with pytest.raises(ValueError, match=f"^{cls.__name__} {field} out of range: "):
+        cls(**{**args, **kwargs})
 
 
 # ----------------------------------------------------------------------
@@ -199,6 +205,66 @@ def test_gradcheck_conv_any_layout(dim, case, channels_last, upstream):
     G = _upstream(layer(xin()).shape, upstream, np.random.default_rng(21))
     params = [leaf, layer.weight, layer.bias]
     assert check_grads(lambda: _loss_with_upstream(layer(xin()), G), params, probes=16) < GRAD_TOL
+
+
+# ----------------------------------------------------------------------
+# Conv1D chunks: whole samples, _ROWS output rows at a time
+# ----------------------------------------------------------------------
+
+# (B, C, O, K, d, T); at T = 1500 a 4096-row chunk holds 2 samples, so B = 3
+# runs a full chunk and a remainder. d = 800 gives (K-1)*d >= T, K = 1 is the
+# unchunked pointwise GEMM.
+CHUNK_CASES = [(3, 3, 4, 3, 2, 1500), (3, 2, 3, 3, 800, 1500), (3, 3, 4, 1, 1, 1500)]
+# gradient tolerance against the float64 einsum oracle, relative to max |oracle|
+GRAD_REF_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-no-grad"])
+@pytest.mark.parametrize("case", CHUNK_CASES, ids=["K3d2", "K3d800", "K1"])
+def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case, x_grad):
+    B, C, O, K, d, T = case
+    assert layers._ROWS // T == 2    # the chunk shape these cases were written for
+    for dtype, tol in FWD_TOL.items():
+        rng = np.random.default_rng(30)
+        layer = Conv1D(C, O, K, rng, dilation=d, dtype=dtype)
+        layer.bias.data[...] = rng.normal(size=O)
+        x = Tensor(rng.normal(size=(B, C, T)).astype(dtype), requires_grad=x_grad)
+        G = rng.normal(size=(B, O, T)).astype(dtype)
+
+        out = layer(x)
+        ref = conv1d_ref(x.data, layer.weight.data, layer.bias.data, d)
+        assert np.max(np.abs(out.data - ref)) <= tol * np.max(np.abs(ref))
+        _loss_with_upstream(out, G).backward()
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_ROWS", B * T)
+            np.testing.assert_array_equal(layer(x).data, out.data)
+
+        dx, dw, db = conv1d_grads_ref(x.data, layer.weight.data, G, d)
+        got = [(layer.weight.grad, dw), (layer.bias.grad, db)]
+        got += [(x.grad, dx)] if x_grad else []
+        assert x_grad or x.grad is None
+        for grad, want in got:
+            assert grad.dtype == dtype and grad.shape == want.shape
+            assert np.max(np.abs(grad - want)) <= GRAD_REF_TOL[dtype] * np.max(np.abs(want))
+
+
+def test_conv1d_never_holds_a_whole_batch_im2col():
+    # paper width of the IQ encoder's dilated convs, fed and differentiated
+    # channels-last as inside the model
+    B, C, T, K = 32, 64, 1024, 3
+    rng = np.random.default_rng(31)
+    layer = Conv1D(C, C, K, rng, dilation=16, dtype=np.float32)
+    leaf = Tensor(rng.normal(size=(B, T, C)).astype(np.float32), requires_grad=True)
+    G = np.moveaxis(rng.normal(size=(B, T, C)).astype(np.float32), -1, 1)
+    whole_cols = B * T * K * C * 4
+    tracemalloc.start()
+    try:
+        _loss_with_upstream(layer(_channels_last_view(leaf)), G).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert leaf.grad.shape == (B, T, C) and layer.weight.grad.shape == (C, C, K)
+    assert peak < whole_cols, f"peak {peak} B, whole-batch cols {whole_cols} B"
 
 
 def test_grouped_conv_requires_divisibility():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jamloc.sigsim import (ArrayGeometry, JammerClass, JammerProfile,
+from jamloc.sigsim import (ArrayGeometry, JammerClass, JammerProfile, Reflector,
                            SceneConfig, SimConfig, WallSegment, compute_paths,
                            gen_baseband, make_dataset, propagate,
                            scenario_configs)
@@ -170,7 +170,6 @@ def test_label_angles_consistent_with_displacement():
 def test_image_source_reciprocity():
     # one sidewall reflector: reflected path length must equal the
     # leg sum through an independently computed reflection point
-    from jamloc.sigsim import Reflector
     scene = _quiet_scene(reflectors=[Reflector(10.0, 0.0, 10.0, 30.0, 0.5)])
     antenna = np.array(scene.antenna_position)
     jammer = np.array([3.0, 16.0, 4.5])
@@ -194,6 +193,59 @@ def test_jammer_position_validation():
         propagate(_quiet_scene(), geom, (0.0, 1.0, 1.0), wf, rng)  # on the antenna
     with pytest.raises(ValueError):
         propagate(_quiet_scene(), geom, (50.0, 15.0, 4.0), wf, rng)  # outside hall
+
+
+SURFACE_ARGS = {
+    Reflector: dict(x1=10.0, y1=0.0, x2=10.0, y2=30.0, reflection_coeff=0.5),
+    WallSegment: dict(x1=-5.0, y1=8.0, x2=5.0, y2=8.0, transmission_loss_db=20.0,
+                      reflection_coeff=0.2),
+}
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (Reflector, "reflection_coeff", 1.5),
+    (Reflector, "reflection_coeff", -0.3),
+    (Reflector, "reflection_coeff", np.nan),
+    (Reflector, "x1", np.inf),
+    (WallSegment, "reflection_coeff", 1.5),
+    (WallSegment, "reflection_coeff", np.nan),
+    (WallSegment, "transmission_loss_db", -20.0),
+    (WallSegment, "transmission_loss_db", np.nan),
+    (WallSegment, "y2", np.nan),
+], ids=["refl-coeff-above-1", "refl-coeff-negative", "refl-coeff-nan", "refl-x1-inf",
+        "wall-coeff-above-1", "wall-coeff-nan", "wall-loss-negative", "wall-loss-nan",
+        "wall-y2-nan"])
+def test_surface_rejects_bad_field_naming_it(cls, field, value):
+    # each of these reached compute_paths unchecked: a bounce of gain 1.5,
+    # NaN gains, or a wall that amplified the direct path tenfold
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} "):
+        cls(**{**SURFACE_ARGS[cls], field: value})
+
+
+@pytest.mark.parametrize("cls", [Reflector, WallSegment])
+def test_zero_length_surface_rejected(cls):
+    # its unit direction divided by zero and the surface silently never reflected
+    args = SURFACE_ARGS[cls]
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.x2, y2 "):
+        cls(**{**args, "x2": args["x1"], "y2": args["y1"]})
+
+
+def test_surface_accepts_range_edges():
+    Reflector(**{**SURFACE_ARGS[Reflector], "reflection_coeff": 1.0})
+    Reflector(**{**SURFACE_ARGS[Reflector], "reflection_coeff": 0.0})
+    WallSegment(**{**SURFACE_ARGS[WallSegment], "transmission_loss_db": 0.0,
+                   "reflection_coeff": 1.0})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("noise_floor_dbm", np.nan), ("sample_rate", 0.0), ("antenna_position", (0.0, -1.0, 1.0)),
+], ids=["noise-nan", "sample_rate-zero", "antenna-outside"])
+def test_propagate_checks_the_scene_naming_the_field(field, value):
+    # NaN noise gave all-NaN samples; sample_rate 0 gave every path zero delay
+    scene = SceneConfig(**{field: value})
+    wf = gen_baseband(_profile(), N, FS, np.random.default_rng(15))
+    with pytest.raises(ValueError, match=rf"^SceneConfig\.{field} "):
+        propagate(scene, ArrayGeometry(), (0.0, 15.0, 4.0), wf, np.random.default_rng(16))
 
 
 # ----------------------------------------------------------------------
