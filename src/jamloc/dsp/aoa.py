@@ -13,6 +13,7 @@ import logging
 
 import numpy as np
 
+from .features import _blocked
 from .fourier import fft
 
 __all__ = ["aoa_features", "fit_aoa_stats", "standardize_aoa", "N_AOA_FEATURES", "AOA_FEATURE_NAMES"]
@@ -44,6 +45,13 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     one in ascending frequency, a sequential sum rather than numpy's pairwise
     one; the two differ in the last bits, and the sequential order keeps the
     column bitwise stable across versions.
+
+    The features are computed over blocks of 16 snapshots (see
+    ``features``), one warning per call counting the zero-energy channels
+    of all blocks. Every column but ``if_diff_mean`` (21) is bitwise the
+    same whatever the batch size; that one can differ in the last bits,
+    since numpy rounds the phase-increment product differently depending on
+    how it iterates the array.
     """
     x = np.asarray(samples)
     single = x.ndim == 2
@@ -53,6 +61,16 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
         raise ValueError(f"aoa_features expects (4, N) or (M, 4, N), got {np.shape(samples)}")
     if not fs > 0:
         raise ValueError(f"aoa_features expects a positive sample rate fs, got {fs}")
+    out = _blocked(lambda b: _aoa_block(b, fs), x, 2)
+    dead = int(np.count_nonzero(out[..., 12] == 0))      # column 12 is the channel energy
+    if dead:
+        logger.warning("aoa_features: %d zero-energy channel(s); spectral/envelope features set to 0",
+                       dead)
+    return out[0] if single else out
+
+
+def _aoa_block(x: np.ndarray, fs: float) -> np.ndarray:
+    """The (M, 4, 22) features of (M, 4, N) samples, logging nothing."""
     M, _, N = x.shape
     out = np.zeros((M, 4, N_AOA_FEATURES), dtype=np.float64)
 
@@ -61,9 +79,6 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     env_max = env.max(axis=-1)
     energy = env_sq.sum(axis=-1)                          # (M, 4)
     dead = energy == 0
-    if np.any(dead):
-        logger.warning("aoa_features: %d zero-energy channel(s); spectral/envelope features set to 0",
-                       int(dead.sum()))
 
     # temporal -----------------------------------------------------------
     mu = env.mean(axis=-1)
@@ -136,8 +151,7 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     spectral_env = [6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18]
     if np.any(dead):
         out[dead[..., None] & np.isin(np.arange(N_AOA_FEATURES), spectral_env)] = 0.0
-
-    return out[0] if single else out
+    return out
 
 
 def fit_aoa_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -271,7 +271,9 @@ class Conv2D(Layer):
                  rng: np.random.Generator, stride=1, padding: int = 0,
                  groups: int = 1, dtype=np.float64):
         stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
-        for name, value, ok in (("kernel_size", kernel_size, kernel_size >= 1),
+        for name, value, ok in (("in_channels", in_channels, in_channels >= 1),
+                                ("out_channels", out_channels, out_channels >= 1),
+                                ("kernel_size", kernel_size, kernel_size >= 1),
                                 ("stride", stride, len(stride) == 2 and min(stride) >= 1),
                                 ("padding", padding, padding >= 0),
                                 ("groups", groups, groups >= 1)):

@@ -2,6 +2,8 @@
 on simulated desk chunks and on edge inputs; plus the calls the benchmark's
 featurize glue makes."""
 
+import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,14 +19,17 @@ KEYS = ("wall2", "meander")     # a wall and the meander: different layouts and 
 
 
 @pytest.fixture(scope="module")
-def desk():
-    """The first 64 snapshots of two desk keys (seed 5), as (64, 4, 1024)."""
+def desk_full():
+    """Every snapshot of two desk keys (seed 5), as (M, 4, 1024) each."""
     cfgs = sigsim.scenario_configs("desk")
-    out = {}
-    for key in KEYS:
-        snaps = sigsim.make_dataset(cfgs[key], sigsim.ArrayGeometry(), 5, jobs=1)
-        out[key] = np.stack([s.samples for s in snaps[:64]])
-    return out
+    return {key: np.stack([s.samples for s in sigsim.make_dataset(
+        cfgs[key], sigsim.ArrayGeometry(), 5, jobs=1)]) for key in KEYS}
+
+
+@pytest.fixture(scope="module")
+def desk(desk_full):
+    """The first 64 snapshots of each desk key, as (64, 4, 1024)."""
+    return {key: x[:64] for key, x in desk_full.items()}
 
 
 def _edge_chunks(x):
@@ -139,6 +144,105 @@ def test_stft_rejects_zero_window():
 def test_aoa_features_rejects_non_positive_sample_rate():
     with pytest.raises(ValueError, match="sample rate"):
         dsp.aoa_features(np.ones((4, 64), dtype=complex), 0.0)
+
+
+# ----------------------------------------------------------------------
+# blocking: the extractors run over blocks of 16 snapshots (64 rows)
+# ----------------------------------------------------------------------
+
+# one snapshot, one short of a block, a block, one past it, and many blocks
+# with a remainder
+SPLIT = (1, 15, 16, 17, 259)
+EXTRACTORS = ("spectrogram", "stft", "normalize_iq", "cfo_accumulated", "aoa_features")
+
+
+@pytest.fixture(scope="module")
+def batch(desk_full):
+    """sum(SPLIT) snapshots, the first half of them from each desk key."""
+    return np.concatenate([x[:sum(SPLIT) // 2] for x in desk_full.values()])
+
+
+def _extractor(name, x):
+    """The extractor ``name``; normalize_iq with IQ statistics fitted on x."""
+    if name == "normalize_iq":
+        mean, std = dsp.fit_iq_stats(x)
+        norm = dsp.NormalizationSpec(iq_mean=mean, iq_std=std)
+        return lambda v: dsp.normalize_iq(v, norm)
+    if name == "aoa_features":
+        return lambda v: dsp.aoa_features(v, FS)
+    return getattr(dsp, name)
+
+
+def _assert_same(name, whole, parts):
+    """Bitwise, except where the phase-increment product sits: cfo within
+    1e-12 of the snapshot's peak, AoA if_diff_mean of the column's peak."""
+    assert whole.shape == parts.shape and whole.dtype == parts.dtype
+    if name == "cfo_accumulated":
+        peak = np.abs(whole).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(whole - parts) <= 1e-12 * peak)
+    elif name == "aoa_features":
+        assert np.array_equal(whole[..., :21], parts[..., :21])
+        col = whole[..., 21]
+        assert np.all(np.abs(col - parts[..., 21]) <= 1e-12 * np.abs(col).max())
+    else:
+        assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("name", EXTRACTORS)
+def test_extractors_do_not_depend_on_the_batch_split(batch, name):
+    f = _extractor(name, batch)
+    pieces = np.split(batch, np.cumsum(SPLIT)[:-1])
+    _assert_same(name, f(batch), np.concatenate([f(p) for p in pieces]))
+
+
+@pytest.mark.parametrize("lead", [(2, 3), (4, 17)], ids=["one-block", "blocks"])
+@pytest.mark.parametrize("name", ["stft", "cfo_accumulated"])
+def test_row_extractors_keep_the_leading_shape(batch, name, lead):
+    f = _extractor(name, batch)
+    x = batch[:math.prod(lead)]
+    out = f(x.reshape(lead + x.shape[1:]))
+    ref = f(x)
+    _assert_same(name, out, ref.reshape(lead + ref.shape[1:]))
+
+
+@pytest.mark.parametrize("name", EXTRACTORS)
+def test_single_snapshot_and_empty_batch(batch, name):
+    # both run the per-block body directly, as the whole call did before
+    # the blocking
+    f = _extractor(name, batch)
+    one = f(batch[5])
+    assert _equal(one, f(batch[5:6])[0]) and one.dtype == np.float64
+    empty = f(batch[:0])
+    assert empty.shape == (0,) + one.shape and empty.dtype == np.float64
+
+
+@pytest.mark.parametrize("name", EXTRACTORS)
+def test_extractor_memory_is_block_bounded(name):
+    # unblocked, the temporaries of one 256-snapshot chunk reach 24-126 MB
+    x = np.random.default_rng(0).standard_normal((256, 4, 2048)).view(np.complex128)
+    f = _extractor(name, x)
+    tracemalloc.start()
+    try:
+        out = f(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < x.nbytes
+
+
+def test_aoa_warns_once_for_dead_channels_in_several_blocks(desk, caplog):
+    x = desk["wall2"][:48].copy()               # three blocks
+    dead = [(2, 1), (3, 1), (37, 3)]            # in the first and the third
+    for snap, patch in dead:
+        x[snap, patch] = 0.0
+    with caplog.at_level(logging.WARNING, logger="jamloc.dsp.aoa"):
+        feats = dsp.aoa_features(x, FS)
+    assert [r.getMessage().split(";")[0] for r in caplog.records] == \
+        ["aoa_features: 3 zero-energy channel(s)"]
+    spectral_env = [6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18]
+    for snap, patch in dead:
+        assert np.all(feats[snap, patch, spectral_env] == 0.0)
+    assert np.all(np.isfinite(feats))
 
 
 def test_bench_extract_calls(desk):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,13 @@ def test_spectrogram_batch_matches_single():
 def test_spectrogram_rejects_wrong_length():
     with pytest.raises(ValueError):
         spectrogram(np.zeros((4, 512), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(3, N), (N,)])
+def test_spectrogram_rejects_wrong_patch_count(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"spectrogram expects samples of shape (..., 4, N), got {shape}")):
+        spectrogram(np.ones(shape, dtype=complex))
 
 
 def test_spectrogram_matches_naive_dft_oracle():

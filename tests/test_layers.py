@@ -119,9 +119,11 @@ def test_conv2d_matches_direct_oracle(stride, padding, groups):
     (Conv2D, "kernel_size", dict(kernel_size=0)), (Conv2D, "stride", dict(stride=0)),
     (Conv2D, "stride", dict(stride=(2, 0))), (Conv2D, "padding", dict(padding=-1)),
     (Conv2D, "groups", dict(groups=0)),
+    (Conv2D, "in_channels", dict(in_channels=0)), (Conv2D, "out_channels", dict(out_channels=0)),
     (Conv1D, "in_channels", dict(in_channels=0)), (Conv1D, "out_channels", dict(out_channels=0)),
     (Conv1D, "kernel_size", dict(kernel_size=0)), (Conv1D, "dilation", dict(dilation=0)),
-], ids=["kernel_size", "stride", "stride-pair", "padding", "groups", "conv1d-in_channels",
+], ids=["kernel_size", "stride", "stride-pair", "padding", "groups", "in_channels",
+        "out_channels", "conv1d-in_channels",
         "conv1d-out_channels", "conv1d-kernel_size", "conv1d-dilation"])
 def test_conv2d_rejects_bad_arguments(cls, field, kwargs):
     args = dict(in_channels=4, out_channels=4, kernel_size=3, rng=np.random.default_rng(0))
