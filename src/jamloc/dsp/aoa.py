@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .features import _blocked
+from .features import _blocked, _phase_increments
 from .fourier import fft
 
 __all__ = ["aoa_features", "fit_aoa_stats", "standardize_aoa", "N_AOA_FEATURES", "AOA_FEATURE_NAMES"]
@@ -48,10 +48,7 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
 
     The features are computed over blocks of 16 snapshots (see
     ``features``), one warning per call counting the zero-energy channels
-    of all blocks. Every column but ``if_diff_mean`` (21) is bitwise the
-    same whatever the batch size; that one can differ in the last bits,
-    since numpy rounds the phase-increment product differently depending on
-    how it iterates the array.
+    of all blocks. Every column is bitwise the same whatever the batch size.
     """
     x = np.asarray(samples)
     single = x.ndim == 2
@@ -140,10 +137,7 @@ def _aoa_block(x: np.ndarray, fs: float) -> np.ndarray:
     R = np.clip(np.abs(m), 1e-12, 1.0)
     out[..., 20] = np.sqrt(-2.0 * np.log(R))
 
-    inc = x[..., 1:] * np.conj(x[..., :-1])
-    phi = np.angle(inc)
-    phi[inc == 0] = 0.0                  # angle(-0 + 0j) would be pi
-    mean_if = phi.mean(axis=-1) * fs / (2.0 * np.pi)
+    mean_if = _phase_increments(x).mean(axis=-1) * fs / (2.0 * np.pi)
     out[..., 21] = mean_if - mean_if[:, :1]
     out[:, 0, 19:22] = 0.0               # self-reference: exactly zero by definition
 

@@ -93,14 +93,12 @@ class IQEncoder(Layer):
     """
 
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
-        self.kernel = cfg.iq_kernel
-        self.dilations = tuple(cfg.iq_dilations)
         chans = (8,) + tuple(cfg.iq_channels)
         # (conv, skip or None) per block: params() then lists a block's conv
         # before its skip, the GJW1 order
         self.blocks = []
-        for i, d in enumerate(self.dilations):
-            conv = Conv1D(chans[i], chans[i + 1], self.kernel, rng, dilation=d, dtype=dtype)
+        for i, d in enumerate(cfg.iq_dilations):
+            conv = Conv1D(chans[i], chans[i + 1], cfg.iq_kernel, rng, dilation=d, dtype=dtype)
             skip = Conv1D(chans[i], chans[i + 1], 1, rng, dtype=dtype) \
                 if chans[i] != chans[i + 1] else None
             self.blocks.append((conv, skip))
@@ -110,10 +108,6 @@ class IQEncoder(Layer):
     @property
     def convs(self) -> list[Conv1D]:
         return [conv for conv, _ in self.blocks]
-
-    def receptive_field(self) -> int:
-        """Input span reaching one output sample: 1 + sum (k-1) * d."""
-        return 1 + sum((self.kernel - 1) * d for d in self.dilations)
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         *blocks, (conv, skip) = self.blocks

@@ -14,19 +14,28 @@ was a conv: numpy elementwise ops (ReLU, residual adds) and ``Tensor.sum``'s
 gradient keep their operand's layout, so a conv stack passes channels-last
 buffers from conv to conv, and their gradients take the same path back.
 
-``Conv2D`` and a kernel-1 ``Conv1D`` run the forward, weight gradient and
-input gradient each as one GEMM per channel group over all B*Ho*Wo or B*T
-output positions. A wider ``Conv1D`` runs them over chunks of whole samples,
-about ``_ROWS`` output rows each, so its im2col never exists for the whole
-batch: backward rebuilds each chunk's cols from the channels-last input
-rather than keep them. ``Conv1D``'s bias gradient is one GEMV.
+Both are shells over one channels-last core, ``_conv`` (``Conv1D`` is a
+(1, K) kernel with (K-1)*d zeros before the signal). It works over chunks of
+whole items, about ``_ROWS`` output rows each, builds each chunk's im2col in
+one workspace reused for every chunk, and runs one GEMM per channel group
+into the chunk's output rows, adding the bias there. Backward visits the
+chunks last to first, feeding each chunk's upstream rows to the weight and
+input gradients while in cache. The weight gradient reuses the last chunk's
+cols, still in the workspace, and rebuilds the others from the input, so no
+whole-batch im2col exists and a one-chunk call (MCAFF's 8x8 convs at B=32)
+rebuilds nothing. A stride-1 conv that does not widen its channels takes dx
+as the conv of the upstream gradient with the flipped, transposed kernel;
+other convs scatter dcols per tap. The bias gradient is one GEMV.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, Tensor
 
@@ -126,53 +135,181 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=axes)
 
 
-def _channels_last(a: np.ndarray) -> np.ndarray:
-    """(B, C, ...) -> a C-contiguous (B, ..., C) array; no copy when ``a`` is
-    already a channels-last view, as every conv output is."""
-    return np.ascontiguousarray(a.transpose(0, *range(2, a.ndim), 1))
-
-
 # ----------------------------------------------------------------------
-# 1-D convolution (dilated, causal, stride 1)
+# convolution: one channels-last core under Conv1D and Conv2D
 # ----------------------------------------------------------------------
 
-# Output rows per Conv1D chunk (whole samples, at least one). At the IQ
-# encoder's widths a chunk's (rows, K*C) cols and (rows, O) output stay in
-# cache from the im2col through the GEMM to the bias add. Its fwd+bwd (B=32,
-# float32, one BLAS thread, 2-vCPU x86-64 VM) took 64 ms at 4096 rows,
-# 66-68 ms at 1024 or 8192 and 77 ms at 16384.
+# Output rows per chunk of whole items (at least one item). At the IQ
+# encoder's widths a chunk's cols and output stay in cache from the im2col
+# through the GEMM to the bias add. Its fwd+bwd (B=32, float32, one BLAS
+# thread, 2-vCPU x86-64 VM) took 64 ms at 4096 rows, 66-68 ms at 1024 or
+# 8192 and 77 ms at 16384.
 _ROWS = 4096
 
 
-def _causal_cols(xc: np.ndarray, d: int, ws: np.ndarray) -> np.ndarray:
-    """The causal im2col of ``xc`` (n, T, C) in the first n samples of the
-    (bc, T, K, C) workspace ``ws``, returned as (n*T, K*C). Tap j reads
-    x[t - (K-1-j)*d] and zero before the start, so tap K-1 is the input."""
-    n, T, C = xc.shape
-    K = ws.shape[2]
-    cols = ws[:n]
-    cols[:, :, K - 1] = xc
-    for j in range(K - 1):
-        s = min((K - 1 - j) * d, T)
-        cols[:, :s, j] = 0
-        cols[:, s:, j] = xc[:, :T - s]
-    return cols.reshape(n * T, K * C)
+class _Geometry:
+    """One convolution of a channels-last (B, H, W, C) input: per-axis
+    kernel, stride, dilation and (lo, hi) zero padding, and channel groups.
+    Output (i, j) reads input (i*sh + u*dh - pt, j*sw + v*dw - pl) through
+    tap (u, v). ``chunks`` lists the (b0, n) runs of whole items."""
+
+    def __init__(self, shape, kernel, stride, dilation, pad, groups):
+        B, H, W, C = shape
+        (kh, kw), (sh, sw), (dh, dw), ((pt, pb), (pl, pr)) = kernel, stride, dilation, pad
+        self.shape, self.kernel, self.stride, self.dilation = shape, kernel, stride, dilation
+        self.pad, self.groups, self.cg = pad, groups, C // groups
+        self.out_hw = ((H + pt + pb - (kh - 1) * dh - 1) // sh + 1,
+                       (W + pl + pr - (kw - 1) * dw - 1) // sw + 1)
+        self.pointwise = kernel == stride == (1, 1) and pad == ((0, 0), (0, 0))
+        items = B if self.pointwise else max(1, _ROWS // (self.out_hw[0] * self.out_hw[1]))
+        self.chunks = [(b0, min(items, B - b0)) for b0 in range(0, B, items)]
+
+    @functools.cached_property
+    def taps(self) -> list:
+        """(u, v, oi, oj, ii, ij) per tap: the output rows and columns whose tap
+        (u, v) reads inside the input, and the input rows and columns read."""
+        spans = [[], []]
+        for axis, (n, n_out, k, s, d, (lo, _)) in enumerate(zip(
+                self.shape[1:3], self.out_hw, self.kernel, self.stride, self.dilation, self.pad)):
+            for first in range(-lo, k * d - lo, d):    # the input read by output 0
+                o0 = min(n_out, max(0, -(first // s)))
+                o1 = max(o0, min(n_out, (n - 1 - first) // s + 1))
+                spans[axis].append((slice(o0, o1), slice(o0 * s + first, (o1 - 1) * s + first + 1, s)))
+        return [(u, v, oi, oj, ii, ij) for u, (oi, ii) in enumerate(spans[0])
+                for v, (oj, ij) in enumerate(spans[1])]
+
+    def transposed(self, out_channels: int) -> _Geometry | None:
+        """The input gradient as a stride-1 conv of the (B, Ho, Wo, O) upstream
+        gradient with the flipped kernel; None if strided, padded beyond
+        (k-1)*d, or widening (O > C) and not pointwise: its im2col would
+        then move more data than dcols (d16 Conv1D, 64 -> 128: 0.3-0.7 ms)."""
+        pad = tuple(((k - 1) * d - lo, (k - 1) * d - hi)
+                    for k, d, (lo, hi) in zip(self.kernel, self.dilation, self.pad))
+        if self.stride != (1, 1) or min(min(p) for p in pad) < 0 or \
+                (out_channels > self.shape[3] and not self.pointwise):
+            return None
+        return _Geometry((self.shape[0], *self.out_hw, out_channels), self.kernel, (1, 1),
+                         self.dilation, pad, self.groups)
+
+    def workspace(self, chunks, dtype) -> np.ndarray:
+        """An (n, Ho, Wo, G, kh, kw, C/G) cols workspace for the largest chunk."""
+        return np.empty((max(n for _, n in chunks), *self.out_hw, self.groups,
+                         *self.kernel, self.cg), dtype)
+
+    def cols(self, a: np.ndarray, chunks, ws=None):
+        """Yield the (n*Ho*Wo, G, kh*kw*C/G) im2col of each (b0, n) chunk of
+        C-contiguous channels-last ``a``, taps in (row, column, channel)
+        order, in ``ws`` (a new workspace if None). By shape: a dilated
+        one-row kernel (Conv1D, d > 1) copies each tap's shifted rows in, the
+        columns reading the padding zeroed once; other kernels copy the chunk
+        into a zero-padded, group-major (n, Hp, G, Wp, C/G) buffer, then all
+        windows at once in runs of kw*C/G values. At B=32, float32 the first
+        spares a d16 Conv1D chunk that copy, and the second halves the im2col
+        of MCAFF's grouped conv (16-value taps) against per-tap copies."""
+        B, H, W, _ = a.shape
+        G, cg = self.groups, self.cg
+        if self.pointwise or not chunks:
+            for b0, n in chunks:
+                yield np.ascontiguousarray(a[b0:b0 + n]).reshape(-1, G, cg)
+            return
+        (kh, kw), (sh, sw), (dh, dw), ((pt, pb), (pl, pr)) = \
+            self.kernel, self.stride, self.dilation, self.pad
+        ws = self.workspace(chunks, a.dtype) if ws is None else ws
+        per_tap = kh == 1 and dw > 1
+        if per_tap:
+            for u, v, oi, oj, _, _ in self.taps:
+                tap = ws[:, :, :, :, u, v]
+                tap[:, :oi.start] = tap[:, oi.stop:] = tap[:, oi, :oj.start] = tap[:, oi, oj.stop:] = 0
+        else:
+            xp = np.zeros((len(ws), H + pt + pb, G, W + pl + pr, cg), a.dtype)
+            s0, s1, s2, s3, s4 = xp.strides
+        for b0, n in chunks:
+            ac = a[b0:b0 + n].reshape(n, H, W, G, cg)
+            if per_tap:
+                for u, v, oi, oj, ii, ij in self.taps:
+                    ws[:n, oi, oj, :, u, v] = ac[:, ii, ij]
+            else:
+                xp[:n, pt:pt + H, :, pl:pl + W] = ac.transpose(0, 1, 3, 2, 4)
+                ws[:n] = as_strided(xp, ws[:n].shape, (s0, sh * s1, sw * s3, s2, dh * s1, dw * s3, s4))
+            yield ws[:n].reshape(-1, G, kh * kw * cg)
+
+    def scatter(self, dcols: np.ndarray, dx: np.ndarray) -> None:
+        """Add each tap of a chunk's (n, Ho, Wo, G, kh, kw, C/G) dcols into the
+        inputs it read, in the chunk's (n, H, W, C) dx. A tap that read them
+        all (a causal conv's last) is written first, so dx is not zeroed."""
+        dxv = dx.reshape(*dx.shape[:3], self.groups, self.cg)
+        whole = (slice(0, dx.shape[1], 1), slice(0, dx.shape[2], 1))
+        taps = sorted(self.taps, key=lambda t: t[4:] != whole)
+        u, v, oi, oj, *read = taps[0]
+        covers = tuple(read) == whole
+        dxv[...] = dcols[:, oi, oj, :, u, v] if covers else 0
+        for u, v, oi, oj, ii, ij in taps[covers:]:
+            dxv[:, ii, ij] += dcols[:, oi, oj, :, u, v]
+
+
+def _by_group(rows: np.ndarray, groups: int) -> np.ndarray:
+    """(M, G*k) rows as the (G, M, k) stack of their group blocks; a view."""
+    return rows.reshape(len(rows), groups, -1).transpose(1, 0, 2)
+
+
+def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups) -> Tensor:
+    """The core (see the module docstring): convolve a (B, C, T) input, as
+    one row, or a (B, C, H, W) input by a weight of O rows that reshapes to
+    (O, C/groups, kh, kw); returns the channels-last (B, O, ...) view."""
+    B, C, *sp = x.data.shape
+    xl = np.ascontiguousarray(x.data.transpose(0, *range(2, x.data.ndim), 1))  # a conv's output: no copy
+    xl = xl.reshape(B, *(1,) * (2 - len(sp)), *sp, C)
+    geo = _Geometry(xl.shape, kernel, stride, dilation, pad, groups)
+    (kh, kw), G, O, r = kernel, groups, w.data.shape[0], geo.out_hw[0] * geo.out_hw[1]
+    cg, og = C // G, O // G
+    wg = w.data.reshape(G, og, cg, kh, kw)
+    w2 = wg.transpose(0, 3, 4, 2, 1).reshape(G, kh * kw * cg, og)
+    out = np.empty((B * r, O), dtype=xl.dtype)
+    ws = None if geo.pointwise else geo.workspace(geo.chunks, xl.dtype)
+    for (b0, n), last in zip(geo.chunks, geo.cols(xl, geo.chunks, ws)):   # backward reuses last
+        o = out[b0 * r:(b0 + n) * r]
+        np.matmul(last.transpose(1, 0, 2), w2, out=_by_group(o, G))
+        o += b.data
+
+    def bw(g):
+        g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
+        if b.requires_grad:
+            b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
+        order = geo.chunks[::-1]
+        if w.requires_grad:
+            dw = np.zeros(w2.shape, g2.dtype)
+            wcols = itertools.chain([last], geo.cols(xl, order[1:], ws))
+        if x.requires_grad:
+            dx = np.empty(geo.shape, g2.dtype)
+            geo_t = geo.transposed(O)
+            if geo_t is None:
+                dcols = geo.workspace(order, g2.dtype)
+            else:
+                w2t = wg[..., ::-1, ::-1].transpose(0, 3, 4, 1, 2).reshape(G, kh * kw * og, cg)
+                tcols = geo_t.cols(g2.reshape(geo_t.shape), order)
+        for b0, n in order:
+            gr = g2[b0 * r:(b0 + n) * r]
+            if w.requires_grad:
+                dw += np.matmul(next(wcols).transpose(1, 2, 0), _by_group(gr, G))
+            if x.requires_grad and geo_t is None:
+                np.matmul(_by_group(gr, G), w2.transpose(0, 2, 1),
+                          out=_by_group(dcols[:n].reshape(len(gr), -1), G))
+                geo.scatter(dcols[:n], dx[b0:b0 + n])
+            elif x.requires_grad:
+                np.matmul(next(tcols).transpose(1, 0, 2), w2t,
+                          out=_by_group(dx[b0:b0 + n].reshape(-1, C), G))
+        if w.requires_grad:
+            w._accum(dw.reshape(G, kh, kw, cg, og).transpose(0, 4, 3, 1, 2).reshape(w.data.shape))
+        if x.requires_grad:
+            x._accum(dx.reshape(B, *sp, C).transpose(0, -1, *range(1, len(sp) + 1)))
+
+    out = out.reshape(B, *geo.out_hw[2 - len(sp):], O)
+    return Tensor.from_op(out.transpose(0, -1, *range(1, len(sp) + 1)), (x, w, b), bw)
 
 
 class Conv1D(Layer):
     """Causal 1-D convolution over (B, C, T) with dilation; output length = T.
-
-    A kernel-1 conv is one GEMM on the channels-last input. A wider kernel
-    works over chunks of ``_ROWS // T`` whole samples: each chunk's im2col is
-    built in one reused (bc, T, K, C) workspace, multiplied into its rows of
-    the (B, T, O) output and given its bias while still in cache, so no
-    whole-batch cols is ever held. Backward keeps only the channels-last
-    input, which the producing conv's output keeps alive anyway, and
-    rebuilds each chunk's cols from it for the weight gradient;
-    the input gradient's cols go through a second chunk workspace and are
-    scattered into that chunk's rows of dx. The bias gradient is the GEMV
-    ``ones(B*T) @ g``.
-    """
+    Tap j reads x[t - (K-1-j)*d], zero before the signal."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, dilation: int = 1, dtype=np.float64):
@@ -193,75 +330,8 @@ class Conv1D(Layer):
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         if x.data.ndim != 3 or x.data.shape[1] != self.in_channels:
             raise ShapeError(f"Conv1D expects (B, {self.in_channels}, T), got {x.data.shape}")
-        B, C, T = x.data.shape
-        K, d, O = self.kernel_size, self.dilation, self.out_channels
-        w, b = self.weight, self.bias
-        # row j*C + c of the (K*C, O) weight is tap j of input channel c
-        w2 = w.data.transpose(2, 1, 0).reshape(K * C, O)
-        xl = _channels_last(x.data)
-        bc = max(1, _ROWS // T)
-
-        if K == 1:
-            out = xl.reshape(B * T, C) @ w2
-            out += b.data
-        else:
-            out = np.empty((B * T, O), dtype=xl.dtype)
-            ws = np.empty((min(bc, B), T, K, C), dtype=xl.dtype)
-            for b0 in range(0, B, bc):
-                oc = out[b0 * T:(b0 + bc) * T]
-                np.matmul(_causal_cols(xl[b0:b0 + bc], d, ws), w2, out=oc)
-                oc += b.data
-
-        def bw(g):
-            g2 = _channels_last(g).reshape(B * T, O)
-            if b.requires_grad:
-                b._accum(np.ones(B * T, dtype=g2.dtype) @ g2)
-            if K == 1:
-                dw = xl.reshape(B * T, C).T @ g2 if w.requires_grad else None
-                dx = (g2 @ w2.T).reshape(B, T, C) if x.requires_grad else None
-            else:
-                dw = dx = None
-                if w.requires_grad:
-                    dw = np.zeros((K * C, O), dtype=g2.dtype)
-                    ws = np.empty((min(bc, B), T, K, C), dtype=g2.dtype)
-                if x.requires_grad:
-                    dx = np.empty((B, T, C), dtype=g2.dtype)
-                    dws = np.empty((min(bc, B), T, K, C), dtype=g2.dtype)
-                for b0 in range(0, B, bc):
-                    xc = xl[b0:b0 + bc]
-                    n = len(xc)
-                    gc = g2[b0 * T:(b0 + n) * T]
-                    if dw is not None:
-                        dw += _causal_cols(xc, d, ws).T @ gc
-                    if dx is not None:
-                        dcols = dws[:n]
-                        np.matmul(gc, w2.T, out=dcols.reshape(n * T, K * C))
-                        # tap K-1 covers every t; the others add shifted row blocks
-                        dxc = dx[b0:b0 + n]
-                        dxc[...] = dcols[:, :, K - 1]
-                        for j in range(K - 1):
-                            s = (K - 1 - j) * d
-                            if s < T:
-                                dxc[:, :T - s] += dcols[:, s:, j]
-            if dw is not None:
-                w._accum(dw.reshape(K, C, O).transpose(2, 1, 0))
-            if dx is not None:
-                x._accum(dx.transpose(0, 2, 1))
-
-        return Tensor.from_op(out.reshape(B, T, O).transpose(0, 2, 1), (x, w, b), bw)
-
-
-# ----------------------------------------------------------------------
-# 2-D convolution (stride, zero padding, channel groups)
-# ----------------------------------------------------------------------
-
-def _tap_span(tap: int, stride: int, pad: int, n_in: int, n_out: int) -> tuple[int, int, int]:
-    """Outputs [o0, o1) along one axis whose kernel ``tap`` lands inside the
-    input (output o reads input o*stride + tap - pad), and the input index
-    read by o0. The other outputs read the zero padding."""
-    o0 = min(n_out, -(-max(pad - tap, 0) // stride))
-    o1 = max(o0, min(n_out, (n_in - 1 + pad - tap) // stride + 1))
-    return o0, o1, o0 * stride + tap - pad
+        K, d = self.kernel_size, self.dilation
+        return _conv(x, self.weight, self.bias, (1, K), (1, 1), (1, d), ((0, 0), ((K - 1) * d, 0)), 1)
 
 
 class Conv2D(Layer):
@@ -303,78 +373,7 @@ class Conv2D(Layer):
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:
             raise ShapeError(f"Conv2D expects (B, {self.in_channels}, H, W), got {x.data.shape}")
-        B, C, H, W = x.data.shape
-        k, (sh, sw), p, G = self.kernel_size, self.stride, self.padding, self.groups
-        Ho, Wo = self.out_hw(H, W)
-        if Ho < 1 or Wo < 1:
+        if min(self.out_hw(*x.data.shape[2:])) < 1:
             raise ShapeError(f"Conv2D output would be empty for input {x.data.shape}")
-        O = self.out_channels
-        cg, og, M, kkc = C // G, O // G, B * Ho * Wo, k * k * (C // G)
-        w, b = self.weight, self.bias
-        # (G, k*k*cg, og): group g's rows in (tap, channel) order, like cols
-        w2 = w.data.reshape(G, og, cg, k, k).transpose(0, 3, 4, 2, 1).reshape(G, kkc, og)
-        row_spans = [_tap_span(t, sh, p, H, Ho) for t in range(k)]
-        col_spans = [_tap_span(t, sw, p, W, Wo) for t in range(k)]
-
-        # im2col: a (B, Ho, Wo, G, k, k, cg) array whose memory follows the
-        # input's, so each tap copies along the input's contiguous axis. A
-        # channels-last input (any conv output) gives channels-last cols; a
-        # 1x1 stride-1 conv reads the input itself. A C-contiguous input (a
-        # model input, with few channels) gives tap-major (G, k, k, cg, B, Ho,
-        # Wo) cols. Either way each group's GEMM reads its strided
-        # (M, k*k*cg) block.
-        nchw = x.data.flags.c_contiguous
-        xhwc = x.data.transpose(0, 2, 3, 1) if nchw else _channels_last(x.data)
-        xv = xhwc.reshape(B, H, W, G, cg)
-        pointwise = k == 1 and (sh, sw) == (1, 1) and p == 0 and not nchw
-        if pointwise:
-            cols = xv.reshape(B, Ho, Wo, G, 1, 1, cg)
-        else:
-            if nchw:
-                cols = np.empty((G, k, k, cg, B, Ho, Wo), dtype=x.data.dtype)
-                cols = cols.transpose(4, 5, 6, 0, 1, 2, 3)
-            else:
-                cols = np.empty((B, Ho, Wo, G, k, k, cg), dtype=x.data.dtype)
-            for ki, (i0, i1, r0) in enumerate(row_spans):
-                for kj, (j0, j1, c0) in enumerate(col_spans):
-                    tap = cols[:, :, :, :, ki, kj]
-                    tap[:, i0:i1, j0:j1] = xv[:, r0:r0 + (i1 - i0) * sh:sh, c0:c0 + (j1 - j0) * sw:sw]
-                    # zero where the tap reads the padding
-                    if i0 > 0:
-                        tap[:, :i0] = 0
-                    if i1 < Ho:
-                        tap[:, i1:] = 0
-                    if j0 > 0:
-                        tap[:, i0:i1, :j0] = 0
-                    if j1 < Wo:
-                        tap[:, i0:i1, j1:] = 0
-        cols_g = cols.reshape(M, G, kkc).transpose(1, 0, 2)
-        # the GEMMs write each group's og columns of the (B, Ho, Wo, O) output
-        out = np.empty((B, Ho, Wo, O), dtype=x.data.dtype)
-        np.matmul(cols_g, w2, out=out.reshape(M, G, og).transpose(1, 0, 2))
-        out += b.data
-
-        def bw(g):
-            gl = _channels_last(g)
-            g_g = gl.reshape(M, G, og).transpose(1, 0, 2)
-            if w.requires_grad:
-                dw = np.matmul(cols_g.transpose(0, 2, 1), g_g)
-                w._accum(dw.reshape(G, k, k, cg, og).transpose(0, 4, 3, 1, 2).reshape(w.data.shape))
-            if b.requires_grad:
-                b._accum(gl.reshape(M, O).sum(axis=0))
-            if x.requires_grad:
-                dcols = np.empty_like(cols)  # cols' memory layout
-                np.matmul(g_g, w2.transpose(0, 2, 1),
-                          out=dcols.reshape(M, G, kkc).transpose(1, 0, 2))
-                if pointwise:
-                    dx = dcols.reshape(xhwc.shape)
-                else:
-                    dx = np.zeros_like(xhwc)  # the input's memory layout
-                    dxv = dx.reshape(B, H, W, G, cg)
-                    for ki, (i0, i1, r0) in enumerate(row_spans):
-                        for kj, (j0, j1, c0) in enumerate(col_spans):
-                            dxv[:, r0:r0 + (i1 - i0) * sh:sh, c0:c0 + (j1 - j0) * sw:sw] += \
-                                dcols[:, i0:i1, j0:j1, :, ki, kj]
-                x._accum(dx.transpose(0, 3, 1, 2))
-
-        return Tensor.from_op(out.transpose(0, 3, 1, 2), (x, w, b), bw)
+        k, p = self.kernel_size, self.padding
+        return _conv(x, self.weight, self.bias, (k, k), self.stride, (1, 1), ((p, p),) * 2, self.groups)

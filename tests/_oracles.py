@@ -131,6 +131,31 @@ def conv2d_ref(x, w, b, stride, padding, groups):
     return out
 
 
+def conv2d_grads_ref(x, w, g, stride, padding, groups):
+    """Gradients (dx, dw, db) of sum(conv2d(x, w, b) * g), in float64 by
+    nested loops over the outputs: output (n, o, i, j) adds g times its
+    window of the zero-padded input to dw[o], and g times w[o] to that
+    window of the padded input's gradient."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    B, _, H, W = x.shape
+    O, cg, k, _ = w.shape
+    sh, sw = stride
+    og = O // groups
+    p = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for n in range(B):
+        for o in range(O):
+            c0 = (o // og) * cg
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    win = (n, slice(c0, c0 + cg), slice(i * sh, i * sh + k), slice(j * sw, j * sw + k))
+                    dw[o] += g[n, o, i, j] * xp[win]
+                    dxp[win] += g[n, o, i, j] * w[o]
+    return dxp[:, :, p:p + H, p:p + W], dw, g.sum(axis=(0, 2, 3))
+
+
 def iq_encoder_ref(encoder, x):
     """The IQ encoder's forward as the paper draws it: every residual block,
     the last block's skip included, runs at every timestep; then GAP over

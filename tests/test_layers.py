@@ -6,7 +6,7 @@ import pytest
 from jamloc.nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Mode,
                        ShapeError, Tensor, concat, layers)
 
-from _oracles import check_grads, conv1d_grads_ref, conv1d_ref, conv2d_ref
+from _oracles import check_grads, conv1d_grads_ref, conv1d_ref, conv2d_grads_ref, conv2d_ref
 
 GRAD_TOL = 1e-4  # layer-level finite-difference tolerance at 64-bit
 # forward oracle tolerance, relative to max |reference|, per dtype
@@ -267,6 +267,120 @@ def test_conv1d_never_holds_a_whole_batch_im2col():
         tracemalloc.stop()
     assert leaf.grad.shape == (B, T, C) and layer.weight.grad.shape == (C, C, K)
     assert peak < whole_cols, f"peak {peak} B, whole-batch cols {whole_cols} B"
+
+
+def _assert_grads(got, dtype):
+    """Each (gradient, oracle) pair within GRAD_REF_TOL of the oracle's peak."""
+    for grad, want in got:
+        assert grad.dtype == dtype and grad.shape == want.shape
+        assert np.max(np.abs(grad - want)) <= GRAD_REF_TOL[dtype] * np.max(np.abs(want))
+
+
+# ----------------------------------------------------------------------
+# Conv2D chunks: the same core, whole items of _ROWS output rows at a time
+# ----------------------------------------------------------------------
+
+# (B, C, O, k, stride, padding, groups, (H, W), x_grad); the x-grad cases
+# are fed channels-last, as inside the model, and the last is a
+# C-contiguous model input without a gradient, as the stems get. Each item
+# has 16 or 32 output rows, a multiple of 16 like every conv of both models
+# (64 to 1024), so a chunk's GEMM rows meet the BLAS kernel's row blocks as
+# they do in one chunk: OpenBLAS rounds a tail of rows that fills no whole
+# block differently (15 rows per item: 2.4e-7 apart in float32).
+CONV2D_CHUNK_CASES = [(3, 8, 8, 3, 1, 1, 4, (8, 4), True), (3, 4, 6, 3, 2, 1, 1, (16, 8), True),
+                      (3, 4, 4, 3, (4, 2), 1, 2, (13, 7), True),
+                      (3, 4, 6, 3, (4, 1), 1, 1, (16, 8), True),
+                      (3, 4, 6, 3, 2, 1, 1, (16, 8), False)]
+
+
+@pytest.mark.parametrize("case", CONV2D_CHUNK_CASES,
+                         ids=["grouped-same", "s2", "s42-grouped", "s41", "model-input"])
+def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case):
+    # the grouped stride-1 "same" conv takes its input gradient as a
+    # transposed conv, the strided ones scatter per tap
+    B, C, O, k, s, p, g, (H, W), x_grad = case
+    for dtype in FWD_TOL:
+        rng = np.random.default_rng(32)
+        layer = Conv2D(C, O, k, rng, stride=s, padding=p, groups=g, dtype=dtype)
+        layer.bias.data[...] = rng.normal(size=O)
+        xd = rng.normal(size=(B, C, H, W)).astype(dtype)
+        leaf = Tensor(np.moveaxis(xd, 1, -1).copy(), requires_grad=True) if x_grad else Tensor(xd)
+        Ho, Wo = layer.out_hw(H, W)
+        up = rng.normal(size=(B, O, Ho, Wo)).astype(dtype)
+        dx, dw, db = conv2d_grads_ref(xd, layer.weight.data, up, layer.stride, p, g)
+        assert layers._ROWS >= B * Ho * Wo   # the default is one chunk
+        one = None
+        for rows in (layers._ROWS, Ho * Wo):  # one chunk, then one item per chunk
+            with monkeypatch.context() as m:
+                m.setattr(layers, "_ROWS", rows)
+                out = layer(_channels_last_view(leaf) if x_grad else leaf)
+                one = out.data if one is None else one
+                np.testing.assert_array_equal(out.data, one)
+                _loss_with_upstream(out, up).backward()
+            got = [(layer.weight.grad, dw), (layer.bias.grad, db)]
+            got += [(np.moveaxis(leaf.grad, -1, 1), dx)] if x_grad else []
+            assert x_grad or leaf.grad is None
+            _assert_grads(got, dtype)
+            layer.weight.grad = layer.bias.grad = leaf.grad = None
+
+
+def test_conv2d_never_holds_a_whole_batch_im2col():
+    # MCAFF's grouped 3x3 conv at paper width (128 channels, 8 groups, 8x8),
+    # fed and differentiated channels-last as inside the model, at B=256:
+    # 16384 output rows, four chunks
+    B, C, G, HW = 256, 128, 8, (8, 8)
+    rng = np.random.default_rng(33)
+    layer = Conv2D(C, C, 3, rng, padding=1, groups=G, dtype=np.float32)
+    leaf = Tensor(rng.normal(size=(B, *HW, C)).astype(np.float32), requires_grad=True)
+    up = np.moveaxis(rng.normal(size=(B, *HW, C)).astype(np.float32), -1, 1)
+    whole_cols = B * HW[0] * HW[1] * 9 * C * 4
+    tracemalloc.start()
+    try:
+        _loss_with_upstream(layer(_channels_last_view(leaf)), up).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert leaf.grad.shape == (B, *HW, C) and layer.weight.grad.shape == (C, C // G, 3, 3)
+    assert peak < whole_cols, f"peak {peak} B, whole-batch cols {whole_cols} B"
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["one-chunk", "item-chunks"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
+    # one layer on two inputs, first in one graph, then in two graphs whose
+    # forwards both run before either backward (taken in reverse order):
+    # each call keeps its own workspaces, so every gradient matches the oracle
+    rng = np.random.default_rng(34)
+    if dim == 1:
+        layer, shape = Conv1D(3, 4, 3, rng, dilation=2), (3, 3, 11)
+
+        def ref(x, up):
+            return conv1d_grads_ref(x, layer.weight.data, up, 2)
+    else:
+        layer, shape = Conv2D(4, 4, 3, rng, padding=1, groups=2), (3, 4, 5, 6)
+
+        def ref(x, up):
+            return conv2d_grads_ref(x, layer.weight.data, up, (1, 1), 1, 2)
+    xs = [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(2)]
+    ups = [rng.normal(size=(shape[0], 4, *shape[2:])) for _ in range(2)]
+    refs = [ref(x.data, up) for x, up in zip(xs, ups)]
+    with monkeypatch.context() as m:
+        if rows is not None:
+            m.setattr(layers, "_ROWS", rows)
+        for graphs in (1, 2):
+            outs = [layer(x) for x in xs]
+            losses = [_loss_with_upstream(out, up) for out, up in zip(outs, ups)]
+            if graphs == 1:
+                (losses[0] + losses[1]).backward()
+            else:
+                for loss in losses[::-1]:
+                    loss.backward()
+            got = [(x.grad, r[0]) for x, r in zip(xs, refs)]
+            got += [(layer.weight.grad, refs[0][1] + refs[1][1]),
+                    (layer.bias.grad, refs[0][2] + refs[1][2])]
+            _assert_grads(got, np.float64)
+            for t in xs + layer.params():
+                t.grad = None
 
 
 def test_grouped_conv_requires_divisibility():
