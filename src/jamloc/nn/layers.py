@@ -24,8 +24,11 @@ input gradients while in cache. The weight gradient reuses the last chunk's
 cols, still in the workspace, and rebuilds the others from the input, so no
 whole-batch im2col exists and a one-chunk call (MCAFF's 8x8 convs at B=32)
 rebuilds nothing. A stride-1 conv that does not widen its channels takes dx
-as the conv of the upstream gradient with the flipped, transposed kernel;
-other convs scatter dcols per tap. The bias gradient is one GEMV.
+as the conv of the upstream gradient with the flipped, transposed kernel,
+one strided gather in place of a strided scatter-add per tap: MCAFF's
+grouped conv backward takes 1.9 ms that way and 2.5-2.7 ms by scatter (B=32,
+float32, one BLAS thread, 2-vCPU x86-64 VM). Other convs scatter dcols per
+tap. The bias gradient is one GEMV.
 """
 
 from __future__ import annotations
@@ -155,13 +158,19 @@ class _Geometry:
 
     def __init__(self, shape, kernel, stride, dilation, pad, groups):
         B, H, W, C = shape
-        (kh, kw), (sh, sw), (dh, dw), ((pt, pb), (pl, pr)) = kernel, stride, dilation, pad
-        self.shape, self.kernel, self.stride, self.dilation = shape, kernel, stride, dilation
-        self.pad, self.groups, self.cg = pad, groups, C // groups
-        self.out_hw = ((H + pt + pb - (kh - 1) * dh - 1) // sh + 1,
-                       (W + pl + pr - (kw - 1) * dw - 1) // sw + 1)
+        self.shape = shape
+        self.kernel = kernel
+        self.stride = stride
+        self.dilation = dilation
+        self.pad = pad
+        self.groups = groups
+        self.cg = C // groups
+        self.out_hw = tuple((n + lo + hi - (k - 1) * d - 1) // s + 1
+                            for n, k, s, d, (lo, hi) in zip((H, W), kernel, stride, dilation, pad))
+        # a pointwise conv's cols are its input, so it takes the batch at once
         self.pointwise = kernel == stride == (1, 1) and pad == ((0, 0), (0, 0))
-        items = B if self.pointwise else max(1, _ROWS // (self.out_hw[0] * self.out_hw[1]))
+        items = B if self.pointwise else _ROWS // (self.out_hw[0] * self.out_hw[1])
+        items = max(1, items)
         self.chunks = [(b0, min(items, B - b0)) for b0 in range(0, B, items)]
 
     @functools.cached_property
@@ -192,37 +201,44 @@ class _Geometry:
                          self.dilation, pad, self.groups)
 
     def workspace(self, chunks, dtype) -> np.ndarray:
-        """An (n, Ho, Wo, G, kh, kw, C/G) cols workspace for the largest chunk."""
-        return np.empty((max(n for _, n in chunks), *self.out_hw, self.groups,
-                         *self.kernel, self.cg), dtype)
+        """An (n, Ho, Wo, G, kh, kw, C/G) cols workspace for the largest of the
+        (b0, n) ``chunks``; empty for a pointwise conv, whose cols are its input."""
+        n = 0 if self.pointwise else max((n for _, n in chunks), default=0)
+        return np.empty((n, *self.out_hw, self.groups, *self.kernel, self.cg), dtype)
 
-    def cols(self, a: np.ndarray, chunks, ws=None):
+    def cols(self, a: np.ndarray, chunks, ws: np.ndarray):
         """Yield the (n*Ho*Wo, G, kh*kw*C/G) im2col of each (b0, n) chunk of
         C-contiguous channels-last ``a``, taps in (row, column, channel)
-        order, in ``ws`` (a new workspace if None). By shape: a dilated
-        one-row kernel (Conv1D, d > 1) copies each tap's shifted rows in, the
-        columns reading the padding zeroed once; other kernels copy the chunk
-        into a zero-padded, group-major (n, Hp, G, Wp, C/G) buffer, then all
-        windows at once in runs of kw*C/G values. At B=32, float32 the first
-        spares a d16 Conv1D chunk that copy, and the second halves the im2col
-        of MCAFF's grouped conv (16-value taps) against per-tap copies."""
+        order, in ``ws``. By shape: a pointwise conv yields its input rows; a
+        dilated one-row kernel (Conv1D, d > 1) copies each tap's shifted rows
+        in, the columns reading the padding zeroed once; other kernels copy
+        the chunk into a zero-padded, group-major (n, Hp, G, Wp, C/G) buffer,
+        then all windows at once in runs of kw*C/G values. At B=32, float32
+        the second spares a d16 Conv1D chunk that copy, and the third halves
+        the im2col of MCAFF's grouped conv (16-value taps) against per-tap
+        copies."""
         B, H, W, _ = a.shape
         G, cg = self.groups, self.cg
-        if self.pointwise or not chunks:
+        kh, kw = self.kernel
+        sh, sw = self.stride
+        dh, dw = self.dilation
+        (pt, pb), (pl, pr) = self.pad
+        if self.pointwise:
             for b0, n in chunks:
                 yield np.ascontiguousarray(a[b0:b0 + n]).reshape(-1, G, cg)
             return
-        (kh, kw), (sh, sw), (dh, dw), ((pt, pb), (pl, pr)) = \
-            self.kernel, self.stride, self.dilation, self.pad
-        ws = self.workspace(chunks, a.dtype) if ws is None else ws
         per_tap = kh == 1 and dw > 1
         if per_tap:
             for u, v, oi, oj, _, _ in self.taps:
                 tap = ws[:, :, :, :, u, v]
-                tap[:, :oi.start] = tap[:, oi.stop:] = tap[:, oi, :oj.start] = tap[:, oi, oj.stop:] = 0
+                tap[:, :oi.start] = 0
+                tap[:, oi.stop:] = 0
+                tap[:, oi, :oj.start] = 0
+                tap[:, oi, oj.stop:] = 0
         else:
             xp = np.zeros((len(ws), H + pt + pb, G, W + pl + pr, cg), a.dtype)
             s0, s1, s2, s3, s4 = xp.strides
+            windows = (s0, sh * s1, sw * s3, s2, dh * s1, dw * s3, s4)
         for b0, n in chunks:
             ac = a[b0:b0 + n].reshape(n, H, W, G, cg)
             if per_tap:
@@ -230,18 +246,19 @@ class _Geometry:
                     ws[:n, oi, oj, :, u, v] = ac[:, ii, ij]
             else:
                 xp[:n, pt:pt + H, :, pl:pl + W] = ac.transpose(0, 1, 3, 2, 4)
-                ws[:n] = as_strided(xp, ws[:n].shape, (s0, sh * s1, sw * s3, s2, dh * s1, dw * s3, s4))
+                ws[:n] = as_strided(xp, ws[:n].shape, windows)
             yield ws[:n].reshape(-1, G, kh * kw * cg)
 
     def scatter(self, dcols: np.ndarray, dx: np.ndarray) -> None:
         """Add each tap of a chunk's (n, Ho, Wo, G, kh, kw, C/G) dcols into the
         inputs it read, in the chunk's (n, H, W, C) dx. A tap that read them
-        all (a causal conv's last) is written first, so dx is not zeroed."""
+        all (a causal conv's last, a "same" conv's centre) is written first,
+        so dx is not zeroed."""
         dxv = dx.reshape(*dx.shape[:3], self.groups, self.cg)
         whole = (slice(0, dx.shape[1], 1), slice(0, dx.shape[2], 1))
         taps = sorted(self.taps, key=lambda t: t[4:] != whole)
-        u, v, oi, oj, *read = taps[0]
-        covers = tuple(read) == whole
+        u, v, oi, oj, ii, ij = taps[0]
+        covers = (ii, ij) == whole
         dxv[...] = dcols[:, oi, oj, :, u, v] if covers else 0
         for u, v, oi, oj, ii, ij in taps[covers:]:
             dxv[:, ii, ij] += dcols[:, oi, oj, :, u, v]
@@ -257,18 +274,24 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
     one row, or a (B, C, H, W) input by a weight of O rows that reshapes to
     (O, C/groups, kh, kw); returns the channels-last (B, O, ...) view."""
     B, C, *sp = x.data.shape
-    xl = np.ascontiguousarray(x.data.transpose(0, *range(2, x.data.ndim), 1))  # a conv's output: no copy
+    # C-contiguous channels-last: no copy for a conv's output
+    xl = np.ascontiguousarray(x.data.transpose(0, *range(2, x.data.ndim), 1))
     xl = xl.reshape(B, *(1,) * (2 - len(sp)), *sp, C)
     geo = _Geometry(xl.shape, kernel, stride, dilation, pad, groups)
-    (kh, kw), G, O, r = kernel, groups, w.data.shape[0], geo.out_hw[0] * geo.out_hw[1]
-    cg, og = C // G, O // G
+    kh, kw = kernel
+    G = groups
+    cg = C // G
+    O = w.data.shape[0]
+    og = O // G
+    r = geo.out_hw[0] * geo.out_hw[1]
     wg = w.data.reshape(G, og, cg, kh, kw)
     w2 = wg.transpose(0, 3, 4, 2, 1).reshape(G, kh * kw * cg, og)
     out = np.empty((B * r, O), dtype=xl.dtype)
-    ws = None if geo.pointwise else geo.workspace(geo.chunks, xl.dtype)
-    for (b0, n), last in zip(geo.chunks, geo.cols(xl, geo.chunks, ws)):   # backward reuses last
+    ws = geo.workspace(geo.chunks, xl.dtype)
+    cols = None
+    for (b0, n), cols in zip(geo.chunks, geo.cols(xl, geo.chunks, ws)):
         o = out[b0 * r:(b0 + n) * r]
-        np.matmul(last.transpose(1, 0, 2), w2, out=_by_group(o, G))
+        np.matmul(cols.transpose(1, 0, 2), w2, out=_by_group(o, G))
         o += b.data
 
     def bw(g):
@@ -278,7 +301,10 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
         order = geo.chunks[::-1]
         if w.requires_grad:
             dw = np.zeros(w2.shape, g2.dtype)
-            wcols = itertools.chain([last], geo.cols(xl, order[1:], ws))
+            # the last chunk's cols are still in ws from the forward. The
+            # rebuild overwrites ws, which is safe only because the chain
+            # yields those cols, and their GEMM runs, before the rebuild starts.
+            wcols = itertools.chain([cols], geo.cols(xl, order[1:], ws))
         if x.requires_grad:
             dx = np.empty(geo.shape, g2.dtype)
             geo_t = geo.transposed(O)
@@ -286,7 +312,8 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
                 dcols = geo.workspace(order, g2.dtype)
             else:
                 w2t = wg[..., ::-1, ::-1].transpose(0, 3, 4, 1, 2).reshape(G, kh * kw * og, cg)
-                tcols = geo_t.cols(g2.reshape(geo_t.shape), order)
+                # in the layer's chunks, which may hold more items than geo_t's
+                tcols = geo_t.cols(g2.reshape(geo_t.shape), order, geo_t.workspace(order, g2.dtype))
         for b0, n in order:
             gr = g2[b0 * r:(b0 + n) * r]
             if w.requires_grad:

@@ -76,14 +76,15 @@ def test_phase_increments_match_the_complex_product(desk):
 
 
 def test_cfo_equals_where_guard(desk):
-    # sample k sums k increments: INC_TOL each, plus one rounding of the
-    # running sum per step in each of the two cumsums
+    # sample k sums k increments, INC_TOL each, and the two cumsums may round
+    # their running sum apart by about one unit in its last place; on these
+    # chunks the gap reaches 0.47 of k*INC_TOL (1.1e-13 rad at peaks of
+    # 440-880 rad) and 0.37 of this bound
     for name, x in _chunks(desk).items():
         cfo, ref = dsp.cfo_accumulated(x), cfo_ref(x)
         assert cfo.dtype == ref.dtype and cfo.shape == ref.shape, name
-        peak = np.abs(ref).max(axis=-1, keepdims=True)
         k = np.arange(x.shape[-1])
-        assert np.all(np.abs(cfo - ref) <= k * (INC_TOL + 2 * EPS * peak)), name
+        assert np.all(np.abs(cfo - ref) <= k * INC_TOL + EPS * np.abs(ref)), name
 
 
 def test_aoa_band_and_phase_columns_equal_direct_formulas(desk):

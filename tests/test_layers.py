@@ -282,22 +282,27 @@ def _assert_grads(got, dtype):
 
 # (B, C, O, k, stride, padding, groups, (H, W), x_grad); the x-grad cases
 # are fed channels-last, as inside the model, and the last is a
-# C-contiguous model input without a gradient, as the stems get. Each item
-# has 16 or 32 output rows, a multiple of 16 like every conv of both models
-# (64 to 1024), so a chunk's GEMM rows meet the BLAS kernel's row blocks as
-# they do in one chunk: OpenBLAS rounds a tail of rows that fills no whole
-# block differently (15 rows per item: 2.4e-7 apart in float32).
+# C-contiguous model input without a gradient, as the stems get. Items of
+# 16 or 32 output rows, a multiple of 16 like every conv of both models (64
+# to 1024), give the one-chunk output bitwise: a chunk's GEMM rows meet the
+# BLAS kernel's row blocks as they do in one chunk. The odd grid (15 rows per
+# item) does not, as OpenBLAS rounds a tail of rows that fills no whole
+# block differently (2.4e-7 apart in float32), so it is held to the oracle.
 CONV2D_CHUNK_CASES = [(3, 8, 8, 3, 1, 1, 4, (8, 4), True), (3, 4, 6, 3, 2, 1, 1, (16, 8), True),
                       (3, 4, 4, 3, (4, 2), 1, 2, (13, 7), True),
                       (3, 4, 6, 3, (4, 1), 1, 1, (16, 8), True),
-                      (3, 4, 6, 3, 2, 1, 1, (16, 8), False)]
+                      (3, 4, 6, 3, 2, 1, 1, (16, 8), False),
+                      (3, 4, 6, 3, (4, 1), 1, 1, (12, 5), True),
+                      (3, 4, 4, 3, 1, 0, 2, (10, 6), True)]
 
 
 @pytest.mark.parametrize("case", CONV2D_CHUNK_CASES,
-                         ids=["grouped-same", "s2", "s42-grouped", "s41", "model-input"])
+                         ids=["grouped-same", "s2", "s42-grouped", "s41", "model-input", "odd-rows",
+                              "valid-grouped"])
 def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case):
-    # the grouped stride-1 "same" conv takes its input gradient as a
-    # transposed conv, the strided ones scatter per tap
+    # the stride-1 convs take their input gradient as a transposed conv
+    # (whose input, the upstream gradient, has fewer rows per item than the
+    # "valid" conv's input), the strided ones scatter per tap
     B, C, O, k, s, p, g, (H, W), x_grad = case
     for dtype in FWD_TOL:
         rng = np.random.default_rng(32)
@@ -307,15 +312,18 @@ def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case)
         leaf = Tensor(np.moveaxis(xd, 1, -1).copy(), requires_grad=True) if x_grad else Tensor(xd)
         Ho, Wo = layer.out_hw(H, W)
         up = rng.normal(size=(B, O, Ho, Wo)).astype(dtype)
+        want = conv2d_ref(xd, layer.weight.data, layer.bias.data, layer.stride, p, g)
         dx, dw, db = conv2d_grads_ref(xd, layer.weight.data, up, layer.stride, p, g)
         assert layers._ROWS >= B * Ho * Wo   # the default is one chunk
         one = None
-        for rows in (layers._ROWS, Ho * Wo):  # one chunk, then one item per chunk
+        for rows in (layers._ROWS, Ho * Wo, 2 * Ho * Wo):  # one chunk, then 1 and 2 items
             with monkeypatch.context() as m:
                 m.setattr(layers, "_ROWS", rows)
                 out = layer(_channels_last_view(leaf) if x_grad else leaf)
                 one = out.data if one is None else one
-                np.testing.assert_array_equal(out.data, one)
+                if Ho * Wo % 16 == 0:
+                    np.testing.assert_array_equal(out.data, one)
+                assert np.max(np.abs(out.data - want)) <= FWD_TOL[dtype] * np.max(np.abs(want))
                 _loss_with_upstream(out, up).backward()
             got = [(layer.weight.grad, dw), (layer.bias.grad, db)]
             got += [(np.moveaxis(leaf.grad, -1, 1), dx)] if x_grad else []
@@ -381,6 +389,19 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
             _assert_grads(got, np.float64)
             for t in xs + layer.params():
                 t.grad = None
+
+
+@pytest.mark.parametrize("dim,case", [(1, CONV1D_CASES[0]), (1, CONV1D_CASES[1]),
+                                      (2, CONV2D_CASES[0]), (2, CONV2D_CASES[1]), (2, CONV2D_CASES[2])],
+                         ids=["1d-K3", "1d-K1", "2d-s2", "2d-grouped-same", "2d-1x1"])
+def test_convs_take_an_empty_batch(dim, case):
+    layer, x, want = _conv_case(dim, case)
+    leaf = Tensor(x[:0], requires_grad=True)
+    out = layer(leaf)
+    assert out.shape == (0, *want.shape[1:])
+    _loss_with_upstream(out, np.zeros(out.shape)).backward()
+    assert leaf.grad.shape == leaf.shape
+    assert not np.any(layer.weight.grad) and not np.any(layer.bias.grad)
 
 
 def test_grouped_conv_requires_divisibility():
