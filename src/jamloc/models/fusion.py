@@ -68,15 +68,15 @@ class SpectrogramEncoder(Layer):
 
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
         chans = (4,) + tuple(cfg.spec_channels)
-        self.convs = [Conv2D(chans[i], chans[i + 1], 3, rng, stride=2, padding=1, dtype=dtype)
-                      for i in range(len(cfg.spec_channels))]
+        self.convs = [Conv2D(chans[i], chans[i + 1], 3, rng, stride=2, padding=1, dtype=dtype,
+                             relu=True) for i in range(len(cfg.spec_channels))]
         self.pool = GlobalAvgPool()
         self.proj = Dense(chans[-1], cfg.spec_branch_dim, rng, dtype=dtype)
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         h = x
         for conv in self.convs:
-            h = conv(h).relu()
+            h = conv(h)
         return self.proj(self.pool(h))
 
 
@@ -98,7 +98,7 @@ class IQEncoder(Layer):
         # before its skip, the GJW1 order
         self.blocks = []
         for i, d in enumerate(cfg.iq_dilations):
-            conv = Conv1D(chans[i], chans[i + 1], cfg.iq_kernel, rng, dilation=d, dtype=dtype)
+            conv = Conv1D(chans[i], chans[i + 1], cfg.iq_kernel, rng, dilation=d, dtype=dtype, relu=True)
             skip = Conv1D(chans[i], chans[i + 1], 1, rng, dtype=dtype) \
                 if chans[i] != chans[i + 1] else None
             self.blocks.append((conv, skip))
@@ -114,25 +114,25 @@ class IQEncoder(Layer):
         h = x
         for block_conv, block_skip in blocks:
             res = h if block_skip is None else block_skip(h)
-            h = block_conv(h).relu() + res
+            h = block_conv(h) + res
         res = self.pool(h)
         if skip is not None:
             b, c = res.shape
             res = skip(res.reshape(b, c, 1)).reshape(b, -1)
-        return self.proj(self.pool(conv(h).relu()) + res)
+        return self.proj(self.pool(conv(h)) + res)
 
 
 class AoaEncoder(Layer):
     """Kernel-1 conv mixing the 22 features per patch, flatten, linear."""
 
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
-        self.mix = Conv1D(22, cfg.aoa_conv_channels, 1, rng, dtype=dtype)
+        self.mix = Conv1D(22, cfg.aoa_conv_channels, 1, rng, dtype=dtype, relu=True)
         self.proj = Dense(cfg.aoa_conv_channels * 4, cfg.aoa_branch_dim, rng, dtype=dtype)
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         # (B, 4, 22) -> channels-first (B, 22, 4) so the conv mixes features
         h = x.transpose((0, 2, 1))
-        h = self.mix(h).relu()
+        h = self.mix(h)
         flat = h.reshape(h.shape[0], -1)
         return self.proj(flat)
 

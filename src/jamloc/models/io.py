@@ -1,10 +1,16 @@
-"""Model checkpointing: weight file plus a metadata block carrying the model
-kind, its config echo, and the fitted normalization statistics, so inference
-is self-contained."""
+"""Model checkpointing: a GJW1 weight file plus a metadata block carrying the
+model kind, its config echo and, when given, the fitted IQ and AoA
+normalization statistics (``NormalizationSpec``) and a caller's ``extra``.
+
+The block is not enough for inference on its own: the per-patch
+standardization of the cfo and stft inputs and the displacement-target
+statistics are not in it (the benchmark pipeline keeps them in its own
+``Norm``). Storing them is ROADMAP direction 1(a).
+"""
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -40,17 +46,29 @@ def load_model(path, dtype=np.float32):
     if meta["kind"] not in _KINDS:
         raise CheckpointError(f"unknown model kind {meta['kind']!r}")
     model_cls, cfg_cls = _KINDS[meta["kind"]]
-    # JSON turns the configs' tuple fields into lists
-    cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v
-                     for k, v in meta["config"].items()})
+    config = meta["config"]
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config echo is not a JSON object")
+    names = {f.name for f in fields(cfg_cls)}
+    # a missing field would silently take the dataclass default
+    for what, bad in (("unknown", set(config) - names), ("missing", names - set(config))):
+        if bad:
+            raise CheckpointError(f"{path}: {what} {cfg_cls.__name__} fields {sorted(bad)}")
+    try:
+        # JSON turns the configs' tuple fields into lists
+        cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in config.items()})
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad {cfg_cls.__name__}: {e}") from e
     model = model_cls(cfg, dtype=dtype)
     params = model.params()
     if len(params) != len(arrays):
         raise CheckpointError(
             f"checkpoint holds {len(arrays)} tensors, model expects {len(params)}")
-    for p, a in zip(params, arrays):
+    for i, (p, a) in enumerate(zip(params, arrays)):
         if p.data.shape != a.shape:
-            raise CheckpointError(f"shape mismatch: {p.data.shape} vs stored {a.shape}")
+            raise CheckpointError(f"tensor {i}: shape mismatch: {p.data.shape} vs stored {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise CheckpointError(f"tensor {i} of shape {a.shape} holds non-finite weights")
         p.data[...] = a.astype(p.data.dtype)
     norm = None
     if "norm" in meta:

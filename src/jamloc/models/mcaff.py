@@ -84,12 +84,12 @@ class _Stem(Layer):
     def __init__(self, in_channels: int, strides, cfg: McaffConfig,
                  rng: np.random.Generator, dtype):
         self.conv1 = Conv2D(in_channels, cfg.stem_channels, 3, rng,
-                            stride=strides[0], padding=1, dtype=dtype)
+                            stride=strides[0], padding=1, dtype=dtype, relu=True)
         self.conv2 = Conv2D(cfg.stem_channels, cfg.path_feature_dim, 3, rng,
-                            stride=strides[1], padding=1, dtype=dtype)
+                            stride=strides[1], padding=1, dtype=dtype, relu=True)
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        return self.conv2(self.conv1(x).relu()).relu()
+        return self.conv2(self.conv1(x))
 
 
 class _GroupedBlock(Layer):
@@ -97,14 +97,13 @@ class _GroupedBlock(Layer):
 
     def __init__(self, channels: int, width: int, cardinality: int,
                  rng: np.random.Generator, dtype):
-        self.reduce = Conv2D(channels, width, 1, rng, dtype=dtype)
+        self.reduce = Conv2D(channels, width, 1, rng, dtype=dtype, relu=True)
         self.grouped = Conv2D(width, width, 3, rng, padding=1, groups=cardinality,
-                              dtype=dtype)
+                              dtype=dtype, relu=True)
         self.expand = Conv2D(width, channels, 1, rng, dtype=dtype)
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        h = self.reduce(x).relu()
-        h = self.grouped(h).relu()
+        h = self.grouped(self.reduce(x))
         return (self.expand(h) + x).relu()
 
 

@@ -28,7 +28,11 @@ as the conv of the upstream gradient with the flipped, transposed kernel,
 one strided gather in place of a strided scatter-add per tap: MCAFF's
 grouped conv backward takes 1.9 ms that way and 2.5-2.7 ms by scatter (B=32,
 float32, one BLAS thread, 2-vCPU x86-64 VM). Other convs scatter dcols per
-tap. The bias gradient is one GEMV.
+tap. The bias gradient is one GEMV. ``relu=True`` adds a ReLU epilogue, for
+memory: rows are clamped in place after the bias add, and backward masks the
+upstream by the kept output, bitwise as ``Tensor.relu``, whose node would hold
+each pre-activation output (paper-width fusion train forward, B=32, float32:
+93 MiB held, not 134).
 """
 
 from __future__ import annotations
@@ -269,7 +273,7 @@ def _by_group(rows: np.ndarray, groups: int) -> np.ndarray:
     return rows.reshape(len(rows), groups, -1).transpose(1, 0, 2)
 
 
-def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups) -> Tensor:
+def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups, relu) -> Tensor:
     """The core (see the module docstring): convolve a (B, C, T) input, as
     one row, or a (B, C, H, W) input by a weight of O rows that reshapes to
     (O, C/groups, kh, kw); returns the channels-last (B, O, ...) view."""
@@ -293,9 +297,12 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
         o = out[b0 * r:(b0 + n) * r]
         np.matmul(cols.transpose(1, 0, 2), w2, out=_by_group(o, G))
         o += b.data
+        if relu:
+            np.maximum(o, 0, out=o)
 
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
+        g2 = g2 * (out > 0) if relu else g2
         if b.requires_grad:
             b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
         order = geo.chunks[::-1]
@@ -330,8 +337,8 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
         if x.requires_grad:
             x._accum(dx.reshape(B, *sp, C).transpose(0, -1, *range(1, len(sp) + 1)))
 
-    out = out.reshape(B, *geo.out_hw[2 - len(sp):], O)
-    return Tensor.from_op(out.transpose(0, -1, *range(1, len(sp) + 1)), (x, w, b), bw)
+    y = out.reshape(B, *geo.out_hw[2 - len(sp):], O)
+    return Tensor.from_op(y.transpose(0, -1, *range(1, len(sp) + 1)), (x, w, b), bw)
 
 
 class Conv1D(Layer):
@@ -339,15 +346,20 @@ class Conv1D(Layer):
     Tap j reads x[t - (K-1-j)*d], zero before the signal."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, dilation: int = 1, dtype=np.float64):
-        for name, value in (("in_channels", in_channels), ("out_channels", out_channels),
-                            ("kernel_size", kernel_size), ("dilation", dilation)):
-            if value < 1:
+                 rng: np.random.Generator, dilation: int = 1, dtype=np.float64,
+                 relu: bool = False):
+        for name, value, ok in (("in_channels", in_channels, in_channels >= 1),
+                                ("out_channels", out_channels, out_channels >= 1),
+                                ("kernel_size", kernel_size, kernel_size >= 1),
+                                ("dilation", dilation, dilation >= 1),
+                                ("relu", relu, isinstance(relu, bool))):
+            if not ok:
                 raise ValueError(f"Conv1D {name} out of range: {value}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.dilation = dilation
+        self.relu = relu
         fan_in = in_channels * kernel_size
         self.weight = Tensor(glorot_uniform(rng, (out_channels, in_channels, kernel_size),
                                             fan_in, out_channels, dtype),
@@ -358,7 +370,8 @@ class Conv1D(Layer):
         if x.data.ndim != 3 or x.data.shape[1] != self.in_channels:
             raise ShapeError(f"Conv1D expects (B, {self.in_channels}, T), got {x.data.shape}")
         K, d = self.kernel_size, self.dilation
-        return _conv(x, self.weight, self.bias, (1, K), (1, 1), (1, d), ((0, 0), ((K - 1) * d, 0)), 1)
+        return _conv(x, self.weight, self.bias, (1, K), (1, 1), (1, d), ((0, 0), ((K - 1) * d, 0)), 1,
+                     self.relu)
 
 
 class Conv2D(Layer):
@@ -366,14 +379,15 @@ class Conv2D(Layer):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, stride=1, padding: int = 0,
-                 groups: int = 1, dtype=np.float64):
+                 groups: int = 1, dtype=np.float64, relu: bool = False):
         stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
         for name, value, ok in (("in_channels", in_channels, in_channels >= 1),
                                 ("out_channels", out_channels, out_channels >= 1),
                                 ("kernel_size", kernel_size, kernel_size >= 1),
                                 ("stride", stride, len(stride) == 2 and min(stride) >= 1),
                                 ("padding", padding, padding >= 0),
-                                ("groups", groups, groups >= 1)):
+                                ("groups", groups, groups >= 1),
+                                ("relu", relu, isinstance(relu, bool))):
             if not ok:
                 raise ValueError(f"Conv2D {name} out of range: {value}")
         if in_channels % groups or out_channels % groups:
@@ -385,6 +399,7 @@ class Conv2D(Layer):
         self.stride = stride
         self.padding = padding
         self.groups = groups
+        self.relu = relu
         cg = in_channels // groups
         fan_in = cg * kernel_size * kernel_size
         fan_out = (out_channels // groups) * kernel_size * kernel_size
@@ -403,4 +418,5 @@ class Conv2D(Layer):
         if min(self.out_hw(*x.data.shape[2:])) < 1:
             raise ShapeError(f"Conv2D output would be empty for input {x.data.shape}")
         k, p = self.kernel_size, self.padding
-        return _conv(x, self.weight, self.bias, (k, k), self.stride, (1, 1), ((p, p),) * 2, self.groups)
+        return _conv(x, self.weight, self.bias, (k, k), self.stride, (1, 1), ((p, p),) * 2,
+                     self.groups, self.relu)

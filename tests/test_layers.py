@@ -122,9 +122,10 @@ def test_conv2d_matches_direct_oracle(stride, padding, groups):
     (Conv2D, "in_channels", dict(in_channels=0)), (Conv2D, "out_channels", dict(out_channels=0)),
     (Conv1D, "in_channels", dict(in_channels=0)), (Conv1D, "out_channels", dict(out_channels=0)),
     (Conv1D, "kernel_size", dict(kernel_size=0)), (Conv1D, "dilation", dict(dilation=0)),
+    (Conv2D, "relu", dict(relu=1)), (Conv1D, "relu", dict(relu="yes")),
 ], ids=["kernel_size", "stride", "stride-pair", "padding", "groups", "in_channels",
         "out_channels", "conv1d-in_channels",
-        "conv1d-out_channels", "conv1d-kernel_size", "conv1d-dilation"])
+        "conv1d-out_channels", "conv1d-kernel_size", "conv1d-dilation", "relu", "conv1d-relu"])
 def test_conv2d_rejects_bad_arguments(cls, field, kwargs):
     args = dict(in_channels=4, out_channels=4, kernel_size=3, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match=f"^{cls.__name__} {field} out of range: "):
@@ -402,6 +403,60 @@ def test_convs_take_an_empty_batch(dim, case):
     _loss_with_upstream(out, np.zeros(out.shape)).backward()
     assert leaf.grad.shape == leaf.shape
     assert not np.any(layer.weight.grad) and not np.any(layer.bias.grad)
+
+
+# ----------------------------------------------------------------------
+# ReLU epilogue: relu=True is the conv followed by Tensor.relu, bit for bit
+# ----------------------------------------------------------------------
+
+# (layer class, constructor arguments, input shape); the stride-1 convs that
+# do not widen take dx as a transposed conv of the masked upstream gradient,
+# the others scatter per tap
+FUSED_CASES = {
+    "1d-dilated": (Conv1D, dict(in_channels=4, out_channels=4, kernel_size=3, dilation=2),
+                   (3, 4, 11)),
+    "1d-widening": (Conv1D, dict(in_channels=3, out_channels=5, kernel_size=3, dilation=4),
+                    (3, 3, 9)),
+    "2d-strided": (Conv2D, dict(in_channels=3, out_channels=4, kernel_size=3, stride=2,
+                                padding=1), (3, 3, 8, 6)),
+    "2d-grouped": (Conv2D, dict(in_channels=4, out_channels=4, kernel_size=3, padding=1,
+                                groups=2), (3, 4, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["one-chunk", "item-chunks"])
+@pytest.mark.parametrize("layout", ["channels-first", "channels-last", "model-input"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_relu_epilogue_is_bitwise_conv_then_relu(monkeypatch, case, dtype, layout, rows):
+    # the output and the x, w and b gradients, -0.0s included: the upstream
+    # gradient is negative at about half the entries the ReLU zeroes
+    cls, kwargs, shape = FUSED_CASES[case]
+    rng = np.random.default_rng(40)
+    fused, plain = (cls(**kwargs, rng=np.random.default_rng(41), dtype=dtype, relu=relu)
+                    for relu in (True, False))
+    fused.bias.data[...] = plain.bias.data[...] = rng.normal(size=kwargs["out_channels"])
+    x = rng.normal(size=shape).astype(dtype)
+    G = rng.normal(size=plain(Tensor(x)).shape).astype(dtype)
+    runs = []
+    with monkeypatch.context() as m:
+        if rows is not None:
+            m.setattr(layers, "_ROWS", rows)
+        for layer, act in ((fused, lambda t: t), (plain, Tensor.relu)):
+            if layout == "channels-last":
+                leaf = Tensor(np.moveaxis(x, 1, -1).copy(), requires_grad=True)
+                out = act(layer(_channels_last_view(leaf)))
+            else:
+                leaf = Tensor(x.copy(), requires_grad=layout == "channels-first")
+                out = act(layer(leaf))
+            _loss_with_upstream(out, G).backward()
+            runs.append([out.data, leaf.grad, layer.weight.grad, layer.bias.grad])
+    assert np.any(runs[0][0] == 0) and np.any(runs[0][0] > 0)
+    assert (runs[0][1] is None) == (layout == "model-input")
+    for got, want in zip(*runs):
+        if want is not None:
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_grouped_conv_requires_divisibility():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from jamloc.dsp import NormalizationSpec
 from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig,
                            McaffModel, load_model, save_model, tiny_fusion_config,
                            tiny_mcaff_config)
-from jamloc.nn import CheckpointError, Conv1D, Conv2D, Mode, Tensor, save_checkpoint
+from jamloc.nn import SGD, CheckpointError, Conv1D, Conv2D, Mode, Tensor, save_checkpoint
 
 from _oracles import check_grads, iq_encoder_ref
 
@@ -199,6 +200,61 @@ def test_load_rejects_bad_normalization_block(tmp_path):
                     {"kind": model.KIND, "config": asdict(model.cfg), "norm": norm})
     with pytest.raises(CheckpointError, match="normalization block.*iq_std must have shape"):
         load_model(tmp_path / "model.gjw")
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda meta, arrays: meta["config"].update(head_width=16),
+     r"unknown FusionConfig fields \['head_width'\]"),
+    (lambda meta, arrays: meta["config"].update(iq_kernel=0),
+     r"bad FusionConfig: iq_kernel must be >= 1"),
+    (lambda meta, arrays: meta["config"].pop("dropout_post_head"),
+     r"missing FusionConfig fields \['dropout_post_head'\]"),
+    (lambda meta, arrays: arrays[4].fill(np.nan),
+     r"tensor 4 of shape \(4, 2, 3, 3\) holds non-finite weights"),
+], ids=["unknown-field", "out-of-range", "missing-field", "nan-weight"])
+def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, edit, match):
+    model = FusionModel(tiny_fusion_config(dropout_post_head=0.3), seed=0)
+    meta = {"kind": model.KIND, "config": asdict(model.cfg)}
+    arrays = [p.data.copy() for p in model.params()]
+    edit(meta, arrays)
+    save_checkpoint(tmp_path / "model.gjw", arrays, meta)
+    with pytest.raises(CheckpointError, match=match):
+        load_model(tmp_path / "model.gjw")
+
+
+@pytest.mark.parametrize("build", [_fusion, _mcaff], ids=["fusion", "mcaff"])
+def test_training_is_deterministic_run_to_run(build, tmp_path):
+    # three momentum-SGD steps (train mode, dropout drawn from the seeded rng)
+    # from one seed, twice in one process, give byte-identical GJW1 files.
+    # Run is compared with run, not with a stored digest: the trained bits
+    # depend on the machine's BLAS kernels.
+    files = []
+    for run in range(2):
+        model = build(np.float32)
+        opt = SGD(model.params(), learning_rate=1e-2)
+        rng = np.random.default_rng(5)
+        for step in range(3):
+            _proj_loss(model.forward(_batch(10 + step), Mode.TRAIN, rng)).backward()
+            opt.step()
+        save_model(tmp_path / f"run{run}.gjw", model)
+        files.append((tmp_path / f"run{run}.gjw").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_fusion_train_forward_holds_no_pre_activation_buffers():
+    # what a train-mode forward of the paper-width model keeps for backward,
+    # at B=8: 30.8 MiB with each conv's ReLU inside the conv, 41.0 MiB when a
+    # separate ReLU node also kept every conv's pre-activation output
+    model = FusionModel(FusionConfig(), seed=0)
+    batch = {k: v.astype(np.float32) for k, v in _batch(0, b=8).items()}
+    tracemalloc.start()
+    try:
+        pred = model.forward(batch, Mode.TRAIN, np.random.default_rng(0))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pred.disp.requires_grad
+    assert held <= 33 << 20, f"{held / 2**20:.1f} MiB held"
 
 
 # eval predictions of the paper-width models (seed 0) on _batch(0, b=4),
