@@ -275,6 +275,45 @@ def test_paper_width_predictions_match_golden(name, build):
         np.testing.assert_allclose(getattr(pred, f).data, ref, atol=1e-5, rtol=1e-4, err_msg=f)
 
 
+# every parameter gradient of the tiny-width float64 models under
+# _golden_loss, captured before the autodiff op layer was rebuilt on shared
+# node builders; never regenerated
+GOLDEN_GRADS = Path(__file__).with_name("golden_gradients.npz")
+
+
+def _golden_loss(pred):
+    """MSE, a scalar on the left, and a log-sum-exp cross-entropy: exp, log,
+    getitem, division and pow, which the models' forwards do not use."""
+    target = np.random.default_rng(11).normal(size=pred.disp.shape)
+    loss = ((pred.disp - target) ** 2.0).mean() + (1.0 - pred.angle_raw).sum() / 4.0
+    for logits in _outputs(pred)[2:]:
+        rows = np.arange(logits.shape[0])
+        lse = logits.exp().sum(axis=1).log()
+        loss = loss + (lse - logits[rows, rows % logits.shape[1]]).mean()
+    return loss
+
+
+def _golden_gradients(name):
+    if name == "fusion":
+        model = FusionModel(tiny_fusion_config(with_classifier=True, dropout_pre_concat=0.1,
+                                               dropout_post_head=0.1), seed=1, dtype=np.float64)
+    else:
+        model = McaffModel(tiny_mcaff_config(), seed=2, dtype=np.float64)
+    _golden_loss(model.forward(_batch(12), Mode.TRAIN, np.random.default_rng(13))).backward()
+    return [p.grad for p in model.params()]
+
+
+@pytest.mark.parametrize("name", ["fusion", "mcaff"])
+def test_gradients_match_golden(name):
+    golden = np.load(GOLDEN_GRADS)
+    refs = [golden[k] for k in sorted(golden.files) if k.startswith(f"{name}_")]
+    grads = _golden_gradients(name)
+    assert len(grads) == len(refs)
+    for i, (got, ref) in enumerate(zip(grads, refs)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max(),
+                                   err_msg=f"{name} parameter {i}")
+
+
 def _spy_convs(monkeypatch):
     """Record, for every conv call, [layer, input array, upstream gradient]."""
     seen = []
