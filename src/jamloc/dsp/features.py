@@ -25,7 +25,7 @@ from .fourier import fft
 __all__ = [
     "NormalizationSpec", "SPEC_DB_MIN", "SPEC_DB_MAX",
     "power_db", "db_to_unit", "spectrogram", "stft",
-    "cfo_accumulated", "iq_planes", "fit_iq_stats", "normalize_iq",
+    "cfo_accumulated", "fit_iq_stats", "normalize_iq",
 ]
 
 # spectrogram clamp bounds in dB; values outside map to exactly 0.0 / 1.0
@@ -258,19 +258,14 @@ def _channel_names(channels) -> str:
     return ", ".join(f"{c} (patch {c // 2} {'IQ'[c % 2]})" for c in channels)
 
 
-def iq_planes(samples: np.ndarray) -> np.ndarray:
-    """(..., 4, N) complex -> (..., 8, N) real; per patch, I plane then Q plane."""
-    samples = _check_patches(samples, "iq_planes")
-    planes = np.stack([samples.real, samples.imag], axis=-2)   # (..., 4, 2, N)
-    return planes.reshape(samples.shape[:-2] + (8, samples.shape[-1]))
-
-
 def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std over a training batch (M, 4, N), channels as in
-    ``iq_planes``; a non-finite or constant channel is an error.
+    """Per-channel mean/std over a training batch (M, 4, N); channel 2p is
+    patch p's I (real part), 2p + 1 its Q (imaginary part). A non-finite or
+    constant channel is an error.
 
-    Bitwise equal to ``iq_planes(samples).mean/std(axis=(0, 2))`` without
-    building the planes: the mean sums the real and imaginary views, and the
+    Bitwise equal to ``planes.mean/std(axis=(0, 2))`` of the (M, 8, N) planes
+    ``np.stack([x.real, x.imag], axis=2).reshape(M, 8, N)`` without building
+    them: the mean sums the real and imaginary views, and the
     squared deviations are summed ``_FIT_CHUNK`` rows at a time, each row
     over N (pairwise, as numpy's reduction does), with the running sum
     carried row by row in order. Temporaries stay within two
@@ -313,5 +308,10 @@ def normalize_iq(samples: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     Computed in blocks of 16 snapshots (see the module docstring).
     """
     mean, std = norm.fitted("iq")
-    x = _check_patches(samples, "iq_planes")
-    return _blocked(lambda b: (iq_planes(b) - mean[:, None]) / std[:, None], x, 2)
+    x = _check_patches(samples, "normalize_iq")
+
+    def body(b):
+        planes = np.stack([b.real, b.imag], axis=-2)   # (..., 4, 2, N): per patch, I then Q
+        return (planes.reshape(b.shape[:-2] + (8, b.shape[-1])) - mean[:, None]) / std[:, None]
+
+    return _blocked(body, x, 2)

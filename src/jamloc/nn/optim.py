@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor
@@ -21,16 +23,17 @@ class SGD:
     def __init__(self, params: list[Tensor], learning_rate: float = 1e-2,
                  momentum: float = 0.9, weight_decay: float = 5e-4,
                  milestones=(), lr_decay_factor: float = 0.1):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # a NaN or infinite rate would turn every weight non-finite on the first step
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
         if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+            raise ValueError(f"momentum must be in [0, 1), got {momentum!r}")
+        if not 0.0 <= weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be nonnegative and finite, got {weight_decay!r}")
         if not 0.0 < lr_decay_factor <= 1.0:
-            raise ValueError("lr_decay_factor must be in (0, 1]")
+            raise ValueError(f"lr_decay_factor must be in (0, 1], got {lr_decay_factor!r}")
         if list(milestones) != sorted(milestones):
-            raise ValueError("milestones must be sorted")
+            raise ValueError(f"milestones must be sorted, got {milestones!r}")
         self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)

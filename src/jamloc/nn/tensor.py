@@ -7,11 +7,16 @@ own custom gradients through :meth:`Tensor.from_op`.
 
 Training runs in float32 from forward through backward; gradient-check tests
 use float64 (the finite-difference tolerances are unreachable in single
-precision). A non-Tensor operand (Python scalar or ndarray) is cast to the
-Tensor's own dtype before the op: under NEP 50 a 0-d float64 array, which is
-what a bare ``np.asarray(0.5)`` makes, would otherwise promote a float32
-operand, and the promotion would carry on through every later op and its
-gradient.
+precision). A non-Tensor operand (Python or numpy scalar, or ndarray), on
+either side of an operator, becomes a constant leaf Tensor of the Tensor's
+own dtype before the op: under NEP 50 a 0-d float64 array, which is what a
+bare ``np.asarray(0.5)`` makes, would otherwise promote a float32 operand,
+and the promotion would carry on through every later op and its gradient.
+An ndarray on the left defers to the Tensor's reflected operator, so
+``ndarray / Tensor`` and ``ndarray @ Tensor``, which have none, raise
+TypeError. Each op is its value plus its local vector-Jacobian product,
+built by one of two node builders: ``_binary`` for ``+ - *`` and ``@``,
+``_unary`` for everything with one operand.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    # numpy defers to the reflected operators instead of looping over elements
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -155,136 +162,90 @@ class Tensor:
         self._consumed = True
 
     # ------------------------------------------------------------------
+    # node builders
+    # ------------------------------------------------------------------
+
+    def _operand(self, other) -> "Tensor":
+        """``other`` itself if a Tensor, else a constant leaf of this dtype."""
+        return other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
+
+    def _binary(self, other, op, grad_a, grad_b) -> "Tensor":
+        """``op(self, other)`` elementwise; ``grad_a(g, a, b)`` and ``grad_b``
+        give each operand's gradient before broadcast axes are summed out."""
+        a, b = self, self._operand(other)
+
+        def bw(g):
+            if a.requires_grad:
+                a._accum(_sum_to_shape(grad_a(g, a.data, b.data), a.data.shape))
+            if b.requires_grad:
+                b._accum(_sum_to_shape(grad_b(g, a.data, b.data), b.data.shape))
+
+        return Tensor.from_op(op(a.data, b.data), (a, b), bw)
+
+    def _unary(self, out: np.ndarray, grad) -> "Tensor":
+        """A node of value ``out`` whose operand's gradient is ``grad(g)``."""
+        a = self
+        return Tensor.from_op(out, (a,), lambda g: a._accum(grad(g)))
+
+    # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
 
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Tensor):
-            raise TypeError("internal: use the two-tensor path")
-        return np.asarray(other, dtype=self.data.dtype)
-
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            out_data = self.data + other.data
-            a, b = self, other
-
-            def bw(g):
-                if a.requires_grad:
-                    a._accum(_sum_to_shape(g, a.data.shape))
-                if b.requires_grad:
-                    b._accum(_sum_to_shape(g, b.data.shape))
-
-            return Tensor.from_op(out_data, (a, b), bw)
-        c = self._coerce(other)
-        a = self
-
-        def bwc(g):
-            a._accum(_sum_to_shape(g, a.data.shape))
-
-        return Tensor.from_op(self.data + c, (a,), bwc)
+        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-        return Tensor.from_op(-self.data, (a,), lambda g: a._accum(-g))
-
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            out_data = self.data - other.data
-            a, b = self, other
-
-            def bw(g):
-                if a.requires_grad:
-                    a._accum(_sum_to_shape(g, a.data.shape))
-                if b.requires_grad:
-                    b._accum(_sum_to_shape(-g, b.data.shape))
-
-            return Tensor.from_op(out_data, (a, b), bw)
-        c = self._coerce(other)
-        a = self
-        return Tensor.from_op(self.data - c, (a,), lambda g: a._accum(_sum_to_shape(g, a.data.shape)))
+        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._operand(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            out_data = self.data * other.data
-            a, b = self, other
-
-            def bw(g):
-                if a.requires_grad:
-                    a._accum(_sum_to_shape(g * b.data, a.data.shape))
-                if b.requires_grad:
-                    b._accum(_sum_to_shape(g * a.data, b.data.shape))
-
-            return Tensor.from_op(out_data, (a, b), bw)
-        c = self._coerce(other)
-        a = self
-        return Tensor.from_op(self.data * c, (a,), lambda g: a._accum(_sum_to_shape(g * c, a.data.shape)))
+        return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return self * other ** -1.0
-        return self * (1.0 / self._coerce(other))
+        return self * self._operand(other) ** -1.0
+
+    def __neg__(self):
+        return self._unary(-self.data, lambda g: -g)
 
     def __pow__(self, p):
         p = float(p)
-        a = self
-        out_data = self.data ** p
-
-        def bw(g):
-            a._accum(g * p * a.data ** (p - 1.0))
-
-        return Tensor.from_op(out_data, (a,), bw)
+        return self._unary(self.data ** p, lambda g: g * p * self.data ** (p - 1.0))
 
     def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other, dtype=self.data.dtype)
+        other = self._operand(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ShapeError(f"matmul supports 2-D operands, got {self.data.shape} @ {other.data.shape}")
         if self.data.shape[1] != other.data.shape[0]:
             raise ShapeError(f"matmul inner dims differ: {self.data.shape} @ {other.data.shape}")
-        a, b = self, other
-
-        def bw(g):
-            if a.requires_grad:
-                a._accum(g @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-
-        return Tensor.from_op(self.data @ other.data, (a, b), bw)
+        return self._binary(other, np.matmul, lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g)
 
     def __getitem__(self, idx):
-        a = self
-        out_data = self.data[idx]
-
-        def bw(g):
-            full = np.zeros_like(a.data)
+        def grad(g):
+            full = np.zeros_like(self.data)
             np.add.at(full, idx, g)
-            a._accum(full)
+            return full
 
-        return Tensor.from_op(out_data, (a,), bw)
+        return self._unary(self.data[idx], grad)
 
     # ------------------------------------------------------------------
     # reductions and shape ops
     # ------------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def bw(g):
+        def grad(g):
             # empty_like keeps the operand's memory layout (a channels-last
             # conv output gets a channels-last gradient)
-            grad = np.empty_like(a.data)
-            grad[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
-            a._accum(grad)
+            full = np.empty_like(self.data)
+            full[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
+            return full
 
-        return Tensor.from_op(out_data, (a,), bw)
+        return self._unary(self.data.sum(axis=axis, keepdims=keepdims), grad)
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else (
@@ -294,58 +255,36 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
         orig = self.data.shape
-        out_data = self.data.reshape(shape)
-        return Tensor.from_op(out_data, (a,), lambda g: a._accum(g.reshape(orig)))
+        return self._unary(self.data.reshape(shape), lambda g: g.reshape(orig))
 
     def transpose(self, axes):
-        a = self
         inv = np.argsort(axes)
-        out_data = np.transpose(self.data, axes)
-        return Tensor.from_op(out_data, (a,), lambda g: a._accum(np.transpose(g, inv)))
+        return self._unary(np.transpose(self.data, axes), lambda g: np.transpose(g, inv))
 
     # ------------------------------------------------------------------
     # activations and pointwise functions
     # ------------------------------------------------------------------
 
     def relu(self):
-        a = self
-        out_data = np.maximum(self.data, 0)
-
-        def bw(g):
-            a._accum(g * (a.data > 0))
-
-        return Tensor.from_op(out_data, (a,), bw)
+        return self._unary(np.maximum(self.data, 0), lambda g: g * (self.data > 0))
 
     def tanh(self):
-        a = self
-        out_data = np.tanh(self.data)
-
-        def bw(g):
-            a._accum(g * (1.0 - out_data * out_data))
-
-        return Tensor.from_op(out_data, (a,), bw)
+        out = np.tanh(self.data)
+        return self._unary(out, lambda g: g * (1.0 - out * out))
 
     def sigmoid(self):
-        a = self
         # exp(-x) overflows to inf for very negative x, which gives the right 0
         with np.errstate(over="ignore"):
-            out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def bw(g):
-            a._accum(g * out_data * (1.0 - out_data))
-
-        return Tensor.from_op(out_data, (a,), bw)
+            out = 1.0 / (1.0 + np.exp(-self.data))
+        return self._unary(out, lambda g: g * out * (1.0 - out))
 
     def exp(self):
-        a = self
-        out_data = np.exp(self.data)
-        return Tensor.from_op(out_data, (a,), lambda g: a._accum(g * out_data))
+        out = np.exp(self.data)
+        return self._unary(out, lambda g: g * out)
 
     def log(self):
-        a = self
-        return Tensor.from_op(np.log(self.data), (a,), lambda g: a._accum(g / a.data))
+        return self._unary(np.log(self.data), lambda g: g / self.data)
 
 
 def concat(tensors, axis: int = 1) -> Tensor:

@@ -144,12 +144,12 @@ def test_fit_aoa_stats_rejects_non_finite_feature():
         dsp.fit_aoa_stats(feats)
 
 
-@pytest.mark.parametrize("call", [dsp.iq_planes, dsp.fit_iq_stats,
-                                  lambda x: dsp.normalize_iq(x, dsp.NormalizationSpec(
-                                      iq_mean=np.zeros(8), iq_std=np.ones(8)))],
-                         ids=["iq_planes", "fit_iq_stats", "normalize_iq"])
-def test_iq_calls_reject_three_patches(call):
-    with pytest.raises(ValueError, match=r"\(.*4, N\), got \(2, 3, 1024\)"):
+@pytest.mark.parametrize("name,call", [
+    ("fit_iq_stats", dsp.fit_iq_stats),
+    ("normalize_iq", lambda x: dsp.normalize_iq(x, dsp.NormalizationSpec(
+        iq_mean=np.zeros(8), iq_std=np.ones(8))))], ids=["fit_iq_stats", "normalize_iq"])
+def test_iq_calls_reject_three_patches(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} .*\(.*4, N\), got \(2, 3, 1024\)"):
         call(np.zeros((2, 3, 1024), dtype=complex))
 
 

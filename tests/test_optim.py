@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -52,14 +55,17 @@ def test_missing_grad_raises():
         opt.step(0)
 
 
-def test_invalid_hyperparameters():
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", -1e-2), ("learning_rate", math.nan),
+    ("learning_rate", math.inf), ("momentum", 1.0), ("momentum", -0.1), ("momentum", math.nan),
+    ("weight_decay", -5e-4), ("weight_decay", math.nan), ("weight_decay", math.inf),
+    ("lr_decay_factor", 0.0), ("lr_decay_factor", 1.5), ("lr_decay_factor", math.nan),
+    ("milestones", [5, 2]),
+])
+def test_sgd_rejects_bad_hyperparameter_naming_field_and_value(field, value):
     p = Tensor(np.array([1.0]), requires_grad=True)
-    with pytest.raises(ValueError):
-        SGD([p], learning_rate=0.0)
-    with pytest.raises(ValueError):
-        SGD([p], momentum=1.0)
-    with pytest.raises(ValueError):
-        SGD([p], milestones=[5, 2])
+    with pytest.raises(ValueError, match=rf"^{field} .*, got {re.escape(repr(value))}$"):
+        SGD([p], **{field: value})
 
 
 def _train_k_steps(seed: int, k: int = 5) -> bytes:

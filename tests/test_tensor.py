@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,34 @@ def test_scalar_and_ndarray_operands_keep_float32():
     assert loss.dtype == np.float32
     loss.backward()
     assert x.grad.dtype == np.float32
+
+    # a Tensor, ndarray, Python scalar or numpy scalar on either side of
+    # + - * / gives the bits of the two-Tensor form, value and gradient;
+    # an ndarray on the left must not turn the result into an object array
+    both, right = (False, True), (False,)
+    ops = [(operator.add, both), (operator.sub, both), (operator.mul, both),
+           (operator.truediv, right)]
+    for dtype in (np.float32, np.float64):
+        data = np.linspace(0.5, 2.0, 6, dtype=dtype).reshape(2, 3)
+        weight = Tensor(np.random.default_rng(0).normal(size=(2, 3)), dtype=dtype)
+        for c in (np.arange(1.0, 4.0), 0.3, np.float64(0.3), np.float32(0.3),
+                  Tensor(np.arange(1.0, 4.0), dtype=dtype)):
+            ct = c if isinstance(c, Tensor) else Tensor(c, dtype=dtype)
+            for op, lefts in ops:
+                for left in lefts:
+                    x, ref = (Tensor(data, requires_grad=True) for _ in range(2))
+                    got, want = (op(c, x), op(ct, ref)) if left else (op(x, c), op(ref, ct))
+                    assert isinstance(got, Tensor) and got.dtype == dtype
+                    assert got.data.tobytes() == want.data.tobytes()
+                    (got * weight).sum().backward()
+                    (want * weight).sum().backward()
+                    assert x.grad.dtype == dtype
+                    assert x.grad.tobytes() == ref.grad.tobytes()
+            if not isinstance(c, Tensor):
+                with pytest.raises(TypeError):
+                    c / Tensor(data)
+        with pytest.raises(TypeError):
+            np.ones((3, 2), dtype=dtype) @ Tensor(data)
 
 
 
