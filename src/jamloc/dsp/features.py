@@ -265,11 +265,11 @@ def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Bitwise equal to ``planes.mean/std(axis=(0, 2))`` of the (M, 8, N) planes
     ``np.stack([x.real, x.imag], axis=2).reshape(M, 8, N)`` without building
-    them: the mean sums the real and imaginary views, and the
-    squared deviations are summed ``_FIT_CHUNK`` rows at a time, each row
-    over N (pairwise, as numpy's reduction does), with the running sum
-    carried row by row in order. Temporaries stay within two
-    (_FIT_CHUNK, 4, N) blocks, 16 MB at N = 1024, whatever M.
+    them: the mean sums the real and imaginary views, and the squared
+    deviations are summed ``_FIT_CHUNK`` rows at a time, each row over N
+    (pairwise, as numpy's reduction does), with the running sum carried row
+    by row in order. Temporaries stay within two (_FIT_CHUNK, 4, N) blocks,
+    16 MB at N = 1024, whatever M.
     """
     x = np.asarray(samples)
     if x.ndim != 3 or x.shape[1] != 4 or x.size == 0:

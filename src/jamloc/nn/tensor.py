@@ -170,8 +170,9 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
 
     def _binary(self, other, op, grad_a, grad_b) -> "Tensor":
-        """``op(self, other)`` elementwise; ``grad_a(g, a, b)`` and ``grad_b``
-        give each operand's gradient before broadcast axes are summed out."""
+        """A node of value ``op(self, other)``; ``grad_a(g, a, b)`` and
+        ``grad_b`` give each operand's gradient before the axes it was
+        broadcast along are summed out."""
         a, b = self, self._operand(other)
 
         def bw(g):
@@ -184,8 +185,7 @@ class Tensor:
 
     def _unary(self, out: np.ndarray, grad) -> "Tensor":
         """A node of value ``out`` whose operand's gradient is ``grad(g)``."""
-        a = self
-        return Tensor.from_op(out, (a,), lambda g: a._accum(grad(g)))
+        return Tensor.from_op(out, (self,), lambda g: self._accum(grad(g)))
 
     # ------------------------------------------------------------------
     # arithmetic
