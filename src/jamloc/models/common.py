@@ -45,10 +45,18 @@ def require_positive(cfg, *fields: str) -> None:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
-def as_input(x, dtype) -> Tensor:
-    """One batch entry as a graph input. An array is copied to ``dtype``; a
-    Tensor is used as it is, so callers can take gradients w.r.t. the inputs."""
-    return x if isinstance(x, Tensor) else Tensor(np.ascontiguousarray(x, dtype=dtype))
+def as_input(batch: dict, key: str, dtype) -> Tensor:
+    """``batch[key]`` as a graph input. An array is copied to ``dtype``; a
+    Tensor of ``dtype`` is used as it is, so callers can take gradients
+    w.r.t. the inputs, and a Tensor of another dtype is rejected (the model
+    would run in its dtype)."""
+    x = batch[key]
+    if not isinstance(x, Tensor):
+        return Tensor(np.ascontiguousarray(x, dtype=dtype))
+    if x.dtype != dtype:
+        raise ValueError(
+            f"batch[{key!r}] is a {x.dtype} Tensor; the model runs in {np.dtype(dtype)}")
+    return x
 
 
 class TaskHead(Layer):

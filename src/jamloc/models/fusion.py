@@ -165,7 +165,7 @@ class FusionModel(Layer):
                 rng: np.random.Generator | None = None) -> Prediction:
         feats = []
         for name, encoder in self.encoders.items():
-            x = as_input(batch[name], self.dtype)
+            x = as_input(batch, name, self.dtype)
             h = encoder(x, mode, rng).assert_finite(f"{name} branch output")
             feats.append(self.branch_dropout(h, mode, rng))
         fused = feats[0] if len(feats) == 1 else concat(feats, axis=1)

@@ -133,15 +133,15 @@ class McaffModel(Layer):
 
     def _path_input(self, name: str, batch: dict) -> Tensor:
         if name == "iq":
-            x = as_input(batch["iq"], self.dtype)
+            x = as_input(batch, "iq", self.dtype)
             return x.reshape(x.shape[0], 8, 32, 32)
         if name == "fft":
-            return as_input(batch["spec"], self.dtype)
+            return as_input(batch, "spec", self.dtype)
         if name == "cfo":
-            x = as_input(batch["cfo"], self.dtype)
+            x = as_input(batch, "cfo", self.dtype)
             return x.reshape(x.shape[0], 4, 32, 32)
         if name == "stft":
-            return as_input(batch["stft"], self.dtype)
+            return as_input(batch, "stft", self.dtype)
         raise KeyError(name)
 
     def forward(self, batch: dict, mode: Mode = Mode.EVAL,

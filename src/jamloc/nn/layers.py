@@ -17,13 +17,13 @@ buffers from conv to conv, and their gradients take the same path back.
 Both are shells over one channels-last core, ``_conv`` (``Conv1D`` is a
 (1, K) kernel with (K-1)*d zeros before the signal). It works over chunks of
 whole items, about ``_ROWS`` output rows each, builds each chunk's im2col in
-one workspace reused for every chunk, and runs one GEMM per channel group
+a workspace reused chunk after chunk, and runs one GEMM per channel group
 into the chunk's output rows, adding the bias there. Backward visits the
-chunks last to first, feeding each chunk's upstream rows to the weight and
-input gradients while in cache. The weight gradient reuses the last chunk's
-cols, still in the workspace, and rebuilds the others from the input, so no
-whole-batch im2col exists and a one-chunk call (MCAFF's 8x8 convs at B=32)
-rebuilds nothing. A stride-1 conv that does not widen its channels takes dx
+chunks last to first: it takes each chunk's weight-gradient GEMM, reusing
+the last chunk's cols, still in the workspace, and rebuilding the others
+from the input, so no whole-batch im2col exists and a one-chunk call
+(MCAFF's 8x8 convs at B=32) rebuilds nothing; then it takes the chunks'
+input gradient. A stride-1 conv that does not widen its channels takes dx
 as the conv of the upstream gradient with the flipped, transposed kernel,
 one strided gather in place of a strided scatter-add per tap: MCAFF's
 grouped conv backward takes 1.9 ms that way and 2.5-2.7 ms by scatter (B=32,
@@ -33,6 +33,22 @@ memory: rows are clamped in place after the bias add, and backward masks the
 upstream by the kept output, bitwise as ``Tensor.relu``, whose node would hold
 each pre-activation output (paper-width fusion train forward, B=32, float32:
 93 MiB held, not 134).
+
+The chunks run on every CPU the process may use (``_WORKERS``): split into
+contiguous runs, one per worker and at most one per chunk, the last on the
+calling thread and the others on a thread pool made by the first call that
+has more than one run; numpy's GEMMs and copies release the interpreter
+lock. A one-chunk call, every pointwise conv among them, runs inline. The
+result is bitwise the one-thread result: the chunks do not depend on the
+worker count, each run writes only its own rows of the output and items of
+dx, the per-chunk weight-gradient GEMMs are summed last chunk first, as one
+thread sums them, and the bias gradient stays one GEMV over the batch. So is
+the memory at two workers: forward keeps for backward only the last run's
+workspace, which holds the last chunk's cols, and in backward each run uses
+one workspace (the last run the kept one) for its cols rebuilds, then for
+its dcols or transposed-conv cols, two in all, as one thread held. The
+paper-width fusion train step (B=32, float32, one BLAS thread, 2-vCPU x86-64
+VM) takes 45 ms on two workers, against 65 ms on one.
 """
 
 from __future__ import annotations
@@ -40,6 +56,9 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -149,8 +168,11 @@ class GlobalAvgPool(Layer):
 # Output rows per chunk of whole items (at least one item). At the IQ
 # encoder's widths a chunk's cols and output stay in cache from the im2col
 # through the GEMM to the bias add. Its fwd+bwd (B=32, float32, one BLAS
-# thread, 2-vCPU x86-64 VM) took 64 ms at 4096 rows, 66-68 ms at 1024 or
-# 8192 and 77 ms at 16384.
+# thread, one worker, 2-vCPU x86-64 VM) took 64 ms at 4096 rows, 66-68 ms
+# at 1024 or 8192 and 77 ms at 16384. The workers split the chunks, never a
+# chunk, so the chunk boundaries, and with them the bits of every GEMM (a
+# grid whose rows per item are not a multiple of 16 rounds by its chunking),
+# are those of one thread.
 _ROWS = 4096
 
 
@@ -204,11 +226,16 @@ class _Geometry:
         return _Geometry((self.shape[0], *self.out_hw, out_channels), self.kernel, (1, 1),
                          self.dilation, pad, self.groups)
 
-    def workspace(self, chunks, dtype) -> np.ndarray:
+    def workspace(self, chunks, dtype, spare: np.ndarray | None = None) -> np.ndarray:
         """An (n, Ho, Wo, G, kh, kw, C/G) cols workspace for the largest of the
-        (b0, n) ``chunks``; empty for a pointwise conv, whose cols are its input."""
+        (b0, n) ``chunks``, in ``spare`` if that holds enough ``dtype``
+        values; empty for a pointwise conv, whose cols are its input."""
         n = 0 if self.pointwise else max((n for _, n in chunks), default=0)
-        return np.empty((n, *self.out_hw, self.groups, *self.kernel, self.cg), dtype)
+        shape = (n, *self.out_hw, self.groups, *self.kernel, self.cg)
+        size = math.prod(shape)
+        if spare is not None and spare.dtype == dtype and spare.size >= size:
+            return spare.reshape(-1)[:size].reshape(shape)
+        return np.empty(shape, dtype)
 
     def cols(self, a: np.ndarray, chunks, ws: np.ndarray):
         """Yield the (n*Ho*Wo, G, kh*kw*C/G) im2col of each (b0, n) chunk of
@@ -268,6 +295,40 @@ class _Geometry:
             dxv[:, ii, ij] += dcols[:, oi, oj, :, u, v]
 
 
+# Threads that run a call's chunks: the CPUs this process may run on. Their
+# GEMMs and im2col copies release the interpreter lock.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The threads beside the caller's, made by the first call that has
+    more than one run of chunks."""
+    return ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="jamloc-conv")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's threads, so it makes its own pool
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _runs(chunks: list) -> list:
+    """``chunks`` as contiguous runs, one per worker and at most one per chunk."""
+    k = min(_WORKERS, len(chunks))
+    return [chunks[i * len(chunks) // k:(i + 1) * len(chunks) // k] for i in range(k)]
+
+
+def _map(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs]: the last job on the calling thread, the
+    others on the pool, so one job submits nothing."""
+    futures = [_pool().submit(fn, job) for job in jobs[:-1]]
+    try:
+        last = [fn(jobs[-1])] if jobs else []
+    finally:
+        wait(futures)
+    return [f.result() for f in futures] + last
+
+
 def _by_group(rows: np.ndarray, groups: int) -> np.ndarray:
     """(M, G*k) rows as the (G, M, k) stack of their group blocks; a view."""
     return rows.reshape(len(rows), groups, -1).transpose(1, 0, 2)
@@ -291,48 +352,73 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
     wg = w.data.reshape(G, og, cg, kh, kw)
     w2 = wg.transpose(0, 3, 4, 2, 1).reshape(G, kh * kw * cg, og)
     out = np.empty((B * r, O), dtype=xl.dtype)
-    ws = geo.workspace(geo.chunks, xl.dtype)
-    cols = None
-    for (b0, n), cols in zip(geo.chunks, geo.cols(xl, geo.chunks, ws)):
-        o = out[b0 * r:(b0 + n) * r]
-        np.matmul(cols.transpose(1, 0, 2), w2, out=_by_group(o, G))
-        o += b.data
-        if relu:
-            np.maximum(o, 0, out=o)
+    runs = _runs(geo.chunks)
+
+    def forward(job):
+        run, ws = job
+        cols = None
+        for (b0, n), cols in zip(run, geo.cols(xl, run, ws)):
+            o = out[b0 * r:(b0 + n) * r]
+            np.matmul(cols.transpose(1, 0, 2), w2, out=_by_group(o, G))
+            o += b.data
+            if relu:
+                np.maximum(o, 0, out=o)
+        return ws, cols
+
+    # workspaces come from the calling thread, so the pool's threads allocate
+    # little; backward keeps one, the last run's, holding the last chunk's cols
+    ws, cols = _map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])[-1] \
+        if runs else (None, None)
 
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
-        g2 = g2 * (out > 0) if relu else g2
-        if b.requires_grad:
-            b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
-        order = geo.chunks[::-1]
-        if w.requires_grad:
-            dw = np.zeros(w2.shape, g2.dtype)
-            # the last chunk's cols are still in ws from the forward. The
-            # rebuild overwrites ws, which is safe only because the chain
-            # yields those cols, and their GEMM runs, before the rebuild starts.
-            wcols = itertools.chain([cols], geo.cols(xl, order[1:], ws))
+        if relu:    # masked by the kept output, each run its own rows
+            g_up, g2 = g2, np.empty_like(g2)
         if x.requires_grad:
             dx = np.empty(geo.shape, g2.dtype)
             geo_t = geo.transposed(O)
-            if geo_t is None:
-                dcols = geo.workspace(order, g2.dtype)
-            else:
+            if geo_t is not None:
                 w2t = wg[..., ::-1, ::-1].transpose(0, 3, 4, 1, 2).reshape(G, kh * kw * og, cg)
-                # in the layer's chunks, which may hold more items than geo_t's
-                tcols = geo_t.cols(g2.reshape(geo_t.shape), order, geo_t.workspace(order, g2.dtype))
-        for b0, n in order:
-            gr = g2[b0 * r:(b0 + n) * r]
+
+        def backward(job):
+            """The dW partial of each chunk of a run, last chunk first, then
+            the run's dx, in one workspace: the kept one for the last run."""
+            run, ws, cols = job
+            for b0, n in run if relu else ():
+                rows = slice(b0 * r, (b0 + n) * r)
+                np.multiply(g_up[rows], out[rows] > 0, out=g2[rows])
+            parts = []
             if w.requires_grad:
-                dw += np.matmul(next(wcols).transpose(1, 2, 0), _by_group(gr, G))
+                # the kept cols go first: the rebuild then overwrites them
+                wcols = geo.cols(xl, run, ws) if cols is None else \
+                    itertools.chain([cols], geo.cols(xl, run[1:], ws))
+                parts = [np.matmul(c.transpose(1, 2, 0), _by_group(g2[b0 * r:(b0 + n) * r], G))
+                         for c, (b0, n) in zip(wcols, run)]
             if x.requires_grad and geo_t is None:
-                np.matmul(_by_group(gr, G), w2.transpose(0, 2, 1),
-                          out=_by_group(dcols[:n].reshape(len(gr), -1), G))
-                geo.scatter(dcols[:n], dx[b0:b0 + n])
+                dcols = geo.workspace(run, g2.dtype, ws)
+                for b0, n in run:
+                    gr = g2[b0 * r:(b0 + n) * r]
+                    np.matmul(_by_group(gr, G), w2.transpose(0, 2, 1),
+                              out=_by_group(dcols[:n].reshape(len(gr), -1), G))
+                    geo.scatter(dcols[:n], dx[b0:b0 + n])
             elif x.requires_grad:
-                np.matmul(next(tcols).transpose(1, 0, 2), w2t,
-                          out=_by_group(dx[b0:b0 + n].reshape(-1, C), G))
+                # in the layer's chunks, which may hold more items than geo_t's
+                tcols = geo_t.cols(g2.reshape(geo_t.shape), run, geo_t.workspace(run, g2.dtype, ws))
+                for tc, (b0, n) in zip(tcols, run):
+                    np.matmul(tc.transpose(1, 0, 2), w2t,
+                              out=_by_group(dx[b0:b0 + n].reshape(-1, C), G))
+            return parts
+
+        jobs = [(run[::-1], geo.workspace(run, g2.dtype), None) for run in runs[:-1]] + \
+            [(runs[-1][::-1], ws, cols)] if runs else []
+        parts = _map(backward, jobs)
+        if b.requires_grad:
+            b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
         if w.requires_grad:
+            # summed in the one-thread order, last chunk first
+            dw = np.zeros(w2.shape, g2.dtype)
+            for p in itertools.chain.from_iterable(parts[::-1]):
+                dw += p
             w._accum(dw.reshape(G, kh, kw, cg, og).transpose(0, 4, 3, 1, 2).reshape(w.data.shape))
         if x.requires_grad:
             x._accum(dx.reshape(B, *sp, C).transpose(0, -1, *range(1, len(sp) + 1)))

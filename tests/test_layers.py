@@ -1,4 +1,10 @@
+import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,7 +382,8 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
     with monkeypatch.context() as m:
         if rows is not None:
             m.setattr(layers, "_ROWS", rows)
-        for graphs in (1, 2):
+        for workers, graphs in itertools.product((1, 2), (1, 2)):
+            m.setattr(layers, "_WORKERS", workers)
             outs = [layer(x) for x in xs]
             losses = [_loss_with_upstream(out, up) for out, up in zip(outs, ups)]
             if graphs == 1:
@@ -395,14 +402,116 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
 @pytest.mark.parametrize("dim,case", [(1, CONV1D_CASES[0]), (1, CONV1D_CASES[1]),
                                       (2, CONV2D_CASES[0]), (2, CONV2D_CASES[1]), (2, CONV2D_CASES[2])],
                          ids=["1d-K3", "1d-K1", "2d-s2", "2d-grouped-same", "2d-1x1"])
-def test_convs_take_an_empty_batch(dim, case):
+def test_convs_take_an_empty_batch(monkeypatch, dim, case):
     layer, x, want = _conv_case(dim, case)
-    leaf = Tensor(x[:0], requires_grad=True)
-    out = layer(leaf)
-    assert out.shape == (0, *want.shape[1:])
-    _loss_with_upstream(out, np.zeros(out.shape)).backward()
-    assert leaf.grad.shape == leaf.shape
-    assert not np.any(layer.weight.grad) and not np.any(layer.bias.grad)
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        leaf = Tensor(x[:0], requires_grad=True)
+        out = layer(leaf)
+        assert out.shape == (0, *want.shape[1:])
+        _loss_with_upstream(out, np.zeros(out.shape)).backward()
+        assert leaf.grad.shape == leaf.shape
+        assert not np.any(layer.weight.grad) and not np.any(layer.bias.grad)
+        layer.weight.grad = layer.bias.grad = None
+
+
+# ----------------------------------------------------------------------
+# worker threads: a call's chunks run as contiguous runs, one per worker
+# ----------------------------------------------------------------------
+
+# (layer class, constructor arguments, input shape, x_grad), B = 5. The K3
+# d2 and grouped convs take dx as a transposed conv, the strided ones scatter
+# per tap; K1 is pointwise, one chunk whatever _ROWS, so it runs inline.
+WORKER_CASES = {
+    "1d-K3d2": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=3, dilation=2),
+                (5, 3, 11), True),
+    "1d-K1": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=1), (5, 3, 11), True),
+    "2d-strided": (Conv2D, dict(in_channels=3, out_channels=4, kernel_size=3, stride=2,
+                                padding=1), (5, 3, 8, 6), True),
+    "2d-strided-model-input": (Conv2D, dict(in_channels=3, out_channels=4, kernel_size=3,
+                                            stride=(2, 1), padding=1), (5, 3, 8, 6), False),
+    "2d-grouped": (Conv2D, dict(in_channels=4, out_channels=4, kernel_size=3, padding=1,
+                                groups=2, relu=True), (5, 4, 4, 5), True),
+}
+
+
+def _spy_jobs(monkeypatch) -> list:
+    """Record the job count of every ``layers._map`` call."""
+    jobs, run = [], layers._map
+
+    def spy(fn, job_list):
+        jobs.append(len(job_list))
+        return run(fn, job_list)
+    monkeypatch.setattr(layers, "_map", spy)
+    return jobs
+
+
+@pytest.mark.parametrize("items", [5, 3, 2, 1], ids=["1-chunk", "2-chunks", "3-chunks", "5-chunks"])
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, case, items):
+    # 2 and 3 workers split 3 or 5 chunks unevenly; each run writes its own
+    # items of out and dx, and the dW partials are summed in one order
+    cls, kwargs, shape, x_grad = WORKER_CASES[case]
+    rng = np.random.default_rng(50)
+    layer = cls(**kwargs, rng=rng, dtype=np.float32)
+    layer.bias.data[...] = rng.normal(size=kwargs["out_channels"])
+    x = rng.normal(size=shape).astype(np.float32)
+    G = rng.normal(size=layer(Tensor(x)).shape).astype(np.float32)
+    chunks = 1 if kwargs["kernel_size"] == 1 else -(-shape[0] // items)
+    jobs = _spy_jobs(monkeypatch)
+    runs = []
+    monkeypatch.setattr(layers, "_ROWS", items * int(np.prod(G.shape[2:])))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # threads switch often, so a shared write would show
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(layers, "_WORKERS", workers)
+            jobs.clear()
+            leaf = Tensor(x.copy(), requires_grad=x_grad)
+            out = layer(leaf)
+            _loss_with_upstream(out, G).backward()
+            assert jobs == [min(workers, chunks)] * 2     # forward, backward
+            runs.append([out.data, leaf.grad, layer.weight.grad, layer.bias.grad])
+            layer.weight.grad = layer.bias.grad = None
+    finally:
+        sys.setswitchinterval(interval)
+    assert (runs[0][1] is None) != x_grad
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            if want is not None:
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_one_chunk_convs_submit_nothing_and_no_call_runs_more_parts_than_chunks(monkeypatch):
+    # 8 workers against at most 3 chunks: a call runs one part per chunk,
+    # the last on the calling thread
+    submitted = []
+    with ThreadPoolExecutor(2) as pool:
+        class Spy:
+            def submit(self, fn, job):
+                submitted.append(job)
+                return pool.submit(fn, job)
+        monkeypatch.setattr(layers, "_pool", Spy)
+        monkeypatch.setattr(layers, "_WORKERS", 8)
+        T = 11
+        monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items
+        rng = np.random.default_rng(51)
+        layer = Conv1D(3, 4, 3, rng, dilation=2)
+        for B, chunks in ((0, 0), (1, 1), (2, 1), (3, 2), (5, 3)):
+            submitted.clear()
+            leaf = Tensor(rng.normal(size=(B, 3, T)), requires_grad=True)
+            _loss_with_upstream(layer(leaf), rng.normal(size=(B, 4, T))).backward()
+            assert len(submitted) == 2 * max(chunks - 1, 0), B
+
+
+def test_importing_jamloc_starts_no_thread():
+    code = ("import threading, jamloc, jamloc.dsp, jamloc.models, jamloc.nn, jamloc.sigsim; "
+            "from jamloc.nn import layers; "
+            "print(threading.active_count(), layers._pool.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.split() == ["1", "0"]
 
 
 # ----------------------------------------------------------------------

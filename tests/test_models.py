@@ -10,7 +10,7 @@ from jamloc.dsp import NormalizationSpec
 from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig,
                            McaffModel, load_model, save_model, tiny_fusion_config,
                            tiny_mcaff_config)
-from jamloc.nn import SGD, CheckpointError, Conv1D, Conv2D, Mode, Tensor, save_checkpoint
+from jamloc.nn import SGD, CheckpointError, Conv1D, Conv2D, Mode, Tensor, layers, save_checkpoint
 
 from _oracles import check_grads, iq_encoder_ref
 
@@ -239,6 +239,42 @@ def test_training_is_deterministic_run_to_run(build, tmp_path):
         save_model(tmp_path / f"run{run}.gjw", model)
         files.append((tmp_path / f"run{run}.gjw").read_bytes())
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("build,key", [(_fusion, "aoa"), (_mcaff, "cfo")], ids=["fusion", "mcaff"])
+def test_models_reject_a_tensor_input_of_another_dtype(build, key):
+    # a float64 Tensor would run the float32 model in float64; a Tensor of
+    # the model's dtype is used as it is and receives its gradient
+    model = build(np.float32)
+    inputs = {k: Tensor(v.astype(np.float32), requires_grad=True) for k, v in _batch(7).items()}
+    _proj_loss(model.forward(inputs)).backward()
+    assert inputs[key].grad.dtype == np.float32 and np.any(inputs[key].grad)
+    inputs[key] = Tensor(_batch(7)[key])
+    with pytest.raises(ValueError, match=rf"^batch\['{key}'\] is a float64 Tensor; .* float32$"):
+        model.forward(inputs)
+
+
+def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch):
+    # three momentum-SGD steps at B=32, float32: the IQ encoder's convs run
+    # 8 chunks each, on one thread or split in two runs
+    digests = []
+    for workers in (1, 2):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        model = FusionModel(FusionConfig(), seed=0)
+        opt = SGD(model.params(), learning_rate=1e-2)
+        rng = np.random.default_rng(5)
+        h = hashlib.sha256()
+        for step in range(3):
+            batch = {k: v.astype(np.float32) for k, v in _batch(20 + step, b=32).items()}
+            pred = model.forward(batch, Mode.TRAIN, rng)
+            _proj_loss(pred).backward()
+            for t in _outputs(pred):
+                h.update(t.data.tobytes())
+            for p in model.params():
+                h.update(p.grad.tobytes())
+            opt.step()
+        digests.append(h.hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_fusion_train_forward_holds_no_pre_activation_buffers():
