@@ -48,7 +48,8 @@ workspace, which holds the last chunk's cols, and in backward each run uses
 one workspace (the last run the kept one) for its cols rebuilds, then for
 its dcols or transposed-conv cols, two in all, as one thread held. The
 paper-width fusion train step (B=32, float32, one BLAS thread, 2-vCPU x86-64
-VM) takes 45 ms on two workers, against 65 ms on one.
+VM) takes 41 ms on two workers, against 64 ms on one. With OpenBLAS running
+its own threads on the same CPUs, the workers gain nothing.
 """
 
 from __future__ import annotations
@@ -384,9 +385,10 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
             """The dW partial of each chunk of a run, last chunk first, then
             the run's dx, in one workspace: the kept one for the last run."""
             run, ws, cols = job
-            for b0, n in run if relu else ():
-                rows = slice(b0 * r, (b0 + n) * r)
-                np.multiply(g_up[rows], out[rows] > 0, out=g2[rows])
+            if relu:
+                for b0, n in run:
+                    rows = slice(b0 * r, (b0 + n) * r)
+                    np.multiply(g_up[rows], out[rows] > 0, out=g2[rows])
             parts = []
             if w.requires_grad:
                 # the kept cols go first: the rebuild then overwrites them
