@@ -48,8 +48,8 @@ workspace, which holds the last chunk's cols, and in backward each run uses
 one workspace (the last run the kept one) for its cols rebuilds, then for
 its dcols or transposed-conv cols, two in all, as one thread held. The
 paper-width fusion train step (B=32, float32, one BLAS thread, 2-vCPU x86-64
-VM) takes 41 ms on two workers, against 64 ms on one. With OpenBLAS running
-its own threads on the same CPUs, the workers gain nothing.
+VM) takes 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS
+running its own threads on the same CPUs, the workers gain nothing.
 """
 
 from __future__ import annotations
