@@ -34,22 +34,27 @@ upstream by the kept output, bitwise as ``Tensor.relu``, whose node would hold
 each pre-activation output (paper-width fusion train forward, B=32, float32:
 93 MiB held, not 134).
 
-The chunks run on every CPU the process may use (``_WORKERS``): split into
-contiguous runs, one per worker and at most one per chunk, the last on the
-calling thread and the others on a thread pool made by the first call that
-has more than one run; numpy's GEMMs and copies release the interpreter
-lock. A one-chunk call, every pointwise conv among them, runs inline. The
-result is bitwise the one-thread result: the chunks do not depend on the
-worker count, each run writes only its own rows of the output and items of
-dx, the per-chunk weight-gradient GEMMs are summed last chunk first, as one
-thread sums them, and the bias gradient stays one GEMV over the batch. So is
-the memory at two workers: forward keeps for backward only the last run's
-workspace, which holds the last chunk's cols, and in backward each run uses
-one workspace (the last run the kept one) for its cols rebuilds, then for
-its dcols or transposed-conv cols, two in all, as one thread held. The
-paper-width fusion train step (B=32, float32, one BLAS thread, 2-vCPU x86-64
-VM) takes 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS
-running its own threads on the same CPUs, the workers gain nothing.
+The chunks run on the CPUs the process may use (``_WORKERS``), at most
+``_RUNS`` at once: split into contiguous runs of at least two chunks, one per
+worker, the last on the calling thread and the others on a thread pool made by
+the first call that has more than one run; numpy's GEMMs and copies release
+the interpreter lock. A call of fewer than four chunks runs inline: every
+pointwise conv, and every MCAFF conv at B=32, whose two-chunk stem convs left
+a paper-width MCAFF step no faster on a second thread (24-25 ms either way),
+while a thread adds to the process's RSS. The result is bitwise the one-thread
+result: the chunks do not depend on the worker count, each run writes only its
+own rows of the output and items of dx, the per-chunk weight-gradient GEMMs
+are summed last chunk first, as one thread sums them, and the bias gradient
+stays one GEMV over the batch. Whatever the CPU count, a call holds at most
+the two workspaces one thread's backward held (its cols and its dcols or
+transposed-conv cols): forward keeps for backward only the last run's
+workspace, which holds the last chunk's cols, and in backward each of at most
+two runs uses one workspace (the last run the kept one) for its cols rebuilds,
+then for its dcols or transposed-conv cols. The gain rests on numpy running
+each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark sets):
+the paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
+41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS running its
+own threads on the same CPUs, the workers gain nothing: 59-83 ms either way.
 """
 
 from __future__ import annotations
@@ -300,12 +305,17 @@ class _Geometry:
 # GEMMs and im2col copies release the interpreter lock.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
+# Runs of one call at most, whatever the CPU count: each run holds a cols
+# workspace, and one thread's backward held two (the kept cols and the dcols
+# or transposed-conv cols).
+_RUNS = 2
+
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
     """The threads beside the caller's, made by the first call that has
     more than one run of chunks."""
-    return ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="jamloc-conv")
+    return ThreadPoolExecutor(_RUNS - 1, thread_name_prefix="jamloc-conv")
 
 
 if hasattr(os, "register_at_fork"):
@@ -314,8 +324,9 @@ if hasattr(os, "register_at_fork"):
 
 
 def _runs(chunks: list) -> list:
-    """``chunks`` as contiguous runs, one per worker and at most one per chunk."""
-    k = min(_WORKERS, len(chunks))
+    """``chunks`` as contiguous runs of at least two chunks each, one per
+    worker and at most ``_RUNS``; one run, maybe empty, if fewer than four."""
+    k = max(1, min(_WORKERS, _RUNS, len(chunks) // 2))
     return [chunks[i * len(chunks) // k:(i + 1) * len(chunks) // k] for i in range(k)]
 
 
@@ -324,10 +335,10 @@ def _map(fn, jobs: list) -> list:
     others on the pool, so one job submits nothing."""
     futures = [_pool().submit(fn, job) for job in jobs[:-1]]
     try:
-        last = [fn(jobs[-1])] if jobs else []
+        last = fn(jobs[-1])
     finally:
         wait(futures)
-    return [f.result() for f in futures] + last
+    return [f.result() for f in futures] + [last]
 
 
 def _by_group(rows: np.ndarray, groups: int) -> np.ndarray:
@@ -368,8 +379,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
 
     # workspaces come from the calling thread, so the pool's threads allocate
     # little; backward keeps one, the last run's, holding the last chunk's cols
-    ws, cols = _map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])[-1] \
-        if runs else (None, None)
+    ws, cols = _map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])[-1]
 
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
@@ -411,9 +421,8 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
                               out=_by_group(dx[b0:b0 + n].reshape(-1, C), G))
             return parts
 
-        jobs = [(run[::-1], geo.workspace(run, g2.dtype), None) for run in runs[:-1]] + \
-            [(runs[-1][::-1], ws, cols)] if runs else []
-        parts = _map(backward, jobs)
+        jobs = [(run[::-1], geo.workspace(run, g2.dtype), None) for run in runs[:-1]]
+        parts = _map(backward, jobs + [(runs[-1][::-1], ws, cols)])
         if b.requires_grad:
             b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
         if w.requires_grad:

@@ -257,9 +257,11 @@ def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case,
             assert np.max(np.abs(grad - want)) <= GRAD_REF_TOL[dtype] * np.max(np.abs(want))
 
 
-def test_conv1d_never_holds_a_whole_batch_im2col():
+def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch):
     # paper width of the IQ encoder's dilated convs, fed and differentiated
-    # channels-last as inside the model
+    # channels-last as inside the model: eight chunks, which eight workers
+    # would split eight ways if the runs were not capped
+    monkeypatch.setattr(layers, "_WORKERS", 8)
     B, C, T, K = 32, 64, 1024, 3
     rng = np.random.default_rng(31)
     layer = Conv1D(C, C, K, rng, dilation=16, dtype=np.float32)
@@ -339,10 +341,11 @@ def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case)
             layer.weight.grad = layer.bias.grad = leaf.grad = None
 
 
-def test_conv2d_never_holds_a_whole_batch_im2col():
+def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch):
     # MCAFF's grouped 3x3 conv at paper width (128 channels, 8 groups, 8x8),
     # fed and differentiated channels-last as inside the model, at B=256:
-    # 16384 output rows, four chunks
+    # 16384 output rows, four chunks, on as many workers as the runs allow
+    monkeypatch.setattr(layers, "_WORKERS", 8)
     B, C, G, HW = 256, 128, 8, (8, 8)
     rng = np.random.default_rng(33)
     layer = Conv2D(C, C, 3, rng, padding=1, groups=G, dtype=np.float32)
@@ -367,12 +370,12 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
     # each call keeps its own workspaces, so every gradient matches the oracle
     rng = np.random.default_rng(34)
     if dim == 1:
-        layer, shape = Conv1D(3, 4, 3, rng, dilation=2), (3, 3, 11)
+        layer, shape = Conv1D(3, 4, 3, rng, dilation=2), (4, 3, 11)
 
         def ref(x, up):
             return conv1d_grads_ref(x, layer.weight.data, up, 2)
     else:
-        layer, shape = Conv2D(4, 4, 3, rng, padding=1, groups=2), (3, 4, 5, 6)
+        layer, shape = Conv2D(4, 4, 3, rng, padding=1, groups=2), (4, 4, 5, 6)
 
         def ref(x, up):
             return conv2d_grads_ref(x, layer.weight.data, up, (1, 1), 1, 2)
@@ -419,19 +422,19 @@ def test_convs_take_an_empty_batch(monkeypatch, dim, case):
 # worker threads: a call's chunks run as contiguous runs, one per worker
 # ----------------------------------------------------------------------
 
-# (layer class, constructor arguments, input shape, x_grad), B = 5. The K3
+# (layer class, constructor arguments, input shape, x_grad), B = 10. The K3
 # d2 and grouped convs take dx as a transposed conv, the strided ones scatter
 # per tap; K1 is pointwise, one chunk whatever _ROWS, so it runs inline.
 WORKER_CASES = {
     "1d-K3d2": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=3, dilation=2),
-                (5, 3, 11), True),
-    "1d-K1": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=1), (5, 3, 11), True),
+                (10, 3, 11), True),
+    "1d-K1": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=1), (10, 3, 11), True),
     "2d-strided": (Conv2D, dict(in_channels=3, out_channels=4, kernel_size=3, stride=2,
-                                padding=1), (5, 3, 8, 6), True),
+                                padding=1), (10, 3, 8, 6), True),
     "2d-strided-model-input": (Conv2D, dict(in_channels=3, out_channels=4, kernel_size=3,
-                                            stride=(2, 1), padding=1), (5, 3, 8, 6), False),
+                                            stride=(2, 1), padding=1), (10, 3, 8, 6), False),
     "2d-grouped": (Conv2D, dict(in_channels=4, out_channels=4, kernel_size=3, padding=1,
-                                groups=2, relu=True), (5, 4, 4, 5), True),
+                                groups=2, relu=True), (10, 4, 4, 5), True),
 }
 
 
@@ -446,11 +449,13 @@ def _spy_jobs(monkeypatch) -> list:
     return jobs
 
 
-@pytest.mark.parametrize("items", [5, 3, 2, 1], ids=["1-chunk", "2-chunks", "3-chunks", "5-chunks"])
+@pytest.mark.parametrize("items", [10, 5, 4, 2, 1],
+                         ids=["1-chunk", "2-chunks", "3-chunks", "5-chunks", "10-chunks"])
 @pytest.mark.parametrize("case", sorted(WORKER_CASES))
 def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, case, items):
-    # 2 and 3 workers split 3 or 5 chunks unevenly; each run writes its own
-    # items of out and dx, and the dW partials are summed in one order
+    # runs of at least two chunks: 5 chunks split 2 + 3, and 10 chunks
+    # 5 + 5 or, with the cap raised to three runs, 3 + 3 + 4; each run writes
+    # its own items of out and dx, and the dW partials are summed in one order
     cls, kwargs, shape, x_grad = WORKER_CASES[case]
     rng = np.random.default_rng(50)
     layer = cls(**kwargs, rng=rng, dtype=np.float32)
@@ -461,6 +466,7 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, case, items):
     jobs = _spy_jobs(monkeypatch)
     runs = []
     monkeypatch.setattr(layers, "_ROWS", items * int(np.prod(G.shape[2:])))
+    monkeypatch.setattr(layers, "_RUNS", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # threads switch often, so a shared write would show
     try:
@@ -470,7 +476,7 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, case, items):
             leaf = Tensor(x.copy(), requires_grad=x_grad)
             out = layer(leaf)
             _loss_with_upstream(out, G).backward()
-            assert jobs == [min(workers, chunks)] * 2     # forward, backward
+            assert jobs == [max(1, min(workers, chunks // 2))] * 2     # forward, backward
             runs.append([out.data, leaf.grad, layer.weight.grad, layer.bias.grad])
             layer.weight.grad = layer.bias.grad = None
     finally:
@@ -482,9 +488,10 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, case, items):
                 assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def test_one_chunk_convs_submit_nothing_and_no_call_runs_more_parts_than_chunks(monkeypatch):
-    # 8 workers against at most 3 chunks: a call runs one part per chunk,
-    # the last on the calling thread
+def test_calls_of_few_chunks_submit_nothing_and_runs_are_capped(monkeypatch):
+    # 8 workers: a call of fewer than four chunks runs inline, and a longer
+    # one runs at most _RUNS runs of at least two chunks, the last on the
+    # calling thread
     submitted = []
     with ThreadPoolExecutor(2) as pool:
         class Spy:
@@ -497,11 +504,12 @@ def test_one_chunk_convs_submit_nothing_and_no_call_runs_more_parts_than_chunks(
         monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items
         rng = np.random.default_rng(51)
         layer = Conv1D(3, 4, 3, rng, dilation=2)
-        for B, chunks in ((0, 0), (1, 1), (2, 1), (3, 2), (5, 3)):
+        for B, runs in ((0, 1), (1, 1), (2, 1), (5, 1), (6, 1), (7, 2), (16, 2)):
             submitted.clear()
             leaf = Tensor(rng.normal(size=(B, 3, T)), requires_grad=True)
             _loss_with_upstream(layer(leaf), rng.normal(size=(B, 4, T))).backward()
-            assert len(submitted) == 2 * max(chunks - 1, 0), B
+            assert len(submitted) == 2 * (runs - 1), B
+            assert all(len(job[0]) >= 2 for job in submitted), B
 
 
 def test_importing_jamloc_starts_no_thread():

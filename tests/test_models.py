@@ -277,10 +277,12 @@ def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch
     assert digests[0] == digests[1]
 
 
-def test_fusion_train_forward_holds_no_pre_activation_buffers():
+def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch):
     # what a train-mode forward of the paper-width model keeps for backward,
     # at B=8: 30.8 MiB with each conv's ReLU inside the conv, 41.0 MiB when a
-    # separate ReLU node also kept every conv's pre-activation output
+    # separate ReLU node also kept every conv's pre-activation output; as
+    # many workers as a large host has, so the runs' workspaces count too
+    monkeypatch.setattr(layers, "_WORKERS", 8)
     model = FusionModel(FusionConfig(), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(0, b=8).items()}
     tracemalloc.start()
