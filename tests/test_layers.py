@@ -419,7 +419,8 @@ def test_convs_take_an_empty_batch(monkeypatch, dim, case):
 
 
 # ----------------------------------------------------------------------
-# worker threads: a call's chunks run as contiguous runs, one per worker
+# worker threads: a call's chunks run as contiguous runs, at most _RUNS of them,
+# each of at least two chunks
 # ----------------------------------------------------------------------
 
 # (layer class, constructor arguments, input shape, x_grad), B = 10. The K3
