@@ -35,7 +35,7 @@ _EPS = 1e-20
 
 
 def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
-    """(4, N) or (M, 4, N) complex samples -> (4, 22) or (M, 4, 22) features.
+    """(4, N) or (M, 4, N) complex samples, N >= 2 -> (4, 22) or (M, 4, 22) features.
 
     Patch 0 is the phase reference, so its three phase-difference features
     are identically zero. Zero-energy channels get zeroed spectral/envelope
@@ -56,6 +56,9 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
         x = x[None]
     if x.ndim != 3 or x.shape[1] != 4:
         raise ValueError(f"aoa_features expects (4, N) or (M, 4, N), got {np.shape(samples)}")
+    if x.shape[2] < 2:
+        # zcr_i and if_diff_mean average over the N - 1 pairs of neighbours
+        raise ValueError(f"aoa_features needs N >= 2 samples per patch, got N = {x.shape[2]}")
     if not fs > 0:
         raise ValueError(f"aoa_features expects a positive sample rate fs, got {fs}")
     out = _blocked(lambda b: _aoa_block(b, fs), x, 2)

@@ -2,7 +2,9 @@
 
 Everything here accepts a single snapshot (4, N) of complex samples or a
 batch (M, 4, N) and is pure; the only state is the fitted normalization
-statistics, which must come from the training split.
+statistics, which must come from the training split. The spectrogram clamp
+(``SPEC_DB_MIN``/``SPEC_DB_MAX``) and the STFT geometry (``STFT_WINDOW``/
+``STFT_HOP``) are constants.
 
 The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
 ``normalize_iq`` and ``aoa.aoa_features``) check their arguments once, then
@@ -23,7 +25,7 @@ import numpy as np
 from .fourier import fft
 
 __all__ = [
-    "NormalizationSpec", "SPEC_DB_MIN", "SPEC_DB_MAX",
+    "NormalizationSpec", "SPEC_DB_MIN", "SPEC_DB_MAX", "STFT_WINDOW", "STFT_HOP",
     "power_db", "db_to_unit", "spectrogram", "stft",
     "cfo_accumulated", "fit_iq_stats", "normalize_iq",
 ]
@@ -31,6 +33,11 @@ __all__ = [
 # spectrogram clamp bounds in dB; values outside map to exactly 0.0 / 1.0
 SPEC_DB_MIN = -195.69
 SPEC_DB_MAX = -19.89
+
+# STFT frame length and hop in samples: a 1024-sample snapshot gives the
+# (128, 15) frames whose shape the MCAFF stft stem's strides assume
+STFT_WINDOW = 128
+STFT_HOP = 64
 
 _EPS_POWER = 1e-20
 
@@ -92,29 +99,23 @@ def _check_stat(name: str, value) -> None:
 
 @dataclass
 class NormalizationSpec:
-    """Clamp bounds for spectrograms plus fitted IQ / AoA statistics.
+    """Fitted IQ / AoA statistics; the spectrogram clamp is the constant
+    ``SPEC_DB_MIN``/``SPEC_DB_MAX``, not part of the spec.
 
     ``iq_mean``/``iq_std`` are per real channel (patch-major, I before Q,
     shape (8,)); ``aoa_mean``/``aoa_std`` are per (patch, feature), (4, 22).
-    Construction checks that the bounds are finite with ``spec_min <
-    spec_max`` and that each statistic given has its shape, is finite and,
-    for a std, is positive. ``normalize_iq`` and ``standardize_aoa`` run the
-    same check on the statistics they apply (``fitted``), so statistics
-    assigned after construction are checked too.
+    Construction checks that each statistic given has its shape, is finite
+    and, for a std, is positive. ``normalize_iq`` and ``standardize_aoa``
+    run the same check on the statistics they apply (``fitted``), so
+    statistics assigned after construction are checked too.
     """
 
-    spec_min: float = SPEC_DB_MIN
-    spec_max: float = SPEC_DB_MAX
     iq_mean: np.ndarray | None = None
     iq_std: np.ndarray | None = None
     aoa_mean: np.ndarray | None = None
     aoa_std: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.spec_min) and np.isfinite(self.spec_max)
-                and self.spec_min < self.spec_max):
-            raise ValueError(f"NormalizationSpec needs finite spec_min < spec_max, "
-                             f"got {self.spec_min!r}, {self.spec_max!r}")
         for name in _STAT_SHAPES:
             if getattr(self, name) is not None:
                 _check_stat(name, getattr(self, name))
@@ -131,8 +132,6 @@ class NormalizationSpec:
 
     def to_dict(self) -> dict:
         return {
-            "spec_min": self.spec_min,
-            "spec_max": self.spec_max,
             "iq_mean": None if self.iq_mean is None else self.iq_mean.tolist(),
             "iq_std": None if self.iq_std is None else self.iq_std.tolist(),
             "aoa_mean": None if self.aoa_mean is None else self.aoa_mean.tolist(),
@@ -141,13 +140,13 @@ class NormalizationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationSpec":
-        missing = [k for k in ("spec_min", "spec_max", *_STAT_SHAPES) if k not in d]
+        """The spec of a ``to_dict`` block. Other keys are ignored, such as
+        the ``spec_min``/``spec_max`` that older blocks carry."""
+        missing = [k for k in _STAT_SHAPES if k not in d]
         if missing:
             raise ValueError(f"normalization block lacks key(s) {missing}")
-        arr = lambda v: None if v is None else np.asarray(v, dtype=np.float64)
-        return cls(spec_min=d["spec_min"], spec_max=d["spec_max"],
-                   iq_mean=arr(d["iq_mean"]), iq_std=arr(d["iq_std"]),
-                   aoa_mean=arr(d["aoa_mean"]), aoa_std=arr(d["aoa_std"]))
+        return cls(**{k: None if d[k] is None else np.asarray(d[k], dtype=np.float64)
+                      for k in _STAT_SHAPES})
 
 
 def power_db(spectrum: np.ndarray, n: int) -> np.ndarray:
@@ -155,14 +154,12 @@ def power_db(spectrum: np.ndarray, n: int) -> np.ndarray:
     return 10.0 * np.log10(np.abs(spectrum) ** 2 / n + _EPS_POWER)
 
 
-def db_to_unit(db: np.ndarray, norm: NormalizationSpec | None = None) -> np.ndarray:
-    """Clamp to [spec_min, spec_max] then map linearly onto [0, 1]."""
-    lo = SPEC_DB_MIN if norm is None else norm.spec_min
-    hi = SPEC_DB_MAX if norm is None else norm.spec_max
-    return (np.clip(db, lo, hi) - lo) / (hi - lo)
+def db_to_unit(db: np.ndarray) -> np.ndarray:
+    """Clamp to [SPEC_DB_MIN, SPEC_DB_MAX] then map linearly onto [0, 1]."""
+    return (np.clip(db, SPEC_DB_MIN, SPEC_DB_MAX) - SPEC_DB_MIN) / (SPEC_DB_MAX - SPEC_DB_MIN)
 
 
-def spectrogram(samples: np.ndarray, norm: NormalizationSpec | None = None) -> np.ndarray:
+def spectrogram(samples: np.ndarray) -> np.ndarray:
     """(..., 4, 1024) complex -> (..., 4, 32, 32) in [0, 1].
 
     One 1024-point FFT per patch, power in dB, clamp-normalized, fftshifted
@@ -176,34 +173,30 @@ def spectrogram(samples: np.ndarray, norm: NormalizationSpec | None = None) -> n
     samples = _check_patches(samples, "spectrogram")
 
     def body(x):
-        unit = db_to_unit(power_db(fft(x), n), norm)
+        unit = db_to_unit(power_db(fft(x), n))
         return np.fft.fftshift(unit, axes=-1).reshape(x.shape[:-1] + (32, 32))
 
     return _blocked(body, samples, 2)
 
 
-def stft(x: np.ndarray, window: int = 128, hop: int = 64) -> np.ndarray:
-    """Hann-windowed magnitude STFT: (..., N) -> (..., window, n_frames).
+def stft(x: np.ndarray) -> np.ndarray:
+    """Hann-windowed magnitude STFT: (..., N) -> (..., STFT_WINDOW, n_frames).
 
-    Frame f covers samples [f * hop, f * hop + window). The frames are read
-    through a strided view of ``x``, so the windowed copy that the FFT reads
-    is contiguous; its values equal ``x[..., idx] * win`` for
-    ``idx[f, k] = f * hop + k``. Computed in blocks of 64 rows (see the
-    module docstring).
+    Frame f covers samples [f * STFT_HOP, f * STFT_HOP + STFT_WINDOW). The
+    frames are read through a strided view of ``x``, so the windowed copy
+    that the FFT reads is contiguous; its values equal ``x[..., idx] * win``
+    for ``idx[f, k] = f * STFT_HOP + k``. Computed in blocks of 64 rows (see
+    the module docstring).
     """
     x = np.asarray(x)
-    if window <= 0 or window & (window - 1):
-        raise ValueError(f"stft window must be a positive power of two, got {window}")
-    if hop <= 0:
-        raise ValueError(f"stft hop must be positive, got {hop}")
     n = x.shape[-1]
-    n_frames = 1 + (n - window) // hop
-    if n_frames < 1:
-        raise ValueError(f"signal of length {n} shorter than one window {window}")
-    win = _hann_periodic(window)
+    if n < STFT_WINDOW:
+        raise ValueError(f"signal of length {n} shorter than one window {STFT_WINDOW}")
+    win = _hann_periodic(STFT_WINDOW)
 
     def body(rows):
-        frames = np.lib.stride_tricks.sliding_window_view(rows, window, axis=-1)[..., ::hop, :] * win
+        frames = (np.lib.stride_tricks.sliding_window_view(rows, STFT_WINDOW, axis=-1)
+                  [..., ::STFT_HOP, :] * win)
         mag = np.abs(fft(frames))           # (..., n_frames, window)
         return np.swapaxes(mag, -1, -2)     # (..., window, n_frames)
 

@@ -1,6 +1,9 @@
 """Model checkpointing: a GJW1 weight file plus a metadata block carrying the
 model kind, its config echo and, when given, the fitted IQ and AoA
 normalization statistics (``NormalizationSpec``) and a caller's ``extra``.
+The spectrogram clamp is a constant of ``dsp``, so the block holds no
+bounds; the ``spec_min``/``spec_max`` that older blocks carry were never
+applied and are ignored on load.
 
 The block is not enough for inference on its own: the per-patch
 standardization of the cfo and stft inputs and the displacement-target

@@ -18,6 +18,14 @@ __all__ = ["JammerClass", "JammerProfile", "gen_baseband",
 BANDWIDTH_RANGE_HZ = (0.2e6, 60e6)
 POWER_RANGE_DBM = (-20.0, 10.0)
 
+# per-class structure: equal-length hops of a frequency-hopping snapshot,
+# tones of the multitone comb, and the pulsed chirp's gate periods and duty
+# cycle per snapshot
+_HOPS = 8
+_TONES = 8
+_PULSES = 4
+_DUTY = 0.3
+
 
 class JammerClass(enum.Enum):
     CHIRP = "Chirp"
@@ -58,9 +66,8 @@ def _unit_power(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(p)
 
 
-def gen_baseband(profile: JammerProfile, n: int, fs: float, rng: np.random.Generator,
-                 *, hops: int = 8, tones: int = 8, duty: float = 0.3,
-                 pulses: int = 4) -> np.ndarray:
+def gen_baseband(profile: JammerProfile, n: int, fs: float,
+                 rng: np.random.Generator) -> np.ndarray:
     """Complex baseband snapshot of class-specific structure, unit average power."""
     if profile.bandwidth_hz >= fs:
         raise ValueError(f"bandwidth {profile.bandwidth_hz:g} must be below sample rate {fs:g}")
@@ -73,20 +80,20 @@ def gen_baseband(profile: JammerProfile, n: int, fs: float, rng: np.random.Gener
         x = _chirp(t, dur, b, rng)
     elif kind is JammerClass.FREQUENCY_HOPPING:
         x = np.empty(n, dtype=np.complex128)
-        edges = np.linspace(0, n, hops + 1).astype(int)
-        for h in range(hops):
+        edges = np.linspace(0, n, _HOPS + 1).astype(int)
+        for h in range(_HOPS):
             f = rng.uniform(-b / 2, b / 2)
             phi = rng.uniform(0, 2 * np.pi)
             seg = slice(edges[h], edges[h + 1])
             x[seg] = np.exp(1j * (2 * np.pi * f * t[seg] + phi))
     elif kind is JammerClass.MULTITONE:
-        spacing = b / max(tones - 1, 1)
-        freqs = (np.arange(tones) - (tones - 1) / 2.0) * spacing
-        phases = rng.uniform(0, 2 * np.pi, size=tones)
+        spacing = b / (_TONES - 1)
+        freqs = (np.arange(_TONES) - (_TONES - 1) / 2.0) * spacing
+        phases = rng.uniform(0, 2 * np.pi, size=_TONES)
         x = np.exp(1j * (2 * np.pi * np.outer(freqs, t) + phases[:, None])).sum(axis=0)
     elif kind is JammerClass.PULSED:
-        period = n // pulses
-        gate = (np.arange(n) % period) < duty * period
+        period = n // _PULSES
+        gate = (np.arange(n) % period) < _DUTY * period
         x = _chirp(t, dur, b, rng) * gate
     elif kind is JammerClass.NOISE:
         w = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -302,10 +302,9 @@ def _draw_noise(scene: SceneConfig, rng: np.random.Generator, n: int) -> np.ndar
 
 
 def _synthesize(scene: SceneConfig, geometry: ArrayGeometry, paths: _Paths,
-                pose_of_row: np.ndarray, waveforms: np.ndarray,
-                noise: np.ndarray | None) -> np.ndarray:
-    """Snapshots (Q, 4, n): row q receives ``waveforms[q]`` (Q, n) sent from
-    pose ``pose_of_row[q]`` of ``paths``, plus ``noise[q]`` (Q, 2, 4, n).
+                waveforms: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """Snapshots (P, 4, n): row p receives ``waveforms[p]`` (P, n) sent from
+    pose p of ``paths``, plus ``noise[p]`` (P, 2, 4, n).
 
     Each path contributes amp * carrier * steer times the waveform delayed
     by a whole number of samples, the delay relative to the direct path; a
@@ -328,8 +327,8 @@ def _synthesize(scene: SceneConfig, geometry: ArrayGeometry, paths: _Paths,
     padded[:, head:] = waveforms
     windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=-1)
     rows = np.arange(len(waveforms))[:, None]
-    delayed = windows[rows, head - shift[pose_of_row]]             # (Q, L, n)
-    out = np.matmul(coef[pose_of_row].transpose(0, 2, 1), delayed)
+    delayed = windows[rows, head - shift]                           # (P, L, n)
+    out = np.matmul(coef.transpose(0, 2, 1), delayed)
     if noise is not None:
         out.real += noise[:, 0]
         out.imag += noise[:, 1]
@@ -354,7 +353,6 @@ def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
     waveform = np.asarray(waveform)
     noise = _draw_noise(scene, rng, waveform.shape[-1])
     out = _synthesize(scene, geometry, _path_arrays(scene, antenna, jammer[None]),
-                      np.zeros(1, dtype=np.intp), waveform[None],
-                      None if noise is None else noise[None])
+                      waveform[None], None if noise is None else noise[None])
     label = Label.from_displacement(jammer - antenna, class_id, subclass_id)
     return IQSnapshot(samples=out[0], label=label, scenario_tag=scenario_tag)

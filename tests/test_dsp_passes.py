@@ -63,8 +63,6 @@ def _equal(a, b):
 def test_stft_equals_gather_framing(desk):
     for name, x in _chunks(desk).items():
         assert _equal(dsp.stft(x), stft_gather_ref(x)), name
-    x = desk["meander"][:4]
-    assert _equal(dsp.stft(x, window=64, hop=48), stft_gather_ref(x, 64, 48))
 
 
 def test_phase_increments_match_the_complex_product(desk):
@@ -163,9 +161,9 @@ def test_fit_aoa_stats_rejects_wrong_shape():
         dsp.fit_aoa_stats(np.ones((5, 4, 21)))
 
 
-def test_stft_rejects_zero_window():
-    with pytest.raises(ValueError, match="window must be a positive power of two, got 0"):
-        dsp.stft(np.zeros(1024, dtype=complex), window=0)
+def test_stft_rejects_a_signal_shorter_than_one_window():
+    with pytest.raises(ValueError, match="signal of length 127 shorter than one window 128"):
+        dsp.stft(np.zeros(127, dtype=complex))
 
 
 def test_aoa_features_rejects_non_positive_sample_rate():

@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from jamloc.dsp import (SPEC_DB_MAX, SPEC_DB_MIN, NormalizationSpec,
-                        cfo_accumulated, db_to_unit, fit_iq_stats,
-                        normalize_iq, spectrogram, standardize_aoa, stft)
+from jamloc.dsp import (SPEC_DB_MAX, SPEC_DB_MIN, STFT_HOP, STFT_WINDOW,
+                        NormalizationSpec, cfo_accumulated, db_to_unit,
+                        fit_iq_stats, normalize_iq, spectrogram,
+                        standardize_aoa, stft)
 
 from _oracles import naive_dft
 
@@ -121,22 +122,17 @@ def test_stft_chirp_argmax_monotone():
     assert np.all(np.diff(signed) > 0)
 
 
-@pytest.mark.parametrize("window,hop", [(128, 64), (64, 48)])
-def test_stft_matches_naive_dft_oracle(window, hop):
+def test_stft_matches_naive_dft_oracle():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 3, N)) + 1j * rng.normal(size=(2, 3, N))
+    window, hop = STFT_WINDOW, STFT_HOP
     hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(window) / window)
     n_frames = 1 + (N - window) // hop
     ref = np.stack([np.abs(naive_dft(x[..., f * hop: f * hop + window] * hann))
                     for f in range(n_frames)], axis=-1)
-    out = stft(x, window=window, hop=hop)
-    assert out.shape == (2, 3, window, n_frames)
+    out = stft(x)
+    assert out.shape == (2, 3, 128, 15)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
-
-
-def test_stft_hop_validation():
-    with pytest.raises(ValueError):
-        stft(np.zeros(N, dtype=complex), hop=0)
 
 
 # ----------------------------------------------------------------------
@@ -209,15 +205,30 @@ def test_normalization_spec_round_trips_through_dict():
     mean = np.arange(8.0)
     std = np.ones(8)
     norm = NormalizationSpec(iq_mean=mean, iq_std=std)
-    again = NormalizationSpec.from_dict(norm.to_dict())
+    d = norm.to_dict()
+    assert set(d) == {"iq_mean", "iq_std", "aoa_mean", "aoa_std"}
+    again = NormalizationSpec.from_dict(d)
     np.testing.assert_array_equal(again.iq_mean, mean)
-    assert again.spec_min == SPEC_DB_MIN
+    np.testing.assert_array_equal(again.iq_std, std)
+    assert again.aoa_mean is None and again.aoa_std is None
+
+
+def test_normalization_spec_loads_a_block_with_the_old_clamp_bounds():
+    # blocks written before the clamp became a constant carry spec_min and
+    # spec_max; they were never applied, and loading ignores them
+    mean, std = np.arange(8.0), np.ones(8)
+    d = {"spec_min": -100.0, "spec_max": -50.0, "iq_mean": mean.tolist(),
+         "iq_std": std.tolist(), "aoa_mean": None, "aoa_std": None}
+    again = NormalizationSpec.from_dict(d)
+    np.testing.assert_array_equal(again.iq_mean, mean)
+    np.testing.assert_array_equal(again.iq_std, std)
+    assert again.to_dict() == NormalizationSpec(iq_mean=mean, iq_std=std).to_dict()
 
 
 @pytest.mark.parametrize("kwargs,field", [
-    ({"spec_min": -20.0, "spec_max": -20.0}, "spec_min < spec_max"),
-    ({"spec_min": -19.0, "spec_max": -196.0}, "spec_min < spec_max"),
-    ({"spec_max": np.inf}, "spec_min < spec_max"),
+    ({"aoa_std": np.ones((4, 21))}, "aoa_std must have shape"),
+    ({"iq_std": np.r_[np.ones(7), np.inf]}, "iq_std holds non-finite"),
+    ({"aoa_mean": np.full((4, 22), np.nan)}, "aoa_mean holds non-finite"),
     ({"iq_mean": np.zeros(7)}, "iq_mean must have shape"),
     ({"iq_std": np.ones((8, 1))}, "iq_std must have shape"),
     ({"aoa_mean": np.zeros((22, 4))}, "aoa_mean must have shape"),
@@ -233,8 +244,8 @@ def test_normalization_spec_rejects_broken_statistics(kwargs, field):
 
 def test_normalization_spec_from_dict_names_missing_key():
     d = NormalizationSpec().to_dict()
-    del d["spec_max"]
-    with pytest.raises(ValueError, match="spec_max"):
+    del d["iq_std"]
+    with pytest.raises(ValueError, match=r"lacks key\(s\) \['iq_std'\]"):
         NormalizationSpec.from_dict(d)
 
 

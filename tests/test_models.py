@@ -192,6 +192,19 @@ def test_save_load_round_trip(build, tmp_path):
         assert a.data.tobytes() == b.data.tobytes()
 
 
+def test_load_reads_a_normalization_block_with_the_old_clamp_bounds(tmp_path):
+    # checkpoints written before the clamp became a constant carry spec_min
+    # and spec_max in the block; they load, and the bounds are dropped
+    model = FusionModel(tiny_fusion_config(), seed=0)
+    norm = NormalizationSpec(iq_mean=np.arange(8.0), iq_std=np.ones(8))
+    block = {"spec_min": -195.69, "spec_max": -19.89, **norm.to_dict()}
+    save_checkpoint(tmp_path / "model.gjw", model.params(),
+                    {"kind": model.KIND, "config": asdict(model.cfg), "norm": block})
+    _, loaded, meta = load_model(tmp_path / "model.gjw")
+    assert meta["norm"] == block
+    assert loaded.to_dict() == norm.to_dict()
+
+
 def test_load_rejects_bad_normalization_block(tmp_path):
     model = FusionModel(tiny_fusion_config(), seed=0)
     norm = NormalizationSpec(iq_mean=np.zeros(8), iq_std=np.ones(8)).to_dict()

@@ -38,18 +38,20 @@ def test_chirp_instantaneous_frequency_spans_bandwidth():
     assert abs(span - b) / b < 0.02
 
 
-def test_multitone_single_tone_is_one_bin():
-    x = gen_baseband(_profile(JammerClass.MULTITONE, bw=10e6), N, FS,
-                     np.random.default_rng(2), tones=1)
+def test_multitone_is_an_eight_tone_comb_across_the_band():
+    # 7 spacings of 32 bins (b = 7 * 32 * FS / N): each tone on a bin centre,
+    # symmetric about DC, so the spectrum is 8 lines and nothing between
+    b = 7 * 32 * FS / N
+    x = gen_baseband(_profile(JammerClass.MULTITONE, bw=b), N, FS, np.random.default_rng(2))
     mag = np.abs(np.fft.fft(x))
-    top = np.sort(mag)[::-1]
-    assert np.argmax(mag) == 0          # single exponential at band center (DC)
-    assert top[0] > 100 * top[1]
+    tones = np.sort(np.argsort(mag)[-8:])
+    np.testing.assert_array_equal(tones, np.sort((np.arange(8) * 32 - 112) % N))
+    assert mag[tones].min() > 1e9 * np.delete(mag, tones).max()
 
 
 def test_pulsed_has_gated_structure():
     x = gen_baseband(_profile(JammerClass.PULSED, bw=10e6), N, FS,
-                     np.random.default_rng(3), pulses=4, duty=0.3)
+                     np.random.default_rng(3))
     assert np.sum(np.abs(x) == 0) > 0.5 * N   # off intervals present
 
 
@@ -280,38 +282,14 @@ def test_cycle_assignment_rotates_profiles():
     assert [s.label.class_id for s in snaps[:4]] == [0, 5, 0, 5]
 
 
-def test_cross_assignment_emits_pose_times_profiles():
-    cfg = _tiny_sim()
-    cfg.assignment = "cross"
-    snaps = make_dataset(cfg, ArrayGeometry(), seed=1)
-    assert len(snaps) == 6 * 2
-
-
-@pytest.mark.parametrize("assignment", ["cycle", "cross"])
-def test_parallel_dataset_matches_serial(assignment):
-    # 7 workers for 6 poses: more jobs than poses must not change the result
-    cfg = _tiny_sim()
-    cfg.assignment = assignment
-    cfg.pose_jitter_m = 0.1
-    geom = ArrayGeometry()
-    serial = make_dataset(cfg, geom, seed=9)
-    for jobs in (2, 7):
-        parallel = make_dataset(cfg, geom, seed=9, jobs=jobs)
-        assert len(parallel) == len(serial)
-        for s, t in zip(serial, parallel):
-            assert s.samples.tobytes() == t.samples.tobytes()
-            assert s.label == t.label
-
-
 @pytest.mark.parametrize("field,value", [
     ("pose_jitter_m", -0.1),
     ("pose_jitter_m", np.nan),
-    ("assignment", "round_robin"),
     ("scene.noise_floor_dbm", np.nan),
     ("scene.antenna_position", (0.0, -1.0, 1.0)),
     ("scene.snapshot_len", 0),
     ("scene.sample_rate", 0.0),
-], ids=["jitter-negative", "jitter-nan", "assignment-unknown", "noise-nan",
+], ids=["jitter-negative", "jitter-nan", "noise-nan",
         "antenna-outside", "snapshot_len-zero", "sample_rate-zero"])
 def test_sim_config_fails_at_entry_naming_the_field(field, value):
     # fields reassigned after construction, as callers do
@@ -323,10 +301,33 @@ def test_sim_config_fails_at_entry_naming_the_field(field, value):
         make_dataset(cfg, ArrayGeometry(), seed=0)
 
 
-@pytest.mark.parametrize("jobs", [0, -2])
-def test_make_dataset_rejects_jobs_below_one(jobs):
-    with pytest.raises(ValueError, match=r"jobs must be an integer >= 1"):
+@pytest.mark.parametrize("jobs", [0, -2, 2, 7, True, 1.0])
+def test_make_dataset_rejects_jobs_other_than_one(jobs):
+    with pytest.raises(ValueError, match=r"^make_dataset: jobs must be 1 .*got "):
         make_dataset(_tiny_sim(), ArrayGeometry(), seed=0, jobs=jobs)
+
+
+@pytest.mark.parametrize("seed,seed_channel,field", [
+    (-1, 0, "make_dataset: seed"),
+    (1.5, 0, "make_dataset: seed"),
+    (True, 0, "make_dataset: seed"),
+    (0, -3, "SimConfig.seed_channel"),
+    (0, 2.0, "SimConfig.seed_channel"),
+    (0, False, "SimConfig.seed_channel"),
+], ids=["seed-negative", "seed-float", "seed-bool", "seed_channel-negative",
+        "seed_channel-float", "seed_channel-bool"])
+def test_make_dataset_rejects_bad_seeds_naming_the_field(seed, seed_channel, field):
+    # unchecked, most of these fail inside numpy's default_rng, naming no field
+    cfg = _tiny_sim()
+    cfg.seed_channel = seed_channel
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 0, got "):
+        make_dataset(cfg, ArrayGeometry(), seed=seed)
+
+
+def test_make_dataset_accepts_numpy_integer_seeds():
+    a = make_dataset(_tiny_sim(), ArrayGeometry(), seed=np.int64(4))
+    b = make_dataset(_tiny_sim(), ArrayGeometry(), seed=4)
+    assert [s.samples.tobytes() for s in a] == [s.samples.tobytes() for s in b]
 
 
 def test_empty_profiles_rejected():

@@ -1,7 +1,7 @@
 """The chunked simulation against the per-pose, per-path loop in
 ``_oracles`` (path kinds, order and gains bitwise; distances and directions
 to 1e-12; samples to 1e-12 of the snapshot peak), its independence of the
-chunk size and of ``jobs``, and the sigsim calls the benchmark makes."""
+chunk size, and the sigsim calls the benchmark makes."""
 
 import numpy as np
 import pytest
@@ -35,14 +35,10 @@ def _replay(cfg, seed, index, pose):
     pose = pose.copy()
     if cfg.pose_jitter_m > 0:
         pose[:2] += rng.uniform(-cfg.pose_jitter_m, cfg.pose_jitter_m, size=2)
-    profiles = cfg.profiles if cfg.assignment == "cross" else \
-        [cfg.profiles[index % len(cfg.profiles)]]
-    out = []
-    for prof in profiles:
-        wf = sigsim.gen_baseband(prof, cfg.scene.snapshot_len, cfg.scene.sample_rate, rng)
-        wf = wf * 10.0 ** (prof.power_dbm / 20.0)
-        out.append(propagate_ref(cfg.scene, GEOMETRY, pose, wf, rng))
-    return out, pose
+    prof = cfg.profiles[index % len(cfg.profiles)]
+    wf = sigsim.gen_baseband(prof, cfg.scene.snapshot_len, cfg.scene.sample_rate, rng)
+    wf = wf * 10.0 ** (prof.power_dbm / 20.0)
+    return propagate_ref(cfg.scene, GEOMETRY, pose, wf, rng), pose, prof
 
 
 def _assert_close_to_peak(got, want):
@@ -53,15 +49,13 @@ def _assert_close_to_peak(got, want):
 def _assert_matches_replay(cfg, seed, indices):
     poses = _poses(cfg)
     snaps = dataset._simulate(cfg, GEOMETRY, seed, poses, indices)
-    rows = iter(snaps)
-    for i in indices:
-        ref, pose = _replay(cfg, seed, i, poses[i])
-        label = sigsim.Label.from_displacement(pose - _antenna(cfg))
-        for want in ref:
-            snap = next(rows)
-            _assert_close_to_peak(snap.samples, want)
-            assert (snap.label.dx, snap.label.dy, snap.label.dz) == (label.dx, label.dy, label.dz)
-    assert next(rows, None) is None
+    assert len(snaps) == len(indices)
+    for i, snap in zip(indices, snaps):
+        want, pose, prof = _replay(cfg, seed, i, poses[i])
+        label = sigsim.Label.from_displacement(pose - _antenna(cfg), prof.class_id,
+                                               prof.subclass_id)
+        _assert_close_to_peak(snap.samples, want)
+        assert snap.label == label
 
 
 @pytest.mark.parametrize("key", sigsim.DATASET_KEYS)
@@ -112,17 +106,13 @@ def test_samples_match_oracle_on_desk_subsample(desk, key):
     _assert_matches_replay(cfg, 5, list(range(0, len(_poses(cfg)), 41)))
 
 
-def _small(assignment="cycle", points=3):
+def _small(points=3):
     return sigsim.SimConfig(
         scene=sigsim.base_scene(sigsim.scenario_configs("desk")["wall3"].scene.wall_segments),
         trajectory_kind="circles",
         trajectory_params={"center": (0.0, 16.0), "radii": (4.0, 6.0), "points_per_circle": points},
-        heights=(4.4,), profiles=sigsim.desk_profiles()[::5], assignment=assignment,
+        heights=(4.4,), profiles=sigsim.desk_profiles()[::5],
         pose_jitter_m=0.1, seed_channel=3)
-
-
-def test_cross_assignment_matches_oracle():
-    _assert_matches_replay(_small("cross"), 11, list(range(6)))
 
 
 def test_noise_free_scene_matches_oracle():
@@ -142,17 +132,14 @@ def test_path_delayed_past_the_snapshot_is_dropped():
     _assert_matches_replay(cfg, 13, list(range(len(poses))))
 
 
-@pytest.mark.parametrize("assignment", ["cycle", "cross"])
-def test_output_is_bitwise_the_same_for_any_chunk_size_and_jobs(monkeypatch, assignment):
-    cfg = _small(assignment, points=35)         # 70 poses: more than one default chunk
+def test_output_is_bitwise_the_same_for_any_chunk_size(monkeypatch):
+    cfg = _small(points=35)                     # 70 poses: more than one default chunk
     ref = sigsim.make_dataset(cfg, GEOMETRY, 21)
     assert len(ref) > dataset._CHUNK
     runs = []
     for chunk in (1, 5):
         monkeypatch.setattr(dataset, "_CHUNK", chunk)
         runs.append(sigsim.make_dataset(cfg, GEOMETRY, 21))
-    monkeypatch.undo()
-    runs += [sigsim.make_dataset(cfg, GEOMETRY, 21, jobs=jobs) for jobs in (2, 7)]
     for run in runs:
         assert len(run) == len(ref)
         for s, t in zip(ref, run):
