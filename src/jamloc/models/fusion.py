@@ -39,10 +39,10 @@ class FusionConfig:
     aoa_conv_channels: int = 32
 
     def __post_init__(self):
-        self.enabled_branches = tuple(self.enabled_branches)
-        unknown = set(self.enabled_branches) - set(BRANCHES)
-        if unknown or not self.enabled_branches:
-            raise ValueError(f"enabled_branches must be a nonempty subset of {BRANCHES}")
+        self.enabled_branches = branches = tuple(self.enabled_branches)
+        if not branches or len(set(branches) & set(BRANCHES)) < len(branches):  # unknown or repeated
+            raise ValueError(f"enabled_branches must be a nonempty subset of {BRANCHES}, "
+                             f"each named once, got {branches!r}")
         require_positive(self, "spec_branch_dim", "iq_branch_dim", "aoa_branch_dim",
                          "head_hidden", "n_classes", "spec_channels", "iq_channels",
                          "iq_dilations", "iq_kernel", "aoa_conv_channels")

@@ -1,5 +1,9 @@
 """Labeled snapshot dataset generation.
 
+A snapshot is N = 1024 samples at 100 MHz from the array at (0, 1, 1) m in
+the 20 x 30 x 8 m hall: the ``SceneConfig`` constants ``snapshot_len``,
+``sample_rate``, ``antenna_position`` and ``hall_extent``.
+
 Pose i is sent by profile i mod len(profiles), one snapshot per pose. Poses
 are simulated ``_CHUNK`` snapshots at a time (``_simulate``), in order, in
 the calling process. Each pose draws from an independent generator seeded by
@@ -32,7 +36,7 @@ from .trajectory import DEFAULT_HEIGHTS, gen_trajectory
 __all__ = ["SimConfig", "make_dataset"]
 
 # snapshots simulated together. It bounds the chunk's temporaries (about
-# 9 MB at snapshot_len 1024, mostly the (P, 1+S, N) delayed waveforms).
+# 9 MB, mostly the (P, 1+S, N) delayed waveforms).
 # Chunks of 16, 32 and 64 ran the desk suite equally fast on a 2-vCPU
 # x86-64 VM; larger chunks left more heap behind at peak RSS.
 _CHUNK = 32
@@ -95,10 +99,10 @@ def _simulate(cfg: SimConfig, geometry: ArrayGeometry, seed: int, poses: np.ndar
         np.multiply(gen_baseband(prof, n, fs, rng), 10.0 ** (prof.power_dbm / 20.0),
                     out=waveforms[k])
         if noise is not None:
-            noise[k] = _draw_noise(scene, rng, n)
+            noise[k] = _draw_noise(scene, rng)
 
     antenna = np.asarray(scene.antenna_position, dtype=np.float64)
-    _check_jammers(scene, antenna, jammers)
+    _check_jammers(antenna, jammers)
     samples = _synthesize(scene, geometry, _path_arrays(scene, antenna, jammers), waveforms, noise)
     return [IQSnapshot(samples=x, scenario_tag=cfg.scenario_tag,
                        label=Label.from_displacement(jammer - antenna, prof.class_id,

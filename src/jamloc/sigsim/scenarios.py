@@ -66,11 +66,7 @@ _WALL_LAYOUTS = {
 
 
 def base_scene(walls=()) -> SceneConfig:
-    return SceneConfig(hall_extent=(20.0, 30.0, 8.0),
-                       antenna_position=(0.0, 1.0, 1.0),
-                       wall_segments=list(walls),
-                       ambient_reflectors=_hall_reflectors(),
-                       noise_floor_dbm=-90.0)
+    return SceneConfig(wall_segments=list(walls), ambient_reflectors=_hall_reflectors())
 
 
 def scenario_configs(scale: str = "desk") -> dict[str, SimConfig]:

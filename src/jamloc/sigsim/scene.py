@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -90,17 +90,21 @@ class Reflector:
         _check_surface(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class SceneConfig:
-    """Hall with x in [-ex/2, ex/2], y in [0, ey], z in [0, ez]."""
+    """The recording hall: x in [-10, 10], y in [0, 30], z in [0, 8] m (20 x 30
+    x 8 m), the array at (0, 1, 1) m, sampled at 100 MHz in snapshots of 1024
+    samples (one 32 x 32 spectrogram per patch). These four are class
+    constants; a scene sets only its walls, its reflectors and its receiver
+    noise floor (dBm per complex sample, None for a noise-free scene)."""
 
-    hall_extent: tuple = (20.0, 30.0, 8.0)
-    antenna_position: tuple = (0.0, 1.0, 1.0)
+    hall_extent: ClassVar[tuple] = (20.0, 30.0, 8.0)
+    antenna_position: ClassVar[tuple] = (0.0, 1.0, 1.0)
+    sample_rate: ClassVar[float] = 1e8
+    snapshot_len: ClassVar[int] = 1024
     wall_segments: list = field(default_factory=list)
     ambient_reflectors: list = field(default_factory=list)
     noise_floor_dbm: float | None = -90.0
-    sample_rate: float = 1e8
-    snapshot_len: int = 1024
 
 
 @dataclass
@@ -112,37 +116,19 @@ class PropPath:
 
 
 def _check_scene(scene: SceneConfig) -> None:
-    """Reject a scene whose simulation would fail late or give non-finite samples."""
-    ext = np.asarray(scene.hall_extent, dtype=np.float64)
-    if ext.shape != (3,) or not np.all(np.isfinite(ext) & (ext > 0)):
-        raise ValueError(f"SceneConfig.hall_extent must be 3 finite positive lengths, "
-                         f"got {scene.hall_extent!r}")
-    ant = np.asarray(scene.antenna_position, dtype=np.float64)
-    if ant.shape != (3,) or not _inside(ext, ant[None])[0]:
-        raise ValueError(f"SceneConfig.antenna_position {scene.antenna_position!r} lies "
-                         f"outside hall_extent {scene.hall_extent!r}")
+    """Reject a noise floor that would make every sample non-finite."""
     if scene.noise_floor_dbm is not None and not np.isfinite(scene.noise_floor_dbm):
         raise ValueError(f"SceneConfig.noise_floor_dbm must be finite or None, "
                          f"got {scene.noise_floor_dbm!r}")
-    if not (np.isfinite(scene.sample_rate) and scene.sample_rate > 0):
-        raise ValueError(f"SceneConfig.sample_rate must be finite and positive, "
-                         f"got {scene.sample_rate!r}")
-    n = scene.snapshot_len
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"SceneConfig.snapshot_len must be an integer >= 1, got {n!r}")
 
 
-def _inside(extent, points: np.ndarray) -> np.ndarray:
-    ex, ey, ez = extent
-    return np.all(((-ex / 2, 0.0, 0.0) <= points) & (points <= (ex / 2, ey, ez)), axis=-1)
-
-
-def _check_jammers(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray) -> None:
+def _check_jammers(antenna: np.ndarray, jammers: np.ndarray) -> None:
     """Every pose of ``jammers`` (P, 3) inside the hall and off the antenna."""
-    outside = ~_inside(scene.hall_extent, jammers)
+    ex, ey, ez = SceneConfig.hall_extent
+    outside = ~np.all(((-ex / 2, 0.0, 0.0) <= jammers) & (jammers <= (ex / 2, ey, ez)), axis=-1)
     if outside.any():
         bad = jammers[np.argmax(outside)]
-        raise ValueError(f"jammer {bad.tolist()} outside hall extent {scene.hall_extent}")
+        raise ValueError(f"jammer {bad.tolist()} outside hall extent {SceneConfig.hall_extent}")
     delta = jammers - antenna
     if np.any(np.sqrt(np.sum(delta * delta, axis=-1)) < 1e-6):
         raise ValueError("jammer coincides with the antenna position")
@@ -292,13 +278,13 @@ def compute_paths(scene: SceneConfig, antenna: np.ndarray, jammer: np.ndarray) -
 # snapshot synthesis
 # ----------------------------------------------------------------------
 
-def _draw_noise(scene: SceneConfig, rng: np.random.Generator, n: int) -> np.ndarray | None:
-    """Receiver noise (2, 4, n): real parts, then imaginary parts; None when
-    the scene is noise free. One draw of the stream two (4, n) draws take."""
+def _draw_noise(scene: SceneConfig, rng: np.random.Generator) -> np.ndarray | None:
+    """Receiver noise (2, 4, N): real parts, then imaginary parts; None when
+    the scene is noise free. One draw of the stream two (4, N) draws take."""
     if scene.noise_floor_dbm is None:
         return None
     sigma = np.sqrt(10.0 ** (scene.noise_floor_dbm / 10.0) / 2.0)
-    return rng.normal(scale=sigma, size=(2, 4, n))
+    return rng.normal(scale=sigma, size=(2, 4, SceneConfig.snapshot_len))
 
 
 def _synthesize(scene: SceneConfig, geometry: ArrayGeometry, paths: _Paths,
@@ -343,15 +329,19 @@ def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
 
     ``waveform`` carries the transmit scale: unit average power corresponds
     to 0 dBm, and amplitudes combine free-space loss 20*log10(4 pi d / lambda),
-    wall crossings, and reflection coefficients. Per-path delay is an
-    integer-sample shift plus the exact carrier phase rotation.
+    wall crossings, and reflection coefficients; its shape is
+    ``(SceneConfig.snapshot_len,)``. Per-path delay is an integer-sample
+    shift plus the exact carrier phase rotation.
     """
     _check_scene(scene)
+    waveform = np.asarray(waveform)
+    if waveform.shape != (SceneConfig.snapshot_len,):
+        raise ValueError(f"propagate: waveform must have shape ({SceneConfig.snapshot_len},), "
+                         f"got {waveform.shape}")
     jammer = np.asarray(jammer_pos, dtype=np.float64)
     antenna = np.asarray(scene.antenna_position, dtype=np.float64)
-    _check_jammers(scene, antenna, jammer[None])
-    waveform = np.asarray(waveform)
-    noise = _draw_noise(scene, rng, waveform.shape[-1])
+    _check_jammers(antenna, jammer[None])
+    noise = _draw_noise(scene, rng)
     out = _synthesize(scene, geometry, _path_arrays(scene, antenna, jammer[None]),
                       waveform[None], None if noise is None else noise[None])
     label = Label.from_displacement(jammer - antenna, class_id, subclass_id)

@@ -33,12 +33,16 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
         centers = [tuple(params.get("center", (0.0, 16.0)))]
     elif kind == "grid_circles":
         centers = [tuple(c) for c in params["centers"]]
+        if not centers:
+            raise ValueError("grid_circles: centers must be nonempty")
     elif kind == "meander":
         return _meander(params, heights)
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
 
     radii = params.get("radii", (3.0, 4.5, 6.0, 7.5, 9.0))
+    if len(radii) == 0:
+        raise ValueError(f"{kind}: radii must be nonempty")
     n_pts = int(params.get("points_per_circle", 100))
     phase = float(params.get("phase", 0.0))
     poses = []
@@ -54,6 +58,8 @@ def _meander(params: dict, heights) -> np.ndarray:
     x0, x1 = params.get("x_range", (-6.0, 6.0))
     y0, y1 = params.get("y_range", (10.0, 20.0))
     rows = int(params.get("rows", 10))
+    if rows < 1:
+        raise ValueError(f"meander: rows must be >= 1, got {rows}")
     n_pts = int(params.get("points_per_row", 30))
     ys = np.linspace(y0, y1, rows)
     poses = []

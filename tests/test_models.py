@@ -96,6 +96,14 @@ def test_fusion_config_rejects_dropout_out_of_range(field, rate):
         tiny_fusion_config(**{field: rate})
 
 
+@pytest.mark.parametrize("branches", [("iq", "iq"), ("spec", "iq", "aoa", "spec")])
+def test_fusion_config_rejects_a_repeated_branch(branches):
+    # ("iq", "iq") counted the IQ width twice in fused_dim, so the first
+    # forward failed in the head's Dense
+    with pytest.raises(ValueError, match=r"^enabled_branches must be .* each named once"):
+        tiny_fusion_config(enabled_branches=branches)
+
+
 @pytest.mark.parametrize("make,overrides", [
     *[(tiny_fusion_config, kw) for kw in (
         dict(iq_channels=(4, 0, 8)), dict(iq_channels=(4, -2, 8)), dict(head_hidden=0),

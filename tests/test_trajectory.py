@@ -39,6 +39,18 @@ def test_nonpositive_radius_rejected():
         gen_trajectory("circles", {"radii": (1.0, -2.0), "points_per_circle": 4})
 
 
+@pytest.mark.parametrize("kind,params,name", [
+    ("circles", {"radii": ()}, "radii"),
+    ("grid_circles", {"centers": ()}, "centers"),
+    ("grid_circles", {"centers": ((0.0, 12.0),), "radii": ()}, "radii"),
+    ("meander", {"rows": 0}, "rows"),
+], ids=["circles-radii", "grid-centers", "grid-radii", "meander-rows"])
+def test_empty_plan_rejected_naming_the_parameter(kind, params, name):
+    # each failed inside numpy's concatenate, naming no parameter
+    with pytest.raises(ValueError, match=rf"^{kind}: {name} must be "):
+        gen_trajectory(kind, params)
+
+
 def test_empty_heights_rejected():
     with pytest.raises(ValueError):
         gen_trajectory("circles", {"radii": (1.0,)}, heights=())
