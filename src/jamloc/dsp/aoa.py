@@ -35,38 +35,27 @@ _EPS = 1e-20
 
 
 def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
-    """(4, N) or (M, 4, N) complex samples, N >= 2 -> (4, 22) or (M, 4, 22) features.
+    """(4, 1024) or (M, 4, 1024) complex samples at sample rate ``fs`` (Hz)
+    -> (4, 22) or (M, 4, 22) features.
 
     Patch 0 is the phase reference, so its three phase-difference features
     are identically zero. Zero-energy channels get zeroed spectral/envelope
-    features and are flagged in the log.
+    features and are flagged in the log, one warning per call counting them
+    over all blocks.
 
     The central-band energy (column 14) adds the bins with |f| <= fs/4 one by
     one in ascending frequency, a sequential sum rather than numpy's pairwise
     one; the two differ in the last bits, and the sequential order keeps the
     column bitwise stable across versions.
-
-    The features are computed over blocks of 16 snapshots (see
-    ``features``), one warning per call counting the zero-energy channels
-    of all blocks. Every column is bitwise the same whatever the batch size.
     """
-    x = np.asarray(samples)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    if x.ndim != 3 or x.shape[1] != 4:
-        raise ValueError(f"aoa_features expects (4, N) or (M, 4, N), got {np.shape(samples)}")
-    if x.shape[2] < 2:
-        # zcr_i and if_diff_mean average over the N - 1 pairs of neighbours
-        raise ValueError(f"aoa_features needs N >= 2 samples per patch, got N = {x.shape[2]}")
-    if not fs > 0:
-        raise ValueError(f"aoa_features expects a positive sample rate fs, got {fs}")
-    out = _blocked(lambda b: _aoa_block(b, fs), x, 2)
+    if not 0 < fs < np.inf:
+        raise ValueError(f"aoa_features expects a finite positive sample rate fs, got fs = {fs}")
+    out = _blocked("aoa_features", lambda b: _aoa_block(b, fs), samples)
     dead = int(np.count_nonzero(out[..., 12] == 0))      # column 12 is the channel energy
     if dead:
         logger.warning("aoa_features: %d zero-energy channel(s); spectral/envelope features set to 0",
                        dead)
-    return out[0] if single else out
+    return out
 
 
 def _aoa_block(x: np.ndarray, fs: float) -> np.ndarray:

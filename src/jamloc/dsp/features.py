@@ -1,23 +1,22 @@
 """Snapshot-to-feature conversions and the normalization constants.
 
-Everything here accepts a single snapshot (4, N) of complex samples or a
-batch (M, 4, N) and is pure; the only state is the fitted normalization
+The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
+``normalize_iq`` and ``aoa.aoa_features``) take one snapshot of shape
+(4, 1024), 4 patches of 1024 complex samples, or a batch (M, 4, 1024), and
+``fit_iq_stats`` a non-empty batch; the length is fixed because one FFT per
+patch fills the 32 x 32 spectrogram grid. ``_snapshots`` rejects any other
+shape, naming the function and the shape. Each extractor runs its body over
+blocks of ``_BLOCK`` snapshots (``_blocked``), so that a block's temporaries
+stay in cache; results are bitwise the same whatever the batch size.
+
+The functions are pure; the only state is the fitted normalization
 statistics, which must come from the training split. The spectrogram clamp
 (``SPEC_DB_MIN``/``SPEC_DB_MAX``) and the STFT geometry (``STFT_WINDOW``/
 ``STFT_HOP``) are constants.
-
-The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
-``normalize_iq`` and ``aoa.aoa_features``) check their arguments once, then
-run their per-snapshot body over consecutive blocks of ``_BLOCK_ROWS`` rows
-of N samples (16 snapshots) through ``_blocked``, so that a block's input
-and every temporary the body makes stay in cache; an input that fits in one
-block goes to the body as it is. Results are bitwise the same whatever the
-batch size and the blocking.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,37 +43,48 @@ _EPS_POWER = 1e-20
 # rows per pass of fit_iq_stats over the squared deviations
 _FIT_CHUNK = 256
 
-# rows of N samples per extractor block: 16 snapshots of 4 patches, 1 MB of
-# complex128 at N = 1024, so a block's temporaries stay near a 1 MB L2. On a
-# 256-snapshot desk chunk (2-vCPU EPYC VM, one BLAS thread, the benchmark's
-# malloc policy), blocks of 8 / 16 / 32 / 64 snapshots took aoa_features
-# 25.8 / 23.7 / 24.5 / 26.8 ms and stft 7.7 / 7.3 / 7.3 / 10.3 ms, against
-# 29.4 and 9.6 ms for the whole chunk at once.
-_BLOCK_ROWS = 64
+# samples per patch in a snapshot: one 1024-point FFT per patch fills the
+# 32 x 32 spectrogram grid
+_SNAPSHOT_LEN = 1024
+
+# snapshots per extractor block: 1 MB of complex128, so a block's temporaries
+# stay near a 1 MB L2. On a 256-snapshot desk chunk (2-vCPU EPYC VM, one BLAS
+# thread, the benchmark's malloc policy), blocks of 8 / 16 / 32 / 64
+# snapshots took aoa_features 25.8 / 23.7 / 24.5 / 26.8 ms and stft 7.7 /
+# 7.3 / 7.3 / 10.3 ms, against 29.4 and 9.6 ms for the whole chunk at once.
+_BLOCK = 16
 
 
-def _blocked(body, x: np.ndarray, core_ndim: int) -> np.ndarray:
-    """``body(x)``, computed over blocks of the leading axes of ``x``.
+def _snapshots(fn: str, samples, fit: bool = False) -> np.ndarray:
+    """``samples`` as an array if it is a (4, 1024) snapshot or an
+    (M, 4, 1024) batch (``fit``: a non-empty batch); otherwise a ValueError
+    that names ``fn`` and the shape."""
+    x = np.asarray(samples)
+    snapshot = x.shape[-2:] == (4, _SNAPSHOT_LEN)
+    if fit and not (snapshot and x.ndim == 3 and len(x)):
+        raise ValueError(f"{fn} expects a non-empty batch of shape (M, 4, 1024), got {x.shape}")
+    if not (snapshot and x.ndim in (2, 3)):
+        raise ValueError(f"{fn} expects a snapshot of shape (4, 1024) or a batch of shape "
+                         f"(M, 4, 1024), got {x.shape}")
+    return x
 
-    The last ``core_ndim`` axes are one item (a (4, N) snapshot, or an
-    (N,) row); a block holds ``_BLOCK_ROWS`` rows of N samples worth of
-    items. ``body`` maps (b, *core) to (b, *out_core) for any b, and each
-    block's result is written into one output allocated after the first
-    block, which is then given the leading shape of ``x``. An input of at
-    most one block goes to ``body`` directly, without a copy.
-    """
-    core = x.shape[x.ndim - core_ndim:]
-    lead = x.shape[:x.ndim - core_ndim]
-    items, step = math.prod(lead), _BLOCK_ROWS // math.prod(core[:-1])
-    if items <= step:
+
+def _blocked(fn: str, body, samples) -> np.ndarray:
+    """``body`` over blocks of ``_BLOCK`` snapshots of ``samples``, which
+    ``_snapshots`` checks for ``fn``. ``body`` maps (b, 4, 1024) to (b, ...);
+    a snapshot goes to it as a batch of one, and a batch of at most one block
+    whole, without a copy."""
+    x = _snapshots(fn, samples)
+    if x.ndim == 2:
+        return body(x[None])[0]
+    if len(x) <= _BLOCK:
         return body(x)
-    flat = x.reshape((items,) + core)
-    first = body(flat[:step])
-    out = np.empty((items,) + first.shape[1:], dtype=first.dtype)
-    out[:step] = first
-    for start in range(step, items, step):
-        out[start:start + step] = body(flat[start:start + step])
-    return out.reshape(lead + first.shape[1:])
+    first = body(x[:_BLOCK])
+    out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
+    out[:_BLOCK] = first
+    for start in range(_BLOCK, len(x), _BLOCK):
+        out[start:start + _BLOCK] = body(x[start:start + _BLOCK])
+    return out
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -160,56 +170,45 @@ def db_to_unit(db: np.ndarray) -> np.ndarray:
 
 
 def spectrogram(samples: np.ndarray) -> np.ndarray:
-    """(..., 4, 1024) complex -> (..., 4, 32, 32) in [0, 1].
+    """(4, 1024) or (M, 4, 1024) complex -> (4, 32, 32) or (M, 4, 32, 32) in [0, 1].
 
     One 1024-point FFT per patch, power in dB, clamp-normalized, fftshifted
     so the interference band sits centrally, then reshaped row-major.
-    Computed in blocks of 16 snapshots (see the module docstring).
     """
-    samples = np.asarray(samples)
-    n = samples.shape[-1]
-    if n != 1024:
-        raise ValueError(f"spectrogram expects snapshot_len 1024, got {n}")
-    samples = _check_patches(samples, "spectrogram")
-
     def body(x):
-        unit = db_to_unit(power_db(fft(x), n))
+        unit = db_to_unit(power_db(fft(x), _SNAPSHOT_LEN))
         return np.fft.fftshift(unit, axes=-1).reshape(x.shape[:-1] + (32, 32))
 
-    return _blocked(body, samples, 2)
+    return _blocked("spectrogram", body, samples)
 
 
-def stft(x: np.ndarray) -> np.ndarray:
-    """Hann-windowed magnitude STFT: (..., N) -> (..., STFT_WINDOW, n_frames).
+def stft(samples: np.ndarray) -> np.ndarray:
+    """Hann-windowed magnitude STFT of each patch: (4, 1024) or (M, 4, 1024)
+    complex -> (4, STFT_WINDOW, 15) or (M, 4, STFT_WINDOW, 15).
 
     Frame f covers samples [f * STFT_HOP, f * STFT_HOP + STFT_WINDOW). The
-    frames are read through a strided view of ``x``, so the windowed copy
-    that the FFT reads is contiguous; its values equal ``x[..., idx] * win``
-    for ``idx[f, k] = f * STFT_HOP + k``. Computed in blocks of 64 rows (see
-    the module docstring).
+    frames are read through a strided view of the samples, so the windowed
+    copy that the FFT reads is contiguous; its values equal
+    ``x[..., idx] * win`` for ``idx[f, k] = f * STFT_HOP + k``.
     """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n < STFT_WINDOW:
-        raise ValueError(f"signal of length {n} shorter than one window {STFT_WINDOW}")
     win = _hann_periodic(STFT_WINDOW)
 
-    def body(rows):
-        frames = (np.lib.stride_tricks.sliding_window_view(rows, STFT_WINDOW, axis=-1)
+    def body(x):
+        frames = (np.lib.stride_tricks.sliding_window_view(x, STFT_WINDOW, axis=-1)
                   [..., ::STFT_HOP, :] * win)
-        mag = np.abs(fft(frames))           # (..., n_frames, window)
-        return np.swapaxes(mag, -1, -2)     # (..., window, n_frames)
+        mag = np.abs(fft(frames))           # (b, 4, n_frames, window)
+        return np.swapaxes(mag, -1, -2)     # (b, 4, window, n_frames)
 
-    return _blocked(body, x, 1)
+    return _blocked("stft", body, samples)
 
 
-def cfo_accumulated(x: np.ndarray) -> np.ndarray:
-    """Cumulative instantaneous phase increment; c[0] = 0.
+def cfo_accumulated(samples: np.ndarray) -> np.ndarray:
+    """Cumulative instantaneous phase increment of each patch, c[0] = 0:
+    (4, 1024) or (M, 4, 1024) complex -> the same shape, float64.
 
     Increments where either neighboring sample has zero magnitude are 0.
-    Computed in blocks of 64 rows (see the module docstring).
     """
-    return _blocked(_cfo_rows, np.asarray(x), 1)
+    return _blocked("cfo_accumulated", _cfo_rows, samples)
 
 
 def _phase_increments(x: np.ndarray) -> np.ndarray:
@@ -240,19 +239,12 @@ def _cfo_rows(x: np.ndarray) -> np.ndarray:
 # IQ standardization
 # ----------------------------------------------------------------------
 
-def _check_patches(samples, fn: str) -> np.ndarray:
-    x = np.asarray(samples)
-    if x.ndim < 2 or x.shape[-2] != 4:
-        raise ValueError(f"{fn} expects samples of shape (..., 4, N), got {x.shape}")
-    return x
-
-
 def _channel_names(channels) -> str:
     return ", ".join(f"{c} (patch {c // 2} {'IQ'[c % 2]})" for c in channels)
 
 
 def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std over a training batch (M, 4, N); channel 2p is
+    """Per-channel mean/std over a training batch (M, 4, 1024); channel 2p is
     patch p's I (real part), 2p + 1 its Q (imaginary part). A non-finite or
     constant channel is an error.
 
@@ -262,11 +254,9 @@ def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     deviations are summed ``_FIT_CHUNK`` rows at a time, each row over N
     (pairwise, as numpy's reduction does), with the running sum carried row
     by row in order. Temporaries stay within two (_FIT_CHUNK, 4, N) blocks,
-    16 MB at N = 1024, whatever M.
+    16 MB, whatever M.
     """
-    x = np.asarray(samples)
-    if x.ndim != 3 or x.shape[1] != 4 or x.size == 0:
-        raise ValueError(f"fit_iq_stats expects a non-empty batch of shape (M, 4, N), got {x.shape}")
+    x = _snapshots("fit_iq_stats", samples, fit=True)
     count = x.shape[0] * x.shape[2]
     parts = (x.real, x.imag)
     mean = np.stack([p.sum(axis=(0, 2)) for p in parts], axis=-1).reshape(8) / count
@@ -296,18 +286,15 @@ def _require_finite(stat: str, values: np.ndarray) -> None:
 
 
 def normalize_iq(samples: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
-    """Apply the fitted per-(patch, I/Q) standardization: (..., 4, N) -> (..., 8, N).
-
-    Computed in blocks of 16 snapshots (see the module docstring).
-    """
+    """Apply the fitted per-(patch, I/Q) standardization: (4, 1024) or
+    (M, 4, 1024) complex -> (8, 1024) or (M, 8, 1024)."""
     mean, std = norm.fitted("iq")
-    x = _check_patches(samples, "normalize_iq")
 
     def body(b):
-        # (..., 4, 2, N) -> (..., 8, N): per patch, I then Q. One expression,
-        # so numpy subtracts into the stacked temporary; a named one would stay
+        # (b, 4, 2, N) -> (b, 8, N): per patch, I then Q. One expression, so
+        # numpy subtracts into the stacked temporary; a named one would stay
         # alive and cost a fresh 1 MB buffer per block (2.5x slower)
         return (np.stack([b.real, b.imag], axis=-2).reshape(b.shape[:-2] + (8, b.shape[-1]))
                 - mean[:, None]) / std[:, None]
 
-    return _blocked(body, x, 2)
+    return _blocked("normalize_iq", body, samples)

@@ -9,7 +9,7 @@ import numpy as np
 from ..nn import Dense, Dropout, Layer, Mode, Tensor
 
 __all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_input", "read_out",
-           "require_positive"]
+           "require_positive", "require_subset"]
 
 ALPHA_SCALE = 180.0   # azimuth head: tanh output * 180 -> degrees
 BETA_SCALE = 90.0     # elevation head: tanh output * 90 -> degrees
@@ -43,6 +43,17 @@ def require_positive(cfg, *fields: str) -> None:
                 raise ValueError(f"{name} must be a nonempty tuple of ints >= 1, got {value!r}")
         elif value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
+def require_subset(cfg, name: str, allowed: tuple) -> None:
+    """Store the named field of ``cfg`` as a tuple, and reject it unless it
+    is a nonempty subset of ``allowed`` with each entry named once; the
+    error names the field."""
+    value = tuple(getattr(cfg, name))
+    if not value or len(set(value) & set(allowed)) < len(value):     # unknown or repeated
+        raise ValueError(f"{name} must be a nonempty subset of {allowed}, "
+                         f"each named once, got {value!r}")
+    setattr(cfg, name, value)
 
 
 def as_input(batch: dict, key: str, dtype) -> Tensor:

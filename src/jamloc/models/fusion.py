@@ -14,7 +14,8 @@ import numpy as np
 
 from ..nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Layer, Mode,
                   Tensor, concat)
-from .common import Prediction, TaskHead, as_input, read_out, require_positive
+from .common import (Prediction, TaskHead, as_input, read_out, require_positive,
+                     require_subset)
 
 __all__ = ["FusionConfig", "FusionModel", "SpectrogramEncoder", "IQEncoder", "AoaEncoder"]
 
@@ -39,10 +40,7 @@ class FusionConfig:
     aoa_conv_channels: int = 32
 
     def __post_init__(self):
-        self.enabled_branches = branches = tuple(self.enabled_branches)
-        if not branches or len(set(branches) & set(BRANCHES)) < len(branches):  # unknown or repeated
-            raise ValueError(f"enabled_branches must be a nonempty subset of {BRANCHES}, "
-                             f"each named once, got {branches!r}")
+        require_subset(self, "enabled_branches", BRANCHES)
         require_positive(self, "spec_branch_dim", "iq_branch_dim", "aoa_branch_dim",
                          "head_hidden", "n_classes", "spec_channels", "iq_channels",
                          "iq_dilations", "iq_kernel", "aoa_conv_channels")

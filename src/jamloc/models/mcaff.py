@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Conv2D, Dense, GlobalAvgPool, Layer, Mode, Tensor, concat
-from .common import Prediction, TaskHead, as_input, read_out, require_positive
+from .common import (Prediction, TaskHead, as_input, read_out, require_positive,
+                     require_subset)
 
 __all__ = ["McaffConfig", "McaffModel", "SharedAttention", "MCAFF_PRESETS", "ALL_PATHS"]
 
@@ -45,12 +46,7 @@ class McaffConfig:
     n_subclasses: int = 12
 
     def __post_init__(self):
-        self.enabled_paths = tuple(self.enabled_paths)
-        unknown = set(self.enabled_paths) - set(ALL_PATHS)
-        if unknown:
-            raise ValueError(f"unknown paths {sorted(unknown)}; valid: {ALL_PATHS}")
-        if not self.enabled_paths:
-            raise ValueError("enabled_paths must be nonempty")
+        require_subset(self, "enabled_paths", ALL_PATHS)
         require_positive(self, "path_feature_dim", "attention_reduction", "cardinality",
                          "block_width", "stem_channels", "head_hidden", "n_classes",
                          "n_subclasses")

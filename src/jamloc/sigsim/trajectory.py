@@ -9,6 +9,11 @@ __all__ = ["gen_trajectory", "DEFAULT_HEIGHTS"]
 
 DEFAULT_HEIGHTS = (3.9, 4.4, 4.9, 5.4)
 
+# the parameters each kind reads; any other key is an error
+_PARAMS = {"circles": ("center", "radii", "points_per_circle", "phase"),
+           "grid_circles": ("centers", "radii", "points_per_circle", "phase"),
+           "meander": ("x_range", "y_range", "rows", "points_per_row")}
+
 
 def _circle(center, radius: float, n_points: int, phase: float) -> np.ndarray:
     if radius <= 0:
@@ -19,7 +24,8 @@ def _circle(center, radius: float, n_points: int, phase: float) -> np.ndarray:
 
 
 def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarray:
-    """Return poses (P, 3) for one of the kinds {"circles", "grid_circles", "meander"}.
+    """Return poses (P, 3) for one of the kinds {"circles", "grid_circles", "meander"},
+    from these keys of ``params``; any other key is an error that names it.
 
     circles:      center (x, y), radii (5 by default), points_per_circle, phase
     grid_circles: centers (4 x (x, y)), radii, points_per_circle, phase
@@ -29,16 +35,19 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
     if not heights:
         raise ValueError("heights must be nonempty")
     kind = kind.lower()
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown trajectory kind {kind!r}")
+    unknown = sorted(set(params) - set(_PARAMS[kind]))
+    if unknown:
+        raise ValueError(f"{kind}: unknown parameter(s) {unknown}; valid: {_PARAMS[kind]}")
     if kind == "circles":
         centers = [tuple(params.get("center", (0.0, 16.0)))]
     elif kind == "grid_circles":
         centers = [tuple(c) for c in params["centers"]]
         if not centers:
             raise ValueError("grid_circles: centers must be nonempty")
-    elif kind == "meander":
-        return _meander(params, heights)
     else:
-        raise ValueError(f"unknown trajectory kind {kind!r}")
+        return _meander(params, heights)
 
     radii = params.get("radii", (3.0, 4.5, 6.0, 7.5, 9.0))
     if len(radii) == 0:

@@ -84,18 +84,6 @@ def test_zero_energy_channel_flagged_and_zeroed(caplog):
     assert np.all(np.isfinite(feats))
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 1), (4, 1), (2, 4, 0)])
-def test_fewer_than_two_samples_rejected_naming_n(shape):
-    # with N = 1, zcr_i and if_diff_mean averaged no neighbour pairs: NaN
-    with pytest.raises(ValueError, match=rf"^aoa_features needs N >= 2 .*got N = {shape[-1]}$"):
-        aoa_features(np.ones(shape, dtype=complex), FS)
-
-
-def test_two_samples_give_finite_features():
-    x = np.random.default_rng(3).normal(size=(3, 4, 2)) * (1 + 1j)
-    assert np.all(np.isfinite(aoa_features(x, FS)))
-
-
 def test_wrong_channel_count_rejected():
     with pytest.raises(ValueError):
         aoa_features(np.zeros((3, N), dtype=complex), FS)

@@ -4,7 +4,7 @@ increment enters (within the bounds stated below); plus the calls the
 benchmark's featurize glue makes."""
 
 import logging
-import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -142,15 +142,6 @@ def test_fit_aoa_stats_rejects_non_finite_feature():
         dsp.fit_aoa_stats(feats)
 
 
-@pytest.mark.parametrize("name,call", [
-    ("fit_iq_stats", dsp.fit_iq_stats),
-    ("normalize_iq", lambda x: dsp.normalize_iq(x, dsp.NormalizationSpec(
-        iq_mean=np.zeros(8), iq_std=np.ones(8))))], ids=["fit_iq_stats", "normalize_iq"])
-def test_iq_calls_reject_three_patches(name, call):
-    with pytest.raises(ValueError, match=rf"^{name} .*\(.*4, N\), got \(2, 3, 1024\)"):
-        call(np.zeros((2, 3, 1024), dtype=complex))
-
-
 def test_fit_iq_stats_rejects_empty_batch():
     with pytest.raises(ValueError, match=r"non-empty batch.*got \(0, 4, 1024\)"):
         dsp.fit_iq_stats(np.zeros((0, 4, 1024), dtype=complex))
@@ -161,24 +152,26 @@ def test_fit_aoa_stats_rejects_wrong_shape():
         dsp.fit_aoa_stats(np.ones((5, 4, 21)))
 
 
-def test_stft_rejects_a_signal_shorter_than_one_window():
-    with pytest.raises(ValueError, match="signal of length 127 shorter than one window 128"):
-        dsp.stft(np.zeros(127, dtype=complex))
-
-
 def test_aoa_features_rejects_non_positive_sample_rate():
-    with pytest.raises(ValueError, match="sample rate"):
-        dsp.aoa_features(np.ones((4, 64), dtype=complex), 0.0)
+    # fs = inf passed a `fs > 0` check and gave 22 non-finite entries
+    for fs in (0.0, -FS, np.inf, np.nan):
+        with pytest.raises(ValueError, match=rf"^aoa_features .*sample rate fs, got fs = {fs}$"):
+            dsp.aoa_features(np.ones((4, 1024), dtype=complex), fs)
 
 
 # ----------------------------------------------------------------------
-# blocking: the extractors run over blocks of 16 snapshots (64 rows)
+# the contract, a (4, 1024) snapshot or an (M, 4, 1024) batch, and the
+# blocking: the extractors run over blocks of 16 snapshots
 # ----------------------------------------------------------------------
 
 # one snapshot, one short of a block, a block, one past it, and many blocks
 # with a remainder
 SPLIT = (1, 15, 16, 17, 259)
 EXTRACTORS = ("spectrogram", "stft", "normalize_iq", "cfo_accumulated", "aoa_features")
+# shapes outside the (4, 1024) / (M, 4, 1024) contract: a short snapshot,
+# three patches, one 1-D row, two leading axes, a batch one sample long, and
+# a batch of three patches
+BAD_SHAPES = [(4, 512), (3, 1024), (1024,), (2, 2, 4, 1024), (3, 4, 1), (2, 3, 1024)]
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +181,7 @@ def batch(desk_full):
 
 
 def _extractor(name, x):
-    """The extractor ``name``; normalize_iq with IQ statistics fitted on x."""
+    """The dsp call ``name``; normalize_iq with IQ statistics fitted on x."""
     if name == "normalize_iq":
         mean, std = dsp.fit_iq_stats(x)
         norm = dsp.NormalizationSpec(iq_mean=mean, iq_std=std)
@@ -196,6 +189,17 @@ def _extractor(name, x):
     if name == "aoa_features":
         return lambda v: dsp.aoa_features(v, FS)
     return getattr(dsp, name)
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("name", EXTRACTORS + ("fit_iq_stats",))
+def test_wrong_snapshot_shape_rejected(batch, name, shape):
+    with pytest.raises(ValueError, match=rf"^{name} expects .*, got {re.escape(str(shape))}$"):
+        _extractor(name, batch)(np.ones(shape, dtype=complex))
+
+
+def test_snapshot_length_is_the_scene_snapshot_length():
+    assert features._SNAPSHOT_LEN == sigsim.SceneConfig.snapshot_len
 
 
 def _assert_same(name, whole, parts):
@@ -211,20 +215,10 @@ def test_extractors_do_not_depend_on_the_batch_split(batch, name):
     _assert_same(name, f(batch), np.concatenate([f(p) for p in pieces]))
 
 
-@pytest.mark.parametrize("lead", [(2, 3), (4, 17)], ids=["one-block", "blocks"])
-@pytest.mark.parametrize("name", ["stft", "cfo_accumulated"])
-def test_row_extractors_keep_the_leading_shape(batch, name, lead):
-    f = _extractor(name, batch)
-    x = batch[:math.prod(lead)]
-    out = f(x.reshape(lead + x.shape[1:]))
-    ref = f(x)
-    _assert_same(name, out, ref.reshape(lead + ref.shape[1:]))
-
-
 @pytest.mark.parametrize("name", EXTRACTORS)
 def test_single_snapshot_and_empty_batch(batch, name):
-    # both run the per-block body directly, as the whole call did before
-    # the blocking
+    # a snapshot runs the block body as a batch of one, an empty batch runs
+    # it directly
     f = _extractor(name, batch)
     one = f(batch[5])
     assert _equal(one, f(batch[5:6])[0]) and one.dtype == np.float64

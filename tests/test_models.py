@@ -104,6 +104,12 @@ def test_fusion_config_rejects_a_repeated_branch(branches):
         tiny_fusion_config(enabled_branches=branches)
 
 
+def test_mcaff_config_rejects_a_repeated_path():
+    # ("iq", "iq") built one stem, but the config, and so the checkpoint, kept both
+    with pytest.raises(ValueError, match=r"^enabled_paths must be .* each named once"):
+        tiny_mcaff_config(enabled_paths=("iq", "iq"))
+
+
 @pytest.mark.parametrize("make,overrides", [
     *[(tiny_fusion_config, kw) for kw in (
         dict(iq_channels=(4, 0, 8)), dict(iq_channels=(4, -2, 8)), dict(head_hidden=0),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from jamloc.sigsim import (ArrayGeometry, JammerClass, JammerProfile, Reflector,
-                           SceneConfig, SimConfig, WallSegment, compute_paths,
-                           gen_baseband, make_dataset, propagate,
+                           SceneConfig, SimConfig, WallSegment, angles_from_displacement,
+                           compute_paths, gen_baseband, make_dataset, propagate,
                            scenario_configs)
 
 FS = 1e8
@@ -167,6 +167,20 @@ def test_label_angles_consistent_with_displacement():
     beta = np.degrees(np.arctan2(lab.dz, np.hypot(lab.dx, lab.dy)))
     assert abs(alpha - lab.alpha_deg) < 1e-9
     assert abs(beta - lab.beta_deg) < 1e-9
+
+
+@pytest.mark.parametrize("d,alpha,beta", [
+    ((-1.0, 0.0, 0.0), -180.0, 0.0),      # arctan2 gives +180, outside [-180, 180)
+    ((-1.0, -0.0, 0.0), -180.0, 0.0),
+    ((0.0, 0.0, 1.0), 0.0, 90.0),
+    ((1.0, 1.0, 0.0), 45.0, 0.0),
+    ((-1.0, 1.0, 0.0), 135.0, 0.0),
+    ((-1.0, -1.0, 0.0), -135.0, 0.0),
+    ((1.0, -1.0, -np.sqrt(2.0)), -45.0, -45.0),
+], ids=["-x", "-x-0y", "+z", "q1", "q2", "q3", "q4-below"])
+def test_angles_from_displacement_hand_cases(d, alpha, beta):
+    a, b = angles_from_displacement(*d)
+    assert a == pytest.approx(alpha, abs=1e-12) and b == pytest.approx(beta, abs=1e-12)
 
 
 def test_image_source_reciprocity():

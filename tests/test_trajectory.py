@@ -59,3 +59,14 @@ def test_empty_heights_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         gen_trajectory("spiral", {})
+
+
+@pytest.mark.parametrize("kind,params,key", [
+    ("circles", {"point_per_circle": 2, "radii": (3.0,)}, "point_per_circle"),
+    ("grid_circles", {"centers": ((0.0, 12.0),), "center": (0.0, 12.0)}, "center"),
+    ("meander", {"rows": 2, "points_per_rows": 3}, "points_per_rows"),
+], ids=["circles", "grid_circles", "meander"])
+def test_misspelled_parameter_rejected_naming_it(kind, params, key):
+    # a misspelled key used to be ignored, leaving the default in its place
+    with pytest.raises(ValueError, match=rf"^{kind}: unknown parameter\(s\) \['{key}'\]"):
+        gen_trajectory(kind, params)
