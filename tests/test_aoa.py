@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ def test_zero_energy_channel_flagged_and_zeroed(caplog):
     np.testing.assert_array_equal(feats[2, 6:12], 0.0)   # spectral block
     np.testing.assert_array_equal(feats[2, 15:19], 0.0)  # envelope block
     assert np.all(np.isfinite(feats))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 1), (4, 1), (2, 4, 0)])
+def test_fewer_than_two_samples_rejected_naming_n(shape):
+    # with N = 1, zcr_i and if_diff_mean averaged no neighbour pairs: NaN;
+    # N < 2 is outside the (4, 1024) contract, and the error's shape ends in N
+    with pytest.raises(ValueError, match=rf"^aoa_features expects .*, got {re.escape(str(shape))}$"):
+        aoa_features(np.ones(shape, dtype=complex), FS)
 
 
 def test_wrong_channel_count_rejected():
