@@ -141,16 +141,16 @@ def _aoa_block(x: np.ndarray, fs: float) -> np.ndarray:
 
 
 def fit_aoa_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(patch, feature) mean/std over a training batch (M, 4, 22).
+    """Per-(patch, feature) mean/std over a non-empty training batch (M, 4, 22).
 
     Features that are constant on the fit split (the patch-0 phase
     references, by construction) get std 1 so they standardize to 0. A
     non-finite mean or std is an error.
     """
     feats = np.asarray(features)
-    if feats.shape[1:] != (4, N_AOA_FEATURES):
-        raise ValueError(f"fit_aoa_stats expects a batch of shape (M, 4, {N_AOA_FEATURES}), "
-                         f"got {feats.shape}")
+    if feats.shape[1:] != (4, N_AOA_FEATURES) or not len(feats):
+        raise ValueError(f"fit_aoa_stats expects a non-empty batch of shape "
+                         f"(M, 4, {N_AOA_FEATURES}), got {feats.shape}")
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     bad = ~(np.isfinite(mean) & np.isfinite(std))

@@ -20,6 +20,7 @@ from .common import (Prediction, TaskHead, as_input, read_out, require_positive,
 __all__ = ["FusionConfig", "FusionModel", "SpectrogramEncoder", "IQEncoder", "AoaEncoder"]
 
 BRANCHES = ("spec", "iq", "aoa")
+IQ_KERNEL = 3    # taps of each dilated temporal conv of the IQ encoder
 
 
 @dataclass
@@ -36,14 +37,13 @@ class FusionConfig:
     spec_channels: tuple = (16, 32, 64, 128)
     iq_channels: tuple = (32, 32, 64, 64, 128)
     iq_dilations: tuple = (1, 2, 4, 8, 16)
-    iq_kernel: int = 3
     aoa_conv_channels: int = 32
 
     def __post_init__(self):
         require_subset(self, "enabled_branches", BRANCHES)
         require_positive(self, "spec_branch_dim", "iq_branch_dim", "aoa_branch_dim",
                          "head_hidden", "n_classes", "spec_channels", "iq_channels",
-                         "iq_dilations", "iq_kernel", "aoa_conv_channels")
+                         "iq_dilations", "aoa_conv_channels")
         if len(self.iq_channels) != len(self.iq_dilations):
             raise ValueError("iq_channels and iq_dilations must have equal length")
         for name in ("dropout_pre_concat", "dropout_post_head"):
@@ -96,7 +96,7 @@ class IQEncoder(Layer):
         # before its skip, the GJW1 order
         self.blocks = []
         for i, d in enumerate(cfg.iq_dilations):
-            conv = Conv1D(chans[i], chans[i + 1], cfg.iq_kernel, rng, dilation=d, dtype=dtype, relu=True)
+            conv = Conv1D(chans[i], chans[i + 1], IQ_KERNEL, rng, dilation=d, dtype=dtype, relu=True)
             skip = Conv1D(chans[i], chans[i + 1], 1, rng, dtype=dtype) \
                 if chans[i] != chans[i + 1] else None
             self.blocks.append((conv, skip))

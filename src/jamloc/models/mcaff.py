@@ -21,6 +21,7 @@ from .common import (Prediction, TaskHead, as_input, read_out, require_positive,
 __all__ = ["McaffConfig", "McaffModel", "SharedAttention", "MCAFF_PRESETS", "ALL_PATHS"]
 
 ALL_PATHS = ("iq", "fft", "cfo", "stft")
+ATTENTION_REDUCTION = 4    # the shared attention squeezes path_feature_dim by this
 
 # ablation presets: the six configurations reported for the baseline
 MCAFF_PRESETS = {
@@ -37,7 +38,6 @@ MCAFF_PRESETS = {
 class McaffConfig:
     enabled_paths: tuple = ALL_PATHS
     path_feature_dim: int = 64
-    attention_reduction: int = 4
     cardinality: int = 8
     block_width: int = 128
     stem_channels: int = 32
@@ -47,11 +47,11 @@ class McaffConfig:
 
     def __post_init__(self):
         require_subset(self, "enabled_paths", ALL_PATHS)
-        require_positive(self, "path_feature_dim", "attention_reduction", "cardinality",
-                         "block_width", "stem_channels", "head_hidden", "n_classes",
-                         "n_subclasses")
-        if self.path_feature_dim % self.attention_reduction:
-            raise ValueError("attention_reduction must divide path_feature_dim")
+        require_positive(self, "path_feature_dim", "cardinality", "block_width",
+                         "stem_channels", "head_hidden", "n_classes", "n_subclasses")
+        if self.path_feature_dim % ATTENTION_REDUCTION:
+            raise ValueError(f"path_feature_dim must be a multiple of {ATTENTION_REDUCTION}, "
+                             f"got {self.path_feature_dim}")
         if self.block_width % self.cardinality:
             raise ValueError("cardinality must divide block_width")
 
@@ -63,9 +63,9 @@ class McaffConfig:
 class SharedAttention(Layer):
     """Squeeze-excitation channel gate; one parameter set for every path."""
 
-    def __init__(self, channels: int, reduction: int, rng: np.random.Generator, dtype):
-        self.fc1 = Dense(channels, channels // reduction, rng, dtype=dtype)
-        self.fc2 = Dense(channels // reduction, channels, rng, dtype=dtype)
+    def __init__(self, channels: int, rng: np.random.Generator, dtype):
+        self.fc1 = Dense(channels, channels // ATTENTION_REDUCTION, rng, dtype=dtype)
+        self.fc2 = Dense(channels // ATTENTION_REDUCTION, channels, rng, dtype=dtype)
         self.pool = GlobalAvgPool()
 
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
@@ -115,8 +115,7 @@ class McaffModel(Layer):
         self.stems = {name: _Stem(cin, strides, cfg, rng, self.dtype)
                       for name, (cin, strides) in stem_specs.items()
                       if name in cfg.enabled_paths}
-        self.attention = SharedAttention(cfg.path_feature_dim, cfg.attention_reduction,
-                                         rng, self.dtype)
+        self.attention = SharedAttention(cfg.path_feature_dim, rng, self.dtype)
         self.block = _GroupedBlock(cfg.concat_channels, cfg.block_width,
                                    cfg.cardinality, rng, self.dtype)
         self.pool = GlobalAvgPool()
@@ -162,8 +161,7 @@ class McaffModel(Layer):
 
 def tiny_mcaff_config(**overrides) -> McaffConfig:
     """Small widths for end-to-end gradient checks."""
-    base = dict(path_feature_dim=8, attention_reduction=4, cardinality=2,
-                block_width=8, stem_channels=4, head_hidden=8,
-                n_classes=3, n_subclasses=4)
+    base = dict(path_feature_dim=8, cardinality=2, block_width=8, stem_channels=4,
+                head_hidden=8, n_classes=3, n_subclasses=4)
     base.update(overrides)
     return McaffConfig(**base)

@@ -186,7 +186,8 @@ class _Geometry:
     """One convolution of a channels-last (B, H, W, C) input: per-axis
     kernel, stride, dilation and (lo, hi) zero padding, and channel groups.
     Output (i, j) reads input (i*sh + u*dh - pt, j*sw + v*dw - pl) through
-    tap (u, v). ``chunks`` lists the (b0, n) runs of whole items."""
+    tap (u, v). ``chunks`` lists the (b0, n) runs of whole items. An empty
+    output grid is a ShapeError."""
 
     def __init__(self, shape, kernel, stride, dilation, pad, groups):
         B, H, W, C = shape
@@ -199,6 +200,9 @@ class _Geometry:
         self.cg = C // groups
         self.out_hw = tuple((n + lo + hi - (k - 1) * d - 1) // s + 1
                             for n, k, s, d, (lo, hi) in zip((H, W), kernel, stride, dilation, pad))
+        if min(self.out_hw) < 1:
+            raise ShapeError(f"convolution output would be empty: input grid {(H, W)} "
+                             f"gives {self.out_hw}")
         # a pointwise conv's cols are its input, so it takes the batch at once
         self.pointwise = kernel == stride == (1, 1) and pad == ((0, 0), (0, 0))
         items = B if self.pointwise else _ROWS // (self.out_hw[0] * self.out_hw[1])
@@ -505,15 +509,9 @@ class Conv2D(Layer):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
-    def out_hw(self, H: int, W: int) -> tuple[int, int]:
-        k, (sh, sw), p = self.kernel_size, self.stride, self.padding
-        return (H + 2 * p - k) // sh + 1, (W + 2 * p - k) // sw + 1
-
     def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:
             raise ShapeError(f"Conv2D expects (B, {self.in_channels}, H, W), got {x.data.shape}")
-        if min(self.out_hw(*x.data.shape[2:])) < 1:
-            raise ShapeError(f"Conv2D output would be empty for input {x.data.shape}")
         k, p = self.kernel_size, self.padding
         return _conv(x, self.weight, self.bias, (k, k), self.stride, (1, 1), ((p, p),) * 2,
                      self.groups, self.relu)

@@ -45,11 +45,11 @@ class Label:
 class IQSnapshot:
     """One 4-patch complex baseband snapshot with its ground truth."""
 
-    samples: np.ndarray          # (4, snapshot_len) complex
+    samples: np.ndarray          # (4, 1024) complex: 4 patches x SceneConfig.snapshot_len
     label: Label
     scenario_tag: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
-        if self.samples.ndim != 2 or self.samples.shape[0] != 4:
-            raise ValueError(f"snapshot needs 4 channels, got shape {self.samples.shape}")
+        if self.samples.shape != (4, 1024):
+            raise ValueError(f"snapshot must have shape (4, 1024), got {self.samples.shape}")

@@ -15,6 +15,14 @@ _PARAMS = {"circles": ("center", "radii", "points_per_circle", "phase"),
            "meander": ("x_range", "y_range", "rows", "points_per_row")}
 
 
+def _count(kind: str, params: dict, key: str, default: int) -> int:
+    """``params[key]`` (or ``default``) if an int >= 1, else a ValueError naming the key."""
+    n = params.get(key, default)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{kind}: {key} must be an int >= 1, got {n!r}")
+    return int(n)
+
+
 def _circle(center, radius: float, n_points: int, phase: float) -> np.ndarray:
     if radius <= 0:
         raise ValueError(f"circle radius must be positive, got {radius}")
@@ -43,16 +51,16 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
     if kind == "circles":
         centers = [tuple(params.get("center", (0.0, 16.0)))]
     elif kind == "grid_circles":
-        centers = [tuple(c) for c in params["centers"]]
+        centers = [tuple(c) for c in params.get("centers", ())]
         if not centers:
-            raise ValueError("grid_circles: centers must be nonempty")
+            raise ValueError("grid_circles: centers must be a nonempty sequence of (x, y)")
     else:
         return _meander(params, heights)
 
     radii = params.get("radii", (3.0, 4.5, 6.0, 7.5, 9.0))
     if len(radii) == 0:
         raise ValueError(f"{kind}: radii must be nonempty")
-    n_pts = int(params.get("points_per_circle", 100))
+    n_pts = _count(kind, params, "points_per_circle", 100)
     phase = float(params.get("phase", 0.0))
     poses = []
     for z in heights:
@@ -66,10 +74,8 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
 def _meander(params: dict, heights) -> np.ndarray:
     x0, x1 = params.get("x_range", (-6.0, 6.0))
     y0, y1 = params.get("y_range", (10.0, 20.0))
-    rows = int(params.get("rows", 10))
-    if rows < 1:
-        raise ValueError(f"meander: rows must be >= 1, got {rows}")
-    n_pts = int(params.get("points_per_row", 30))
+    rows = _count("meander", params, "rows", 10)
+    n_pts = _count("meander", params, "points_per_row", 30)
     ys = np.linspace(y0, y1, rows)
     poses = []
     for z in heights:

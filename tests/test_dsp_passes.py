@@ -148,8 +148,11 @@ def test_fit_iq_stats_rejects_empty_batch():
 
 
 def test_fit_aoa_stats_rejects_wrong_shape():
-    with pytest.raises(ValueError, match="fit_aoa_stats expects"):
-        dsp.fit_aoa_stats(np.ones((5, 4, 21)))
+    # the empty batch gave numpy's "Mean of empty slice" RuntimeWarning
+    for shape in ((5, 4, 21), (0, 4, 22), (4, 22)):
+        with pytest.raises(ValueError, match=r"^fit_aoa_stats expects a non-empty batch of "
+                                             rf"shape \(M, 4, 22\), got {re.escape(str(shape))}$"):
+            dsp.fit_aoa_stats(np.ones(shape))
 
 
 def test_aoa_features_rejects_non_positive_sample_rate():

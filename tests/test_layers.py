@@ -319,9 +319,9 @@ def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case)
         layer.bias.data[...] = rng.normal(size=O)
         xd = rng.normal(size=(B, C, H, W)).astype(dtype)
         leaf = Tensor(np.moveaxis(xd, 1, -1).copy(), requires_grad=True) if x_grad else Tensor(xd)
-        Ho, Wo = layer.out_hw(H, W)
-        up = rng.normal(size=(B, O, Ho, Wo)).astype(dtype)
         want = conv2d_ref(xd, layer.weight.data, layer.bias.data, layer.stride, p, g)
+        Ho, Wo = want.shape[2:]
+        up = rng.normal(size=(B, O, Ho, Wo)).astype(dtype)
         dx, dw, db = conv2d_grads_ref(xd, layer.weight.data, up, layer.stride, p, g)
         assert layers._ROWS >= B * Ho * Wo   # the default is one chunk
         one = None
@@ -416,6 +416,18 @@ def test_convs_take_an_empty_batch(monkeypatch, dim, case):
         assert leaf.grad.shape == leaf.shape
         assert not np.any(layer.weight.grad) and not np.any(layer.bias.grad)
         layer.weight.grad = layer.bias.grad = None
+
+
+@pytest.mark.parametrize("make,shape", [
+    (lambda rng: Conv1D(2, 3, 3, rng), (1, 2, 0)),
+    (lambda rng: Conv2D(2, 3, 3, rng), (1, 2, 2, 5)),
+    (lambda rng: Conv2D(2, 3, 3, rng, stride=2, padding=1), (1, 2, 0, 4)),
+], ids=["1d-T0", "2d-valid", "2d-strided-H0"])
+def test_convs_reject_an_empty_output_grid(make, shape):
+    # the T = 0 Conv1D raised a bare ZeroDivisionError while sizing its chunks
+    layer = make(np.random.default_rng(0))
+    with pytest.raises(ShapeError, match=r"^convolution output would be empty: input grid"):
+        layer(Tensor(np.zeros(shape)))
 
 
 # ----------------------------------------------------------------------

@@ -113,14 +113,14 @@ def test_mcaff_config_rejects_a_repeated_path():
 @pytest.mark.parametrize("make,overrides", [
     *[(tiny_fusion_config, kw) for kw in (
         dict(iq_channels=(4, 0, 8)), dict(iq_channels=(4, -2, 8)), dict(head_hidden=0),
-        dict(n_classes=0), dict(iq_kernel=0), dict(iq_dilations=(1, 0, 4)),
+        dict(n_classes=0), dict(iq_dilations=(1, 0, 4)),
         dict(iq_channels=(), iq_dilations=()), dict(spec_channels=()),
         dict(spec_channels=(2, 0, 4, 4)), dict(spec_branch_dim=0), dict(iq_branch_dim=-1),
         dict(aoa_branch_dim=0), dict(aoa_conv_channels=0))],
     *[(tiny_mcaff_config, {field: value}) for field, value in (
         ("stem_channels", 0), ("stem_channels", -4), ("head_hidden", 0), ("n_classes", 0),
         ("n_subclasses", 0), ("path_feature_dim", 0), ("block_width", 0),
-        ("cardinality", 0), ("attention_reduction", 0))],
+        ("cardinality", 0), ("path_feature_dim", 6))],
 ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict)
    else v.__name__.split("_")[1])
 def test_config_rejects_out_of_range_sizes(make, overrides):
@@ -229,11 +229,35 @@ def test_load_rejects_bad_normalization_block(tmp_path):
         load_model(tmp_path / "model.gjw")
 
 
+@pytest.mark.parametrize("build,field,constant", [
+    (lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1), "iq_kernel", 3),
+    (lambda: McaffModel(tiny_mcaff_config(), seed=2), "attention_reduction", 4),
+], ids=["fusion", "mcaff"])
+def test_load_takes_a_retired_field_only_at_its_constant(build, field, constant, tmp_path):
+    # checkpoints written while the field was a config option echo it
+    model = build()
+    path = tmp_path / "model.gjw"
+
+    def save(value):
+        meta = {"kind": model.KIND, "config": {**asdict(model.cfg), field: value}}
+        save_checkpoint(path, model.params(), meta)
+
+    save(constant)
+    loaded, _, meta = load_model(path)
+    assert loaded.cfg == model.cfg and meta["config"][field] == constant
+    batch = _batch(9)
+    for a, b in zip(_outputs(model.forward(batch)), _outputs(loaded.forward(batch))):
+        assert a.data.tobytes() == b.data.tobytes()
+    save(5)
+    with pytest.raises(CheckpointError, match=rf"retired \w+Config field {field} .*got 5$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda meta, arrays: meta["config"].update(head_width=16),
      r"unknown FusionConfig fields \['head_width'\]"),
-    (lambda meta, arrays: meta["config"].update(iq_kernel=0),
-     r"bad FusionConfig: iq_kernel must be >= 1"),
+    (lambda meta, arrays: meta["config"].update(head_hidden=0),
+     r"bad FusionConfig: head_hidden must be >= 1"),
     (lambda meta, arrays: meta["config"].pop("dropout_post_head"),
      r"missing FusionConfig fields \['dropout_post_head'\]"),
     (lambda meta, arrays: arrays[4].fill(np.nan),

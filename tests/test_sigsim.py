@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from jamloc.sigsim import (ArrayGeometry, JammerClass, JammerProfile, Reflector,
-                           SceneConfig, SimConfig, WallSegment, angles_from_displacement,
+from jamloc.sigsim import (ArrayGeometry, IQSnapshot, JammerClass, JammerProfile, Label,
+                           Reflector, SceneConfig, SimConfig, WallSegment, angles_from_displacement,
                            compute_paths, gen_baseband, make_dataset, propagate,
                            scenario_configs)
 
@@ -269,6 +269,16 @@ def test_propagate_rejects_a_waveform_not_one_snapshot_long(shape):
     wf = np.ones(shape, dtype=complex)
     with pytest.raises(ValueError, match=rf"^propagate: waveform must have shape \({N},\), got "):
         propagate(_quiet_scene(), ArrayGeometry(), (0.0, 15.0, 4.0), wf, np.random.default_rng(17))
+
+
+@pytest.mark.parametrize("shape", [(4, 512), (3, N), (1, 4, N), (4 * N,)],
+                         ids=["short", "three-patches", "batch-of-one", "flat"])
+def test_snapshot_record_rejects_a_shape_the_extractors_refuse(shape):
+    # a (4, 512) record was built, and failed only when featurized
+    label = Label.from_displacement((1.0, 2.0, 3.0))
+    assert IQSnapshot(np.zeros((4, N), complex), label).samples.shape == (4, N)
+    with pytest.raises(ValueError, match=rf"^snapshot must have shape \(4, {N}\), got "):
+        IQSnapshot(np.zeros(shape, complex), label)
 
 
 def test_hall_array_and_snapshot_shape_are_constants():

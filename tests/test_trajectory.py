@@ -44,9 +44,18 @@ def test_nonpositive_radius_rejected():
     ("grid_circles", {"centers": ()}, "centers"),
     ("grid_circles", {"centers": ((0.0, 12.0),), "radii": ()}, "radii"),
     ("meander", {"rows": 0}, "rows"),
-], ids=["circles-radii", "grid-centers", "grid-radii", "meander-rows"])
+    ("grid_circles", {"radii": (1.0,)}, "centers"),
+    ("circles", {"points_per_circle": 2.7}, "points_per_circle"),
+    ("grid_circles", {"centers": ((0.0, 12.0),), "points_per_circle": 0}, "points_per_circle"),
+    ("meander", {"rows": True}, "rows"),
+    ("meander", {"points_per_row": -3}, "points_per_row"),
+], ids=["circles-radii", "grid-centers", "grid-radii", "meander-rows", "grid-no-centers",
+        "circles-fractional-points", "grid-zero-points", "meander-bool-rows",
+        "meander-negative-points"])
 def test_empty_plan_rejected_naming_the_parameter(kind, params, name):
-    # each failed inside numpy's concatenate, naming no parameter
+    # the first four failed inside numpy's concatenate, naming no parameter;
+    # missing centers raised a bare KeyError, 2.7 points were truncated to 2
+    # and -3 gave numpy's negative-dimensions error
     with pytest.raises(ValueError, match=rf"^{kind}: {name} must be "):
         gen_trajectory(kind, params)
 
