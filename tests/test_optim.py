@@ -5,6 +5,42 @@ import numpy as np
 import pytest
 
 from jamloc.nn import SGD, Dense, Tensor
+from jamloc.nn.optim import MOMENTUM, WEIGHT_DECAY
+
+
+def test_plain_sgd_step():
+    # first step from zero velocity: v = g + WEIGHT_DECAY p, p -= lr v
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    opt = SGD([p], learning_rate=0.1)
+    p.grad = np.array([1.0])
+    opt.step()
+    np.testing.assert_allclose(p.data, [1.0 - 0.1 * (1.0 + WEIGHT_DECAY * 1.0)])
+    assert p.grad is None  # cleared
+
+
+def test_momentum_matches_hand_recurrence():
+    # two identical steps, grad g each: v1 = g + wd p0, v2 = m v1 + g + wd p1
+    g = np.array([2.0, -1.0])
+    p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+    opt = SGD([p], learning_rate=0.1)
+    expect = p.data.copy()
+    v = np.zeros(2)
+    for _ in range(2):
+        p.grad = g.copy()
+        opt.step()
+        v = MOMENTUM * v + g + WEIGHT_DECAY * expect
+        expect = expect - 0.1 * v
+    np.testing.assert_array_equal(p.data, expect)
+
+
+def test_weight_decay_enters_velocity():
+    p = Tensor(np.array([2.0]), requires_grad=True)
+    opt = SGD([p], learning_rate=0.1)
+    p.grad = np.array([0.0])
+    opt.step()
+    # v = 0 + 0 + WEIGHT_DECAY*2 -> p = 2 - 0.1*v
+    np.testing.assert_allclose(p.data, [2.0 - 0.1 * WEIGHT_DECAY * 2.0])
+    assert opt.velocity[0][0] == pytest.approx(WEIGHT_DECAY * 2.0)
 
 
 def test_three_float32_steps_match_the_update_rule_bitwise():
