@@ -1,4 +1,9 @@
-"""Shared model pieces: prediction record, the per-task heads and their read-out."""
+"""Shared model pieces: prediction record, the per-task heads and their read-out.
+
+No layer draws randomness or computes differently in training. The models'
+``forward``, the fusion encoders and ``TaskHead`` still accept a trailing
+``(mode, rng)`` pair, because perfbench passes one, and ignore it.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Dense, Dropout, Layer, Mode, Tensor
+from ..nn import Dense, Layer, Tensor
 
-__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_input", "read_out",
+__all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_inputs", "read_out",
            "require_positive", "require_subset"]
 
 ALPHA_SCALE = 180.0   # azimuth head: tanh output * 180 -> degrees
@@ -56,40 +61,45 @@ def require_subset(cfg, name: str, allowed: tuple) -> None:
     setattr(cfg, name, value)
 
 
-def as_input(batch: dict, key: str, dtype) -> Tensor:
-    """``batch[key]`` as a graph input. An array is copied to ``dtype``; a
-    Tensor of ``dtype`` is used as it is, so callers can take gradients
-    w.r.t. the inputs, and a Tensor of another dtype is rejected (the model
-    would run in its dtype)."""
-    x = batch[key]
-    if not isinstance(x, Tensor):
-        return Tensor(np.ascontiguousarray(x, dtype=dtype))
-    if x.dtype != dtype:
-        raise ValueError(
-            f"batch[{key!r}] is a {x.dtype} Tensor; the model runs in {np.dtype(dtype)}")
-    return x
+def as_inputs(batch: dict, keys, dtype) -> list[Tensor]:
+    """``batch[key]`` for each of ``keys`` as a graph input. An array is
+    copied to ``dtype``; a Tensor of ``dtype`` is used as it is, so callers
+    can take gradients w.r.t. the inputs, and a Tensor of another dtype is
+    rejected (the model would run in its dtype). Inputs that disagree on the
+    batch size are rejected, naming each key with its size."""
+    inputs = []
+    for key in keys:
+        x = batch[key]
+        if not isinstance(x, Tensor):
+            x = Tensor(np.ascontiguousarray(x, dtype=dtype))
+        elif x.dtype != dtype:
+            raise ValueError(
+                f"batch[{key!r}] is a {x.dtype} Tensor; the model runs in {np.dtype(dtype)}")
+        inputs.append(x)
+    sizes = {key: x.shape[0] for key, x in zip(keys, inputs)}
+    if len(set(sizes.values())) > 1:
+        raise ValueError(f"batch inputs disagree on the batch size: {sizes}")
+    return inputs
 
 
 class TaskHead(Layer):
-    """Dense(in -> hidden), ReLU, dropout, Dense(hidden -> out)."""
+    """Dense(in -> hidden), ReLU, Dense(hidden -> out)."""
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int,
-                 rng: np.random.Generator, dropout: float = 0.0, dtype=np.float64):
+                 rng: np.random.Generator, dtype=np.float64):
         self.fc1 = Dense(in_dim, hidden, rng, dtype=dtype)
         self.fc2 = Dense(hidden, out_dim, rng, dtype=dtype)
-        self.dropout = Dropout(dropout)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        return self.fc2(self.dropout(self.fc1(x).relu(), mode, rng))
+    def __call__(self, x: Tensor, mode=None, rng=None) -> Tensor:
+        return self.fc2(self.fc1(x).relu())
 
 
-def read_out(model, fused: Tensor, mode: Mode, rng) -> Prediction:
+def read_out(model, fused: Tensor) -> Prediction:
     """Run the model's displacement, angle (tanh), class and subclass heads on
-    the fused features, in that order (train-mode dropout draws follow it); a
-    head that is None reads out None."""
-    disp = model.disp_head(fused, mode, rng).assert_finite("displacement head")
-    angle = model.angle_head(fused, mode, rng).tanh().assert_finite("angle head")
-    logits = [None if head is None else head(fused, mode, rng).assert_finite(label)
+    the fused features; a head that is None reads out None."""
+    disp = model.disp_head(fused).assert_finite("displacement head")
+    angle = model.angle_head(fused).tanh().assert_finite("angle head")
+    logits = [None if head is None else head(fused).assert_finite(label)
               for head, label in ((model.class_head, "class head"),
                                   (model.subclass_head, "subclass head"))]
     return Prediction(disp, angle, *logits)

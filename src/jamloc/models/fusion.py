@@ -1,6 +1,6 @@
 """Concatenation-fusion regressor: spectrogram CNN, dilated temporal conv on
-raw IQ, and a pointwise encoder over the AoA statistics, fused at width 288
-with per-branch dropout before the concat, then one head per task.
+raw IQ, and a pointwise encoder over the AoA statistics, concatenated to
+width 288, then one head per task.
 
 Single-branch baselines come from ``enabled_branches``; the fused width is
 always the sum of the enabled branch dims.
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import (Conv1D, Conv2D, Dense, Dropout, GlobalAvgPool, Layer, Mode,
-                  Tensor, concat)
-from .common import (Prediction, TaskHead, as_input, read_out, require_positive,
+from ..nn import Conv1D, Conv2D, Dense, GlobalAvgPool, Layer, Tensor, concat
+from .common import (Prediction, TaskHead, as_inputs, read_out, require_positive,
                      require_subset)
 
 __all__ = ["FusionConfig", "FusionModel", "SpectrogramEncoder", "IQEncoder", "AoaEncoder"]
@@ -29,8 +28,6 @@ class FusionConfig:
     iq_branch_dim: int = 128
     aoa_branch_dim: int = 32
     head_hidden: int = 512
-    dropout_pre_concat: float = 0.0
-    dropout_post_head: float = 0.0
     with_classifier: bool = False
     n_classes: int = 6
     enabled_branches: tuple = BRANCHES
@@ -46,9 +43,6 @@ class FusionConfig:
                          "iq_dilations", "aoa_conv_channels")
         if len(self.iq_channels) != len(self.iq_dilations):
             raise ValueError("iq_channels and iq_dilations must have equal length")
-        for name in ("dropout_pre_concat", "dropout_post_head"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @property
     def fused_dim(self) -> int:
@@ -71,7 +65,7 @@ class SpectrogramEncoder(Layer):
         self.pool = GlobalAvgPool()
         self.proj = Dense(chans[-1], cfg.spec_branch_dim, rng, dtype=dtype)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, mode=None, rng=None) -> Tensor:
         h = x
         for conv in self.convs:
             h = conv(h)
@@ -107,7 +101,7 @@ class IQEncoder(Layer):
     def convs(self) -> list[Conv1D]:
         return [conv for conv, _ in self.blocks]
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, mode=None, rng=None) -> Tensor:
         *blocks, (conv, skip) = self.blocks
         h = x
         for block_conv, block_skip in blocks:
@@ -127,7 +121,7 @@ class AoaEncoder(Layer):
         self.mix = Conv1D(22, cfg.aoa_conv_channels, 1, rng, dtype=dtype, relu=True)
         self.proj = Dense(cfg.aoa_conv_channels * 4, cfg.aoa_branch_dim, rng, dtype=dtype)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, mode=None, rng=None) -> Tensor:
         # (B, 4, 22) -> channels-first (B, 22, 4) so the conv mixes features
         h = x.transpose((0, 2, 1))
         h = self.mix(h)
@@ -149,25 +143,18 @@ class FusionModel(Layer):
         encoder_cls = {"spec": SpectrogramEncoder, "iq": IQEncoder, "aoa": AoaEncoder}
         self.encoders = {name: encoder_cls[name](cfg, rng, self.dtype)
                          for name in BRANCHES if name in cfg.enabled_branches}
-        self.branch_dropout = Dropout(cfg.dropout_pre_concat)
-        self.disp_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 3, rng,
-                                  dropout=cfg.dropout_post_head, dtype=self.dtype)
-        self.angle_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 2, rng,
-                                   dropout=cfg.dropout_post_head, dtype=self.dtype)
+        self.disp_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 3, rng, dtype=self.dtype)
+        self.angle_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 2, rng, dtype=self.dtype)
         self.class_head = TaskHead(cfg.fused_dim, cfg.head_hidden, cfg.n_classes, rng,
-                                   dropout=cfg.dropout_post_head, dtype=self.dtype) \
-            if cfg.with_classifier else None
+                                   dtype=self.dtype) if cfg.with_classifier else None
         self.subclass_head = None
 
-    def forward(self, batch: dict, mode: Mode = Mode.EVAL,
-                rng: np.random.Generator | None = None) -> Prediction:
-        feats = []
-        for name, encoder in self.encoders.items():
-            x = as_input(batch, name, self.dtype)
-            h = encoder(x, mode, rng).assert_finite(f"{name} branch output")
-            feats.append(self.branch_dropout(h, mode, rng))
+    def forward(self, batch: dict, mode=None, rng=None) -> Prediction:
+        inputs = as_inputs(batch, list(self.encoders), self.dtype)
+        feats = [encoder(x).assert_finite(f"{name} branch output")
+                 for (name, encoder), x in zip(self.encoders.items(), inputs)]
         fused = feats[0] if len(feats) == 1 else concat(feats, axis=1)
-        return read_out(self, fused, mode, rng)
+        return read_out(self, fused)
 
 
 def tiny_fusion_config(**overrides) -> FusionConfig:

@@ -29,7 +29,9 @@ from .mcaff import ATTENTION_REDUCTION, McaffConfig, McaffModel
 __all__ = ["save_model", "load_model"]
 
 # kind -> (model, config, {retired config field: the constant it became})
-_KINDS = {FusionModel.KIND: (FusionModel, FusionConfig, {"iq_kernel": IQ_KERNEL}),
+_KINDS = {FusionModel.KIND: (FusionModel, FusionConfig, {"iq_kernel": IQ_KERNEL,
+                                                         "dropout_pre_concat": 0.0,
+                                                         "dropout_post_head": 0.0}),
           McaffModel.KIND: (McaffModel, McaffConfig, {"attention_reduction": ATTENTION_REDUCTION})}
 
 

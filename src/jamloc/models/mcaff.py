@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Conv2D, Dense, GlobalAvgPool, Layer, Mode, Tensor, concat
-from .common import (Prediction, TaskHead, as_input, read_out, require_positive,
+from ..nn import Conv2D, Dense, GlobalAvgPool, Layer, Tensor, concat
+from .common import (Prediction, TaskHead, as_inputs, read_out, require_positive,
                      require_subset)
 
 __all__ = ["McaffConfig", "McaffModel", "SharedAttention", "MCAFF_PRESETS", "ALL_PATHS"]
 
 ALL_PATHS = ("iq", "fft", "cfo", "stft")
+PATH_KEYS = {"iq": "iq", "fft": "spec", "cfo": "cfo", "stft": "stft"}    # the batch entry each reads
 ATTENTION_REDUCTION = 4    # the shared attention squeezes path_feature_dim by this
 
 # ablation presets: the six configurations reported for the baseline
@@ -68,7 +69,7 @@ class SharedAttention(Layer):
         self.fc2 = Dense(channels // ATTENTION_REDUCTION, channels, rng, dtype=dtype)
         self.pool = GlobalAvgPool()
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         gate = self.fc2(self.fc1(self.pool(x)).relu()).sigmoid()
         b, c = gate.shape
         return x * gate.reshape(b, c, 1, 1)
@@ -84,7 +85,7 @@ class _Stem(Layer):
         self.conv2 = Conv2D(cfg.stem_channels, cfg.path_feature_dim, 3, rng,
                             stride=strides[1], padding=1, dtype=dtype, relu=True)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return self.conv2(self.conv1(x))
 
 
@@ -98,7 +99,7 @@ class _GroupedBlock(Layer):
                               dtype=dtype, relu=True)
         self.expand = Conv2D(width, channels, 1, rng, dtype=dtype)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         h = self.grouped(self.reduce(x))
         return (self.expand(h) + x).relu()
 
@@ -126,28 +127,18 @@ class McaffModel(Layer):
         self.subclass_head = TaskHead(cfg.concat_channels, cfg.head_hidden, cfg.n_subclasses,
                                       rng, dtype=self.dtype)
 
-    def _path_input(self, name: str, batch: dict) -> Tensor:
-        if name == "iq":
-            x = as_input(batch, "iq", self.dtype)
-            return x.reshape(x.shape[0], 8, 32, 32)
-        if name == "fft":
-            return as_input(batch, "spec", self.dtype)
-        if name == "cfo":
-            x = as_input(batch, "cfo", self.dtype)
-            return x.reshape(x.shape[0], 4, 32, 32)
-        if name == "stft":
-            return as_input(batch, "stft", self.dtype)
-        raise KeyError(name)
-
-    def forward(self, batch: dict, mode: Mode = Mode.EVAL,
-                rng: np.random.Generator | None = None) -> Prediction:
-        b = next(iter(batch.values())).shape[0]
+    def forward(self, batch: dict, mode=None, rng=None) -> Prediction:
+        inputs = dict(zip(self.stems, as_inputs(batch, [PATH_KEYS[name] for name in self.stems],
+                                                self.dtype)))
+        b = next(iter(inputs.values())).shape[0]
         hw = (8, 8)
         slots = []
         for name in ALL_PATHS:
             if name in self.stems:
-                h = self.stems[name](self._path_input(name, batch))
-                h = self.attention(h).assert_finite(f"{name} path features")
+                x = inputs[name]
+                if name in ("iq", "cfo"):    # (B, C, 1024) rows as (B, C, 32, 32) grids
+                    x = x.reshape(b, -1, 32, 32)
+                h = self.attention(self.stems[name](x)).assert_finite(f"{name} path features")
             else:
                 # channels-last like the stems' outputs, so the concat stays
                 # channels-last for the block's convs
@@ -156,7 +147,7 @@ class McaffModel(Layer):
             slots.append(h)
         fused = concat(slots, axis=1)
         pooled = self.pool(self.block(fused)).assert_finite("fusion trunk")
-        return read_out(self, pooled, mode, rng)
+        return read_out(self, pooled)
 
 
 def tiny_mcaff_config(**overrides) -> McaffConfig:

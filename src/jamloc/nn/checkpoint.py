@@ -13,6 +13,8 @@ Weights are stored in float32 regardless of the in-memory training precision.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -45,10 +47,12 @@ def save_checkpoint(path, params, metadata: dict | None = None) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
+    # checked before reading: malformed dims or a malformed length would
+    # have read() allocate every byte they ask for
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise CheckpointError(f"truncated checkpoint while reading {what}: "
+                              f"{n} bytes would run past the end of the file")
+    return f.read(n)
 
 
 def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
@@ -61,7 +65,7 @@ def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
         for i in range(count):
             (rank,) = struct.unpack("<I", _read_exact(f, 4, f"tensor {i} rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"tensor {i} dims"))
-            n = int(np.prod(dims)) if rank else 1
+            n = math.prod(dims)    # exact: numpy's int64 product can wrap
             raw = _read_exact(f, 4 * n, f"tensor {i} data")
             arrays.append(np.frombuffer(raw, dtype="<f4").reshape(dims).copy())
         tail = f.read(4)

@@ -73,11 +73,13 @@ from .tensor import ShapeError, Tensor
 
 __all__ = [
     "Mode", "Layer", "Dense", "Conv1D", "Conv2D",
-    "Dropout", "GlobalAvgPool", "glorot_uniform",
+    "GlobalAvgPool", "glorot_uniform",
 ]
 
 
 class Mode(enum.Enum):
+    """The pass a caller runs. No layer reads it: each computes the same in both."""
+
     TRAIN = "train"
     EVAL = "eval"
 
@@ -116,12 +118,9 @@ class Layer:
         walk(list(vars(self).values()))
         return out
 
-    def __call__(self, x, mode: Mode = Mode.EVAL, rng: np.random.Generator | None = None) -> Tensor:
-        raise NotImplementedError
-
 
 # ----------------------------------------------------------------------
-# dense / dropout / pooling
+# dense / pooling
 # ----------------------------------------------------------------------
 
 class Dense(Layer):
@@ -134,33 +133,16 @@ class Dense(Layer):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.in_features:
             raise ShapeError(f"Dense expects (B, {self.in_features}), got {x.data.shape}")
         return x @ self.weight + self.bias
 
 
-class Dropout(Layer):
-    """Inverted dropout: survivors scaled by 1/(1-p) at train time, identity in eval."""
-
-    def __init__(self, p: float):
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-        self.p = float(p)
-
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
-        if mode is not Mode.TRAIN or self.p == 0.0:
-            return x
-        if rng is None:
-            raise ValueError("Dropout in Train mode needs an rng")
-        keep = (rng.random(x.data.shape) >= self.p).astype(x.data.dtype)
-        return x * (keep / (1.0 - self.p))
-
-
 class GlobalAvgPool(Layer):
     """(B, C, ...) -> (B, C), averaging over all trailing spatial axes."""
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim < 3:
             raise ShapeError(f"GlobalAvgPool expects (B, C, spatial...), got {x.data.shape}")
         axes = tuple(range(2, x.data.ndim))
@@ -187,10 +169,13 @@ class _Geometry:
     kernel, stride, dilation and (lo, hi) zero padding, and channel groups.
     Output (i, j) reads input (i*sh + u*dh - pt, j*sw + v*dw - pl) through
     tap (u, v). ``chunks`` lists the (b0, n) runs of whole items. An empty
-    output grid is a ShapeError."""
+    input or output grid is a ShapeError: padding alone would give an empty
+    input a nonempty output, which backward cannot map onto the input."""
 
     def __init__(self, shape, kernel, stride, dilation, pad, groups):
         B, H, W, C = shape
+        if min(H, W) < 1:
+            raise ShapeError(f"convolution input grid {(H, W)} is empty")
         self.shape = shape
         self.kernel = kernel
         self.stride = stride
@@ -467,7 +452,7 @@ class Conv1D(Layer):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 3 or x.data.shape[1] != self.in_channels:
             raise ShapeError(f"Conv1D expects (B, {self.in_channels}, T), got {x.data.shape}")
         K, d = self.kernel_size, self.dilation
@@ -509,7 +494,7 @@ class Conv2D(Layer):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor, mode: Mode = Mode.EVAL, rng=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:
             raise ShapeError(f"Conv2D expects (B, {self.in_channels}, H, W), got {x.data.shape}")
         k, p = self.kernel_size, self.padding

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -68,4 +69,17 @@ def test_bad_metadata_block_detected(tmp_path, blob):
     save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))])
     path.write_bytes(path.read_bytes() + struct.pack("<I", len(blob)) + blob)
     with pytest.raises(CheckpointError, match="metadata"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (65536,) * 4],
+                         ids=["int64-wraps-negative", "int64-wraps-to-zero"])
+def test_dims_past_the_end_of_the_file_detected(tmp_path, dims):
+    # numpy's int64 product of these dims wraps, to a negative read length
+    # or to 0, and the loader raised a bare ValueError
+    path = tmp_path / "w.gjw"
+    header = b"GJW1" + struct.pack("<II", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    path.write_bytes(header + b"\x00" * 64)
+    with pytest.raises(CheckpointError, match=r"^truncated checkpoint while reading tensor 0 "
+                                              rf"data: {4 * math.prod(dims)} bytes would run past"):
         load_checkpoint(path)

@@ -8,8 +8,8 @@ import pytest
 
 from jamloc.dsp import NormalizationSpec
 from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig,
-                           McaffModel, load_model, save_model, tiny_fusion_config,
-                           tiny_mcaff_config)
+                           McaffModel, Prediction, load_model, save_model,
+                           tiny_fusion_config, tiny_mcaff_config)
 from jamloc.nn import SGD, CheckpointError, Conv1D, Conv2D, Mode, Tensor, layers, save_checkpoint
 
 from _oracles import check_grads, iq_encoder_ref
@@ -40,9 +40,7 @@ def _proj_loss(pred):
 
 
 def _fusion(dtype):
-    cfg = tiny_fusion_config(with_classifier=True, dropout_pre_concat=0.2,
-                             dropout_post_head=0.2)
-    return FusionModel(cfg, seed=1, dtype=dtype)
+    return FusionModel(tiny_fusion_config(with_classifier=True), seed=1, dtype=dtype)
 
 
 def _mcaff(dtype):
@@ -60,11 +58,11 @@ def test_models_keep_float32(build):
 
 
 def _gradcheck(model, input_names, params, seed):
-    """Finite differences through the whole forward (eval mode, so dropout
-    is the identity) w.r.t. the named inputs and the given parameters."""
+    """Finite differences through the whole forward w.r.t. the named inputs
+    and the given parameters."""
     inputs = {k: Tensor(v, requires_grad=True) for k, v in _batch(seed).items()}
     checked = [inputs[k] for k in input_names] + list(params)
-    return check_grads(lambda: _proj_loss(model.forward(inputs, Mode.EVAL)), checked,
+    return check_grads(lambda: _proj_loss(model.forward(inputs)), checked,
                        probes=PROBES)
 
 
@@ -91,9 +89,59 @@ def test_mcaff_gradcheck_all_paths():
 
 @pytest.mark.parametrize("field", ["dropout_pre_concat", "dropout_post_head"])
 @pytest.mark.parametrize("rate", [-0.1, 1.0, -3.0])
-def test_fusion_config_rejects_dropout_out_of_range(field, rate):
-    with pytest.raises(ValueError, match=field):
+def test_fusion_config_rejects_dropout_out_of_range(field, rate, tmp_path):
+    # the rates are retired at 0.0: no config takes one, and a checkpoint
+    # echo holding another rate is refused, naming the field
+    with pytest.raises(TypeError, match=field):
         tiny_fusion_config(**{field: rate})
+    model = FusionModel(tiny_fusion_config(), seed=0)
+    save_checkpoint(tmp_path / "model.gjw", model.params(),
+                    {"kind": model.KIND, "config": {**asdict(model.cfg), field: rate}})
+    with pytest.raises(CheckpointError, match=rf"retired FusionConfig field {field} .*got {rate}$"):
+        load_model(tmp_path / "model.gjw")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1, dtype=np.float64),
+    lambda: McaffModel(tiny_mcaff_config(), seed=2, dtype=np.float64),
+    lambda: FusionModel(FusionConfig(), seed=0),
+    lambda: McaffModel(McaffConfig(), seed=0),
+], ids=["fusion-tiny-f64", "mcaff-tiny-f64", "fusion-paper-f32", "mcaff-paper-f32"])
+def test_train_forward_draws_nothing_and_equals_the_plain_forward(build):
+    model = build()
+    batch = _batch(14)
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    got, want = model.forward(batch, Mode.TRAIN, rng), model.forward(batch)
+    assert rng.bit_generator.state == state
+    for a, b in zip(_outputs(got), _outputs(want), strict=True):
+        assert a.dtype == b.dtype == model.dtype
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("build,read,unread", [
+    (lambda: FusionModel(tiny_fusion_config(enabled_branches=("spec", "aoa")), seed=0),
+     ("spec", "aoa"), "iq"),
+    (lambda: McaffModel(tiny_mcaff_config(enabled_paths=("cfo", "stft")), seed=0),
+     ("cfo", "stft"), "spec"),
+], ids=["fusion", "mcaff"])
+def test_models_take_the_batch_size_from_the_inputs_they_read(build, read, unread):
+    # MCAFF took it from the batch's first entry, here one it does not read
+    model = build()
+    batch, wide = _batch(16), _batch(16, b=5)
+    batch[unread] = wide[unread]
+    assert model.forward(batch).disp.shape == (2, 3)
+    batch[read[1]] = wide[read[1]]
+    with pytest.raises(ValueError, match=rf"^batch inputs disagree on the batch size: "
+                                         rf"\{{'{read[0]}': 2, '{read[1]}': 5\}}$"):
+        model.forward(batch)
+
+
+def test_prediction_angles_are_the_scaled_tanh_outputs():
+    raw = np.array([[0.0, 0.0], [1.0, -1.0], [-1.0, 1.0], [0.5, -0.5], [-0.5, 0.5]])
+    pred = Prediction(Tensor(np.zeros((5, 3))), Tensor(raw))
+    np.testing.assert_array_equal(pred.alpha_deg, [0.0, 180.0, -180.0, 90.0, -90.0])
+    np.testing.assert_array_equal(pred.beta_deg, [0.0, -90.0, 90.0, -45.0, 45.0])
 
 
 @pytest.mark.parametrize("branches", [("iq", "iq"), ("spec", "iq", "aoa", "spec")])
@@ -196,9 +244,11 @@ def test_params_order_is_the_checkpoint_contract(build, shapes, digest):
 ], ids=["fusion", "mcaff"])
 def test_save_load_round_trip(build, tmp_path):
     model = build()
-    save_model(tmp_path / "model.gjw", model)
-    loaded, norm, _ = load_model(tmp_path / "model.gjw")
+    extra = {"seed": 7, "stages_s": {"train": 1.5}, "tags": ["desk", "wall1"]}
+    save_model(tmp_path / "model.gjw", model, extra=extra)
+    loaded, norm, meta = load_model(tmp_path / "model.gjw")
     assert type(loaded) is type(model) and loaded.cfg == model.cfg and norm is None
+    assert meta["extra"] == extra
     batch = _batch(9)
     want, got = model.forward(batch), loaded.forward(batch)
     for a, b in zip(_outputs(want), _outputs(got)):
@@ -229,28 +279,32 @@ def test_load_rejects_bad_normalization_block(tmp_path):
         load_model(tmp_path / "model.gjw")
 
 
-@pytest.mark.parametrize("build,field,constant", [
-    (lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1), "iq_kernel", 3),
-    (lambda: McaffModel(tiny_mcaff_config(), seed=2), "attention_reduction", 4),
-], ids=["fusion", "mcaff"])
-def test_load_takes_a_retired_field_only_at_its_constant(build, field, constant, tmp_path):
-    # checkpoints written while the field was a config option echo it
+@pytest.mark.parametrize("build,retired,bad", [
+    (lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1), {"iq_kernel": 3}, 5),
+    (lambda: McaffModel(tiny_mcaff_config(), seed=2), {"attention_reduction": 4}, 5),
+    (lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1),
+     {"dropout_pre_concat": 0.0, "dropout_post_head": 0.0}, 0.2),
+], ids=["fusion", "mcaff", "fusion-dropout"])
+def test_load_takes_a_retired_field_only_at_its_constant(build, retired, bad, tmp_path):
+    # checkpoints written while the fields were config options echo them:
+    # the dropout rates, both 0.0, are what such a fusion checkpoint holds
     model = build()
     path = tmp_path / "model.gjw"
 
-    def save(value):
-        meta = {"kind": model.KIND, "config": {**asdict(model.cfg), field: value}}
+    def save(values):
+        meta = {"kind": model.KIND, "config": {**asdict(model.cfg), **values}}
         save_checkpoint(path, model.params(), meta)
 
-    save(constant)
+    save(retired)
     loaded, _, meta = load_model(path)
-    assert loaded.cfg == model.cfg and meta["config"][field] == constant
+    assert loaded.cfg == model.cfg and {f: meta["config"][f] for f in retired} == retired
     batch = _batch(9)
     for a, b in zip(_outputs(model.forward(batch)), _outputs(loaded.forward(batch))):
         assert a.data.tobytes() == b.data.tobytes()
-    save(5)
-    with pytest.raises(CheckpointError, match=rf"retired \w+Config field {field} .*got 5$"):
-        load_model(path)
+    for field in retired:
+        save({**retired, field: bad})
+        with pytest.raises(CheckpointError, match=rf"retired \w+Config field {field} .*got {bad}$"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("edit,match", [
@@ -258,13 +312,13 @@ def test_load_takes_a_retired_field_only_at_its_constant(build, field, constant,
      r"unknown FusionConfig fields \['head_width'\]"),
     (lambda meta, arrays: meta["config"].update(head_hidden=0),
      r"bad FusionConfig: head_hidden must be >= 1"),
-    (lambda meta, arrays: meta["config"].pop("dropout_post_head"),
-     r"missing FusionConfig fields \['dropout_post_head'\]"),
+    (lambda meta, arrays: meta["config"].pop("n_classes"),
+     r"missing FusionConfig fields \['n_classes'\]"),
     (lambda meta, arrays: arrays[4].fill(np.nan),
      r"tensor 4 of shape \(4, 2, 3, 3\) holds non-finite weights"),
 ], ids=["unknown-field", "out-of-range", "missing-field", "nan-weight"])
 def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, edit, match):
-    model = FusionModel(tiny_fusion_config(dropout_post_head=0.3), seed=0)
+    model = FusionModel(tiny_fusion_config(), seed=0)
     meta = {"kind": model.KIND, "config": asdict(model.cfg)}
     arrays = [p.data.copy() for p in model.params()]
     edit(meta, arrays)
@@ -275,8 +329,7 @@ def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, edit, 
 
 @pytest.mark.parametrize("build", [_fusion, _mcaff], ids=["fusion", "mcaff"])
 def test_training_is_deterministic_run_to_run(build, tmp_path):
-    # three momentum-SGD steps (train mode, dropout drawn from the seeded rng)
-    # from one seed, twice in one process, give byte-identical GJW1 files.
+    # three momentum-SGD steps (train mode) from one seed, twice in one process, give byte-identical GJW1 files.
     # Run is compared with run, not with a stored digest: the trained bits
     # depend on the machine's BLAS kernels.
     files = []
@@ -366,7 +419,8 @@ def test_paper_width_predictions_match_golden(name, build):
 
 # every parameter gradient of the tiny-width float64 models under
 # _golden_loss, captured before the autodiff op layer was rebuilt on shared
-# node builders; never regenerated
+# node builders; the fusion_* entries, first taken with dropout 0.1, were
+# taken again with both rates 0.0 just before dropout was removed
 GOLDEN_GRADS = Path(__file__).with_name("golden_gradients.npz")
 
 
@@ -384,8 +438,7 @@ def _golden_loss(pred):
 
 def _golden_gradients(name):
     if name == "fusion":
-        model = FusionModel(tiny_fusion_config(with_classifier=True, dropout_pre_concat=0.1,
-                                               dropout_post_head=0.1), seed=1, dtype=np.float64)
+        model = FusionModel(tiny_fusion_config(with_classifier=True), seed=1, dtype=np.float64)
     else:
         model = McaffModel(tiny_mcaff_config(), seed=2, dtype=np.float64)
     _golden_loss(model.forward(_batch(12), Mode.TRAIN, np.random.default_rng(13))).backward()
@@ -407,8 +460,8 @@ def _spy_convs(monkeypatch):
     """Record, for every conv call, [layer, input array, upstream gradient]."""
     seen = []
     for cls in (Conv1D, Conv2D):
-        def spy(self, x, mode=Mode.EVAL, rng=None, call=cls.__call__):
-            out = call(self, x, mode, rng)
+        def spy(self, x, call=cls.__call__):
+            out = call(self, x)
             rec, bw = [self, x.data, None], out._backward_fn
             seen.append(rec)
 
