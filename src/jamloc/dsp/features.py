@@ -5,9 +5,10 @@ The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
 (4, 1024), 4 patches of 1024 complex samples, or a batch (M, 4, 1024), and
 ``fit_iq_stats`` a non-empty batch; the length is fixed because one FFT per
 patch fills the 32 x 32 spectrogram grid. ``_snapshots`` rejects any other
-shape, naming the function and the shape. Each extractor runs its body over
-blocks of ``_BLOCK`` snapshots (``_blocked``), so that a block's temporaries
-stay in cache; results are bitwise the same whatever the batch size.
+shape, naming the function and the shape. Each extractor, and the fit's
+sum of squared deviations, runs its body over blocks of ``_BLOCK``
+snapshots (``_blocked``), so that a block's temporaries stay in cache and
+``_BLOCK``-sized; results are bitwise the same whatever the batch size.
 
 The functions are pure; the only state is the fitted normalization
 statistics, which must come from the training split. The spectrogram clamp
@@ -25,7 +26,7 @@ from .fourier import fft
 
 __all__ = [
     "NormalizationSpec", "SPEC_DB_MIN", "SPEC_DB_MAX", "STFT_WINDOW", "STFT_HOP",
-    "power_db", "db_to_unit", "spectrogram", "stft",
+    "db_to_unit", "spectrogram", "stft",
     "cfo_accumulated", "fit_iq_stats", "normalize_iq",
 ]
 
@@ -39,9 +40,6 @@ STFT_WINDOW = 128
 STFT_HOP = 64
 
 _EPS_POWER = 1e-20
-
-# rows per pass of fit_iq_stats over the squared deviations
-_FIT_CHUNK = 256
 
 # samples per patch in a snapshot: one 1024-point FFT per patch fills the
 # 32 x 32 spectrogram grid
@@ -141,12 +139,8 @@ class NormalizationSpec:
         return np.asarray(mean), np.asarray(std)
 
     def to_dict(self) -> dict:
-        return {
-            "iq_mean": None if self.iq_mean is None else self.iq_mean.tolist(),
-            "iq_std": None if self.iq_std is None else self.iq_std.tolist(),
-            "aoa_mean": None if self.aoa_mean is None else self.aoa_mean.tolist(),
-            "aoa_std": None if self.aoa_std is None else self.aoa_std.tolist(),
-        }
+        return {k: None if getattr(self, k) is None else np.asarray(getattr(self, k)).tolist()
+                for k in _STAT_SHAPES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationSpec":
@@ -159,11 +153,6 @@ class NormalizationSpec:
                       for k in _STAT_SHAPES})
 
 
-def power_db(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Bin power in dB: 10*log10(|X|^2 / n + eps)."""
-    return 10.0 * np.log10(np.abs(spectrum) ** 2 / n + _EPS_POWER)
-
-
 def db_to_unit(db: np.ndarray) -> np.ndarray:
     """Clamp to [SPEC_DB_MIN, SPEC_DB_MAX] then map linearly onto [0, 1]."""
     return (np.clip(db, SPEC_DB_MIN, SPEC_DB_MAX) - SPEC_DB_MIN) / (SPEC_DB_MAX - SPEC_DB_MIN)
@@ -172,11 +161,12 @@ def db_to_unit(db: np.ndarray) -> np.ndarray:
 def spectrogram(samples: np.ndarray) -> np.ndarray:
     """(4, 1024) or (M, 4, 1024) complex -> (4, 32, 32) or (M, 4, 32, 32) in [0, 1].
 
-    One 1024-point FFT per patch, power in dB, clamp-normalized, fftshifted
-    so the interference band sits centrally, then reshaped row-major.
+    One 1024-point FFT per patch, bin power in dB (10*log10(|X|^2 / 1024 +
+    eps)), clamp-normalized, fftshifted so the interference band sits
+    centrally, then reshaped row-major.
     """
     def body(x):
-        unit = db_to_unit(power_db(fft(x), _SNAPSHOT_LEN))
+        unit = db_to_unit(10.0 * np.log10(np.abs(fft(x)) ** 2 / _SNAPSHOT_LEN + _EPS_POWER))
         return np.fft.fftshift(unit, axes=-1).reshape(x.shape[:-1] + (32, 32))
 
     return _blocked("spectrogram", body, samples)
@@ -243,34 +233,34 @@ def _channel_names(channels) -> str:
     return ", ".join(f"{c} (patch {c // 2} {'IQ'[c % 2]})" for c in channels)
 
 
+def _iq_planes(x: np.ndarray) -> np.ndarray:
+    """(b, 4, N) complex -> (b, 8, N) real planes: per patch, I then Q."""
+    return np.stack([x.real, x.imag], axis=-2).reshape(x.shape[:-2] + (8, x.shape[-1]))
+
+
 def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean/std over a training batch (M, 4, 1024); channel 2p is
     patch p's I (real part), 2p + 1 its Q (imaginary part). A non-finite or
     constant channel is an error.
 
-    Bitwise equal to ``planes.mean/std(axis=(0, 2))`` of the (M, 8, N) planes
-    ``np.stack([x.real, x.imag], axis=2).reshape(M, 8, N)`` without building
-    them: the mean sums the real and imaginary views, and the squared
-    deviations are summed ``_FIT_CHUNK`` rows at a time, each row over N
-    (pairwise, as numpy's reduction does), with the running sum carried row
-    by row in order. Temporaries stay within two (_FIT_CHUNK, 4, N) blocks,
-    16 MB, whatever M.
+    Bitwise equal to ``planes.mean/std(axis=(0, 2))`` of the (M, 8, N)
+    ``_iq_planes`` without building them whole: the mean sums the real and
+    imaginary views, and each snapshot's squared deviations are summed over
+    N (pairwise, as numpy's reduction does) in blocks of ``_BLOCK``
+    snapshots (``_blocked``), then the (M, 8) sums are added in snapshot
+    order. Temporaries stay ``_BLOCK``-sized, 1 MB each, whatever M.
     """
     x = _snapshots("fit_iq_stats", samples, fit=True)
     count = x.shape[0] * x.shape[2]
-    parts = (x.real, x.imag)
-    mean = np.stack([p.sum(axis=(0, 2)) for p in parts], axis=-1).reshape(8) / count
+    mean = np.stack([p.sum(axis=(0, 2)) for p in (x.real, x.imag)], axis=-1).reshape(8) / count
     _require_finite("mean", mean)
-    acc = np.zeros((1, 8), dtype=mean.dtype)
-    for start in range(0, len(x), _FIT_CHUNK):
-        block, rows = slice(start, start + _FIT_CHUNK), []
-        for j, p in enumerate(parts):
-            d = p[block] - mean[j::2, None]
-            d *= d
-            rows.append(d.sum(axis=-1))                         # (rows, 4)
-        rows = np.stack(rows, axis=-1).reshape(-1, 8)
-        acc = np.cumsum(np.concatenate([acc, rows]), axis=0)[-1:]
-    std = np.sqrt(acc[0] / count)
+
+    def body(b):
+        d = _iq_planes(b) - mean[:, None]
+        d *= d
+        return d.sum(axis=-1)
+
+    std = np.sqrt(np.cumsum(_blocked("fit_iq_stats", body, x), axis=0)[-1] / count)
     _require_finite("std", std)
     if np.any(std == 0):
         raise ValueError(f"fit_iq_stats: constant IQ channel(s) "
@@ -291,10 +281,9 @@ def normalize_iq(samples: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     mean, std = norm.fitted("iq")
 
     def body(b):
-        # (b, 4, 2, N) -> (b, 8, N): per patch, I then Q. One expression, so
-        # numpy subtracts into the stacked temporary; a named one would stay
-        # alive and cost a fresh 1 MB buffer per block (2.5x slower)
-        return (np.stack([b.real, b.imag], axis=-2).reshape(b.shape[:-2] + (8, b.shape[-1]))
-                - mean[:, None]) / std[:, None]
+        # one expression, so numpy subtracts into the planes' temporary; a
+        # named one would stay alive and cost a fresh 1 MB buffer per block
+        # (2.5x slower)
+        return (_iq_planes(b) - mean[:, None]) / std[:, None]
 
     return _blocked("normalize_iq", body, samples)

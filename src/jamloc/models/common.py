@@ -38,14 +38,21 @@ class Prediction:
         return BETA_SCALE * self.angle_raw.data[:, 1]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_positive(cfg, *fields: str) -> None:
-    """Reject a config whose named int field is below 1, or whose named tuple
-    field is empty or holds an entry below 1; the error names the field."""
+    """Reject a config whose named int field is not an int or is below 1, or
+    whose named tuple field is empty or holds an entry that is not an int
+    >= 1; bools are not ints here. The error names the field."""
     for name in fields:
         value = getattr(cfg, name)
         if isinstance(value, (tuple, list)):
-            if not value or min(value) < 1:
+            if not value or not all(_is_int(v) and v >= 1 for v in value):
                 raise ValueError(f"{name} must be a nonempty tuple of ints >= 1, got {value!r}")
+        elif not _is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
         elif value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
 

@@ -72,9 +72,9 @@ def load_model(path, dtype=np.float32):
     try:
         # JSON turns the configs' tuple fields into lists
         cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in config.items()})
+        model = model_cls(cfg, dtype=dtype)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad {cfg_cls.__name__}: {e}") from e
-    model = model_cls(cfg, dtype=dtype)
     params = model.params()
     if len(params) != len(arrays):
         raise CheckpointError(

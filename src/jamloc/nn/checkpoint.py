@@ -64,6 +64,8 @@ def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
         arrays = []
         for i in range(count):
             (rank,) = struct.unpack("<I", _read_exact(f, 4, f"tensor {i} rank"))
+            if rank > 64:      # numpy's limit on the number of dimensions
+                raise CheckpointError(f"tensor {i} has rank {rank}; numpy supports at most 64")
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"tensor {i} dims"))
             n = math.prod(dims)    # exact: numpy's int64 product can wrap
             raw = _read_exact(f, 4 * n, f"tensor {i} data")

@@ -427,30 +427,51 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
     return Tensor.from_op(y.transpose(0, -1, *range(1, len(sp) + 1)), (x, w, b), bw)
 
 
-class Conv1D(Layer):
+def _count(least: int):
+    """The rule of a count: an int, not a bool, of at least ``least``."""
+    return lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
+# each conv argument's rule, checked before any shape arithmetic
+_CONV_RULES = {"in_channels": _count(1), "out_channels": _count(1), "kernel_size": _count(1),
+               "dilation": _count(1), "stride": lambda s: len(s) == 2 and all(map(_count(1), s)),
+               "padding": _count(0), "groups": _count(1), "relu": lambda v: isinstance(v, bool)}
+
+
+class _Conv(Layer):
+    """The construction both convs share. Each argument is checked against
+    ``_CONV_RULES`` (a ValueError names the first one out of range), then
+    kept as the attribute of its name. The weight has shape (out_channels,
+    in_channels // groups) + (kernel_size,) * ``axes`` and is Glorot-uniform:
+    fan-in is a group's input channels times the taps, fan-out a group's
+    output channels, times the taps too if ``fan_out_taps``. The bias is 0."""
+
+    def __init__(self, rng: np.random.Generator, dtype, *, axes: int, fan_out_taps: bool, **args):
+        for name, value in args.items():
+            if not _CONV_RULES[name](value):
+                raise ValueError(f"{type(self).__name__} {name} out of range: {value}")
+        groups, cin, cout = args.get("groups", 1), args["in_channels"], args["out_channels"]
+        if cin % groups or cout % groups:
+            raise ValueError(f"groups={groups} must divide in_channels={cin} and out_channels={cout}")
+        vars(self).update(args)
+        k, cg = args["kernel_size"], cin // groups
+        taps = k ** axes
+        self.weight = Tensor(glorot_uniform(rng, (cout, cg) + (k,) * axes, cg * taps,
+                                            cout // groups * (taps if fan_out_taps else 1), dtype),
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+
+
+class Conv1D(_Conv):
     """Causal 1-D convolution over (B, C, T) with dilation; output length = T.
     Tap j reads x[t - (K-1-j)*d], zero before the signal."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, dilation: int = 1, dtype=np.float64,
                  relu: bool = False):
-        for name, value, ok in (("in_channels", in_channels, in_channels >= 1),
-                                ("out_channels", out_channels, out_channels >= 1),
-                                ("kernel_size", kernel_size, kernel_size >= 1),
-                                ("dilation", dilation, dilation >= 1),
-                                ("relu", relu, isinstance(relu, bool))):
-            if not ok:
-                raise ValueError(f"Conv1D {name} out of range: {value}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.dilation = dilation
-        self.relu = relu
-        fan_in = in_channels * kernel_size
-        self.weight = Tensor(glorot_uniform(rng, (out_channels, in_channels, kernel_size),
-                                            fan_in, out_channels, dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        super().__init__(rng, dtype, axes=1, fan_out_taps=False, in_channels=in_channels,
+                         out_channels=out_channels, kernel_size=kernel_size, dilation=dilation,
+                         relu=relu)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 3 or x.data.shape[1] != self.in_channels:
@@ -460,39 +481,16 @@ class Conv1D(Layer):
                      self.relu)
 
 
-class Conv2D(Layer):
+class Conv2D(_Conv):
     """2-D convolution over (B, C, H, W); stride may be an int or (sh, sw)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, stride=1, padding: int = 0,
                  groups: int = 1, dtype=np.float64, relu: bool = False):
-        stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
-        for name, value, ok in (("in_channels", in_channels, in_channels >= 1),
-                                ("out_channels", out_channels, out_channels >= 1),
-                                ("kernel_size", kernel_size, kernel_size >= 1),
-                                ("stride", stride, len(stride) == 2 and min(stride) >= 1),
-                                ("padding", padding, padding >= 0),
-                                ("groups", groups, groups >= 1),
-                                ("relu", relu, isinstance(relu, bool))):
-            if not ok:
-                raise ValueError(f"Conv2D {name} out of range: {value}")
-        if in_channels % groups or out_channels % groups:
-            raise ValueError(
-                f"groups={groups} must divide in_channels={in_channels} and out_channels={out_channels}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.groups = groups
-        self.relu = relu
-        cg = in_channels // groups
-        fan_in = cg * kernel_size * kernel_size
-        fan_out = (out_channels // groups) * kernel_size * kernel_size
-        self.weight = Tensor(glorot_uniform(rng, (out_channels, cg, kernel_size, kernel_size),
-                                            fan_in, fan_out, dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        super().__init__(rng, dtype, axes=2, fan_out_taps=True, in_channels=in_channels,
+                         out_channels=out_channels, kernel_size=kernel_size,
+                         stride=(stride, stride) if np.ndim(stride) == 0 else tuple(stride),
+                         padding=padding, groups=groups, relu=relu)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:

@@ -83,3 +83,16 @@ def test_dims_past_the_end_of_the_file_detected(tmp_path, dims):
     with pytest.raises(CheckpointError, match=r"^truncated checkpoint while reading tensor 0 "
                                               rf"data: {4 * math.prod(dims)} bytes would run past"):
         load_checkpoint(path)
+
+
+def test_rank_above_numpys_limit_detected(tmp_path):
+    # rank 65 was read, then failed in reshape with a bare ValueError
+    path = tmp_path / "w.gjw"
+    for rank in (64, 65):
+        tensor = struct.pack(f"<I{rank}I", rank, *(1,) * rank) + b"\x00" * 4
+        path.write_bytes(b"GJW1" + struct.pack("<I", 2) + struct.pack("<II", 1, 1) + b"\x00" * 4
+                         + tensor)
+        if rank == 64:
+            assert load_checkpoint(path)[0][1].shape == (1,) * 64
+    with pytest.raises(CheckpointError, match=r"^tensor 1 has rank 65; numpy supports at most 64$"):
+        load_checkpoint(path)

@@ -104,9 +104,13 @@ def test_conv2d_matches_direct_oracle(stride, padding, groups):
     (Conv1D, "in_channels", dict(in_channels=0)), (Conv1D, "out_channels", dict(out_channels=0)),
     (Conv1D, "kernel_size", dict(kernel_size=0)), (Conv1D, "dilation", dict(dilation=0)),
     (Conv2D, "relu", dict(relu=1)), (Conv1D, "relu", dict(relu="yes")),
+    # not ints: dilation=1.5 and groups=True constructed, kernel_size=2.5 failed inside numpy
+    (Conv1D, "dilation", dict(dilation=1.5)), (Conv2D, "kernel_size", dict(kernel_size=2.5)),
+    (Conv2D, "groups", dict(groups=True)),
 ], ids=["kernel_size", "stride", "stride-pair", "padding", "groups", "in_channels",
         "out_channels", "conv1d-in_channels",
-        "conv1d-out_channels", "conv1d-kernel_size", "conv1d-dilation", "relu", "conv1d-relu"])
+        "conv1d-out_channels", "conv1d-kernel_size", "conv1d-dilation", "relu", "conv1d-relu",
+        "conv1d-dilation-float", "kernel_size-float", "groups-bool"])
 def test_conv2d_rejects_bad_arguments(cls, field, kwargs):
     args = dict(in_channels=4, out_channels=4, kernel_size=3, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match=f"^{cls.__name__} {field} out of range: "):

@@ -164,11 +164,14 @@ def test_mcaff_config_rejects_a_repeated_path():
         dict(n_classes=0), dict(iq_dilations=(1, 0, 4)),
         dict(iq_channels=(), iq_dilations=()), dict(spec_channels=()),
         dict(spec_channels=(2, 0, 4, 4)), dict(spec_branch_dim=0), dict(iq_branch_dim=-1),
-        dict(aoa_branch_dim=0), dict(aoa_conv_channels=0))],
+        dict(aoa_branch_dim=0), dict(aoa_conv_channels=0),
+        # not ints: each failed deep in numpy with a TypeError naming no field
+        dict(head_hidden=1.5), dict(head_hidden=True), dict(iq_channels=(4, 4, 8.0)))],
     *[(tiny_mcaff_config, {field: value}) for field, value in (
         ("stem_channels", 0), ("stem_channels", -4), ("head_hidden", 0), ("n_classes", 0),
         ("n_subclasses", 0), ("path_feature_dim", 0), ("block_width", 0),
-        ("cardinality", 0), ("path_feature_dim", 6))],
+        ("cardinality", 0), ("path_feature_dim", 6), ("head_hidden", 1.5),
+        ("stem_channels", True))],
 ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict)
    else v.__name__.split("_")[1])
 def test_config_rejects_out_of_range_sizes(make, overrides):
@@ -269,6 +272,18 @@ def test_load_reads_a_normalization_block_with_the_old_clamp_bounds(tmp_path):
     assert loaded.to_dict() == norm.to_dict()
 
 
+def test_normalization_spec_of_lists_round_trips(tmp_path):
+    # the spec takes any array-like statistic; to_dict called .tolist() on
+    # each, which a list has not
+    model = FusionModel(tiny_fusion_config(), seed=0)
+    norm = NormalizationSpec(iq_mean=[0.5] * 8, iq_std=[2.0] * 8,
+                             aoa_mean=[[0.25] * 22] * 4, aoa_std=[[1.5] * 22] * 4)
+    save_model(tmp_path / "model.gjw", model, norm)
+    _, loaded, _ = load_model(tmp_path / "model.gjw")
+    for name, value in norm.to_dict().items():
+        assert np.array_equal(getattr(loaded, name), value)
+
+
 def test_load_rejects_bad_normalization_block(tmp_path):
     model = FusionModel(tiny_fusion_config(), seed=0)
     norm = NormalizationSpec(iq_mean=np.zeros(8), iq_std=np.ones(8)).to_dict()
@@ -316,7 +331,9 @@ def test_load_takes_a_retired_field_only_at_its_constant(build, retired, bad, tm
      r"missing FusionConfig fields \['n_classes'\]"),
     (lambda meta, arrays: arrays[4].fill(np.nan),
      r"tensor 4 of shape \(4, 2, 3, 3\) holds non-finite weights"),
-], ids=["unknown-field", "out-of-range", "missing-field", "nan-weight"])
+    (lambda meta, arrays: meta["config"].update(head_hidden=16.0),
+     r"bad FusionConfig: head_hidden must be an int, got 16.0$"),
+], ids=["unknown-field", "out-of-range", "missing-field", "nan-weight", "non-int-field"])
 def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, edit, match):
     model = FusionModel(tiny_fusion_config(), seed=0)
     meta = {"kind": model.KIND, "config": asdict(model.cfg)}
