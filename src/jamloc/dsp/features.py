@@ -6,9 +6,12 @@ The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
 ``fit_iq_stats`` a non-empty batch; the length is fixed because one FFT per
 patch fills the 32 x 32 spectrogram grid. ``_snapshots`` rejects any other
 shape, naming the function and the shape. Each extractor, and the fit's
-sum of squared deviations, runs its body over blocks of ``_BLOCK``
-snapshots (``_blocked``), so that a block's temporaries stay in cache and
-``_BLOCK``-sized; results are bitwise the same whatever the batch size.
+sum of squared deviations, runs its body over blocks of snapshots
+(``_blocked``), so that a block's temporaries stay in cache: on the worker
+threads the convs use too (``jamloc._workers``), ``_BLOCK`` snapshots in
+flight over all of them, so two runs take blocks of ``_BLOCK // 2``. A
+snapshot's result does not depend on its block, so results are bitwise the
+same whatever the batch size and the worker count.
 
 The functions are pure; the only state is the fitted normalization
 statistics, which must come from the training split. The spectrogram clamp
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import _workers
 from .fourier import fft
 
 __all__ = [
@@ -45,11 +49,12 @@ _EPS_POWER = 1e-20
 # 32 x 32 spectrogram grid
 _SNAPSHOT_LEN = 1024
 
-# snapshots per extractor block: 1 MB of complex128, so a block's temporaries
-# stay near a 1 MB L2. On a 256-snapshot desk chunk (2-vCPU EPYC VM, one BLAS
-# thread, the benchmark's malloc policy), blocks of 8 / 16 / 32 / 64
-# snapshots took aoa_features 25.8 / 23.7 / 24.5 / 26.8 ms and stft 7.7 /
-# 7.3 / 7.3 / 10.3 ms, against 29.4 and 9.6 ms for the whole chunk at once.
+# snapshots in flight per extractor call, over all its runs: 1 MB of
+# complex128, so a block's temporaries stay near a 1 MB L2. On a 256-snapshot
+# desk chunk (2-vCPU EPYC VM, one BLAS thread, one worker, the benchmark's
+# malloc policy), blocks of 8 / 16 / 32 / 64 snapshots took aoa_features
+# 25.8 / 23.7 / 24.5 / 26.8 ms and stft 7.7 / 7.3 / 7.3 / 10.3 ms, against
+# 29.4 and 9.6 ms for the whole chunk at once.
 _BLOCK = 16
 
 
@@ -68,20 +73,25 @@ def _snapshots(fn: str, samples, fit: bool = False) -> np.ndarray:
 
 
 def _blocked(fn: str, body, samples) -> np.ndarray:
-    """``body`` over blocks of ``_BLOCK`` snapshots of ``samples``, which
-    ``_snapshots`` checks for ``fn``. ``body`` maps (b, 4, 1024) to (b, ...);
-    a snapshot goes to it as a batch of one, and a batch of at most one block
-    whole, without a copy."""
+    """``body`` over blocks of ``samples``, which ``_snapshots`` checks for
+    ``fn``. ``body`` maps (b, 4, 1024) to (b, ...); a snapshot goes to it as
+    a batch of one, and a batch of at most ``_BLOCK`` whole, without a copy.
+    A longer batch runs on the shared workers (``_workers._blocks``), which
+    keep ``_BLOCK`` snapshots in flight over all runs; each block writes its
+    own rows of the output."""
     x = _snapshots(fn, samples)
     if x.ndim == 2:
         return body(x[None])[0]
     if len(x) <= _BLOCK:
         return body(x)
-    first = body(x[:_BLOCK])
-    out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
-    out[:_BLOCK] = first
-    for start in range(_BLOCK, len(x), _BLOCK):
-        out[start:start + _BLOCK] = body(x[start:start + _BLOCK])
+    empty = body(x[:0])
+    out = np.empty((len(x),) + empty.shape[1:], dtype=empty.dtype)
+
+    def run(blocks):
+        for s in blocks:
+            out[s] = body(x[s])
+
+    _workers._map(run, _workers._blocks(len(x), _BLOCK))
     return out
 
 
@@ -246,9 +256,9 @@ def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Bitwise equal to ``planes.mean/std(axis=(0, 2))`` of the (M, 8, N)
     ``_iq_planes`` without building them whole: the mean sums the real and
     imaginary views, and each snapshot's squared deviations are summed over
-    N (pairwise, as numpy's reduction does) in blocks of ``_BLOCK``
-    snapshots (``_blocked``), then the (M, 8) sums are added in snapshot
-    order. Temporaries stay ``_BLOCK``-sized, 1 MB each, whatever M.
+    N (pairwise, as numpy's reduction does) in blocks (``_blocked``), then
+    the (M, 8) sums are added in snapshot order. The temporaries in flight
+    hold ``_BLOCK`` snapshots, 1 MB each, whatever M and the worker count.
     """
     x = _snapshots("fit_iq_stats", samples, fit=True)
     count = x.shape[0] * x.shape[2]

@@ -41,6 +41,8 @@ class FusionConfig:
         require_positive(self, "spec_branch_dim", "iq_branch_dim", "aoa_branch_dim",
                          "head_hidden", "n_classes", "spec_channels", "iq_channels",
                          "iq_dilations", "aoa_conv_channels")
+        if not isinstance(self.with_classifier, bool):
+            raise ValueError(f"with_classifier must be a bool, got {self.with_classifier!r}")
         if len(self.iq_channels) != len(self.iq_dilations):
             raise ValueError("iq_channels and iq_dilations must have equal length")
 

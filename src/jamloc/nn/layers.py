@@ -34,23 +34,24 @@ upstream by the kept output, bitwise as ``Tensor.relu``, whose node would hold
 each pre-activation output (paper-width fusion train forward, B=32, float32:
 93 MiB held, not 134).
 
-The chunks run on the CPUs the process may use (``_WORKERS``), at most
-``_RUNS`` at once: split into contiguous runs of at least two chunks, one per
-worker, the last on the calling thread and the others on a thread pool made by
-the first call that has more than one run; numpy's GEMMs and copies release
-the interpreter lock. A call of fewer than four chunks runs inline: every
-pointwise conv, and every MCAFF conv at B=32, whose two-chunk stem convs left
-a paper-width MCAFF step no faster on a second thread (24-25 ms either way),
-while a thread adds to the process's RSS. The result is bitwise the one-thread
-result: the chunks do not depend on the worker count, each run writes only its
-own rows of the output and items of dx, the per-chunk weight-gradient GEMMs
-are summed last chunk first, as one thread sums them, and the bias gradient
-stays one GEMV over the batch. Whatever the CPU count, a call holds at most
-the two workspaces one thread's backward held (its cols and its dcols or
-transposed-conv cols): forward keeps for backward only the last run's
-workspace, which holds the last chunk's cols, and in backward each of at most
-two runs uses one workspace (the last run the kept one) for its cols rebuilds,
-then for its dcols or transposed-conv cols. The gain rests on numpy running
+The chunks run on the worker threads that the simulator's and the dsp's
+chunk loops use too (``jamloc._workers``): split into contiguous runs of at
+least two chunks, one per CPU the process may use and at most ``_RUNS``, the
+last on the calling thread and the others on the shared pool; numpy's GEMMs
+and copies release the interpreter lock. A call of fewer than four chunks
+runs inline: every pointwise conv, and every MCAFF conv at B=32, whose
+two-chunk stem convs left a paper-width MCAFF step no faster on a second
+thread (24-25 ms either way), while a thread adds to the process's RSS. The
+result is bitwise the one-thread result: the chunks do not depend on the
+worker count, each run writes only its own rows of the output and items of
+dx, the per-chunk weight-gradient GEMMs are summed last chunk first, as one
+thread sums them, and the bias gradient stays one GEMV over the batch.
+Whatever the CPU count, a call holds at most the two workspaces one thread's
+backward held (its cols and its dcols or transposed-conv cols): forward keeps
+for backward only the last run's workspace, which holds the last chunk's
+cols, and in backward each of at most two runs uses one workspace (the last
+run the kept one) for its cols rebuilds, then for its dcols or
+transposed-conv cols. The gain rests on numpy running
 each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark sets):
 the paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS running its
@@ -63,12 +64,11 @@ import enum
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .. import _workers
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -123,9 +123,20 @@ class Layer:
 # dense / pooling
 # ----------------------------------------------------------------------
 
+def _count(least: int):
+    """The rule of a count: an int, not a bool, of at least ``least``."""
+    return lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
 class Dense(Layer):
+    """(B, in_features) -> (B, out_features); each count is an int >= 1
+    (``_count(1)``, as the convs check theirs), else a ValueError naming it."""
+
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  dtype=np.float64):
+        for name, value in (("in_features", in_features), ("out_features", out_features)):
+            if not _count(1)(value):
+                raise ValueError(f"Dense {name} out of range: {value}")
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(glorot_uniform(rng, (in_features, out_features),
@@ -290,46 +301,6 @@ class _Geometry:
             dxv[:, ii, ij] += dcols[:, oi, oj, :, u, v]
 
 
-# Threads that run a call's chunks: the CPUs this process may run on. Their
-# GEMMs and im2col copies release the interpreter lock.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# Runs of one call at most, whatever the CPU count: each run holds a cols
-# workspace, and one thread's backward held two (the kept cols and the dcols
-# or transposed-conv cols).
-_RUNS = 2
-
-
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """The threads beside the caller's, made by the first call that has
-    more than one run of chunks."""
-    return ThreadPoolExecutor(_RUNS - 1, thread_name_prefix="jamloc-conv")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the parent's threads, so it makes its own pool
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _runs(chunks: list) -> list:
-    """``chunks`` as contiguous runs of at least two chunks each, one per
-    worker and at most ``_RUNS``; one run, maybe empty, if fewer than four."""
-    k = max(1, min(_WORKERS, _RUNS, len(chunks) // 2))
-    return [chunks[i * len(chunks) // k:(i + 1) * len(chunks) // k] for i in range(k)]
-
-
-def _map(fn, jobs: list) -> list:
-    """[fn(job) for job in jobs]: the last job on the calling thread, the
-    others on the pool, so one job submits nothing."""
-    futures = [_pool().submit(fn, job) for job in jobs[:-1]]
-    try:
-        last = fn(jobs[-1])
-    finally:
-        wait(futures)
-    return [f.result() for f in futures] + [last]
-
-
 def _by_group(rows: np.ndarray, groups: int) -> np.ndarray:
     """(M, G*k) rows as the (G, M, k) stack of their group blocks; a view."""
     return rows.reshape(len(rows), groups, -1).transpose(1, 0, 2)
@@ -353,7 +324,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
     wg = w.data.reshape(G, og, cg, kh, kw)
     w2 = wg.transpose(0, 3, 4, 2, 1).reshape(G, kh * kw * cg, og)
     out = np.empty((B * r, O), dtype=xl.dtype)
-    runs = _runs(geo.chunks)
+    runs = _workers._runs(geo.chunks)
 
     def forward(job):
         run, ws = job
@@ -368,7 +339,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
 
     # workspaces come from the calling thread, so the pool's threads allocate
     # little; backward keeps one, the last run's, holding the last chunk's cols
-    ws, cols = _map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])[-1]
+    ws, cols = _workers._map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])[-1]
 
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
@@ -411,7 +382,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
             return parts
 
         jobs = [(run[::-1], geo.workspace(run, g2.dtype), None) for run in runs[:-1]]
-        parts = _map(backward, jobs + [(runs[-1][::-1], ws, cols)])
+        parts = _workers._map(backward, jobs + [(runs[-1][::-1], ws, cols)])
         if b.requires_grad:
             b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
         if w.requires_grad:
@@ -425,11 +396,6 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
 
     y = out.reshape(B, *geo.out_hw[2 - len(sp):], O)
     return Tensor.from_op(y.transpose(0, -1, *range(1, len(sp) + 1)), (x, w, b), bw)
-
-
-def _count(least: int):
-    """The rule of a count: an int, not a bool, of at least ``least``."""
-    return lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
 # each conv argument's rule, checked before any shape arithmetic

@@ -5,9 +5,11 @@ the 20 x 30 x 8 m hall: the ``SceneConfig`` constants ``snapshot_len``,
 ``sample_rate``, ``antenna_position`` and ``hall_extent``.
 
 Pose i is sent by profile i mod len(profiles), one snapshot per pose. Poses
-are simulated ``_CHUNK`` snapshots at a time (``_simulate``), in order, in
-the calling process. Each pose draws from an independent generator seeded by
-(seed, seed_channel, pose_index), in this order:
+are simulated in chunks (``_simulate``) on the calling process's worker
+threads, which the convs and the dsp use too (``jamloc._workers``): ``_CHUNK``
+poses in flight over all runs, so two runs take chunks of ``_CHUNK // 2``.
+The snapshots come back in pose order. Each pose draws from an independent
+generator seeded by (seed, seed_channel, pose_index), in this order:
 
 1. ``default_rng([seed, seed_channel, pose_index])``;
 2. the plan jitter, ``uniform(-j, j, size=2)``, when ``pose_jitter_m`` > 0;
@@ -17,7 +19,7 @@ the calling process. Each pose draws from an independent generator seeded by
 
 Then the chunk's path geometry and snapshots are computed as arrays (see
 ``scene``). Neither the streams nor a pose's arithmetic depend on the chunk,
-so the output is bitwise the same for any chunk size.
+so the output is bitwise the same for any chunk size and worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import _workers
 from .geometry import ArrayGeometry
 from .jammers import JammerProfile, gen_baseband
 from .records import IQSnapshot, Label
@@ -35,10 +38,10 @@ from .trajectory import DEFAULT_HEIGHTS, gen_trajectory
 
 __all__ = ["SimConfig", "make_dataset"]
 
-# snapshots simulated together. It bounds the chunk's temporaries (about
+# poses in flight over all runs. It bounds the chunks' temporaries (about
 # 9 MB, mostly the (P, 1+S, N) delayed waveforms).
-# Chunks of 16, 32 and 64 ran the desk suite equally fast on a 2-vCPU
-# x86-64 VM; larger chunks left more heap behind at peak RSS.
+# Chunks of 16, 32 and 64 ran the desk suite equally fast on one worker of
+# a 2-vCPU x86-64 VM; larger chunks left more heap behind at peak RSS.
 _CHUNK = 32
 
 
@@ -67,8 +70,8 @@ def _is_int(value) -> bool:
 
 def _check_config(cfg: SimConfig, seed, jobs) -> None:
     if not _is_int(jobs) or jobs != 1:
-        raise ValueError(f"make_dataset: jobs must be 1 (chunks run in the calling "
-                         f"process), got {jobs!r}")
+        raise ValueError(f"make_dataset: jobs must be 1 (chunks run on the calling "
+                         f"process's threads), got {jobs!r}")
     for name, value in (("make_dataset: seed", seed), ("SimConfig.seed_channel", cfg.seed_channel)):
         if not _is_int(value) or value < 0:
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
@@ -114,13 +117,17 @@ def make_dataset(cfg: SimConfig, geometry: ArrayGeometry, seed: int,
                  jobs: int = 1) -> list[IQSnapshot]:
     """Generate one labeled snapshot list; deterministic for a fixed seed.
 
-    ``seed`` is an int >= 0. ``jobs`` must be 1: the chunks run in the
-    calling process.
+    ``seed`` is an int >= 0. ``jobs`` must be 1: the chunks run on the
+    calling process's worker threads.
     """
     _check_config(cfg, seed, jobs)
     poses = gen_trajectory(cfg.trajectory_kind, cfg.trajectory_params, cfg.heights)
     if len(poses) == 0:
         raise ValueError("trajectory produced no poses")
-    return [snap for start in range(0, len(poses), _CHUNK)
-            for snap in _simulate(cfg, geometry, seed, poses,
-                                  range(start, min(start + _CHUNK, len(poses))))]
+    indices = range(len(poses))
+
+    def run(chunks):
+        return [snap for s in chunks for snap in _simulate(cfg, geometry, seed, poses, indices[s])]
+
+    return [snap for part in _workers._map(run, _workers._blocks(len(poses), _CHUNK))
+            for snap in part]

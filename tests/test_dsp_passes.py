@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jamloc import dsp, sigsim
+from jamloc import _workers, dsp, sigsim
 from jamloc.dsp import features
 
 from _oracles import (aoa_band_phase_ref, cfo_ref, iq_stats_ref, phase_increments_ref,
@@ -115,9 +115,11 @@ def test_fit_iq_stats_equals_stacked_planes(desk, rows):
     assert _equal(mean, ref_mean) and _equal(std, ref_std)
 
 
-def test_fit_iq_stats_memory_is_chunk_bounded():
+def test_fit_iq_stats_memory_is_chunk_bounded(monkeypatch):
     # the stacked planes alone would be x.nbytes; the fit keeps a few
-    # _BLOCK-sized temporaries, 1 MB each
+    # _BLOCK-sized temporaries, 1 MB each, over all its runs on as many
+    # workers as a large host has
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
     x = np.random.default_rng(0).standard_normal((1024, 4, 2048)).view(np.complex128)
     tracemalloc.start()
     try:
@@ -219,6 +221,21 @@ def test_extractors_do_not_depend_on_the_batch_split(batch, name):
     _assert_same(name, f(batch), np.concatenate([f(p) for p in pieces]))
 
 
+@pytest.mark.parametrize("name", EXTRACTORS + ("fit_iq_stats",))
+def test_extractors_are_bitwise_equal_for_any_worker_count(batch, name, map_jobs,
+                                                            at_worker_counts):
+    # 259 snapshots: one run of 16-snapshot blocks on one worker, two runs of
+    # 8-snapshot blocks on 2 or 8, and three of 5 with the cap raised to
+    # three runs; each block writes its own rows of the output
+    f = dsp.fit_iq_stats if name == "fit_iq_stats" else _extractor(name, batch)
+    outs = [out if isinstance(out, tuple) else (out,) for out in at_worker_counts(lambda: f(batch))]
+    assert map_jobs == [1, 2, 2, 3]
+    for out in outs[1:]:
+        for got, want in zip(out, outs[0]):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("name", EXTRACTORS)
 def test_single_snapshot_and_empty_batch(batch, name):
     # a snapshot runs the block body as a batch of one, an empty batch runs
@@ -231,8 +248,11 @@ def test_single_snapshot_and_empty_batch(batch, name):
 
 
 @pytest.mark.parametrize("name", EXTRACTORS)
-def test_extractor_memory_is_block_bounded(name):
-    # unblocked, the temporaries of one 256-snapshot chunk reach 24-126 MB
+def test_extractor_memory_is_block_bounded(monkeypatch, name):
+    # unblocked, the temporaries of one 256-snapshot chunk reach 24-126 MB;
+    # on as many workers as a large host has, _BLOCK snapshots stay in
+    # flight over all runs
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
     x = np.random.default_rng(0).standard_normal((256, 4, 2048)).view(np.complex128)
     f = _extractor(name, x)
     tracemalloc.start()

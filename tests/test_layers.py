@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jamloc import _workers
 from jamloc.nn import Conv1D, Conv2D, Dense, GlobalAvgPool, ShapeError, Tensor, concat, layers
 
 from _oracles import check_grads, conv1d_grads_ref, conv1d_ref, conv2d_grads_ref, conv2d_ref
@@ -115,6 +116,17 @@ def test_conv2d_rejects_bad_arguments(cls, field, kwargs):
     args = dict(in_channels=4, out_channels=4, kernel_size=3, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match=f"^{cls.__name__} {field} out of range: "):
         cls(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("in_features", dict(in_features=0)), ("out_features", dict(out_features=0)),
+    # Dense(0, 4) built a (0, 4) weight, Dense(2.5, 4) failed inside numpy
+    ("in_features", dict(in_features=2.5)), ("out_features", dict(out_features=True)),
+], ids=["in_features", "out_features", "in_features-float", "out_features-bool"])
+def test_dense_rejects_bad_arguments(field, kwargs):
+    args = dict(in_features=2, out_features=4, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"^Dense {field} out of range: "):
+        Dense(**{**args, **kwargs})
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +252,7 @@ def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch):
     # paper width of the IQ encoder's dilated convs, fed and differentiated
     # channels-last as inside the model: eight chunks, which eight workers
     # would split eight ways if the runs were not capped
-    monkeypatch.setattr(layers, "_WORKERS", 8)
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
     B, C, T, K = 32, 64, 1024, 3
     rng = np.random.default_rng(31)
     layer = Conv1D(C, C, K, rng, dilation=16, dtype=np.float32)
@@ -324,7 +336,7 @@ def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch):
     # MCAFF's grouped 3x3 conv at paper width (128 channels, 8 groups, 8x8),
     # fed and differentiated channels-last as inside the model, at B=256:
     # 16384 output rows, four chunks, on as many workers as the runs allow
-    monkeypatch.setattr(layers, "_WORKERS", 8)
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
     B, C, G, HW = 256, 128, 8, (8, 8)
     rng = np.random.default_rng(33)
     layer = Conv2D(C, C, 3, rng, padding=1, groups=G, dtype=np.float32)
@@ -365,7 +377,7 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
         if rows is not None:
             m.setattr(layers, "_ROWS", rows)
         for workers, graphs in itertools.product((1, 2), (1, 2)):
-            m.setattr(layers, "_WORKERS", workers)
+            m.setattr(_workers, "_WORKERS", workers)
             outs = [layer(x) for x in xs]
             losses = [_loss_with_upstream(out, up) for out, up in zip(outs, ups)]
             if graphs == 1:
@@ -387,7 +399,7 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
 def test_convs_take_an_empty_batch(monkeypatch, dim, case):
     layer, x, want = _conv_case(dim, case)
     for workers in (1, 2):
-        monkeypatch.setattr(layers, "_WORKERS", workers)
+        monkeypatch.setattr(_workers, "_WORKERS", workers)
         leaf = Tensor(x[:0], requires_grad=True)
         out = layer(leaf)
         assert out.shape == (0, *want.shape[1:])
@@ -434,21 +446,10 @@ WORKER_CASES = {
 }
 
 
-def _spy_jobs(monkeypatch) -> list:
-    """Record the job count of every ``layers._map`` call."""
-    jobs, run = [], layers._map
-
-    def spy(fn, job_list):
-        jobs.append(len(job_list))
-        return run(fn, job_list)
-    monkeypatch.setattr(layers, "_map", spy)
-    return jobs
-
-
 @pytest.mark.parametrize("items", [10, 5, 4, 2, 1],
                          ids=["1-chunk", "2-chunks", "3-chunks", "5-chunks", "10-chunks"])
 @pytest.mark.parametrize("case", sorted(WORKER_CASES))
-def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, case, items):
+def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, case, items):
     # runs of at least two chunks: 5 chunks split 2 + 3, and 10 chunks
     # 5 + 5 or, with the cap raised to three runs, 3 + 3 + 4; each run writes
     # its own items of out and dx, and the dW partials are summed in one order
@@ -459,20 +460,19 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, case, items):
     x = rng.normal(size=shape).astype(np.float32)
     G = rng.normal(size=layer(Tensor(x)).shape).astype(np.float32)
     chunks = 1 if kwargs["kernel_size"] == 1 else -(-shape[0] // items)
-    jobs = _spy_jobs(monkeypatch)
     runs = []
     monkeypatch.setattr(layers, "_ROWS", items * int(np.prod(G.shape[2:])))
-    monkeypatch.setattr(layers, "_RUNS", 3)
+    monkeypatch.setattr(_workers, "_RUNS", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # threads switch often, so a shared write would show
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(layers, "_WORKERS", workers)
-            jobs.clear()
+            monkeypatch.setattr(_workers, "_WORKERS", workers)
+            map_jobs.clear()
             leaf = Tensor(x.copy(), requires_grad=x_grad)
             out = layer(leaf)
             _loss_with_upstream(out, G).backward()
-            assert jobs == [max(1, min(workers, chunks // 2))] * 2     # forward, backward
+            assert map_jobs == [max(1, min(workers, chunks // 2))] * 2     # forward, backward
             runs.append([out.data, leaf.grad, layer.weight.grad, layer.bias.grad])
             layer.weight.grad = layer.bias.grad = None
     finally:
@@ -494,8 +494,8 @@ def test_calls_of_few_chunks_submit_nothing_and_runs_are_capped(monkeypatch):
             def submit(self, fn, job):
                 submitted.append(job)
                 return pool.submit(fn, job)
-        monkeypatch.setattr(layers, "_pool", Spy)
-        monkeypatch.setattr(layers, "_WORKERS", 8)
+        monkeypatch.setattr(_workers, "_pool", Spy)
+        monkeypatch.setattr(_workers, "_WORKERS", 8)
         T = 11
         monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items
         rng = np.random.default_rng(51)
@@ -510,12 +510,26 @@ def test_calls_of_few_chunks_submit_nothing_and_runs_are_capped(monkeypatch):
 
 def test_importing_jamloc_starts_no_thread():
     code = ("import threading, jamloc, jamloc.dsp, jamloc.models, jamloc.nn, jamloc.sigsim; "
-            "from jamloc.nn import layers; "
-            "print(threading.active_count(), layers._pool.cache_info().currsize)")
+            "from jamloc import _workers; "
+            "print(threading.active_count(), _workers._pool.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.split() == ["1", "0"]
+
+
+def test_a_map_inside_a_mapped_job_runs_inline():
+    # the pool has one thread, so a job on it that waited on the pool would
+    # wait on itself; run in a child process, so that a hang fails the test
+    # instead of holding the suite at exit
+    code = ("import threading; from jamloc import _workers; "
+            "outer = lambda j: (threading.current_thread().name, "
+            "_workers._map(lambda i: 2 * i, [j, j + 1])); "
+            "print(_workers._map(outer, [0, 10]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[('jamloc-worker_0', [0, 2]), ('MainThread', [20, 22])]"
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jamloc import _workers
 from jamloc.dsp import NormalizationSpec
 from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig,
                            McaffModel, Prediction, load_model, save_model,
                            tiny_fusion_config, tiny_mcaff_config)
-from jamloc.nn import SGD, CheckpointError, Conv1D, Conv2D, Mode, Tensor, layers, save_checkpoint
+from jamloc.nn import SGD, CheckpointError, Conv1D, Conv2D, Mode, Tensor, save_checkpoint
 
 from _oracles import check_grads, iq_encoder_ref
 
@@ -178,6 +179,13 @@ def test_config_rejects_out_of_range_sizes(make, overrides):
     field = next(iter(overrides))
     with pytest.raises(ValueError, match=rf"^{field} "):
         make(**overrides)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_fusion_config_rejects_a_non_bool_with_classifier(value):
+    # "no" built the class head: the field's truth was read
+    with pytest.raises(ValueError, match=rf"^with_classifier must be a bool, got {value!r}$"):
+        tiny_fusion_config(with_classifier=value)
 
 
 @pytest.mark.parametrize("iq_channels", [(4, 4, 8), (4, 4, 8, 8, 8)],
@@ -380,7 +388,7 @@ def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch
     # 8 chunks each, on one thread or split in two runs
     digests = []
     for workers in (1, 2):
-        monkeypatch.setattr(layers, "_WORKERS", workers)
+        monkeypatch.setattr(_workers, "_WORKERS", workers)
         model = FusionModel(FusionConfig(), seed=0)
         opt = SGD(model.params(), learning_rate=1e-2)
         rng = np.random.default_rng(5)
@@ -403,7 +411,7 @@ def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch):
     # at B=8: 30.8 MiB with each conv's ReLU inside the conv, 41.0 MiB when a
     # separate ReLU node also kept every conv's pre-activation output; as
     # many workers as a large host has, so the runs' workspaces count too
-    monkeypatch.setattr(layers, "_WORKERS", 8)
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
     model = FusionModel(FusionConfig(), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(0, b=8).items()}
     tracemalloc.start()

@@ -153,6 +153,19 @@ def test_output_is_bitwise_the_same_for_any_chunk_size(monkeypatch):
             assert s.label == t.label
 
 
+def test_output_is_bitwise_the_same_for_any_worker_count(map_jobs, at_worker_counts):
+    # 100 poses: one run of 32-pose chunks on one worker, two runs of 16-pose
+    # chunks on 2 or 8, and three of 10 with the cap raised to three runs
+    cfg = _small(points=50)
+    outs = at_worker_counts(lambda: sigsim.make_dataset(cfg, GEOMETRY, 21))
+    assert map_jobs == [1, 2, 2, 3]
+    for out in outs[1:]:
+        assert len(out) == len(outs[0]) == 100
+        for s, t in zip(outs[0], out):
+            assert s.samples.tobytes() == t.samples.tobytes()
+            assert s.label == t.label
+
+
 def test_bench_sim_calls(desk):
     # the calls perfbench/pipeline.py and perfbench/layers.py make into sigsim
     cfg = desk["wall2"]
