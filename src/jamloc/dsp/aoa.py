@@ -33,6 +33,9 @@ AOA_FEATURE_NAMES = (
 
 _EPS = 1e-20
 
+# the spectral and envelope columns, which are 0 for a zero-energy channel
+_SPECTRAL_ENV = np.isin(np.arange(N_AOA_FEATURES), [6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18])
+
 
 def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     """(4, 1024) or (M, 4, 1024) complex samples at sample rate ``fs`` (Hz)
@@ -50,7 +53,8 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     """
     if not 0 < fs < np.inf:
         raise ValueError(f"aoa_features expects a finite positive sample rate fs, got fs = {fs}")
-    out = _blocked("aoa_features", lambda b: _aoa_block(b, fs), samples)
+    out = _blocked("aoa_features", lambda b, rows: _aoa_block(b, fs, rows), samples,
+                   (4, N_AOA_FEATURES))
     dead = int(np.count_nonzero(out[..., 12] == 0))      # column 12 is the channel energy
     if dead:
         logger.warning("aoa_features: %d zero-energy channel(s); spectral/envelope features set to 0",
@@ -58,10 +62,10 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     return out
 
 
-def _aoa_block(x: np.ndarray, fs: float) -> np.ndarray:
-    """The (M, 4, 22) features of (M, 4, N) samples, logging nothing."""
-    M, _, N = x.shape
-    out = np.zeros((M, 4, N_AOA_FEATURES), dtype=np.float64)
+def _aoa_block(x: np.ndarray, fs: float, out: np.ndarray) -> None:
+    """Write the (M, 4, 22) features of (M, 4, N) samples into ``out``,
+    every column; log nothing."""
+    N = x.shape[-1]
 
     env = np.abs(x)
     env_sq = env ** 2
@@ -133,11 +137,7 @@ def _aoa_block(x: np.ndarray, fs: float) -> np.ndarray:
     out[..., 21] = mean_if - mean_if[:, :1]
     out[:, 0, 19:22] = 0.0               # self-reference: exactly zero by definition
 
-    # zero out spectral + envelope features of dead channels
-    spectral_env = [6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18]
-    if np.any(dead):
-        out[dead[..., None] & np.isin(np.arange(N_AOA_FEATURES), spectral_env)] = 0.0
-    return out
+    out[dead[..., None] & _SPECTRAL_ENV] = 0.0
 
 
 def fit_aoa_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

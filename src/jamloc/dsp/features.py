@@ -5,13 +5,16 @@ The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
 (4, 1024), 4 patches of 1024 complex samples, or a batch (M, 4, 1024), and
 ``fit_iq_stats`` a non-empty batch; the length is fixed because one FFT per
 patch fills the 32 x 32 spectrogram grid. ``_snapshots`` rejects any other
-shape, naming the function and the shape. Each extractor, and the fit's
-sum of squared deviations, runs its body over blocks of snapshots
-(``_blocked``), so that a block's temporaries stay in cache: on the worker
-threads the convs use too (``jamloc._workers``), ``_BLOCK`` snapshots in
-flight over all of them, so two runs take blocks of ``_BLOCK // 2``. A
-snapshot's result does not depend on its block, so results are bitwise the
-same whatever the batch size and the worker count.
+shape, naming the function and the shape. Each extractor returns a
+C-contiguous float64 array, whatever the input's complex dtype. Every call
+runs one path (``_blocked``): a snapshot is a batch of one, and the
+extractor's body, or the fit's sum of squared deviations, writes each block
+of snapshots' rows straight into the output, so that a block's temporaries
+stay in cache. The blocks run on the worker threads the convs use too
+(``jamloc._workers``), ``_BLOCK`` snapshots in flight over all of them, so
+two runs take blocks of ``_BLOCK // 2``. A snapshot's result does not
+depend on its block, so results are bitwise the same whatever the batch
+size and the worker count.
 
 The functions are pure; the only state is the fitted normalization
 statistics, which must come from the training split. The spectrogram clamp
@@ -48,6 +51,7 @@ _EPS_POWER = 1e-20
 # samples per patch in a snapshot: one 1024-point FFT per patch fills the
 # 32 x 32 spectrogram grid
 _SNAPSHOT_LEN = 1024
+_STFT_FRAMES = (_SNAPSHOT_LEN - STFT_WINDOW) // STFT_HOP + 1     # 15
 
 # snapshots in flight per extractor call, over all its runs: 1 MB of
 # complex128, so a block's temporaries stay near a 1 MB L2. On a 256-snapshot
@@ -72,27 +76,23 @@ def _snapshots(fn: str, samples, fit: bool = False) -> np.ndarray:
     return x
 
 
-def _blocked(fn: str, body, samples) -> np.ndarray:
-    """``body`` over blocks of ``samples``, which ``_snapshots`` checks for
-    ``fn``. ``body`` maps (b, 4, 1024) to (b, ...); a snapshot goes to it as
-    a batch of one, and a batch of at most ``_BLOCK`` whole, without a copy.
-    A longer batch runs on the shared workers (``_workers._blocks``), which
-    keep ``_BLOCK`` snapshots in flight over all runs; each block writes its
-    own rows of the output."""
+def _blocked(fn: str, body, samples, shape: tuple) -> np.ndarray:
+    """The float64 result, of ``shape`` per snapshot, of ``body`` over
+    blocks of ``samples``, which ``_snapshots`` checks for ``fn``; a
+    snapshot is a batch of one. ``body(block, rows)`` writes the results of
+    a (b, 4, 1024) block into its (b, *shape) rows of the output. The blocks
+    run on the shared workers (``_workers._blocks``), which keep ``_BLOCK``
+    snapshots in flight over all runs; an empty batch runs no block."""
     x = _snapshots(fn, samples)
-    if x.ndim == 2:
-        return body(x[None])[0]
-    if len(x) <= _BLOCK:
-        return body(x)
-    empty = body(x[:0])
-    out = np.empty((len(x),) + empty.shape[1:], dtype=empty.dtype)
+    batch = x.reshape((-1,) + x.shape[-2:])
+    out = np.empty((len(batch),) + shape, dtype=np.float64)
 
     def run(blocks):
         for s in blocks:
-            out[s] = body(x[s])
+            body(batch[s], out[s])
 
-    _workers._map(run, _workers._blocks(len(x), _BLOCK))
-    return out
+    _workers._map(run, _workers._blocks(len(batch), _BLOCK))
+    return out.reshape(x.shape[:-2] + shape)
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -175,11 +175,11 @@ def spectrogram(samples: np.ndarray) -> np.ndarray:
     eps)), clamp-normalized, fftshifted so the interference band sits
     centrally, then reshaped row-major.
     """
-    def body(x):
+    def body(x, out):
         unit = db_to_unit(10.0 * np.log10(np.abs(fft(x)) ** 2 / _SNAPSHOT_LEN + _EPS_POWER))
-        return np.fft.fftshift(unit, axes=-1).reshape(x.shape[:-1] + (32, 32))
+        out.reshape(x.shape)[...] = np.fft.fftshift(unit, axes=-1)
 
-    return _blocked("spectrogram", body, samples)
+    return _blocked("spectrogram", body, samples, (4, 32, 32))
 
 
 def stft(samples: np.ndarray) -> np.ndarray:
@@ -193,13 +193,13 @@ def stft(samples: np.ndarray) -> np.ndarray:
     """
     win = _hann_periodic(STFT_WINDOW)
 
-    def body(x):
+    def body(x, out):
         frames = (np.lib.stride_tricks.sliding_window_view(x, STFT_WINDOW, axis=-1)
                   [..., ::STFT_HOP, :] * win)
-        mag = np.abs(fft(frames))           # (b, 4, n_frames, window)
-        return np.swapaxes(mag, -1, -2)     # (b, 4, window, n_frames)
+        # (b, 4, frame, window) magnitudes into the (b, 4, window, frame) rows
+        np.abs(fft(frames), out=np.swapaxes(out, -1, -2))
 
-    return _blocked("stft", body, samples)
+    return _blocked("stft", body, samples, (4, STFT_WINDOW, _STFT_FRAMES))
 
 
 def cfo_accumulated(samples: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ def cfo_accumulated(samples: np.ndarray) -> np.ndarray:
 
     Increments where either neighboring sample has zero magnitude are 0.
     """
-    return _blocked("cfo_accumulated", _cfo_rows, samples)
+    return _blocked("cfo_accumulated", _cfo_rows, samples, (4, _SNAPSHOT_LEN))
 
 
 def _phase_increments(x: np.ndarray) -> np.ndarray:
@@ -228,11 +228,9 @@ def _phase_increments(x: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _cfo_rows(x: np.ndarray) -> np.ndarray:
-    inc = _phase_increments(x)
-    out = np.zeros(x.shape, dtype=np.float64)
-    np.cumsum(inc, axis=-1, out=out[..., 1:])
-    return out
+def _cfo_rows(x: np.ndarray, out: np.ndarray) -> None:
+    out[..., 0] = 0.0
+    np.cumsum(_phase_increments(x), axis=-1, out=out[..., 1:])
 
 
 # ----------------------------------------------------------------------
@@ -254,23 +252,25 @@ def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     constant channel is an error.
 
     Bitwise equal to ``planes.mean/std(axis=(0, 2))`` of the (M, 8, N)
-    ``_iq_planes`` without building them whole: the mean sums the real and
-    imaginary views, and each snapshot's squared deviations are summed over
+    ``_iq_planes`` of complex128 samples without building them whole: the
+    mean sums the real and imaginary views, both sums in float64 whatever
+    the input's dtype, and each snapshot's squared deviations are summed over
     N (pairwise, as numpy's reduction does) in blocks (``_blocked``), then
     the (M, 8) sums are added in snapshot order. The temporaries in flight
     hold ``_BLOCK`` snapshots, 1 MB each, whatever M and the worker count.
     """
     x = _snapshots("fit_iq_stats", samples, fit=True)
     count = x.shape[0] * x.shape[2]
-    mean = np.stack([p.sum(axis=(0, 2)) for p in (x.real, x.imag)], axis=-1).reshape(8) / count
+    mean = np.stack([p.sum(axis=(0, 2), dtype=np.float64) for p in (x.real, x.imag)],
+                    axis=-1).reshape(8) / count
     _require_finite("mean", mean)
 
-    def body(b):
+    def body(b, out):
         d = _iq_planes(b) - mean[:, None]
         d *= d
-        return d.sum(axis=-1)
+        d.sum(axis=-1, out=out)
 
-    std = np.sqrt(np.cumsum(_blocked("fit_iq_stats", body, x), axis=0)[-1] / count)
+    std = np.sqrt(np.cumsum(_blocked("fit_iq_stats", body, x, (8,)), axis=0)[-1] / count)
     _require_finite("std", std)
     if np.any(std == 0):
         raise ValueError(f"fit_iq_stats: constant IQ channel(s) "
@@ -290,10 +290,8 @@ def normalize_iq(samples: np.ndarray, norm: NormalizationSpec) -> np.ndarray:
     (M, 4, 1024) complex -> (8, 1024) or (M, 8, 1024)."""
     mean, std = norm.fitted("iq")
 
-    def body(b):
-        # one expression, so numpy subtracts into the planes' temporary; a
-        # named one would stay alive and cost a fresh 1 MB buffer per block
-        # (2.5x slower)
-        return (_iq_planes(b) - mean[:, None]) / std[:, None]
+    def body(b, out):
+        np.subtract(_iq_planes(b), mean[:, None], out=out)
+        out /= std[:, None]
 
-    return _blocked("normalize_iq", body, samples)
+    return _blocked("normalize_iq", body, samples, (8, _SNAPSHOT_LEN))

@@ -155,8 +155,7 @@ class FusionModel(Layer):
         inputs = as_inputs(batch, list(self.encoders), self.dtype)
         feats = [encoder(x).assert_finite(f"{name} branch output")
                  for (name, encoder), x in zip(self.encoders.items(), inputs)]
-        fused = feats[0] if len(feats) == 1 else concat(feats, axis=1)
-        return read_out(self, fused)
+        return read_out(self, concat(feats, axis=1))
 
 
 def tiny_fusion_config(**overrides) -> FusionConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Conv2D, Dense, GlobalAvgPool, Layer, Tensor, concat
+from ..nn import Conv2D, GlobalAvgPool, Layer, Tensor, concat
 from .common import (Prediction, TaskHead, as_inputs, read_out, require_positive,
                      require_subset)
 
@@ -61,16 +61,16 @@ class McaffConfig:
         return self.path_feature_dim * len(ALL_PATHS)
 
 
-class SharedAttention(Layer):
-    """Squeeze-excitation channel gate; one parameter set for every path."""
+class SharedAttention(TaskHead):
+    """Squeeze-excitation channel gate; one parameter set for every path.
+    The gate is the sigmoid of the head's MLP on the pooled channels."""
 
     def __init__(self, channels: int, rng: np.random.Generator, dtype):
-        self.fc1 = Dense(channels, channels // ATTENTION_REDUCTION, rng, dtype=dtype)
-        self.fc2 = Dense(channels // ATTENTION_REDUCTION, channels, rng, dtype=dtype)
+        super().__init__(channels, channels // ATTENTION_REDUCTION, channels, rng, dtype=dtype)
         self.pool = GlobalAvgPool()
 
     def __call__(self, x: Tensor) -> Tensor:
-        gate = self.fc2(self.fc1(self.pool(x)).relu()).sigmoid()
+        gate = super().__call__(self.pool(x)).sigmoid()
         b, c = gate.shape
         return x * gate.reshape(b, c, 1, 1)
 

@@ -31,9 +31,8 @@ import numpy as np
 from .. import _workers
 from .geometry import ArrayGeometry
 from .jammers import JammerProfile, gen_baseband
-from .records import IQSnapshot, Label
-from .scene import (SceneConfig, _check_jammers, _check_scene, _draw_noise,
-                    _path_arrays, _synthesize)
+from .records import IQSnapshot
+from .scene import SceneConfig, _check_scene, _draw_noise, _receive
 from .trajectory import DEFAULT_HEIGHTS, gen_trajectory
 
 __all__ = ["SimConfig", "make_dataset"]
@@ -104,13 +103,8 @@ def _simulate(cfg: SimConfig, geometry: ArrayGeometry, seed: int, poses: np.ndar
         if noise is not None:
             noise[k] = _draw_noise(scene, rng)
 
-    antenna = np.asarray(scene.antenna_position, dtype=np.float64)
-    _check_jammers(antenna, jammers)
-    samples = _synthesize(scene, geometry, _path_arrays(scene, antenna, jammers), waveforms, noise)
-    return [IQSnapshot(samples=x, scenario_tag=cfg.scenario_tag,
-                       label=Label.from_displacement(jammer - antenna, prof.class_id,
-                                                     prof.subclass_id))
-            for x, jammer, prof in zip(samples, jammers, profiles)]
+    return _receive(scene, geometry, jammers, waveforms, noise,
+                    [(prof.class_id, prof.subclass_id) for prof in profiles], cfg.scenario_tag)
 
 
 def make_dataset(cfg: SimConfig, geometry: ArrayGeometry, seed: int,

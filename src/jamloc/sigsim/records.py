@@ -36,10 +36,6 @@ class Label:
         alpha, beta = angles_from_displacement(dx, dy, dz)
         return cls(dx, dy, dz, alpha, beta, int(class_id), int(subclass_id))
 
-    @property
-    def displacement(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dz])
-
 
 @dataclass
 class IQSnapshot:

@@ -16,8 +16,9 @@ for W walls. ``_synthesize`` turns them into snapshots: one
 ``(amp * carrier) * steer`` coefficient per path and patch, the delayed
 copies of each waveform gathered with one fancy index into a strided view of
 the zero-headed waveform, and one batched matmul. The number of numpy calls
-per chunk does not depend on P or S. ``compute_paths`` and ``propagate`` are
-the P = 1 calls.
+per chunk does not depend on P or S. ``_receive`` checks a chunk's poses and
+turns them into labeled snapshots; ``propagate`` is its one-pose call, and
+``compute_paths`` lists the paths of one pose.
 
 Every operation is elementwise over poses, the steering phase is an explicit
 three-term sum and the matmul runs one GEMM per snapshot, so a pose's output
@@ -243,11 +244,10 @@ def _transmission(surf: _Surfaces, antenna: np.ndarray, jammers: np.ndarray,
     A leg that crosses a wall (strict proper intersection of the open
     segments) picks up its factor, unless the leg belongs to that wall's own
     bounce. The factors are multiplied in wall order, a reduction over the
-    leading wall axis, as the per-wall loop this replaced did.
+    leading wall axis, as the per-wall loop this replaced did; with no
+    walls every product is empty, 1.0.
     """
     n_p, n_s = hit_dx.shape
-    if not len(surf.loss):              # no walls: every product is empty
-        return np.ones((n_p, 1 + 2 * n_s))
     p = np.empty((2, n_p, 1 + 2 * n_s))
     q = np.empty_like(p)
     p[:, :, :1] = q[:, :, 1 + n_s:] = antenna[:2, None, None]
@@ -321,6 +321,20 @@ def _synthesize(scene: SceneConfig, geometry: ArrayGeometry, paths: _Paths,
     return out
 
 
+def _receive(scene: SceneConfig, geometry: ArrayGeometry, jammers: np.ndarray,
+             waveforms: np.ndarray, noise: np.ndarray | None, classes: list,
+             scenario_tag: str) -> list[IQSnapshot]:
+    """The snapshots of poses ``jammers`` (P, 3), which ``_check_jammers``
+    checks: pose p sends ``waveforms[p]`` (noise as in ``_synthesize``) and
+    is labeled ``classes[p]``, a (class_id, subclass_id) pair."""
+    antenna = np.asarray(scene.antenna_position, dtype=np.float64)
+    _check_jammers(antenna, jammers)
+    samples = _synthesize(scene, geometry, _path_arrays(scene, antenna, jammers), waveforms, noise)
+    return [IQSnapshot(samples=x, scenario_tag=scenario_tag,
+                       label=Label.from_displacement(jammer - antenna, *ids))
+            for x, jammer, ids in zip(samples, jammers, classes)]
+
+
 def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
               waveform: np.ndarray, rng: np.random.Generator, *,
               class_id: int = -1, subclass_id: int = -1,
@@ -338,11 +352,7 @@ def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
     if waveform.shape != (SceneConfig.snapshot_len,):
         raise ValueError(f"propagate: waveform must have shape ({SceneConfig.snapshot_len},), "
                          f"got {waveform.shape}")
-    jammer = np.asarray(jammer_pos, dtype=np.float64)
-    antenna = np.asarray(scene.antenna_position, dtype=np.float64)
-    _check_jammers(antenna, jammer[None])
     noise = _draw_noise(scene, rng)
-    out = _synthesize(scene, geometry, _path_arrays(scene, antenna, jammer[None]),
-                      waveform[None], None if noise is None else noise[None])
-    label = Label.from_displacement(jammer - antenna, class_id, subclass_id)
-    return IQSnapshot(samples=out[0], label=label, scenario_tag=scenario_tag)
+    return _receive(scene, geometry, np.asarray(jammer_pos, dtype=np.float64)[None],
+                    waveform[None], None if noise is None else noise[None],
+                    [(class_id, subclass_id)], scenario_tag)[0]

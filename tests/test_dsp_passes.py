@@ -236,10 +236,26 @@ def test_extractors_are_bitwise_equal_for_any_worker_count(batch, name, map_jobs
             assert got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("count", [1, 4, 40])
+@pytest.mark.parametrize("name", EXTRACTORS + ("fit_iq_stats",))
+def test_extractors_return_contiguous_float64(batch, name, count, dtype):
+    # one output contract whatever the input: a stft of at most a block was
+    # a swapaxes view, and complex64 gave a float32 spectrogram and float32
+    # IQ statistics
+    x = batch[:count].astype(dtype)
+    if name == "fit_iq_stats":
+        outs = dsp.fit_iq_stats(x)
+    else:
+        outs = (_extractor(name, batch)(x[0] if count == 1 else x),)
+    for out in outs:
+        assert out.dtype == np.float64 and out.flags.c_contiguous, name
+
+
 @pytest.mark.parametrize("name", EXTRACTORS)
 def test_single_snapshot_and_empty_batch(batch, name):
-    # a snapshot runs the block body as a batch of one, an empty batch runs
-    # it directly
+    # a snapshot runs the block body as a batch of one; an empty batch runs
+    # no block, and its output is empty
     f = _extractor(name, batch)
     one = f(batch[5])
     assert _equal(one, f(batch[5:6])[0]) and one.dtype == np.float64

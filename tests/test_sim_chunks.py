@@ -28,16 +28,22 @@ def _antenna(cfg):
     return np.asarray(cfg.scene.antenna_position, dtype=np.float64)
 
 
-def _replay(cfg, seed, index, pose):
-    """Samples and jittered pose of one pose, by the oracle, drawing the
-    pose's stream in the documented order."""
+def _stream(cfg, seed, index, pose):
+    """Jittered pose, waveform, profile and generator of one pose, drawing
+    the pose's stream in the documented order up to its noise, which is the
+    generator's next draw."""
     rng = np.random.default_rng([seed, cfg.seed_channel, index])
     pose = pose.copy()
     if cfg.pose_jitter_m > 0:
         pose[:2] += rng.uniform(-cfg.pose_jitter_m, cfg.pose_jitter_m, size=2)
     prof = cfg.profiles[index % len(cfg.profiles)]
     wf = sigsim.gen_baseband(prof, cfg.scene.snapshot_len, cfg.scene.sample_rate, rng)
-    wf = wf * 10.0 ** (prof.power_dbm / 20.0)
+    return pose, wf * 10.0 ** (prof.power_dbm / 20.0), prof, rng
+
+
+def _replay(cfg, seed, index, pose):
+    """Samples and jittered pose of one pose, by the oracle."""
+    pose, wf, prof, rng = _stream(cfg, seed, index, pose)
     return propagate_ref(cfg.scene, GEOMETRY, pose, wf, rng), pose, prof
 
 
@@ -104,6 +110,20 @@ def test_paths_match_oracle_with_slanted_walls_of_mixed_loss():
 def test_samples_match_oracle_on_desk_subsample(desk, key):
     cfg = desk[key]
     _assert_matches_replay(cfg, 5, list(range(0, len(_poses(cfg)), 41)))
+
+
+@pytest.mark.parametrize("key", ["random_test", "wall2"])
+def test_propagate_is_the_chunk_path_of_one_pose(desk, key):
+    # with pose i's stream, propagate returns make_dataset's snapshot i
+    # bitwise: no walls and three walls
+    cfg = desk[key]
+    poses, snaps = _poses(cfg), sigsim.make_dataset(cfg, GEOMETRY, 5)
+    for i in range(0, len(poses), 37):
+        pose, wf, prof, rng = _stream(cfg, 5, i, poses[i])
+        got = sigsim.propagate(cfg.scene, GEOMETRY, pose, wf, rng, class_id=prof.class_id,
+                               subclass_id=prof.subclass_id, scenario_tag=cfg.scenario_tag)
+        assert got.samples.tobytes() == snaps[i].samples.tobytes()
+        assert got.label == snaps[i].label and got.scenario_tag == snaps[i].scenario_tag
 
 
 def _small(points=3):
