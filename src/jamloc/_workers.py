@@ -30,7 +30,7 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 # Runs of one loop at most, whatever the CPU count: each conv run holds a
 # cols workspace, and one thread's backward held two (the kept cols and the
-# dcols or transposed-conv cols).
+# dcols).
 _RUNS = 2
 
 # marks the pool's threads: a loop that a job runs there runs inline, since

@@ -23,15 +23,17 @@ chunks last to first: it takes each chunk's weight-gradient GEMM, reusing
 the last chunk's cols, still in the workspace, and rebuilding the others
 from the input, so no whole-batch im2col exists and a one-chunk call
 (MCAFF's 8x8 convs at B=32) rebuilds nothing; then it takes the chunks'
-input gradient. A stride-1 conv that does not widen its channels takes dx
-as the conv of the upstream gradient with the flipped, transposed kernel,
-one strided gather in place of a strided scatter-add per tap: MCAFF's
-grouped conv backward takes 1.9 ms that way and 2.5-2.7 ms by scatter (B=32,
-float32, one BLAS thread, 2-vCPU x86-64 VM). Other convs scatter dcols per
-tap. The bias gradient is one GEMV. ``relu=True`` adds a ReLU epilogue, for
-memory: rows are clamped in place after the bias add, and backward masks the
-upstream by the kept output, bitwise as ``Tensor.relu``, whose node would hold
-each pre-activation output (paper-width fusion train forward, B=32, float32:
+input gradient, one way for every conv: one GEMM per chunk multiplies the
+upstream gradient rows by the weight, straight into dx for a pointwise conv,
+and otherwise into the dcols workspace (the per-tap input gradients), which
+is added into dx tap by tap. dcols is group-major, so each group's GEMM
+writes contiguous rows: MCAFF's grouped conv took 2.0 ms for the GEMM and
+3.2 ms for the scatter that way, against 3.6 and 4.5 ms channels-last (B=32,
+float32, one BLAS thread, 2-vCPU x86-64 Xeon VM). The bias gradient is one
+GEMV. ``relu=True`` adds a ReLU epilogue, for memory: rows are clamped in
+place after the bias add, and backward masks the upstream by the kept
+output, bitwise as ``Tensor.relu``, whose node would hold each
+pre-activation output (paper-width fusion train forward, B=32, float32:
 93 MiB held, not 134).
 
 The chunks run on the worker threads that the simulator's and the dsp's
@@ -47,11 +49,10 @@ worker count, each run writes only its own rows of the output and items of
 dx, the per-chunk weight-gradient GEMMs are summed last chunk first, as one
 thread sums them, and the bias gradient stays one GEMV over the batch.
 Whatever the CPU count, a call holds at most the two workspaces one thread's
-backward held (its cols and its dcols or transposed-conv cols): forward keeps
-for backward only the last run's workspace, which holds the last chunk's
-cols, and in backward each of at most two runs uses one workspace (the last
-run the kept one) for its cols rebuilds, then for its dcols or
-transposed-conv cols. The gain rests on numpy running
+backward held (its cols and its dcols): forward keeps for backward only
+the last run's workspace, which holds the last chunk's cols, and in backward
+each of at most two runs uses one workspace (the last run the kept one) for
+its cols rebuilds, then for its dcols. The gain rests on numpy running
 each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark sets):
 the paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS running its
@@ -219,19 +220,6 @@ class _Geometry:
         return [(u, v, oi, oj, ii, ij) for u, (oi, ii) in enumerate(spans[0])
                 for v, (oj, ij) in enumerate(spans[1])]
 
-    def transposed(self, out_channels: int) -> _Geometry | None:
-        """The input gradient as a stride-1 conv of the (B, Ho, Wo, O) upstream
-        gradient with the flipped kernel; None if strided, padded beyond
-        (k-1)*d, or widening (O > C) and not pointwise: its im2col would
-        then move more data than dcols (d16 Conv1D, 64 -> 128: 0.3-0.7 ms)."""
-        pad = tuple(((k - 1) * d - lo, (k - 1) * d - hi)
-                    for k, d, (lo, hi) in zip(self.kernel, self.dilation, self.pad))
-        if self.stride != (1, 1) or min(min(p) for p in pad) < 0 or \
-                (out_channels > self.shape[3] and not self.pointwise):
-            return None
-        return _Geometry((self.shape[0], *self.out_hw, out_channels), self.kernel, (1, 1),
-                         self.dilation, pad, self.groups)
-
     def workspace(self, chunks, dtype, spare: np.ndarray | None = None) -> np.ndarray:
         """An (n, Ho, Wo, G, kh, kw, C/G) cols workspace for the largest of the
         (b0, n) ``chunks``, in ``spare`` if that holds enough ``dtype``
@@ -287,18 +275,19 @@ class _Geometry:
             yield ws[:n].reshape(-1, G, kh * kw * cg)
 
     def scatter(self, dcols: np.ndarray, dx: np.ndarray) -> None:
-        """Add each tap of a chunk's (n, Ho, Wo, G, kh, kw, C/G) dcols into the
-        inputs it read, in the chunk's (n, H, W, C) dx. A tap that read them
-        all (a causal conv's last, a "same" conv's centre) is written first,
-        so dx is not zeroed."""
-        dxv = dx.reshape(*dx.shape[:3], self.groups, self.cg)
+        """Add each tap of a chunk's group-major (G, n*Ho*Wo, kh*kw*C/G) dcols
+        into the inputs it read, in the chunk's (n, H, W, C) dx. A tap that
+        read them all (a causal conv's last, a "same" conv's centre) is
+        written first, so dx is not zeroed."""
+        dcols = dcols.reshape(self.groups, len(dx), *self.out_hw, *self.kernel, self.cg)
+        dxv = dx.reshape(*dx.shape[:3], self.groups, self.cg).transpose(3, 0, 1, 2, 4)
         whole = (slice(0, dx.shape[1], 1), slice(0, dx.shape[2], 1))
         taps = sorted(self.taps, key=lambda t: t[4:] != whole)
         u, v, oi, oj, ii, ij = taps[0]
         covers = (ii, ij) == whole
-        dxv[...] = dcols[:, oi, oj, :, u, v] if covers else 0
+        dxv[...] = dcols[:, :, oi, oj, u, v] if covers else 0
         for u, v, oi, oj, ii, ij in taps[covers:]:
-            dxv[:, ii, ij] += dcols[:, oi, oj, :, u, v]
+            dxv[:, :, ii, ij] += dcols[:, :, oi, oj, u, v]
 
 
 def _by_group(rows: np.ndarray, groups: int) -> np.ndarray:
@@ -347,9 +336,6 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
             g_up, g2 = g2, np.empty_like(g2)
         if x.requires_grad:
             dx = np.empty(geo.shape, g2.dtype)
-            geo_t = geo.transposed(O)
-            if geo_t is not None:
-                w2t = wg[..., ::-1, ::-1].transpose(0, 3, 4, 1, 2).reshape(G, kh * kw * og, cg)
 
         def backward(job):
             """The dW partial of each chunk of a run, last chunk first, then
@@ -366,19 +352,16 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
                     itertools.chain([cols], geo.cols(xl, run[1:], ws))
                 parts = [np.matmul(c.transpose(1, 2, 0), _by_group(g2[b0 * r:(b0 + n) * r], G))
                          for c, (b0, n) in zip(wcols, run)]
-            if x.requires_grad and geo_t is None:
-                dcols = geo.workspace(run, g2.dtype, ws)
+            if x.requires_grad:
+                # a pointwise conv's dcols are its dx rows; the others' are
+                # group-major, so each group's GEMM writes contiguous rows
+                dcols = geo.workspace(run, g2.dtype, ws).reshape(-1)
                 for b0, n in run:
-                    gr = g2[b0 * r:(b0 + n) * r]
-                    np.matmul(_by_group(gr, G), w2.transpose(0, 2, 1),
-                              out=_by_group(dcols[:n].reshape(len(gr), -1), G))
-                    geo.scatter(dcols[:n], dx[b0:b0 + n])
-            elif x.requires_grad:
-                # in the layer's chunks, which may hold more items than geo_t's
-                tcols = geo_t.cols(g2.reshape(geo_t.shape), run, geo_t.workspace(run, g2.dtype, ws))
-                for tc, (b0, n) in zip(tcols, run):
-                    np.matmul(tc.transpose(1, 0, 2), w2t,
-                              out=_by_group(dx[b0:b0 + n].reshape(-1, C), G))
+                    d = _by_group(dx[b0:b0 + n].reshape(n * r, C), G) if geo.pointwise else \
+                        dcols[:n * r * kh * kw * C].reshape(G, n * r, -1)
+                    np.matmul(_by_group(g2[b0 * r:(b0 + n) * r], G), w2.transpose(0, 2, 1), out=d)
+                    if not geo.pointwise:
+                        geo.scatter(d, dx[b0:b0 + n])
             return parts
 
         jobs = [(run[::-1], geo.workspace(run, g2.dtype), None) for run in runs[:-1]]

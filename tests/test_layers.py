@@ -133,12 +133,18 @@ def test_dense_rejects_bad_arguments(field, kwargs):
 # memory layouts: the convs compute channels-last, whatever they are fed
 # ----------------------------------------------------------------------
 
-# (in_channels, out_channels, kernel_size, dilation, T); the last two have
-# (K-1)*d >= T, so the earliest taps read only the zero history
-CONV1D_CASES = [(3, 4, 3, 2, 11), (3, 4, 1, 1, 7), (2, 3, 3, 4, 5), (2, 3, 3, 2, 4)]
+# (in_channels, out_channels, kernel_size, dilation, T); the third and
+# fourth have (K-1)*d >= T, so the earliest taps read only the zero history;
+# the last keeps its width, as the IQ encoder's d2 and d8 convs do
+CONV1D_CASES = [(3, 4, 3, 2, 11), (3, 4, 1, 1, 7), (2, 3, 3, 4, 5), (2, 3, 3, 2, 4),
+                (4, 4, 3, 2, 11)]
 # (in_channels, out_channels, kernel_size, stride, padding, groups, (H, W))
 CONV2D_CASES = [(3, 4, 3, 2, 1, 1, (7, 6)), (4, 6, 3, 1, 1, 2, (5, 5)),
                 (4, 6, 1, 1, 0, 1, (3, 4)), (2, 2, 3, (2, 1), 2, 2, (4, 3))]
+# both lists as (dim, case); pytest numbers the ids in this order, so a case
+# added later goes last and the ids of the cases before it stay
+CONV_CASES = ([(1, c) for c in CONV1D_CASES[:4]] + [(2, c) for c in CONV2D_CASES]
+              + [(1, c) for c in CONV1D_CASES[4:]])
 
 
 def _channels_last_view(leaf: Tensor) -> Tensor:
@@ -179,7 +185,7 @@ def _loss_with_upstream(out: Tensor, G: np.ndarray) -> Tensor:
     return Tensor.from_op(np.sum(out.data * G), (out,), lambda g: out._accum(G))
 
 
-@pytest.mark.parametrize("dim,case", [(1, c) for c in CONV1D_CASES] + [(2, c) for c in CONV2D_CASES])
+@pytest.mark.parametrize("dim,case", CONV_CASES)
 def test_conv_matches_oracle_in_either_input_layout(dim, case):
     for dtype, tol in FWD_TOL.items():
         layer, x, want = _conv_case(dim, case, dtype)
@@ -191,7 +197,7 @@ def test_conv_matches_oracle_in_either_input_layout(dim, case):
 
 @pytest.mark.parametrize("upstream", ["channels-first", "channels-last", "strided"])
 @pytest.mark.parametrize("channels_last", [False, True], ids=["in-cf", "in-cl"])
-@pytest.mark.parametrize("dim,case", [(1, c) for c in CONV1D_CASES] + [(2, c) for c in CONV2D_CASES])
+@pytest.mark.parametrize("dim,case", CONV_CASES)
 def test_gradcheck_conv_any_layout(dim, case, channels_last, upstream):
     layer, x, _ = _conv_case(dim, case)
     if channels_last:
@@ -213,14 +219,15 @@ def test_gradcheck_conv_any_layout(dim, case, channels_last, upstream):
 
 # (B, C, O, K, d, T); at T = 1500 a 4096-row chunk holds 2 samples, so B = 3
 # runs a full chunk and a remainder. d = 800 gives (K-1)*d >= T, K = 1 is the
-# unchunked pointwise GEMM.
-CHUNK_CASES = [(3, 3, 4, 3, 2, 1500), (3, 2, 3, 3, 800, 1500), (3, 3, 4, 1, 1, 1500)]
+# unchunked pointwise GEMM, and the last keeps its width (4 -> 4).
+CHUNK_CASES = [(3, 3, 4, 3, 2, 1500), (3, 2, 3, 3, 800, 1500), (3, 3, 4, 1, 1, 1500),
+               (3, 4, 4, 3, 4, 1500)]
 # gradient tolerance against the float64 einsum oracle, relative to max |oracle|
 GRAD_REF_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 
 @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-no-grad"])
-@pytest.mark.parametrize("case", CHUNK_CASES, ids=["K3d2", "K3d800", "K1"])
+@pytest.mark.parametrize("case", CHUNK_CASES, ids=["K3d2", "K3d800", "K1", "K3d4-same-width"])
 def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case, x_grad):
     B, C, O, K, d, T = case
     assert layers._ROWS // T == 2    # the chunk shape these cases were written for
@@ -300,9 +307,8 @@ CONV2D_CHUNK_CASES = [(3, 8, 8, 3, 1, 1, 4, (8, 4), True), (3, 4, 6, 3, 2, 1, 1,
                          ids=["grouped-same", "s2", "s42-grouped", "s41", "model-input", "odd-rows",
                               "valid-grouped"])
 def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case):
-    # the stride-1 convs take their input gradient as a transposed conv
-    # (whose input, the upstream gradient, has fewer rows per item than the
-    # "valid" conv's input), the strided ones scatter per tap
+    # a pointwise conv takes dx by one GEMM, every other conv scatters its
+    # dcols per tap: no case here is pointwise, so every one scatters
     B, C, O, k, s, p, g, (H, W), x_grad = case
     for dtype in FWD_TOL:
         rng = np.random.default_rng(32)
@@ -430,9 +436,9 @@ def test_convs_reject_an_empty_output_grid(make, shape, message):
 # each of at least two chunks
 # ----------------------------------------------------------------------
 
-# (layer class, constructor arguments, input shape, x_grad), B = 10. The K3
-# d2 and grouped convs take dx as a transposed conv, the strided ones scatter
-# per tap; K1 is pointwise, one chunk whatever _ROWS, so it runs inline.
+# (layer class, constructor arguments, input shape, x_grad), B = 10. K1 is
+# pointwise: it takes dx by one GEMM and is one chunk whatever _ROWS, so it
+# runs inline. The others, the widening K3 d2 conv among them, scatter per tap.
 WORKER_CASES = {
     "1d-K3d2": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=3, dilation=2),
                 (10, 3, 11), True),
@@ -536,9 +542,9 @@ def test_a_map_inside_a_mapped_job_runs_inline():
 # ReLU epilogue: relu=True is the conv followed by Tensor.relu, bit for bit
 # ----------------------------------------------------------------------
 
-# (layer class, constructor arguments, input shape); the stride-1 convs that
-# do not widen take dx as a transposed conv of the masked upstream gradient,
-# the others scatter per tap
+# (layer class, constructor arguments, input shape); a pointwise conv takes
+# dx by one GEMM of the masked upstream gradient, every other conv scatters
+# per tap: none here is pointwise, so every one scatters
 FUSED_CASES = {
     "1d-dilated": (Conv1D, dict(in_channels=4, out_channels=4, kernel_size=3, dilation=2),
                    (3, 4, 11)),
