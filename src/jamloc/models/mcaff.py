@@ -6,6 +6,13 @@ logits).
 
 The trunk always sees four channel slots; a disabled path contributes zeros,
 so ablations change the parameter count by exactly that path's stem.
+
+The stems share no parameter, so ``forward`` runs the enabled ones side by
+side on the shared workers, each a graph of its own, forward and backward
+(``nn.branches``); at B=32 each stem conv is too short to split. The shared
+attention, the concat, the block and the heads then run on the calling
+thread, path by path as before, so outputs and gradients are bitwise those
+of running the stems one after another.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Conv2D, GlobalAvgPool, Layer, Tensor, concat
+from ..nn import Conv2D, GlobalAvgPool, Layer, Tensor, branches, concat
 from .common import (Prediction, TaskHead, as_inputs, read_out, require_positive,
                      require_subset)
 
@@ -128,17 +135,17 @@ class McaffModel(Layer):
                                       rng, dtype=self.dtype)
 
     def forward(self, batch: dict, mode=None, rng=None) -> Prediction:
-        inputs = dict(zip(self.stems, as_inputs(batch, [PATH_KEYS[name] for name in self.stems],
-                                                self.dtype)))
-        b = next(iter(inputs.values())).shape[0]
+        inputs = as_inputs(batch, [PATH_KEYS[name] for name in self.stems], self.dtype)
+        b = inputs[0].shape[0]
+        # (B, C, 1024) rows as (B, C, 32, 32) grids
+        inputs = [x.reshape(b, -1, 32, 32) if name in ("iq", "cfo") else x
+                  for name, x in zip(self.stems, inputs)]
+        features = dict(zip(self.stems, branches(self.stems.values(), inputs)))
         hw = (8, 8)
         slots = []
         for name in ALL_PATHS:
-            if name in self.stems:
-                x = inputs[name]
-                if name in ("iq", "cfo"):    # (B, C, 1024) rows as (B, C, 32, 32) grids
-                    x = x.reshape(b, -1, 32, 32)
-                h = self.attention(self.stems[name](x)).assert_finite(f"{name} path features")
+            if name in features:
+                h = self.attention(features[name]).assert_finite(f"{name} path features")
             else:
                 # channels-last like the stems' outputs, so the concat stays
                 # channels-last for the block's convs

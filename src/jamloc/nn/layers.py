@@ -43,7 +43,9 @@ last on the calling thread and the others on the shared pool; numpy's GEMMs
 and copies release the interpreter lock. A call of fewer than four chunks
 runs inline: every pointwise conv, and every MCAFF conv at B=32, whose
 two-chunk stem convs left a paper-width MCAFF step no faster on a second
-thread (24-25 ms either way), while a thread adds to the process's RSS. The
+thread (24-25 ms either way), while a thread adds to the process's RSS.
+MCAFF runs its four stems side by side instead, each a graph of its own
+(``branches``), and a conv inside a branch runs inline too. The
 result is bitwise the one-thread result: the chunks do not depend on the
 worker count, each run writes only its own rows of the output and items of
 dx, the per-chunk weight-gradient GEMMs are summed last chunk first, as one
@@ -74,7 +76,7 @@ from .tensor import ShapeError, Tensor
 
 __all__ = [
     "Mode", "Layer", "Dense", "Conv1D", "Conv2D",
-    "GlobalAvgPool", "glorot_uniform",
+    "GlobalAvgPool", "glorot_uniform", "branches",
 ]
 
 
@@ -447,3 +449,69 @@ class Conv2D(_Conv):
         k, p = self.kernel_size, self.padding
         return _conv(x, self.weight, self.bias, (k, k), self.stride, (1, 1), ((p, p),) * 2,
                      self.groups, self.relu)
+
+
+# ----------------------------------------------------------------------
+# branches: independent layers as graphs of their own, run side by side
+# ----------------------------------------------------------------------
+
+def _leaves(root: Tensor) -> list[Tensor]:
+    """The leaves of ``root``'s graph that require grad."""
+    out, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if not node._parents:
+                out.append(node)
+    return out
+
+
+def branches(layers, inputs) -> list[Tensor]:
+    """``[layer(x) for layer, x in zip(layers, inputs)]``, each call a graph
+    of its own on a leaf over ``x``'s data, the calls split into contiguous
+    runs on the shared workers (a map inside a branch runs inline).
+
+    The graphs are joined behind the outputs: each output that requires grad
+    is a node whose one parent is a join node, and the join's parents are the
+    inputs and the branches' leaves that require grad, so a backward through
+    the outputs runs the join after every output it reaches has its gradient
+    and never walks into a branch. The join then runs each such branch's
+    backward from that gradient, on the workers as the forward ran, and adds
+    each input leaf's gradient into its input, in branch order. Two branches
+    that share a leaf that requires grad would add into it from two threads,
+    so they raise ValueError. Each branch computes what it computes inline,
+    so outputs and gradients are bitwise the inline ones."""
+    pairs = list(zip(layers, inputs))
+
+    def forward(run):
+        out = []
+        for layer, x in run:
+            leaf = Tensor(x.data, requires_grad=x.requires_grad)
+            out.append((leaf, layer(leaf)))
+        return out
+
+    graphs = [g for run in _workers._map(forward, _workers._runs(pairs, 1)) for g in run]
+    leaves = [leaf for _, y in graphs for leaf in _leaves(y)]
+    if len({id(leaf) for leaf in leaves}) < len(leaves):
+        raise ValueError("branches share a leaf that requires grad")
+
+    def join_bw(grads):
+        reached = [(y, g) for (_, y), g in zip(graphs, grads) if g is not None]
+        _workers._map(lambda run: [y.backward(g) for y, g in run], _workers._runs(reached, 1))
+        for x, (leaf, _) in zip(inputs, graphs):
+            if leaf.grad is not None:
+                x._accum(leaf.grad)
+
+    join = Tensor.from_op(np.empty(0), [x for x in inputs if x.requires_grad] + leaves, join_bw)
+
+    def output(i, y):
+        """``y`` behind the join, whose gradient is the list of its outputs'."""
+        def bw(g):
+            if join.grad is None:
+                join.grad = [None] * len(graphs)
+            join.grad[i] = g
+        return Tensor.from_op(y.data, (join,), bw) if y.requires_grad else y
+
+    return [output(i, y) for i, (_, y) in enumerate(graphs)]

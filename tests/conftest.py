@@ -1,6 +1,7 @@
 """Fixtures for the tests of the chunk loops that share ``jamloc._workers``."""
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -43,3 +44,17 @@ def at_worker_counts(monkeypatch, map_jobs):
             sys.setswitchinterval(interval)
         return outs
     return run
+
+
+@pytest.fixture
+def pool_jobs(monkeypatch) -> list:
+    """Every job handed to the worker pool while the test runs; the pool is
+    one thread of the test's own."""
+    jobs = []
+    with ThreadPoolExecutor(1, thread_name_prefix="test-pool") as pool:
+        class Spy:
+            def submit(self, fn, job):
+                jobs.append(job)
+                return pool.submit(fn, job)
+        monkeypatch.setattr(_workers, "_pool", Spy)
+        yield jobs

@@ -3,8 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -490,28 +490,21 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, cas
                 assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def test_calls_of_few_chunks_submit_nothing_and_runs_are_capped(monkeypatch):
+def test_calls_of_few_chunks_submit_nothing_and_runs_are_capped(monkeypatch, pool_jobs):
     # 8 workers: a call of fewer than four chunks runs inline, and a longer
     # one runs at most _RUNS runs of at least two chunks, the last on the
     # calling thread
-    submitted = []
-    with ThreadPoolExecutor(2) as pool:
-        class Spy:
-            def submit(self, fn, job):
-                submitted.append(job)
-                return pool.submit(fn, job)
-        monkeypatch.setattr(_workers, "_pool", Spy)
-        monkeypatch.setattr(_workers, "_WORKERS", 8)
-        T = 11
-        monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items
-        rng = np.random.default_rng(51)
-        layer = Conv1D(3, 4, 3, rng, dilation=2)
-        for B, runs in ((0, 1), (1, 1), (2, 1), (5, 1), (6, 1), (7, 2), (16, 2)):
-            submitted.clear()
-            leaf = Tensor(rng.normal(size=(B, 3, T)), requires_grad=True)
-            _loss_with_upstream(layer(leaf), rng.normal(size=(B, 4, T))).backward()
-            assert len(submitted) == 2 * (runs - 1), B
-            assert all(len(job[0]) >= 2 for job in submitted), B
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    T = 11
+    monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items
+    rng = np.random.default_rng(51)
+    layer = Conv1D(3, 4, 3, rng, dilation=2)
+    for B, runs in ((0, 1), (1, 1), (2, 1), (5, 1), (6, 1), (7, 2), (16, 2)):
+        pool_jobs.clear()
+        leaf = Tensor(rng.normal(size=(B, 3, T)), requires_grad=True)
+        _loss_with_upstream(layer(leaf), rng.normal(size=(B, 4, T))).backward()
+        assert len(pool_jobs) == 2 * (runs - 1), B
+        assert all(len(job[0]) >= 2 for job in pool_jobs), B
 
 
 def test_importing_jamloc_starts_no_thread():
@@ -524,7 +517,7 @@ def test_importing_jamloc_starts_no_thread():
     assert done.stdout.split() == ["1", "0"]
 
 
-def test_a_map_inside_a_mapped_job_runs_inline():
+def test_a_map_inside_a_mapped_job_runs_inline(pool_jobs):
     # the pool has one thread, so a job on it that waited on the pool would
     # wait on itself; run in a child process, so that a hang fails the test
     # instead of holding the suite at exit
@@ -536,6 +529,116 @@ def test_a_map_inside_a_mapped_job_runs_inline():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "[('jamloc-worker_0', [0, 2]), ('MainThread', [20, 22])]"
+    # a map inside the caller's own job runs inline too, and a job that
+    # raises leaves its thread unmarked, so the next map fans out again
+    def inner(j):
+        return _workers._map(lambda i: 2 * i, [j, j + 1])
+    assert _workers._map(inner, [0, 10]) == [[0, 2], [20, 22]]
+    assert pool_jobs == [0]
+
+    def fail(j):
+        raise ValueError(f"job {j}")
+    with pytest.raises(ValueError, match="^job 0$"):
+        _workers._map(fail, [0, 1])
+
+    def marked(_):
+        return getattr(_workers._local, "in_job", False)
+    assert not marked(None)
+    assert not _workers._pool().submit(marked, None).result()      # the pool's one thread
+    pool_jobs.clear()
+    assert _workers._map(inner, [0, 10]) == [[0, 2], [20, 22]]
+    assert pool_jobs == [0]
+
+
+# ----------------------------------------------------------------------
+# branches: independent layers as parallel graphs
+# ----------------------------------------------------------------------
+
+def _branch_case(rng):
+    """Three small convs (one strided, one grouped) and their inputs: the
+    first a leaf that requires grad, the second a reshape of one (a graph
+    node), the third a constant."""
+    convs = [Conv2D(3, 4, 3, rng, stride=2, padding=1, relu=True),
+             Conv2D(4, 4, 3, rng, padding=1, groups=2),
+             Conv2D(2, 3, 1, rng)]
+    a = Tensor(rng.normal(size=(3, 3, 8, 6)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4, 30)), requires_grad=True)
+    c = Tensor(rng.normal(size=(3, 2, 5, 5)))
+    return convs, [a, b], [a, b.reshape(3, 4, 5, 6), c]
+
+
+@pytest.mark.parametrize("used,ungraded,jobs", [((0, 1, 2), 0, [2, 2, 2, 2, 3, 3]),
+                                               ((2, 0), 3, [2, 2, 2, 2, 3, 2])], ids=["all", "two"])
+def test_branches_are_bitwise_the_inline_calls(used, ungraded, jobs, map_jobs, at_worker_counts):
+    # outputs and every gradient, inputs' too, as the layers give inline, on
+    # one run or split in two or three; a branch the loss does not read gets
+    # no gradient, as inline: unread, the second conv's weight and bias and
+    # the leaf under its input get none, and backward runs only the two
+    # branches read
+    def run(parallel):
+        convs, leaves, xs = _branch_case(np.random.default_rng(60))
+        outs = layers.branches(convs, xs) if parallel else [conv(x) for conv, x in zip(convs, xs)]
+        loss = _proj_loss(outs[used[0]], 1)
+        for i in used[1:]:
+            loss = loss + _proj_loss(outs[i], 2 + i)
+        loss.backward()
+        params = [p for conv in convs for p in conv.params()]
+        return [o.data for o in outs] + [t.grad for t in params + leaves]
+
+    want = run(False)
+    assert sum(g is None for g in want) == ungraded
+    for got in at_worker_counts(lambda: run(True)):
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            assert g is None or (g.dtype == w.dtype and g.tobytes() == w.tobytes())
+    assert [n for n in map_jobs if n > 1] == jobs     # forward, backward
+
+
+def test_branches_sharing_a_leaf_that_requires_grad_raise():
+    rng = np.random.default_rng(61)
+    conv = Conv2D(2, 2, 1, rng)
+    x = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    with pytest.raises(ValueError, match="share a leaf that requires grad"):
+        layers.branches([conv, conv], [x, x])
+    # a shared input is not a shared leaf: each branch reads its own leaf
+    x.requires_grad = True
+    layers.branches([conv, Conv2D(2, 2, 1, rng)], [x, x])
+
+
+class _Failing:
+    """A layer that records when it finishes and raises ``message``, in its
+    forward after ``delay`` seconds or, if ``in_backward``, in its backward."""
+
+    def __init__(self, message: str, delay: float, in_backward: bool, finished: list):
+        self.message, self.delay, self.in_backward, self.finished = \
+            message, delay, in_backward, finished
+        self.weight = Tensor(np.ones(1), requires_grad=True)
+
+    def _fail(self, g=None):
+        time.sleep(self.delay)
+        self.finished.append(self.message)
+        raise ValueError(self.message)
+
+    def __call__(self, x):
+        if not self.in_backward:
+            self._fail()
+        return Tensor.from_op(x.data * self.weight.data, (self.weight,), self._fail)
+
+
+@pytest.mark.parametrize("in_backward", [False, True], ids=["forward", "backward"])
+def test_a_failing_branch_raises_after_every_run_and_the_first_error_first(in_backward,
+                                                                           monkeypatch):
+    # two runs: the first branch, on the pool, fails last; the second, on the
+    # calling thread, at once; the first branch's error comes out, as serially
+    monkeypatch.setattr(_workers, "_WORKERS", 2)
+    finished = []
+    branch = [_Failing("first", 0.2, in_backward, finished),
+              _Failing("second", 0.0, in_backward, finished)]
+    x = Tensor(np.ones(3))
+    with pytest.raises(ValueError, match="^first$"):
+        outs = layers.branches(branch, [x, x])
+        (outs[0].sum() + outs[1].sum()).backward()
+    assert finished == ["second", "first"]
 
 
 # ----------------------------------------------------------------------

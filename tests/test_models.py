@@ -406,6 +406,42 @@ def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch
     assert digests[0] == digests[1]
 
 
+def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at_worker_counts):
+    # three momentum-SGD steps at B=32, float32: the four stems run as
+    # branches in one run, or split in two or three, forward and backward;
+    # every conv runs inline (fewer than four chunks, or inside a branch)
+    def train():
+        model = McaffModel(McaffConfig(), seed=0)
+        opt = SGD(model.params(), learning_rate=1e-2)
+        h = hashlib.sha256()
+        for step in range(3):
+            batch = {k: v.astype(np.float32) for k, v in _batch(20 + step, b=32).items()}
+            pred = model.forward(batch)
+            _proj_loss(pred).backward()
+            for t in _outputs(pred):
+                h.update(t.data.tobytes())
+            for p in model.params():
+                h.update(p.grad.tobytes())
+            opt.step()
+        return h.hexdigest()
+    digests = at_worker_counts(train)
+    assert digests == [digests[0]] * len(digests)
+    assert sorted(n for n in map_jobs if n > 1) == [2] * 12 + [3] * 6
+
+
+@pytest.mark.parametrize("preset", sorted(MCAFF_PRESETS))
+def test_mcaff_hands_the_pool_one_run_of_stems_per_pass(preset, monkeypatch, pool_jobs):
+    # 8 workers, two runs at most: a one-path preset runs its stem inline and
+    # submits nothing; the others submit one run of stems in forward and one
+    # in backward, and run the other beside it
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    model = McaffModel(McaffConfig(enabled_paths=MCAFF_PRESETS[preset]), seed=0)
+    batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
+    _proj_loss(model.forward(batch)).backward()
+    stems = len(model.stems)
+    assert [len(job) for job in pool_jobs] == ([] if stems == 1 else [stems // 2] * 2)
+
+
 def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch):
     # what a train-mode forward of the paper-width model keeps for backward,
     # at B=8: 30.8 MiB with each conv's ReLU inside the conv, 41.0 MiB when a
