@@ -61,10 +61,9 @@ def _split(items: list, k: int) -> list:
 
 
 def _runs(items: list, least: int = 2) -> list:
-    """``items`` as contiguous runs of at least ``least`` items each, one
-    per worker and at most ``_RUNS``; one run, maybe empty, if fewer than
-    two runs' worth: a conv's chunks take two a run, so a conv of fewer
-    than four runs inline, and model branches one."""
+    """``items`` as contiguous runs of at least ``least`` items each (a
+    conv's chunks two, model branches one), one per worker and at most
+    ``_RUNS``; one run, maybe empty, if there are fewer than ``2 * least``."""
     return _split(items, max(1, min(_WORKERS, _RUNS, len(items) // least)))
 
 
