@@ -7,10 +7,13 @@ branches, independent layers such as MCAFF's four path stems, each run as
 a graph of its own, forward and backward (``nn.layers.branches``). Each
 splits its items into contiguous runs, one per CPU the process may use
 (``_WORKERS``) and at most ``_RUNS``, and ``_map`` runs the last run on the
-calling thread and the others on one pool. A loop inside a run, such as a
-branch's convs, runs inline. Runs overlap where numpy releases the
-interpreter lock: in GEMMs, FFTs, copies and ufuncs over a block, and little
-in the short calls of the simulator's per-pose draws.
+calling thread and the others on one pool. A conv's chunks and the
+branches take one rule, ``_runs``: a run holds at least one item, so two
+items already split; the dsp and the simulator split blocks of a budget
+(``_blocks``). A loop inside a run, such as a branch's convs, runs
+inline. Runs overlap where numpy releases the interpreter lock: in GEMMs,
+FFTs, copies and ufuncs over a block, and little in the short calls of the
+simulator's per-pose draws.
 
 Whatever the worker count, a loop keeps the memory in flight that one thread
 kept: ``_blocks`` divides a loop's budget of items among its runs, so two
@@ -60,11 +63,11 @@ def _split(items: list, k: int) -> list:
     return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
 
 
-def _runs(items: list, least: int = 2) -> list:
-    """``items`` as contiguous runs of at least ``least`` items each (a
-    conv's chunks two, model branches one), one per worker and at most
-    ``_RUNS``; one run, maybe empty, if there are fewer than ``2 * least``."""
-    return _split(items, max(1, min(_WORKERS, _RUNS, len(items) // least)))
+def _runs(items: list) -> list:
+    """``items`` (a conv's chunks or model branches) as contiguous runs of at
+    least one item each, one per worker and at most ``_RUNS``; one run,
+    maybe empty, if there are fewer than two items."""
+    return _split(items, max(1, min(_WORKERS, _RUNS, len(items))))
 
 
 def _blocks(n: int, budget: int) -> list:

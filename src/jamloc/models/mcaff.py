@@ -9,10 +9,12 @@ so ablations change the parameter count by exactly that path's stem.
 
 The stems share no parameter, so ``forward`` runs the enabled ones side by
 side on the shared workers, each a graph of its own, forward and backward
-(``nn.branches``); at B=32 each stem conv is too short to split. The shared
+(``nn.branches``), and a stem's convs run inline in its branch. The shared
 attention, the concat, the block and the heads then run on the calling
 thread, path by path as before, so outputs and gradients are bitwise those
-of running the stems one after another.
+of running the stems one after another. The block's three convs still use
+both workers: like every conv call of two items or more, each splits its
+batch into two runs, forward and backward.
 """
 
 from __future__ import annotations

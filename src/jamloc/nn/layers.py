@@ -16,46 +16,46 @@ buffers from conv to conv, and their gradients take the same path back.
 
 Both are shells over one channels-last core, ``_conv`` (``Conv1D`` is a
 (1, K) kernel with (K-1)*d zeros before the signal). It works over chunks of
-whole items, about ``_ROWS`` output rows each, builds each chunk's im2col in
-a workspace reused chunk after chunk, and runs one GEMM per channel group
-into the chunk's output rows, adding the bias there. Backward visits the
-chunks last to first: it takes each chunk's weight-gradient GEMM, reusing
-the last chunk's cols, still in the workspace, and rebuilding the others
-from the input, so no whole-batch im2col exists and a one-chunk call
-(MCAFF's 8x8 convs at B=32) rebuilds nothing; then it takes the chunks'
-input gradient, one way for every conv: one GEMM per chunk multiplies the
-upstream gradient rows by the weight, straight into dx for a pointwise conv,
-and otherwise into the dcols workspace (the per-tap input gradients), which
-is added into dx tap by tap. dcols is group-major, so each group's GEMM
-writes contiguous rows: MCAFF's grouped conv took 2.0 ms for the GEMM and
-3.2 ms for the scatter that way, against 3.6 and 4.5 ms channels-last (B=32,
-float32, one BLAS thread, 2-vCPU x86-64 Xeon VM). The bias gradient is one
-GEMV. ``relu=True`` adds a ReLU epilogue, for memory: rows are clamped in
-place after the bias add, and backward masks the upstream by the kept
-output, bitwise as ``Tensor.relu``, whose node would hold each
-pre-activation output (paper-width fusion train forward, B=32, float32:
-93 MiB held, not 134).
+whole items, at most ``_ROWS`` output rows each (one item if an item has
+more) and at least two for a call of two items or more, builds each
+chunk's im2col in a workspace reused chunk after chunk, and runs one GEMM
+per channel group into the chunk's output rows, adding the bias there.
+Backward visits the chunks last to first: it takes each chunk's
+weight-gradient GEMM, reusing the last chunk's cols, still in the
+workspace, and rebuilding the others from the input, so no whole-batch
+im2col exists and a one-item call rebuilds nothing; then it takes the
+chunks' input gradient, one way for every conv: one GEMM per chunk
+multiplies the upstream gradient rows by the weight, straight into dx for a
+pointwise conv, and otherwise into the dcols workspace (the per-tap input
+gradients), which is added into dx tap by tap. dcols is group-major, so
+each group's GEMM writes contiguous rows: MCAFF's grouped conv took 2.0 ms
+for the GEMM and 3.2 ms for the scatter that way, against 3.6 and 4.5 ms
+channels-last (B=32, float32, one BLAS thread, 2-vCPU x86-64 Xeon VM).
+The bias gradient is one GEMV. ``relu=True`` adds a ReLU epilogue, for
+memory: rows are clamped in place after the bias add, and backward masks
+the upstream by the kept output, bitwise as ``Tensor.relu``, whose node
+would hold each pre-activation output (paper-width fusion train forward,
+B=32, float32: 93 MiB held, not 134).
 
 The chunks run on the worker threads that the simulator's and the dsp's
-chunk loops use too (``jamloc._workers``): split into contiguous runs of at
-least two chunks, one per CPU the process may use and at most ``_RUNS``, the
-last on the calling thread and the others on the shared pool; numpy's GEMMs
-and copies release the interpreter lock. A call of fewer than four chunks
-runs inline: every pointwise conv, and every MCAFF conv at B=32, whose
-two-chunk stem convs left a paper-width MCAFF step no faster on a second
-thread (24-25 ms either way), while a thread adds to the process's RSS.
-MCAFF runs its four stems side by side instead, each a graph of its own
-(``branches``), and a conv inside a branch runs inline too. The
-result is bitwise the one-thread result: the chunks do not depend on the
-worker count, each run writes only its own rows of the output and items of
-dx, the per-chunk weight-gradient GEMMs are summed last chunk first, as one
-thread sums them, and the bias gradient stays one GEMV over the batch.
-Whatever the CPU count, a call holds at most the two workspaces one thread's
-backward held (its cols and its dcols): forward keeps for backward only
-the last run's workspace, which holds the last chunk's cols, and in backward
-each of at most two runs uses one workspace (the last run the kept one) for
-its cols rebuilds, then for its dcols. The gain rests on numpy running
-each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark sets):
+chunk loops use too (``jamloc._workers``): split into contiguous runs, one
+per CPU the process may use and at most ``_RUNS``, the last on the calling
+thread and the others on the shared pool; numpy's GEMMs and copies release
+the interpreter lock. So every call of two items or more splits, pointwise
+or not: MCAFF's grouped block at B=32 (2048 rows a conv) runs on both
+workers, forward and backward. MCAFF's four stems run side by side, each a
+graph of its own (``branches``), and a conv inside a branch runs inline.
+The result is bitwise the one-thread result: the chunks depend on neither
+the worker count nor ``_RUNS``, each run writes only its own rows of the
+output and items of dx, the per-chunk weight-gradient GEMMs are summed
+last chunk first, as one thread sums them, and the bias gradient stays one
+GEMV over the batch. Whatever the CPU count, a call holds at most the two
+workspaces one thread's backward held (its cols and its dcols): forward
+keeps for backward only the last run's workspace, which holds the last
+chunk's cols, and in backward each of at most two runs uses one workspace
+(the last run the kept one) for its cols rebuilds, then for its dcols. The
+gain rests on numpy running each GEMM on one BLAS thread
+(OPENBLAS_NUM_THREADS=1, as the benchmark sets):
 the paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS running its
 own threads on the same CPUs, the workers gain nothing: 59-83 ms either way.
@@ -167,7 +167,7 @@ class GlobalAvgPool(Layer):
 # convolution: one channels-last core under Conv1D and Conv2D
 # ----------------------------------------------------------------------
 
-# Output rows per chunk of whole items (at least one item). At the IQ
+# Output rows per chunk of whole items at most (at least one item). At the IQ
 # encoder's widths a chunk's cols and output stay in cache from the im2col
 # through the GEMM to the bias add. Its fwd+bwd (B=32, float32, one BLAS
 # thread, one worker, 2-vCPU x86-64 VM) took 64 ms at 4096 rows, 66-68 ms
@@ -202,10 +202,11 @@ class _Geometry:
         if min(self.out_hw) < 1:
             raise ShapeError(f"convolution output would be empty: input grid {(H, W)} "
                              f"gives {self.out_hw}")
-        # a pointwise conv's cols are its input, so it takes the batch at once
         self.pointwise = kernel == stride == (1, 1) and pad == ((0, 0), (0, 0))
-        items = B if self.pointwise else _ROWS // (self.out_hw[0] * self.out_hw[1])
-        items = max(1, items)
+        # at most _ROWS rows, and two chunks at least for two items or more,
+        # so the workers can split any batch; a fixed floor, not _RUNS, keeps
+        # the chunk boundaries (and the bits) those of any worker count
+        items = max(1, min(_ROWS // (self.out_hw[0] * self.out_hw[1]), -(-B // 2)))
         self.chunks = [(b0, min(items, B - b0)) for b0 in range(0, B, items)]
 
     @functools.cached_property
@@ -492,14 +493,14 @@ def branches(layers, inputs) -> list[Tensor]:
             out.append((leaf, layer(leaf)))
         return out
 
-    graphs = [g for run in _workers._map(forward, _workers._runs(pairs, 1)) for g in run]
+    graphs = [g for run in _workers._map(forward, _workers._runs(pairs)) for g in run]
     leaves = [leaf for _, y in graphs for leaf in _leaves(y)]
     if len({id(leaf) for leaf in leaves}) < len(leaves):
         raise ValueError("branches share a leaf that requires grad")
 
     def join_bw(grads):
         reached = [(y, g) for (_, y), g in zip(graphs, grads) if g is not None]
-        _workers._map(lambda run: [y.backward(g) for y, g in run], _workers._runs(reached, 1))
+        _workers._map(lambda run: [y.backward(g) for y, g in run], _workers._runs(reached))
         for x, (leaf, _) in zip(inputs, graphs):
             if leaf.grad is not None:
                 x._accum(leaf.grad)

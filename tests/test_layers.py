@@ -229,6 +229,7 @@ GRAD_REF_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-no-grad"])
 @pytest.mark.parametrize("case", CHUNK_CASES, ids=["K3d2", "K3d800", "K1", "K3d4-same-width"])
 def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case, x_grad):
+    # the default chunks (2 + 1 samples) against one sample a chunk
     B, C, O, K, d, T = case
     assert layers._ROWS // T == 2    # the chunk shape these cases were written for
     for dtype, tol in FWD_TOL.items():
@@ -243,7 +244,7 @@ def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case,
         assert np.max(np.abs(out.data - ref)) <= tol * np.max(np.abs(ref))
         _loss_with_upstream(out, G).backward()
         with monkeypatch.context() as m:
-            m.setattr(layers, "_ROWS", B * T)
+            m.setattr(layers, "_ROWS", T)
             np.testing.assert_array_equal(layer(x).data, out.data)
 
         dx, dw, db = conv1d_grads_ref(x.data, layer.weight.data, G, d)
@@ -290,9 +291,9 @@ def _assert_grads(got, dtype):
 # (B, C, O, k, stride, padding, groups, (H, W), x_grad); the x-grad cases
 # are fed channels-last, as inside the model, and the last is a
 # C-contiguous model input without a gradient, as the stems get. Items of
-# 16 or 32 output rows, a multiple of 16 like every conv of both models (64
-# to 1024), give the one-chunk output bitwise: a chunk's GEMM rows meet the
-# BLAS kernel's row blocks as they do in one chunk. The odd grid (15 rows per
+# 16 or 32 output rows, a multiple of 16, give the same output bitwise in
+# chunks of any size: a chunk's GEMM rows meet the BLAS kernel's row blocks
+# as they do in another chunking. The odd grid (15 rows per
 # item) does not, as OpenBLAS rounds a tail of rows that fills no whole
 # block differently (2.4e-7 apart in float32), so it is held to the oracle.
 CONV2D_CHUNK_CASES = [(3, 8, 8, 3, 1, 1, 4, (8, 4), True), (3, 4, 6, 3, 2, 1, 1, (16, 8), True),
@@ -320,9 +321,10 @@ def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case)
         Ho, Wo = want.shape[2:]
         up = rng.normal(size=(B, O, Ho, Wo)).astype(dtype)
         dx, dw, db = conv2d_grads_ref(xd, layer.weight.data, up, layer.stride, p, g)
-        assert layers._ROWS >= B * Ho * Wo   # the default is one chunk
+        # the whole batch fits _ROWS, so the default is the floor's two chunks
+        assert layers._ROWS >= B * Ho * Wo
         one = None
-        for rows in (layers._ROWS, Ho * Wo, 2 * Ho * Wo):  # one chunk, then 1 and 2 items
+        for rows in (layers._ROWS, Ho * Wo):  # 2 + 1 items, then 1 item a chunk
             with monkeypatch.context() as m:
                 m.setattr(layers, "_ROWS", rows)
                 out = layer(_channels_last_view(leaf) if x_grad else leaf)
@@ -432,13 +434,14 @@ def test_convs_reject_an_empty_output_grid(make, shape, message):
 
 
 # ----------------------------------------------------------------------
-# worker threads: a call's chunks run as contiguous runs, at most _RUNS of them,
-# each of at least two chunks
+# worker threads: a call's chunks run as contiguous runs, at most _RUNS of
+# them, each of at least one chunk; a call of two items or more has two
+# chunks at least
 # ----------------------------------------------------------------------
 
 # (layer class, constructor arguments, input shape, x_grad), B = 10. K1 is
-# pointwise: it takes dx by one GEMM and is one chunk whatever _ROWS, so it
-# runs inline. The others, the widening K3 d2 conv among them, scatter per tap.
+# pointwise: it takes dx by one GEMM. The others, the widening K3 d2 conv
+# among them, scatter per tap.
 WORKER_CASES = {
     "1d-K3d2": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=3, dilation=2),
                 (10, 3, 11), True),
@@ -452,20 +455,22 @@ WORKER_CASES = {
 }
 
 
+# the id counts the chunks of _ROWS rows: the floor of two chunks splits the
+# first's whole batch 5 + 5
 @pytest.mark.parametrize("items", [10, 5, 4, 2, 1],
                          ids=["1-chunk", "2-chunks", "3-chunks", "5-chunks", "10-chunks"])
 @pytest.mark.parametrize("case", sorted(WORKER_CASES))
 def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, case, items):
-    # runs of at least two chunks: 5 chunks split 2 + 3, and 10 chunks
-    # 5 + 5 or, with the cap raised to three runs, 3 + 3 + 4; each run writes
-    # its own items of out and dx, and the dW partials are summed in one order
+    # one run a worker, at most three: 2 chunks split 1 + 1, 3 chunks 1 + 2
+    # or 1 + 1 + 1, and 10 chunks 5 + 5 or 3 + 3 + 4; each run writes its own
+    # items of out and dx, and the dW partials are summed in one order
     cls, kwargs, shape, x_grad = WORKER_CASES[case]
     rng = np.random.default_rng(50)
     layer = cls(**kwargs, rng=rng, dtype=np.float32)
     layer.bias.data[...] = rng.normal(size=kwargs["out_channels"])
     x = rng.normal(size=shape).astype(np.float32)
     G = rng.normal(size=layer(Tensor(x)).shape).astype(np.float32)
-    chunks = 1 if kwargs["kernel_size"] == 1 else -(-shape[0] // items)
+    chunks = -(-shape[0] // min(items, shape[0] // 2))
     runs = []
     monkeypatch.setattr(layers, "_ROWS", items * int(np.prod(G.shape[2:])))
     monkeypatch.setattr(_workers, "_RUNS", 3)
@@ -478,7 +483,7 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, cas
             leaf = Tensor(x.copy(), requires_grad=x_grad)
             out = layer(leaf)
             _loss_with_upstream(out, G).backward()
-            assert map_jobs == [max(1, min(workers, chunks // 2))] * 2     # forward, backward
+            assert map_jobs == [min(workers, chunks)] * 2     # forward, backward
             runs.append([out.data, leaf.grad, layer.weight.grad, layer.bias.grad])
             layer.weight.grad = layer.bias.grad = None
     finally:
@@ -490,21 +495,81 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, cas
                 assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def test_calls_of_few_chunks_submit_nothing_and_runs_are_capped(monkeypatch, pool_jobs):
-    # 8 workers: a call of fewer than four chunks runs inline, and a longer
-    # one runs at most _RUNS runs of at least two chunks, the last on the
-    # calling thread
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_conv_chunks_are_the_same_for_any_worker_count(monkeypatch, at_worker_counts, case):
+    # the floor of two chunks is a fixed 2, not _RUNS, so the chunk
+    # boundaries (and with them the bits) do not move with the worker count
+    # or the run cap: at _ROWS of the whole batch, 3 items and 1 item
+    cls, kwargs, shape, _ = WORKER_CASES[case]
+    layer = cls(**kwargs, rng=np.random.default_rng(52))
+    x = Tensor(np.random.default_rng(53).normal(size=shape))
+    rows = int(np.prod(layer(x).shape[2:]))
+    seen, runs = [], _workers._runs
+    monkeypatch.setattr(_workers, "_runs", lambda items: seen.append(items) or runs(items))
+    for items, chunks in ((10, [(0, 5), (5, 5)]), (3, [(0, 3), (3, 3), (6, 3), (9, 1)]),
+                          (1, [(b, 1) for b in range(10)])):
+        monkeypatch.setattr(layers, "_ROWS", items * rows)
+
+        def call():
+            seen.clear()
+            layer(x)
+            return list(seen)
+        outs = at_worker_counts(call)
+        assert outs == [[chunks]] * len(outs), items
+
+
+def test_calls_of_one_item_submit_nothing_and_runs_are_capped(monkeypatch, pool_jobs):
+    # 8 workers: a call of one item (one chunk) runs inline, a call of two
+    # items or more runs at most _RUNS runs of at least one chunk, the last
+    # on the calling thread
     monkeypatch.setattr(_workers, "_WORKERS", 8)
     T = 11
-    monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items
+    monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items at most
     rng = np.random.default_rng(51)
     layer = Conv1D(3, 4, 3, rng, dilation=2)
-    for B, runs in ((0, 1), (1, 1), (2, 1), (5, 1), (6, 1), (7, 2), (16, 2)):
+    for B, chunks in ((0, []), (1, [1]), (2, [1]), (3, [2]), (16, [2, 2, 2, 2])):
         pool_jobs.clear()
         leaf = Tensor(rng.normal(size=(B, 3, T)), requires_grad=True)
         _loss_with_upstream(layer(leaf), rng.normal(size=(B, 4, T))).backward()
-        assert len(pool_jobs) == 2 * (runs - 1), B
-        assert all(len(job[0]) >= 2 for job in pool_jobs), B
+        # a job is (run, workspace[, kept cols]), forward then backward
+        assert [[n for _, n in job[0]] for job in pool_jobs] == ([chunks] * 2 if B > 1 else []), B
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("make,shape,ref,grads_ref", [
+    (lambda rng, dt: Conv1D(3, 4, 3, rng, dilation=2, dtype=dt), (3, 11),
+     lambda x, layer: conv1d_ref(x, layer.weight.data, layer.bias.data, 2),
+     lambda x, layer, up: conv1d_grads_ref(x, layer.weight.data, up, 2)),
+    (lambda rng, dt: Conv1D(3, 4, 1, rng, dtype=dt), (3, 11),
+     lambda x, layer: conv1d_ref(x, layer.weight.data, layer.bias.data, 1),
+     lambda x, layer, up: conv1d_grads_ref(x, layer.weight.data, up, 1)),
+    (lambda rng, dt: Conv2D(4, 4, 3, rng, stride=2, padding=1, groups=2, dtype=dt), (4, 8, 6),
+     lambda x, layer: conv2d_ref(x, layer.weight.data, layer.bias.data, (2, 2), 1, 2),
+     lambda x, layer, up: conv2d_grads_ref(x, layer.weight.data, up, (2, 2), 1, 2)),
+    (lambda rng, dt: Conv2D(4, 6, 1, rng, dtype=dt), (4, 5, 3),
+     lambda x, layer: conv2d_ref(x, layer.weight.data, layer.bias.data, (1, 1), 0, 1),
+     lambda x, layer, up: conv2d_grads_ref(x, layer.weight.data, up, (1, 1), 0, 1)),
+], ids=["1d-K3d2", "1d-K1", "2d-strided-grouped", "2d-1x1"])
+def test_convs_of_one_and_two_items_match_oracles(monkeypatch, pool_jobs, make, shape, ref,
+                                                  grads_ref, B, dtype):
+    # one item is one chunk, run inline; two are two one-item chunks, one
+    # run each on two workers, a pointwise conv's too
+    monkeypatch.setattr(_workers, "_WORKERS", 2)
+    rng = np.random.default_rng(54)
+    layer = make(rng, dtype)
+    layer.bias.data[...] = rng.normal(size=layer.out_channels)
+    x = rng.normal(size=(B, *shape)).astype(dtype)
+    leaf = Tensor(x, requires_grad=True)
+    out = layer(leaf)
+    want = ref(x, layer)
+    assert out.dtype == dtype and out.shape == want.shape
+    assert np.max(np.abs(out.data - want)) <= FWD_TOL[dtype] * np.max(np.abs(want))
+    up = rng.normal(size=want.shape).astype(dtype)
+    _loss_with_upstream(out, up).backward()
+    dx, dw, db = grads_ref(x, layer, up)
+    _assert_grads([(leaf.grad, dx), (layer.weight.grad, dw), (layer.bias.grad, db)], dtype)
+    assert [job[0] for job in pool_jobs] == ([] if B == 1 else [[(0, 1)]] * 2)
 
 
 def test_importing_jamloc_starts_no_thread():
@@ -567,8 +632,12 @@ def _branch_case(rng):
     return convs, [a, b], [a, b.reshape(3, 4, 5, 6), c]
 
 
-@pytest.mark.parametrize("used,ungraded,jobs", [((0, 1, 2), 0, [2, 2, 2, 2, 3, 3]),
-                                               ((2, 0), 3, [2, 2, 2, 2, 3, 2])], ids=["all", "two"])
+# the maps of more than one job at (2, 2), (8, 2) and (8, 3) workers and
+# runs: the branches', then each conv's in its branch (three items, two
+# chunks, two runs, inline), forward then backward
+@pytest.mark.parametrize("used,ungraded,jobs", [((0, 1, 2), 0, [2] * 16 + [3, 2, 2, 2] * 2),
+                                               ((2, 0), 3, [2] * 14 + [3, 2, 2, 2, 2, 2, 2])],
+                         ids=["all", "two"])
 def test_branches_are_bitwise_the_inline_calls(used, ungraded, jobs, map_jobs, at_worker_counts):
     # outputs and every gradient, inputs' too, as the layers give inline, on
     # one run or split in two or three; a branch the loss does not read gets

@@ -408,8 +408,9 @@ def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch
 
 def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at_worker_counts):
     # three momentum-SGD steps at B=32, float32: the four stems run as
-    # branches in one run, or split in two or three, forward and backward;
-    # every conv runs inline (fewer than four chunks, or inside a branch)
+    # branches in one run, or split in two or three, forward and backward,
+    # and every conv has two chunks, so its map has two jobs at two workers
+    # or more (inline inside a branch)
     def train():
         model = McaffModel(McaffConfig(), seed=0)
         opt = SGD(model.params(), learning_rate=1e-2)
@@ -426,20 +427,48 @@ def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at
         return h.hexdigest()
     digests = at_worker_counts(train)
     assert digests == [digests[0]] * len(digests)
-    assert sorted(n for n in map_jobs if n > 1) == [2] * 12 + [3] * 6
+    # per step and pass (forward, backward): the branches' map, the 8 stem
+    # convs' maps (inline in their branches) and the block's 3; each has two
+    # jobs at the three worker counts above one, but the branches' map has
+    # three at the cap of three runs
+    per_pass = 1 + 8 + 3
+    assert sorted(n for n in map_jobs if n > 1) == [2] * 3 * (6 * per_pass - 2) + [3] * 3 * 2
 
 
 @pytest.mark.parametrize("preset", sorted(MCAFF_PRESETS))
 def test_mcaff_hands_the_pool_one_run_of_stems_per_pass(preset, monkeypatch, pool_jobs):
     # 8 workers, two runs at most: a one-path preset runs its stem inline and
-    # submits nothing; the others submit one run of stems in forward and one
-    # in backward, and run the other beside it
+    # submits no run of stems; the others submit one run of stems in forward
+    # and one in backward, and run the other beside it. A run of stems is a
+    # list (of (stem, input) pairs forward, of (output, gradient) backward);
+    # the convs' runs, the block's and a lone stem's, are tuples
     monkeypatch.setattr(_workers, "_WORKERS", 8)
     model = McaffModel(McaffConfig(enabled_paths=MCAFF_PRESETS[preset]), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
     _proj_loss(model.forward(batch)).backward()
     stems = len(model.stems)
-    assert [len(job) for job in pool_jobs] == ([] if stems == 1 else [stems // 2] * 2)
+    runs = [job for job in pool_jobs if isinstance(job, list)]
+    assert [len(job) for job in runs] == ([] if stems == 1 else [stems // 2] * 2)
+
+
+def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_jobs):
+    # 8 workers, two runs at most, B=32 at paper width: each of the block's
+    # convs (2048 rows, under _ROWS) takes the floor's two chunks of 16
+    # items, and hands the pool the first, forward and backward; the stems'
+    # convs run inline in their branches. A conv's job is (chunks, workspace
+    # [, kept cols]), its workspace (n, Ho, Wo, groups, kh, kw, C/groups)
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    model = McaffModel(McaffConfig(), seed=0)
+    batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
+    _proj_loss(model.forward(batch)).backward()
+    block = model.block
+    names = {(conv.groups, conv.kernel_size, conv.in_channels // conv.groups): name
+             for name, conv in (("reduce", block.reduce), ("grouped", block.grouped),
+                                ("expand", block.expand))}
+    jobs = [(names[(job[1].shape[3], job[1].shape[4], job[1].shape[6])], job[0])
+            for job in pool_jobs if isinstance(job, tuple)]
+    order = ["reduce", "grouped", "expand"]
+    assert jobs == [(name, [(0, 16)]) for name in order + order[::-1]]
 
 
 def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch):
