@@ -15,14 +15,15 @@ inline. Runs overlap where numpy releases the interpreter lock: in GEMMs,
 FFTs, copies and ufuncs over a block, and little in the short calls of the
 simulator's per-pose draws.
 
-Whatever the worker count, a loop keeps the memory in flight that one thread
-kept: ``_blocks`` divides a loop's budget of items among its runs, so two
-runs of the dsp's 16-snapshot budget take blocks of 8 and two runs of the
-simulator's 32 poses chunks of 16, and a conv holds at most the two
-workspaces one thread's backward held (see ``nn.layers``); branches keep
-what their layers keep inline, but build and free their workspaces side by
-side. A job computes what one thread computes for its items and writes only
-its own outputs, so results are bitwise those of one thread.
+Whatever the worker count, the dsp and the simulator keep the memory in
+flight that one thread kept: ``_blocks`` divides a loop's budget of items
+among its runs, so two runs of the dsp's 16-snapshot budget take blocks of
+8 and two runs of the simulator's 32 poses chunks of 16. A conv keeps only
+its input and output between passes, and in a pass each of its runs holds
+one workspace (see ``nn.layers``); branches keep what their layers keep
+inline, but build and free their workspaces side by side. A job computes
+what one thread computes for its items and writes only its own outputs, so
+results are bitwise those of one thread.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 # Threads that run a loop's runs: the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Runs of one loop at most, whatever the CPU count: each conv run holds a
-# cols workspace, and one thread's backward held two (the kept cols and the
-# dcols).
+# Runs of one loop at most, whatever the CPU count: each conv run holds one
+# workspace while a pass runs, so a conv holds at most _RUNS at any time.
 _RUNS = 2
 
 # marks a thread that is running a job: a loop that a job runs runs inline,

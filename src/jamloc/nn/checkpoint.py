@@ -5,7 +5,8 @@ Layout (little-endian throughout):
     magic  4s   = "GJW1"
     count  u32  number of tensors
     per tensor: rank u32, dims u32 * rank, data f32 * prod(dims)
-    optionally, a trailing metadata block: length u32 + UTF-8 JSON
+    optionally, a trailing metadata block: length u32 + UTF-8 JSON, then
+    the end of the file
 
 Weights are stored in float32 regardless of the in-memory training precision.
 """
@@ -31,19 +32,24 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, params, metadata: dict | None = None) -> None:
-    """Write parameter tensors and an optional JSON metadata block."""
-    arrays = [p.data if isinstance(p, Tensor) else np.asarray(p) for p in params]
+    """Write parameter tensors and an optional JSON metadata block. A tensor
+    not finite in float32 is a ValueError naming it, raised, as an encoding
+    error is, before ``path`` is opened, so a checkpoint there survives."""
+    with np.errstate(over="ignore"):    # a float32 overflow is checked below
+        arrays = [np.ascontiguousarray(p.data if isinstance(p, Tensor) else p, dtype="<f4")
+                  for p in params]
+    for i, a in enumerate(arrays):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"tensor {i} of shape {a.shape} holds non-finite weights")
+    blob = None if metadata is None else json.dumps(metadata, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(arrays)))
         for a in arrays:
-            f.write(struct.pack("<I", a.ndim))
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
-        if metadata is not None:
-            blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
+            f.write(struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape))
+            f.write(a.tobytes())
+        if blob is not None:
+            f.write(struct.pack("<I", len(blob)) + blob)
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -77,6 +83,8 @@ def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
             raise CheckpointError("truncated checkpoint while reading metadata length")
         (mlen,) = struct.unpack("<I", tail)
         blob = _read_exact(f, mlen, "metadata")
+        if trailing := os.fstat(f.fileno()).st_size - f.tell():
+            raise CheckpointError(f"{path} has {trailing} trailing bytes after the metadata block")
     try:
         meta = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

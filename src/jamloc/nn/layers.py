@@ -21,9 +21,8 @@ more) and at least two for a call of two items or more, builds each
 chunk's im2col in a workspace reused chunk after chunk, and runs one GEMM
 per channel group into the chunk's output rows, adding the bias there.
 Backward visits the chunks last to first: it takes each chunk's
-weight-gradient GEMM, reusing the last chunk's cols, still in the
-workspace, and rebuilding the others from the input, so no whole-batch
-im2col exists and a one-item call rebuilds nothing; then it takes the
+weight-gradient GEMM on the chunk's cols, rebuilt from the input in a
+workspace of the pass, so no whole-batch im2col exists; then it takes the
 chunks' input gradient, one way for every conv: one GEMM per chunk
 multiplies the upstream gradient rows by the weight, straight into dx for a
 pointwise conv, and otherwise into the dcols workspace (the per-tap input
@@ -35,7 +34,7 @@ The bias gradient is one GEMV. ``relu=True`` adds a ReLU epilogue, for
 memory: rows are clamped in place after the bias add, and backward masks
 the upstream by the kept output, bitwise as ``Tensor.relu``, whose node
 would hold each pre-activation output (paper-width fusion train forward,
-B=32, float32: 93 MiB held, not 134).
+B=32, float32: 81 MiB held, not 122).
 
 The chunks run on the worker threads that the simulator's and the dsp's
 chunk loops use too (``jamloc._workers``): split into contiguous runs, one
@@ -49,14 +48,14 @@ The result is bitwise the one-thread result: the chunks depend on neither
 the worker count nor ``_RUNS``, each run writes only its own rows of the
 output and items of dx, the per-chunk weight-gradient GEMMs are summed
 last chunk first, as one thread sums them, and the bias gradient stays one
-GEMV over the batch. Whatever the CPU count, a call holds at most the two
-workspaces one thread's backward held (its cols and its dcols): forward
-keeps for backward only the last run's workspace, which holds the last
-chunk's cols, and in backward each of at most two runs uses one workspace
-(the last run the kept one) for its cols rebuilds, then for its dcols. The
-gain rests on numpy running each GEMM on one BLAS thread
-(OPENBLAS_NUM_THREADS=1, as the benchmark sets):
-the paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
+GEMV over the batch. Between forward and backward a conv keeps only its
+channels-last input and its output (backward's ReLU mask). Each run of a
+pass builds one workspace, sized for its largest chunk, and frees it when
+the pass ends; in backward it holds the run's cols rebuilds, then its
+dcols. So at most one workspace per run, ``_RUNS`` in all, is alive at any
+time, whatever the CPU count. The gain rests on numpy running each GEMM on
+one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark sets): the
+paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS running its
 own threads on the same CPUs, the workers gain nothing: 59-83 ms either way.
 """
@@ -66,7 +65,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -223,16 +221,12 @@ class _Geometry:
         return [(u, v, oi, oj, ii, ij) for u, (oi, ii) in enumerate(spans[0])
                 for v, (oj, ij) in enumerate(spans[1])]
 
-    def workspace(self, chunks, dtype, spare: np.ndarray | None = None) -> np.ndarray:
+    def workspace(self, chunks, dtype) -> np.ndarray:
         """An (n, Ho, Wo, G, kh, kw, C/G) cols workspace for the largest of the
-        (b0, n) ``chunks``, in ``spare`` if that holds enough ``dtype``
-        values; empty for a pointwise conv, whose cols are its input."""
+        (b0, n) ``chunks``, which also holds that chunk's dcols; empty for a
+        pointwise conv, whose cols are its input and whose dcols its dx."""
         n = 0 if self.pointwise else max((n for _, n in chunks), default=0)
-        shape = (n, *self.out_hw, self.groups, *self.kernel, self.cg)
-        size = math.prod(shape)
-        if spare is not None and spare.dtype == dtype and spare.size >= size:
-            return spare.reshape(-1)[:size].reshape(shape)
-        return np.empty(shape, dtype)
+        return np.empty((n, *self.out_hw, self.groups, *self.kernel, self.cg), dtype)
 
     def cols(self, a: np.ndarray, chunks, ws: np.ndarray):
         """Yield the (n*Ho*Wo, G, kh*kw*C/G) im2col of each (b0, n) chunk of
@@ -320,18 +314,16 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
 
     def forward(job):
         run, ws = job
-        cols = None
         for (b0, n), cols in zip(run, geo.cols(xl, run, ws)):
             o = out[b0 * r:(b0 + n) * r]
             np.matmul(cols.transpose(1, 0, 2), w2, out=_by_group(o, G))
             o += b.data
             if relu:
                 np.maximum(o, 0, out=o)
-        return ws, cols
 
     # workspaces come from the calling thread, so the pool's threads allocate
-    # little; backward keeps one, the last run's, holding the last chunk's cols
-    ws, cols = _workers._map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])[-1]
+    # little; each lives for one pass
+    _workers._map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])
 
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
@@ -342,23 +334,20 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
 
         def backward(job):
             """The dW partial of each chunk of a run, last chunk first, then
-            the run's dx, in one workspace: the kept one for the last run."""
-            run, ws, cols = job
+            the run's dx, in one workspace."""
+            run, ws = job
             if relu:
                 for b0, n in run:
                     rows = slice(b0 * r, (b0 + n) * r)
                     np.multiply(g_up[rows], out[rows] > 0, out=g2[rows])
             parts = []
             if w.requires_grad:
-                # the kept cols go first: the rebuild then overwrites them
-                wcols = geo.cols(xl, run, ws) if cols is None else \
-                    itertools.chain([cols], geo.cols(xl, run[1:], ws))
                 parts = [np.matmul(c.transpose(1, 2, 0), _by_group(g2[b0 * r:(b0 + n) * r], G))
-                         for c, (b0, n) in zip(wcols, run)]
+                         for c, (b0, n) in zip(geo.cols(xl, run, ws), run)]
             if x.requires_grad:
                 # a pointwise conv's dcols are its dx rows; the others' are
                 # group-major, so each group's GEMM writes contiguous rows
-                dcols = geo.workspace(run, g2.dtype, ws).reshape(-1)
+                dcols = ws.reshape(-1)
                 for b0, n in run:
                     d = _by_group(dx[b0:b0 + n].reshape(n * r, C), G) if geo.pointwise else \
                         dcols[:n * r * kh * kw * C].reshape(G, n * r, -1)
@@ -367,8 +356,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
                         geo.scatter(d, dx[b0:b0 + n])
             return parts
 
-        jobs = [(run[::-1], geo.workspace(run, g2.dtype), None) for run in runs[:-1]]
-        parts = _workers._map(backward, jobs + [(runs[-1][::-1], ws, cols)])
+        parts = _workers._map(backward, [(run[::-1], geo.workspace(run, g2.dtype)) for run in runs])
         if b.requires_grad:
             b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
         if w.requires_grad:

@@ -62,6 +62,28 @@ def test_truncated_metadata_length_detected(tmp_path, kept):
         load_checkpoint(path)
 
 
+def test_bytes_after_the_metadata_block_detected(tmp_path):
+    # a FUSION checkpoint with 32 junk bytes appended loaded without error
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))], {"kind": "FUSION"})
+    path.write_bytes(path.read_bytes() + b"\xab" * 32)
+    with pytest.raises(CheckpointError, match=r"has 32 trailing bytes after the metadata block$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "past-float32"])
+def test_non_finite_weights_are_refused_before_the_file_is_opened(tmp_path, bad):
+    # a diverged model saved over the last good checkpoint wiped it, and
+    # wrote a file that load_model refuses; 1e39 is inf in float32
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))], {"kind": "FUSION"})
+    good = path.read_bytes()
+    params = [Tensor(np.ones((2, 2))), Tensor(np.array([1.0, bad]))]
+    with pytest.raises(ValueError, match=r"^tensor 1 of shape \(2,\) holds non-finite weights$"):
+        save_checkpoint(path, params, {"kind": "FUSION"})
+    assert path.read_bytes() == good
+
+
 @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json", b"[1, 2]"],
                          ids=["not-utf8", "not-json", "not-an-object"])
 def test_bad_metadata_block_detected(tmp_path, blob):

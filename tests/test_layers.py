@@ -277,6 +277,28 @@ def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch):
     assert peak < whole_cols, f"peak {peak} B, whole-batch cols {whole_cols} B"
 
 
+def test_grouped_conv_forward_keeps_no_workspace_for_backward(monkeypatch):
+    # MCAFF's grouped conv at paper width (block width 128, cardinality 8,
+    # 8x8 grid), B=32, float32, fed channels-last as inside the model: its
+    # forward keeps its output, which backward masks by, and no workspace.
+    # Held: 1.08 MiB for a 1.00 MiB output; a forward that kept one run's
+    # cols workspace for backward (16 items, 4.5 MiB) would hold 5.58 MiB
+    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    B, C, H = 32, 128, 8
+    rng = np.random.default_rng(33)
+    layer = Conv2D(C, C, 3, rng, padding=1, groups=8, dtype=np.float32, relu=True)
+    leaf = Tensor(rng.normal(size=(B, H, H, C)).astype(np.float32), requires_grad=True)
+    x = _channels_last_view(leaf)
+    tracemalloc.start()
+    try:
+        out = layer(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (B, C, H, H) and out.requires_grad
+    assert held <= out.data.nbytes * 5 // 4, f"{held / 2**20:.2f} MiB held"
+
+
 def _assert_grads(got, dtype):
     """Each (gradient, oracle) pair within GRAD_REF_TOL of the oracle's peak."""
     for grad, want in got:
@@ -531,7 +553,7 @@ def test_calls_of_one_item_submit_nothing_and_runs_are_capped(monkeypatch, pool_
         pool_jobs.clear()
         leaf = Tensor(rng.normal(size=(B, 3, T)), requires_grad=True)
         _loss_with_upstream(layer(leaf), rng.normal(size=(B, 4, T))).backward()
-        # a job is (run, workspace[, kept cols]), forward then backward
+        # a job is (run, workspace), forward then backward
         assert [[n for _, n in job[0]] for job in pool_jobs] == ([chunks] * 2 if B > 1 else []), B
 
 

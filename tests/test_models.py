@@ -347,7 +347,15 @@ def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, edit, 
     meta = {"kind": model.KIND, "config": asdict(model.cfg)}
     arrays = [p.data.copy() for p in model.params()]
     edit(meta, arrays)
-    save_checkpoint(tmp_path / "model.gjw", arrays, meta)
+    save_checkpoint(tmp_path / "model.gjw", [np.nan_to_num(a) for a in arrays], meta)
+    # save_checkpoint refuses a non-finite weight, so one is written into
+    # the file's data, as a file made outside the program may hold it
+    blob, at = bytearray((tmp_path / "model.gjw").read_bytes()), 8
+    for a in arrays:
+        at += 4 + 4 * a.ndim
+        blob[at:at + 4 * a.size] = a.astype("<f4").tobytes()
+        at += 4 * a.size
+    (tmp_path / "model.gjw").write_bytes(blob)
     with pytest.raises(CheckpointError, match=match):
         load_model(tmp_path / "model.gjw")
 
@@ -455,8 +463,8 @@ def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_
     # 8 workers, two runs at most, B=32 at paper width: each of the block's
     # convs (2048 rows, under _ROWS) takes the floor's two chunks of 16
     # items, and hands the pool the first, forward and backward; the stems'
-    # convs run inline in their branches. A conv's job is (chunks, workspace
-    # [, kept cols]), its workspace (n, Ho, Wo, groups, kh, kw, C/groups)
+    # convs run inline in their branches. A conv's job is (chunks, workspace),
+    # its workspace (n, Ho, Wo, groups, kh, kw, C/groups)
     monkeypatch.setattr(_workers, "_WORKERS", 8)
     model = McaffModel(McaffConfig(), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
@@ -473,7 +481,7 @@ def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_
 
 def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch):
     # what a train-mode forward of the paper-width model keeps for backward,
-    # at B=8: 30.8 MiB with each conv's ReLU inside the conv, 41.0 MiB when a
+    # at B=8: 20.6 MiB with each conv's ReLU inside the conv, 30.9 MiB when a
     # separate ReLU node also kept every conv's pre-activation output; as
     # many workers as a large host has, so the runs' workspaces count too
     monkeypatch.setattr(_workers, "_WORKERS", 8)
