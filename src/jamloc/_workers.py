@@ -4,26 +4,25 @@ Four loops run here: the convolutions' chunks (``nn.layers._conv``), the
 dsp extractors' snapshot blocks (``dsp.features._blocked``), the
 simulator's pose chunks (``sigsim.dataset.make_dataset``) and the model
 branches, independent layers such as MCAFF's four path stems, each run as
-a graph of its own, forward and backward (``nn.layers.branches``). Each
-splits its items into contiguous runs, one per CPU the process may use
-(``_WORKERS``) and at most ``_RUNS``, and ``_map`` runs the last run on the
-calling thread and the others on one pool. A conv's chunks and the
-branches take one rule, ``_runs``: a run holds at least one item, so two
-items already split; the dsp and the simulator split blocks of a budget
-(``_blocks``). A loop inside a run, such as a branch's convs, runs
-inline. Runs overlap where numpy releases the interpreter lock: in GEMMs,
-FFTs, copies and ufuncs over a block, and little in the short calls of the
-simulator's per-pose draws.
+a graph of its own, forward and backward (``nn.layers.branches``). All four
+take one rule: a loop cuts its items into pieces that depend on no setting
+and no CPU count (a conv's chunks of whole items, 8-snapshot dsp blocks,
+16-pose simulator chunks, one branch each), and ``_runs`` splits those
+pieces into contiguous runs of at least one piece each, one per CPU the
+process may use (``_WORKERS``) and at most ``_RUNS``, so two pieces already
+split. ``_map`` runs the last run on the calling thread and the others on
+one pool. A loop inside a run, such as a branch's convs, runs inline. Runs
+overlap where numpy releases the interpreter lock: in GEMMs, FFTs, copies
+and ufuncs over a block, and little in the short calls of the simulator's
+per-pose draws.
 
-Whatever the worker count, the dsp and the simulator keep the memory in
-flight that one thread kept: ``_blocks`` divides a loop's budget of items
-among its runs, so two runs of the dsp's 16-snapshot budget take blocks of
-8 and two runs of the simulator's 32 poses chunks of 16. A conv keeps only
-its input and output between passes, and in a pass each of its runs holds
-one workspace (see ``nn.layers``); branches keep what their layers keep
-inline, but build and free their workspaces side by side. A job computes
-what one thread computes for its items and writes only its own outputs, so
-results are bitwise those of one thread.
+So a loop holds at most ``_RUNS`` pieces in flight, whatever the worker
+count: the dsp and the simulator at most ``_RUNS`` blocks or chunks, and a
+conv, which keeps only its input and output between passes, one workspace
+per run in a pass (see ``nn.layers``); branches keep what their layers
+keep inline, but build and free their workspaces side by side. A job
+computes what one thread computes for its items and writes only its own
+outputs, so results are bitwise those of one thread.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 # Threads that run a loop's runs: the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Runs of one loop at most, whatever the CPU count: each conv run holds one
-# workspace while a pass runs, so a conv holds at most _RUNS at any time.
+# Runs of one loop at most, whatever the CPU count: each run holds one piece
+# at a time (a dsp block, a simulator chunk, a conv's workspace), so a loop
+# holds at most _RUNS at any time.
 _RUNS = 2
 
 # marks a thread that is running a job: a loop that a job runs runs inline,
@@ -58,27 +58,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _split(items: list, k: int) -> list:
-    """``items`` as ``k`` contiguous runs, as even as they divide."""
-    return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
-
-
 def _runs(items: list) -> list:
-    """``items`` (a conv's chunks or model branches) as contiguous runs of at
-    least one item each, one per worker and at most ``_RUNS``; one run,
-    maybe empty, if there are fewer than two items."""
-    return _split(items, max(1, min(_WORKERS, _RUNS, len(items))))
-
-
-def _blocks(n: int, budget: int) -> list:
-    """``range(n)`` as contiguous runs of slices (blocks) that keep at most
-    ``budget`` items in flight over all runs: one run per worker, at most
-    ``_RUNS`` and ``budget``, and each at least ``budget`` items long, in
-    blocks of ``budget // runs`` items; one run of ``budget``-item blocks if
-    ``n`` is under two budgets."""
-    k = max(1, min(_WORKERS, _RUNS, budget, n // budget))
-    size = budget // k
-    return _split([slice(s, min(s + size, n)) for s in range(0, n, size)], k)
+    """``items`` (a conv's chunks, dsp blocks, simulator chunks or model
+    branches) as contiguous runs, as even as they divide, of at least one
+    item each, one per worker and at most ``_RUNS``; one run, maybe empty,
+    if there are fewer than two items. The only reader of ``_WORKERS``."""
+    k = max(1, min(_WORKERS, _RUNS, len(items)))
+    return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
 
 
 def _as_job(fn, job):

@@ -7,14 +7,15 @@ The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
 patch fills the 32 x 32 spectrogram grid. ``_snapshots`` rejects any other
 shape, naming the function and the shape. Each extractor returns a
 C-contiguous float64 array, whatever the input's complex dtype. Every call
-runs one path (``_blocked``): a snapshot is a batch of one, and the
+runs one path (``_blocked``): a snapshot is a batch of one, a non-finite
+sample is a ValueError naming the function and the snapshot, and the
 extractor's body, or the fit's sum of squared deviations, writes each block
-of snapshots' rows straight into the output, so that a block's temporaries
-stay in cache. The blocks run on the worker threads the convs use too
-(``jamloc._workers``), ``_BLOCK`` snapshots in flight over all of them, so
-two runs take blocks of ``_BLOCK // 2``. A snapshot's result does not
-depend on its block, so results are bitwise the same whatever the batch
-size and the worker count.
+of ``_BLOCK`` snapshots' rows straight into the output, so that a block's
+temporaries stay in cache. ``_workers._runs`` splits the blocks among the
+worker threads the convs use too (``jamloc._workers``), so at most
+``_RUNS`` blocks are in flight. A snapshot's result does not depend on its
+block, so results are bitwise the same whatever the batch size and the
+worker count.
 
 The functions are pure; the only state is the fitted normalization
 statistics, which must come from the training split. The spectrogram clamp
@@ -53,13 +54,9 @@ _EPS_POWER = 1e-20
 _SNAPSHOT_LEN = 1024
 _STFT_FRAMES = (_SNAPSHOT_LEN - STFT_WINDOW) // STFT_HOP + 1     # 15
 
-# snapshots in flight per extractor call, over all its runs: 1 MB of
-# complex128, so a block's temporaries stay near a 1 MB L2. On a 256-snapshot
-# desk chunk (2-vCPU EPYC VM, one BLAS thread, one worker, the benchmark's
-# malloc policy), blocks of 8 / 16 / 32 / 64 snapshots took aoa_features
-# 25.8 / 23.7 / 24.5 / 26.8 ms and stft 7.7 / 7.3 / 7.3 / 10.3 ms, against
-# 29.4 and 9.6 ms for the whole chunk at once.
-_BLOCK = 16
+# snapshots per block: 512 KB of complex128, so the two blocks in flight on
+# two workers hold 1 MB and their temporaries stay near a 1 MB L2
+_BLOCK = 8
 
 
 def _snapshots(fn: str, samples, fit: bool = False) -> np.ndarray:
@@ -80,18 +77,28 @@ def _blocked(fn: str, body, samples, shape: tuple) -> np.ndarray:
     """The float64 result, of ``shape`` per snapshot, of ``body`` over
     blocks of ``samples``, which ``_snapshots`` checks for ``fn``; a
     snapshot is a batch of one. ``body(block, rows)`` writes the results of
-    a (b, 4, 1024) block into its (b, *shape) rows of the output. The blocks
-    run on the shared workers (``_workers._blocks``), which keep ``_BLOCK``
-    snapshots in flight over all runs; an empty batch runs no block."""
+    a (b, 4, 1024) block into its (b, *shape) rows of the output, once no
+    sample of the block is NaN or inf. The ``_BLOCK``-snapshot blocks run on
+    the shared workers (``_workers._runs``); an empty batch runs no block."""
     x = _snapshots(fn, samples)
     batch = x.reshape((-1,) + x.shape[-2:])
     out = np.empty((len(batch),) + shape, dtype=np.float64)
 
     def run(blocks):
         for s in blocks:
-            body(batch[s], out[s])
+            b = batch[s]
+            # a NaN or inf sample, or an overflow, makes the block's energy
+            # non-finite: one BLAS pass, silent on overflow, cheaper per block
+            # than testing each sample
+            if not np.isfinite(np.vdot(b, b)):
+                finite = np.isfinite(b).all(axis=(1, 2))
+                if not finite.all():
+                    raise ValueError(f"{fn}: snapshot {s.start + np.argmin(finite)} holds a "
+                                     f"non-finite sample")
+            body(b, out[s])
 
-    _workers._map(run, _workers._blocks(len(batch), _BLOCK))
+    blocks = [slice(s, s + _BLOCK) for s in range(0, len(batch), _BLOCK)]
+    _workers._map(run, _workers._runs(blocks))
     return out.reshape(x.shape[:-2] + shape)
 
 
@@ -258,7 +265,7 @@ def fit_iq_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the input's dtype, and each snapshot's squared deviations are summed over
     N (pairwise, as numpy's reduction does) in blocks (``_blocked``), then
     the (M, 8) sums are added in snapshot order. The temporaries in flight
-    hold ``_BLOCK`` snapshots, 1 MB each, whatever M and the worker count.
+    hold at most ``_RUNS`` blocks of ``_BLOCK`` snapshots, whatever M.
     """
     x = _snapshots("fit_iq_stats", samples, fit=True)
     count = x.shape[0] * x.shape[2]

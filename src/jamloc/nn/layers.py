@@ -36,22 +36,22 @@ the upstream by the kept output, bitwise as ``Tensor.relu``, whose node
 would hold each pre-activation output (paper-width fusion train forward,
 B=32, float32: 81 MiB held, not 122).
 
-The chunks run on the worker threads that the simulator's and the dsp's
-chunk loops use too (``jamloc._workers``): split into contiguous runs, one
-per CPU the process may use and at most ``_RUNS``, the last on the calling
-thread and the others on the shared pool; numpy's GEMMs and copies release
-the interpreter lock. So every call of two items or more splits, pointwise
-or not: MCAFF's grouped block at B=32 (2048 rows a conv) runs on both
-workers, forward and backward. MCAFF's four stems run side by side, each a
-graph of its own (``branches``), and a conv inside a branch runs inline.
-The result is bitwise the one-thread result: the chunks depend on neither
-the worker count nor ``_RUNS``, each run writes only its own rows of the
-output and items of dx, the per-chunk weight-gradient GEMMs are summed
-last chunk first, as one thread sums them, and the bias gradient stays one
-GEMV over the batch. Between forward and backward a conv keeps only its
-channels-last input and its output (backward's ReLU mask). Each run of a
-pass builds one workspace, sized for its largest chunk, and frees it when
-the pass ends; in backward it holds the run's cols rebuilds, then its
+The chunks run on the shared workers (``jamloc._workers``) by the one rule
+of every chunk loop: ``_workers._runs`` splits the fixed chunks into
+contiguous runs, one per CPU the process may use and at most ``_RUNS``, the
+last on the calling thread and the others on the pool; numpy's GEMMs and
+copies release the interpreter lock. So every call of two items or more
+splits, pointwise or not: MCAFF's grouped block at B=32 (2048 rows a conv)
+runs on both workers, forward and backward. MCAFF's four stems run side by
+side, each a graph of its own (``branches``), and a conv inside a branch
+runs inline. The result is bitwise the one-thread result: the chunks depend
+on neither the worker count nor ``_RUNS``, each run writes only its own rows
+of the output and items of dx, the per-chunk weight-gradient GEMMs are
+summed last chunk first, as one thread sums them, and the bias gradient
+stays one GEMV over the batch. Between forward and backward a conv keeps
+only its channels-last input and its output (backward's ReLU mask). Each run
+of a pass builds one workspace, sized for its largest chunk, and frees it
+when the pass ends; in backward it holds the run's cols rebuilds, then its
 dcols. So at most one workspace per run, ``_RUNS`` in all, is alive at any
 time, whatever the CPU count. The gain rests on numpy running each GEMM on
 one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark sets): the

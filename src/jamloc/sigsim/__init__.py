@@ -4,11 +4,11 @@ from .dataset import SimConfig, make_dataset
 from .geometry import C_LIGHT, DEFAULT_CARRIER_HZ, ArrayGeometry
 from .jammers import (BANDWIDTH_RANGE_HZ, JAMMER_CLASSES, POWER_RANGE_DBM,
                       JammerClass, JammerProfile, gen_baseband)
-from .records import IQSnapshot, Label, angles_from_displacement
+from .records import SCENARIO_TAGS, IQSnapshot, Label, angles_from_displacement
 from .scene import (PropPath, Reflector, SceneConfig, WallSegment,
                     compute_paths, propagate)
-from .scenarios import (DATASET_KEYS, SCALE_PRESETS, SCENARIO_TAGS, base_scene,
-                        desk_profiles, scenario_configs)
+from .scenarios import (DATASET_KEYS, SCALE_PRESETS, base_scene, desk_profiles,
+                        scenario_configs)
 from .trajectory import DEFAULT_HEIGHTS, gen_trajectory
 
 __all__ = [

@@ -5,11 +5,11 @@ the 20 x 30 x 8 m hall: the ``SceneConfig`` constants ``snapshot_len``,
 ``sample_rate``, ``antenna_position`` and ``hall_extent``.
 
 Pose i is sent by profile i mod len(profiles), one snapshot per pose. Poses
-are simulated in chunks (``_simulate``) on the calling process's worker
-threads, which the convs and the dsp use too (``jamloc._workers``): ``_CHUNK``
-poses in flight over all runs, so two runs take chunks of ``_CHUNK // 2``.
-The snapshots come back in pose order. Each pose draws from an independent
-generator seeded by (seed, seed_channel, pose_index), in this order:
+are simulated in chunks of ``_CHUNK`` (``_simulate``) on the threads the
+convs and the dsp use too, split by ``jamloc._workers._runs``: at most
+``_RUNS`` chunks in flight. The snapshots come back in pose order. Each pose
+draws from an independent generator seeded by (seed, seed_channel,
+pose_index), in this order:
 
 1. ``default_rng([seed, seed_channel, pose_index])``;
 2. the plan jitter, ``uniform(-j, j, size=2)``, when ``pose_jitter_m`` > 0;
@@ -31,17 +31,17 @@ import numpy as np
 from .. import _workers
 from .geometry import ArrayGeometry
 from .jammers import JammerProfile, gen_baseband
-from .records import IQSnapshot
+from .records import SCENARIO_TAGS, IQSnapshot
 from .scene import SceneConfig, _check_scene, _draw_noise, _receive
 from .trajectory import DEFAULT_HEIGHTS, gen_trajectory
 
 __all__ = ["SimConfig", "make_dataset"]
 
-# poses in flight over all runs. It bounds the chunks' temporaries (about
-# 9 MB, mostly the (P, 1+S, N) delayed waveforms).
-# Chunks of 16, 32 and 64 ran the desk suite equally fast on one worker of
-# a 2-vCPU x86-64 VM; larger chunks left more heap behind at peak RSS.
-_CHUNK = 32
+# poses per chunk: it bounds the temporaries, about 9 MB over two chunks,
+# mostly the (P, 1+S, N) delayed waveforms. Chunks of 16, 32 and 64 ran the
+# desk suite equally fast on one worker of a 2-vCPU x86-64 VM; larger chunks
+# left more heap behind at peak RSS.
+_CHUNK = 16
 
 
 @dataclass
@@ -77,6 +77,9 @@ def _check_config(cfg: SimConfig, seed, jobs) -> None:
     if not (np.isfinite(cfg.pose_jitter_m) and cfg.pose_jitter_m >= 0):
         raise ValueError(f"SimConfig.pose_jitter_m must be finite and >= 0, "
                          f"got {cfg.pose_jitter_m!r}")
+    if cfg.scenario_tag not in SCENARIO_TAGS:
+        raise ValueError(f"SimConfig.scenario_tag must be one of {SCENARIO_TAGS}, "
+                         f"got {cfg.scenario_tag!r}")
     if not cfg.profiles:
         raise ValueError("no jammer profiles configured")
     for p in cfg.profiles:
@@ -123,5 +126,5 @@ def make_dataset(cfg: SimConfig, geometry: ArrayGeometry, seed: int,
     def run(chunks):
         return [snap for s in chunks for snap in _simulate(cfg, geometry, seed, poses, indices[s])]
 
-    return [snap for part in _workers._map(run, _workers._blocks(len(poses), _CHUNK))
-            for snap in part]
+    chunks = [slice(s, s + _CHUNK) for s in range(0, len(poses), _CHUNK)]
+    return [snap for part in _workers._map(run, _workers._runs(chunks)) for snap in part]

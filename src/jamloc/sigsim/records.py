@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Label", "IQSnapshot", "angles_from_displacement"]
+__all__ = ["SCENARIO_TAGS", "Label", "IQSnapshot", "angles_from_displacement"]
 
 
 def angles_from_displacement(dx: float, dy: float, dz: float) -> tuple[float, float]:
@@ -35,6 +35,10 @@ class Label:
         dx, dy, dz = (float(v) for v in delta)
         alpha, beta = angles_from_displacement(dx, dy, dz)
         return cls(dx, dy, dz, alpha, beta, int(class_id), int(subclass_id))
+
+
+# the scenario_tag values: the rows of the paper's per-scenario table, in order
+SCENARIO_TAGS = ("Random", "Wall 1", "Wall 2", "Wall 3", "Wall 4", "Wall 5", "Meander")
 
 
 @dataclass

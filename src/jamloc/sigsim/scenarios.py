@@ -13,10 +13,7 @@ from .dataset import SimConfig
 from .jammers import JammerClass, JammerProfile
 from .scene import Reflector, SceneConfig, WallSegment
 
-__all__ = ["SCENARIO_TAGS", "DATASET_KEYS", "desk_profiles", "base_scene",
-           "scenario_configs", "SCALE_PRESETS"]
-
-SCENARIO_TAGS = ("Random", "Wall 1", "Wall 2", "Wall 3", "Wall 4", "Wall 5", "Meander")
+__all__ = ["DATASET_KEYS", "desk_profiles", "base_scene", "scenario_configs", "SCALE_PRESETS"]
 
 # file-key order used by the simulate/featurize/eval commands
 DATASET_KEYS = ("random_train", "random_test", "wall1", "wall2", "wall3",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from jamloc import _workers, dsp, sigsim
-from jamloc.dsp import features
+from jamloc.dsp import aoa, features
 
 from _oracles import (aoa_band_phase_ref, cfo_ref, iq_stats_ref, phase_increments_ref,
                       stft_gather_ref)
@@ -106,9 +106,10 @@ def test_aoa_dead_patch_has_no_phase_or_band_terms(desk):
     assert np.all(feats[2:5, 3, 19:21] == 0.0)
 
 
-@pytest.mark.parametrize("rows", [1, features._BLOCK, features._BLOCK + 3, 3 * features._BLOCK + 5])
+@pytest.mark.parametrize("rows", [1, 2 * features._BLOCK, 2 * features._BLOCK + 3,
+                                  6 * features._BLOCK + 5])
 def test_fit_iq_stats_equals_stacked_planes(desk, rows):
-    # rows not a multiple of the block: the last block is short
+    # whole blocks, and rows not a multiple of the block: the last block is short
     x = np.concatenate([desk["wall2"], desk["meander"]])[:rows]
     mean, std = dsp.fit_iq_stats(x)
     ref_mean, ref_std = iq_stats_ref(x)
@@ -167,12 +168,12 @@ def test_aoa_features_rejects_non_positive_sample_rate():
 
 # ----------------------------------------------------------------------
 # the contract, a (4, 1024) snapshot or an (M, 4, 1024) batch, and the
-# blocking: the extractors run over blocks of 16 snapshots
+# blocking: the extractors run over blocks of 8 snapshots
 # ----------------------------------------------------------------------
 
 # one snapshot, one short of a block, a block, one past it, and many blocks
 # with a remainder
-SPLIT = (1, 15, 16, 17, 259)
+SPLIT = (1, 7, 8, 9, 283)
 EXTRACTORS = ("spectrogram", "stft", "normalize_iq", "cfo_accumulated", "aoa_features")
 # shapes outside the (4, 1024) / (M, 4, 1024) contract: a short snapshot,
 # three patches, one 1-D row, two leading axes, a batch one sample long, and
@@ -208,6 +209,24 @@ def test_snapshot_length_is_the_scene_snapshot_length():
     assert features._SNAPSHOT_LEN == sigsim.SceneConfig.snapshot_len
 
 
+def _spy_blocks(monkeypatch) -> list:
+    """The (start, stop) snapshots of every block that an extractor's body
+    runs on."""
+    spans, blocked = [], features._blocked
+
+    def spy(fn, body, samples, shape):
+        base = np.asarray(samples).ctypes.data
+
+        def recorded(block, rows):
+            start = (block.ctypes.data - base) // block.strides[0]
+            spans.append((start, start + len(block)))
+            body(block, rows)
+        return blocked(fn, recorded, samples, shape)
+    for module in (features, aoa):
+        monkeypatch.setattr(module, "_blocked", spy)
+    return spans
+
+
 def _assert_same(name, whole, parts):
     """Bitwise, for every extractor."""
     assert whole.shape == parts.shape and whole.dtype == parts.dtype
@@ -223,17 +242,51 @@ def test_extractors_do_not_depend_on_the_batch_split(batch, name):
 
 @pytest.mark.parametrize("name", EXTRACTORS + ("fit_iq_stats",))
 def test_extractors_are_bitwise_equal_for_any_worker_count(batch, name, map_jobs,
-                                                            at_worker_counts):
-    # 259 snapshots: one run of 16-snapshot blocks on one worker, two runs of
-    # 8-snapshot blocks on 2 or 8, and three of 5 with the cap raised to
-    # three runs; each block writes its own rows of the output
+                                                            at_worker_counts, monkeypatch):
+    # 308 snapshots, 39 blocks of 8 at every worker count: one run on one
+    # worker, two on 2 or 8, and three with the cap raised to three runs;
+    # each block writes its own rows of the output
     f = dsp.fit_iq_stats if name == "fit_iq_stats" else _extractor(name, batch)
-    outs = [out if isinstance(out, tuple) else (out,) for out in at_worker_counts(lambda: f(batch))]
+    spans = _spy_blocks(monkeypatch)
+
+    def call():
+        spans.clear()
+        out = f(batch)
+        return out if isinstance(out, tuple) else (out,), sorted(spans)
+    outs, blocks = zip(*at_worker_counts(call))
     assert map_jobs == [1, 2, 2, 3]
+    starts = range(0, len(batch), features._BLOCK)
+    assert blocks[0] == [(s, min(s + features._BLOCK, len(batch))) for s in starts]
+    assert all(b == blocks[0] for b in blocks[1:])
     for out in outs[1:]:
         for got, want in zip(out, outs[0]):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("name", EXTRACTORS)
+def test_extractors_reject_non_finite_samples_naming_the_first(batch, name, at_worker_counts):
+    # an inf in snapshot 37 and a NaN in snapshot 200, in different runs at
+    # two workers or more: the earlier is named whatever the worker count
+    # (unchecked, every extractor returned non-finite features)
+    x = batch.copy()
+    x[200, 1, 300] = complex(np.nan, 0.0)
+    x[37, 3, 5] = complex(0.0, np.inf)
+    f = _extractor(name, batch)
+
+    def call():
+        with pytest.raises(ValueError) as err:
+            f(x)
+        return str(err.value)
+    assert at_worker_counts(call) == [f"{name}: snapshot 37 holds a non-finite sample"] * 4
+
+
+def test_finite_samples_whose_block_energy_overflows_are_accepted(batch):
+    # the energy that screens each block overflows here, and the per-sample
+    # test behind it finds every sample finite
+    big = batch[:20] * 1e200
+    assert not np.isfinite(np.vdot(big[:8], big[:8]))
+    assert np.all(np.isfinite(_extractor("normalize_iq", batch)(big)))
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
@@ -281,8 +334,8 @@ def test_extractor_memory_is_block_bounded(monkeypatch, name):
 
 
 def test_aoa_warns_once_for_dead_channels_in_several_blocks(desk, caplog):
-    x = desk["wall2"][:48].copy()               # three blocks
-    dead = [(2, 1), (3, 1), (37, 3)]            # in the first and the third
+    x = desk["wall2"][:48].copy()               # six blocks
+    dead = [(2, 1), (3, 1), (37, 3)]            # in the first and the fifth
     for snap, patch in dead:
         x[snap, patch] = 0.0
     with caplog.at_level(logging.WARNING, logger="jamloc.dsp.aoa"):

@@ -338,7 +338,8 @@ def test_cycle_assignment_rotates_profiles():
     ("pose_jitter_m", -0.1),
     ("pose_jitter_m", np.nan),
     ("scene.noise_floor_dbm", np.nan),
-], ids=["jitter-negative", "jitter-nan", "noise-nan"])
+    ("scenario_tag", "Nope"),
+], ids=["jitter-negative", "jitter-nan", "noise-nan", "tag-unknown"])
 def test_sim_config_fails_at_entry_naming_the_field(field, value):
     # fields reassigned after construction, as callers do
     cfg = _tiny_sim()

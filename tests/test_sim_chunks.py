@@ -173,12 +173,25 @@ def test_output_is_bitwise_the_same_for_any_chunk_size(monkeypatch):
             assert s.label == t.label
 
 
-def test_output_is_bitwise_the_same_for_any_worker_count(map_jobs, at_worker_counts):
-    # 100 poses: one run of 32-pose chunks on one worker, two runs of 16-pose
-    # chunks on 2 or 8, and three of 10 with the cap raised to three runs
+def test_output_is_bitwise_the_same_for_any_worker_count(map_jobs, at_worker_counts,
+                                                         monkeypatch):
+    # 100 poses, 7 chunks of 16 at every worker count: one run on one
+    # worker, two on 2 or 8, and three with the cap raised to three runs
     cfg = _small(points=50)
-    outs = at_worker_counts(lambda: sigsim.make_dataset(cfg, GEOMETRY, 21))
+    chunks, simulate = [], dataset._simulate
+
+    def spy(cfg, geometry, seed, poses, indices):
+        chunks.append((indices.start, indices.stop))
+        return simulate(cfg, geometry, seed, poses, indices)
+    monkeypatch.setattr(dataset, "_simulate", spy)
+
+    def call():
+        chunks.clear()
+        return sigsim.make_dataset(cfg, GEOMETRY, 21), sorted(chunks)
+    outs, spans = zip(*at_worker_counts(call))
     assert map_jobs == [1, 2, 2, 3]
+    assert spans[0] == [(s, min(s + 16, 100)) for s in range(0, 100, 16)]
+    assert all(s == spans[0] for s in spans[1:])
     for out in outs[1:]:
         assert len(out) == len(outs[0]) == 100
         for s, t in zip(outs[0], out):
