@@ -8,23 +8,21 @@ a graph of its own, forward and backward (``nn.layers.branches``). All four
 take one rule: a loop cuts its items into pieces that depend on no setting
 and no CPU count (a conv's chunks of whole items, 8-snapshot dsp blocks,
 16-pose simulator chunks, one branch each), and ``_runs`` splits those
-pieces into contiguous runs of at least one piece each, one per CPU the
-process may use (``_WORKERS``) and at most ``_RUNS``, so two pieces already
-split. ``_map`` runs the last run on the calling thread and the others on
-one pool. A loop inside a run, such as a branch's convs, runs inline. Runs
-overlap where numpy releases the interpreter lock: in GEMMs, FFTs, copies
-and ufuncs over a block, and little in the short calls of the simulator's
-per-pose draws.
+pieces into contiguous runs of at least one piece each, ``_RUNS`` at most:
+two, or one on a process that may use one CPU. ``_map`` runs the last run
+on the calling thread and the others on one pool. A loop inside a run,
+such as a branch's convs, runs inline. Runs overlap where numpy releases
+the interpreter lock: in GEMMs, FFTs, copies and ufuncs over a block, and
+little in the short calls of the simulator's per-pose draws.
 
-So a loop holds at most ``_RUNS`` pieces in flight, whatever the worker
-count: the dsp and the simulator at most ``_RUNS`` blocks or chunks, and a
-conv, which keeps only its input and output between passes, one workspace
-per run in a pass (see ``nn.layers``); branches keep what their layers
-keep inline, but build and free their workspaces side by side. A job
-computes what one thread computes for its items and writes only its own
-outputs, so results are bitwise those of one thread.
+So a loop holds at most ``_RUNS`` pieces in flight: the dsp and the
+simulator at most ``_RUNS`` blocks or chunks, and a conv, which keeps only
+its input and output between passes, one workspace per run in a pass (see
+``nn.layers``); branches keep what their layers keep inline, but build and
+free their workspaces side by side. A job computes what one thread computes
+for its items and writes only its own outputs, so results are bitwise those
+of one thread, whatever ``_RUNS`` is.
 """
-
 from __future__ import annotations
 
 import functools
@@ -32,13 +30,10 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-# Threads that run a loop's runs: the CPUs this process may run on.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# Runs of one loop at most, whatever the CPU count: each run holds one piece
-# at a time (a dsp block, a simulator chunk, a conv's workspace), so a loop
-# holds at most _RUNS at any time.
-_RUNS = 2
+# Runs of one loop at most: two, or one if this process may run on one CPU
+# only, read at import. Each run holds one piece at a time (a dsp block, a
+# simulator chunk, a conv's workspace), so a loop holds at most _RUNS.
+_RUNS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # marks a thread that is running a job: a loop that a job runs runs inline,
 # since waiting on the pool from one of its own threads could wait on
@@ -49,8 +44,9 @@ _local = threading.local()
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
     """The threads beside the caller's, made by the first loop that has
-    more than one run."""
-    return ThreadPoolExecutor(_RUNS - 1, thread_name_prefix="jamloc-worker")
+    more than one run; one even where ``_RUNS`` is 1, for a map handed two
+    jobs of its own."""
+    return ThreadPoolExecutor(max(1, _RUNS - 1), thread_name_prefix="jamloc-worker")
 
 
 if hasattr(os, "register_at_fork"):
@@ -61,9 +57,9 @@ if hasattr(os, "register_at_fork"):
 def _runs(items: list) -> list:
     """``items`` (a conv's chunks, dsp blocks, simulator chunks or model
     branches) as contiguous runs, as even as they divide, of at least one
-    item each, one per worker and at most ``_RUNS``; one run, maybe empty,
-    if there are fewer than two items. The only reader of ``_WORKERS``."""
-    k = max(1, min(_WORKERS, _RUNS, len(items)))
+    item each, ``_RUNS`` at most; one run, maybe empty, if there are fewer
+    than two items."""
+    k = max(1, min(_RUNS, len(items)))
     return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
 
 

@@ -5,17 +5,17 @@ The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
 (4, 1024), 4 patches of 1024 complex samples, or a batch (M, 4, 1024), and
 ``fit_iq_stats`` a non-empty batch; the length is fixed because one FFT per
 patch fills the 32 x 32 spectrogram grid. ``_snapshots`` rejects any other
-shape, naming the function and the shape. Each extractor returns a
-C-contiguous float64 array, whatever the input's complex dtype. Every call
-runs one path (``_blocked``): a snapshot is a batch of one, a non-finite
-sample is a ValueError naming the function and the snapshot, and the
-extractor's body, or the fit's sum of squared deviations, writes each block
-of ``_BLOCK`` snapshots' rows straight into the output, so that a block's
-temporaries stay in cache. ``_workers._runs`` splits the blocks among the
-worker threads the convs use too (``jamloc._workers``), so at most
-``_RUNS`` blocks are in flight. A snapshot's result does not depend on its
-block, so results are bitwise the same whatever the batch size and the
-worker count.
+shape, naming the function and the shape, and real samples, naming the
+dtype. Each extractor returns a C-contiguous float64 array, whatever the
+input's complex dtype. Every call runs one path (``_blocked``): a snapshot
+is a batch of one, a non-finite sample is a ValueError naming the function
+and the snapshot, and the extractor's body, or the fit's sum of squared
+deviations, writes each block of ``_BLOCK`` snapshots' rows straight into
+the output, so that a block's temporaries stay in cache. ``_workers._runs``
+splits the blocks among the worker threads the convs use too
+(``jamloc._workers``), so at most ``_RUNS`` blocks are in flight. A
+snapshot's result does not depend on its block, so results are bitwise the
+same whatever the batch size and the worker count.
 
 The functions are pure; the only state is the fitted normalization
 statistics, which must come from the training split. The spectrogram clamp
@@ -61,8 +61,8 @@ _BLOCK = 8
 
 def _snapshots(fn: str, samples, fit: bool = False) -> np.ndarray:
     """``samples`` as an array if it is a (4, 1024) snapshot or an
-    (M, 4, 1024) batch (``fit``: a non-empty batch); otherwise a ValueError
-    that names ``fn`` and the shape."""
+    (M, 4, 1024) batch (``fit``: a non-empty batch) of complex samples;
+    otherwise a ValueError that names ``fn`` and the shape or the dtype."""
     x = np.asarray(samples)
     snapshot = x.shape[-2:] == (4, _SNAPSHOT_LEN)
     if fit and not (snapshot and x.ndim == 3 and len(x)):
@@ -70,6 +70,8 @@ def _snapshots(fn: str, samples, fit: bool = False) -> np.ndarray:
     if not (snapshot and x.ndim in (2, 3)):
         raise ValueError(f"{fn} expects a snapshot of shape (4, 1024) or a batch of shape "
                          f"(M, 4, 1024), got {x.shape}")
+    if not np.iscomplexobj(x):
+        raise ValueError(f"{fn} expects complex samples, got {x.dtype}")
     return x
 
 

@@ -82,8 +82,6 @@ def load_model(path, dtype=np.float32):
     for i, (p, a) in enumerate(zip(params, arrays)):
         if p.data.shape != a.shape:
             raise CheckpointError(f"tensor {i}: shape mismatch: {p.data.shape} vs stored {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise CheckpointError(f"tensor {i} of shape {a.shape} holds non-finite weights")
         p.data[...] = a.astype(p.data.dtype)
     norm = None
     if "norm" in meta:

@@ -8,15 +8,21 @@ Layout (little-endian throughout):
     optionally, a trailing metadata block: length u32 + UTF-8 JSON, then
     the end of the file
 
-Weights are stored in float32 regardless of the in-memory training precision.
+Weights are stored in float32 regardless of the in-memory training precision,
+and are finite: ``save_checkpoint`` refuses, and ``load_checkpoint`` rejects,
+a tensor that holds NaN or inf. A save writes a temporary file beside
+``path`` and moves it onto ``path`` only once it is whole on disk, so a save
+that fails leaves the checkpoint it was replacing as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -34,7 +40,8 @@ class CheckpointError(IOError):
 def save_checkpoint(path, params, metadata: dict | None = None) -> None:
     """Write parameter tensors and an optional JSON metadata block. A tensor
     not finite in float32 is a ValueError naming it, raised, as an encoding
-    error is, before ``path`` is opened, so a checkpoint there survives."""
+    error is, before any file is opened; a write that fails removes its
+    temporary file, so a checkpoint at ``path`` survives either way."""
     with np.errstate(over="ignore"):    # a float32 overflow is checked below
         arrays = [np.ascontiguousarray(p.data if isinstance(p, Tensor) else p, dtype="<f4")
                   for p in params]
@@ -42,14 +49,24 @@ def save_checkpoint(path, params, metadata: dict | None = None) -> None:
         if not np.all(np.isfinite(a)):
             raise ValueError(f"tensor {i} of shape {a.shape} holds non-finite weights")
     blob = None if metadata is None else json.dumps(metadata, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(arrays)))
-        for a in arrays:
-            f.write(struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape))
-            f.write(a.tobytes())
-        if blob is not None:
-            f.write(struct.pack("<I", len(blob)) + blob)
+    # private to this thread, in path's directory so that the replace is a rename
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(arrays)))
+            for a in arrays:
+                f.write(struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape))
+                f.write(a.tobytes())
+            if blob is not None:
+                f.write(struct.pack("<I", len(blob)) + blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -62,7 +79,8 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
-    """Read tensors (as float32 arrays) plus the metadata block if present."""
+    """Read tensors (as float32 arrays) plus the metadata block if present.
+    A tensor that holds NaN or inf is a ``CheckpointError`` naming it."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MAGIC:
             raise CheckpointError(f"bad magic in {path}; not a GJW1 checkpoint")
@@ -75,7 +93,10 @@ def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"tensor {i} dims"))
             n = math.prod(dims)    # exact: numpy's int64 product can wrap
             raw = _read_exact(f, 4 * n, f"tensor {i} data")
-            arrays.append(np.frombuffer(raw, dtype="<f4").reshape(dims).copy())
+            a = np.frombuffer(raw, dtype="<f4").reshape(dims)
+            if not np.all(np.isfinite(a)):
+                raise CheckpointError(f"tensor {i} of shape {a.shape} holds non-finite weights")
+            arrays.append(a.copy())
         tail = f.read(4)
         if not tail:
             return arrays, None

@@ -38,26 +38,26 @@ B=32, float32: 81 MiB held, not 122).
 
 The chunks run on the shared workers (``jamloc._workers``) by the one rule
 of every chunk loop: ``_workers._runs`` splits the fixed chunks into
-contiguous runs, one per CPU the process may use and at most ``_RUNS``, the
-last on the calling thread and the others on the pool; numpy's GEMMs and
-copies release the interpreter lock. So every call of two items or more
-splits, pointwise or not: MCAFF's grouped block at B=32 (2048 rows a conv)
-runs on both workers, forward and backward. MCAFF's four stems run side by
-side, each a graph of its own (``branches``), and a conv inside a branch
-runs inline. The result is bitwise the one-thread result: the chunks depend
-on neither the worker count nor ``_RUNS``, each run writes only its own rows
-of the output and items of dx, the per-chunk weight-gradient GEMMs are
-summed last chunk first, as one thread sums them, and the bias gradient
-stays one GEMV over the batch. Between forward and backward a conv keeps
-only its channels-last input and its output (backward's ReLU mask). Each run
-of a pass builds one workspace, sized for its largest chunk, and frees it
-when the pass ends; in backward it holds the run's cols rebuilds, then its
-dcols. So at most one workspace per run, ``_RUNS`` in all, is alive at any
-time, whatever the CPU count. The gain rests on numpy running each GEMM on
-one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark sets): the
-paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
-41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS running its
-own threads on the same CPUs, the workers gain nothing: 59-83 ms either way.
+contiguous runs, ``_RUNS`` at most (two, or one on one CPU), the last on the
+calling thread and the others on the pool; numpy's GEMMs and copies release
+the interpreter lock. So every call of two items or more splits where
+``_RUNS`` is 2, pointwise or not: MCAFF's grouped block at B=32 (2048 rows a
+conv) runs on both workers, forward and backward. MCAFF's four stems run
+side by side, each a graph of its own (``branches``), and a conv inside a
+branch runs inline. The result is bitwise the one-thread result: the chunks
+do not depend on ``_RUNS``, each run writes only its own rows of the output
+and items of dx, the per-chunk weight-gradient GEMMs are summed last chunk
+first, as one thread sums them, and the bias gradient stays one GEMV over
+the batch. Between forward and backward a conv keeps only its channels-last
+input and its output (backward's ReLU mask). Each run of a pass builds one
+workspace, sized for its largest chunk, and frees it when the pass ends; in
+backward it holds the run's cols rebuilds, then its dcols. So at most one
+workspace per run, ``_RUNS`` in all, is alive at any time. The gain rests on
+numpy running each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the
+benchmark sets): the paper-width fusion train step (B=32, float32, 2-vCPU
+x86-64 VM) then takes 41-43 ms on two workers, against 64-68 ms on one. With
+OpenBLAS running its own threads on the same CPUs, the workers gain nothing:
+59-83 ms either way.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ class _Geometry:
         self.pointwise = kernel == stride == (1, 1) and pad == ((0, 0), (0, 0))
         # at most _ROWS rows, and two chunks at least for two items or more,
         # so the workers can split any batch; a fixed floor, not _RUNS, keeps
-        # the chunk boundaries (and the bits) those of any worker count
+        # the chunk boundaries (and the bits) those of any run count
         items = max(1, min(_ROWS // (self.out_hw[0] * self.out_hw[1]), -(-B // 2)))
         self.chunks = [(b0, min(items, B - b0)) for b0 in range(0, B, items)]
 

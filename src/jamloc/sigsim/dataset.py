@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import _workers
 from .geometry import ArrayGeometry
-from .jammers import JammerProfile, gen_baseband
+from .jammers import JammerProfile, _is_int, gen_baseband
 from .records import SCENARIO_TAGS, IQSnapshot
 from .scene import SceneConfig, _check_scene, _draw_noise, _receive
 from .trajectory import DEFAULT_HEIGHTS, gen_trajectory
@@ -61,10 +61,6 @@ class SimConfig:
     pose_jitter_m: float = 0.0
     scenario_tag: str = "Random"
     seed_channel: int = 0
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_config(cfg: SimConfig, seed, jobs) -> None:

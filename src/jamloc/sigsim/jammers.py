@@ -39,6 +39,10 @@ class JammerClass(enum.Enum):
 JAMMER_CLASSES = tuple(JammerClass)  # index in this tuple = integer class id
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JammerProfile:
     jclass: JammerClass
@@ -47,6 +51,11 @@ class JammerProfile:
     power_dbm: float
 
     def __post_init__(self):
+        if not isinstance(self.jclass, JammerClass):
+            raise ValueError(f"JammerProfile.jclass must be a JammerClass, got {self.jclass!r}")
+        if not _is_int(self.subclass_id) or self.subclass_id < 0:
+            raise ValueError(f"JammerProfile.subclass_id must be an integer >= 0, "
+                             f"got {self.subclass_id!r}")
         lo, hi = BANDWIDTH_RANGE_HZ
         if not lo <= self.bandwidth_hz <= hi:
             raise ValueError(f"bandwidth {self.bandwidth_hz:g} Hz outside [{lo:g}, {hi:g}]")

@@ -53,3 +53,5 @@ class IQSnapshot:
         self.samples = np.asarray(self.samples)
         if self.samples.shape != (4, 1024):
             raise ValueError(f"snapshot must have shape (4, 1024), got {self.samples.shape}")
+        if not np.iscomplexobj(self.samples):
+            raise ValueError(f"IQSnapshot.samples must be complex, got {self.samples.dtype}")

@@ -7,9 +7,8 @@ import pytest
 
 from jamloc import _workers
 
-# (_WORKERS, _RUNS): one worker, two and more workers than runs, and the cap
-# raised to three runs
-WORKER_COUNTS = ((1, 2), (2, 2), (8, 2), (8, 3))
+# _RUNS: one run, as on one CPU, two, as on more, and three
+WORKER_COUNTS = (1, 2, 3)
 
 
 @pytest.fixture
@@ -36,9 +35,8 @@ def at_worker_counts(monkeypatch, map_jobs):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers, cap in WORKER_COUNTS:
-                monkeypatch.setattr(_workers, "_WORKERS", workers)
-                monkeypatch.setattr(_workers, "_RUNS", cap)
+            for runs in WORKER_COUNTS:
+                monkeypatch.setattr(_workers, "_RUNS", runs)
                 outs.append(f())
         finally:
             sys.setswitchinterval(interval)

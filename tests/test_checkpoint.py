@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from jamloc.nn import CheckpointError, Tensor, load_checkpoint, save_checkpoint
+from jamloc.nn import CheckpointError, Tensor, checkpoint, load_checkpoint, save_checkpoint
 
 
 def test_round_trip_with_metadata(tmp_path):
@@ -82,6 +82,45 @@ def test_non_finite_weights_are_refused_before_the_file_is_opened(tmp_path, bad)
     with pytest.raises(ValueError, match=r"^tensor 1 of shape \(2,\) holds non-finite weights$"):
         save_checkpoint(path, params, {"kind": "FUSION"})
     assert path.read_bytes() == good
+
+
+def test_a_save_that_fails_partway_leaves_the_checkpoint_it_replaces(tmp_path, monkeypatch):
+    # the file was truncated before the first write: a save whose third pack
+    # raised left a fragment of the last good checkpoint
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))], {"kind": "FUSION"})
+    good, listing = path.read_bytes(), sorted(tmp_path.iterdir())
+    packs = []
+
+    class FailingStruct:
+        @staticmethod
+        def pack(*args):
+            packs.append(args)
+            if len(packs) == 3:
+                raise OSError("no space left")
+            return struct.pack(*args)
+    params = [Tensor(np.zeros(3, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))]
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "struct", FailingStruct)
+        with pytest.raises(OSError, match="^no space left$"):
+            save_checkpoint(path, params, {"kind": "MCAFF"})
+    assert len(packs) == 3
+    assert path.read_bytes() == good and sorted(tmp_path.iterdir()) == listing
+    save_checkpoint(path, params, {"kind": "MCAFF"})
+    assert load_checkpoint(path)[1] == {"kind": "MCAFF"}
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_weights_are_rejected_on_load(tmp_path, bad):
+    # save refuses them, but a file written by other means loaded them for
+    # every caller but load_model
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones((2, 2))), Tensor(np.ones(3))])
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4] + struct.pack("<f", bad))
+    with pytest.raises(CheckpointError, match=r"^tensor 1 of shape \(3,\) holds non-finite weights$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json", b"[1, 2]"],

@@ -118,9 +118,9 @@ def test_fit_iq_stats_equals_stacked_planes(desk, rows):
 
 def test_fit_iq_stats_memory_is_chunk_bounded(monkeypatch):
     # the stacked planes alone would be x.nbytes; the fit keeps a few
-    # _BLOCK-sized temporaries, 1 MB each, over all its runs on as many
-    # workers as a large host has
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    # _BLOCK-sized temporaries, 1 MB each, over all its runs, two as on any
+    # host of two CPUs or more
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     x = np.random.default_rng(0).standard_normal((1024, 4, 2048)).view(np.complex128)
     tracemalloc.start()
     try:
@@ -205,6 +205,16 @@ def test_wrong_snapshot_shape_rejected(batch, name, shape):
         _extractor(name, batch)(np.ones(shape, dtype=complex))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("name", EXTRACTORS + ("fit_iq_stats",))
+def test_real_samples_rejected_naming_the_dtype(batch, name, dtype):
+    # a float64 batch went through every extractor (constant Q rows, CFO
+    # steps of 0 or pi), and fit_iq_stats named only a constant Q channel
+    x = batch[:3].real.astype(dtype)
+    with pytest.raises(ValueError, match=rf"^{name} expects complex samples, got {np.dtype(dtype)}$"):
+        _extractor(name, batch)(x)
+
+
 def test_snapshot_length_is_the_scene_snapshot_length():
     assert features._SNAPSHOT_LEN == sigsim.SceneConfig.snapshot_len
 
@@ -243,9 +253,8 @@ def test_extractors_do_not_depend_on_the_batch_split(batch, name):
 @pytest.mark.parametrize("name", EXTRACTORS + ("fit_iq_stats",))
 def test_extractors_are_bitwise_equal_for_any_worker_count(batch, name, map_jobs,
                                                             at_worker_counts, monkeypatch):
-    # 308 snapshots, 39 blocks of 8 at every worker count: one run on one
-    # worker, two on 2 or 8, and three with the cap raised to three runs;
-    # each block writes its own rows of the output
+    # 308 snapshots, 39 blocks of 8 at every run count, split in one, two
+    # or three runs; each block writes its own rows of the output
     f = dsp.fit_iq_stats if name == "fit_iq_stats" else _extractor(name, batch)
     spans = _spy_blocks(monkeypatch)
 
@@ -254,7 +263,7 @@ def test_extractors_are_bitwise_equal_for_any_worker_count(batch, name, map_jobs
         out = f(batch)
         return out if isinstance(out, tuple) else (out,), sorted(spans)
     outs, blocks = zip(*at_worker_counts(call))
-    assert map_jobs == [1, 2, 2, 3]
+    assert map_jobs == [1, 2, 3]
     starts = range(0, len(batch), features._BLOCK)
     assert blocks[0] == [(s, min(s + features._BLOCK, len(batch))) for s in starts]
     assert all(b == blocks[0] for b in blocks[1:])
@@ -267,7 +276,7 @@ def test_extractors_are_bitwise_equal_for_any_worker_count(batch, name, map_jobs
 @pytest.mark.parametrize("name", EXTRACTORS)
 def test_extractors_reject_non_finite_samples_naming_the_first(batch, name, at_worker_counts):
     # an inf in snapshot 37 and a NaN in snapshot 200, in different runs at
-    # two workers or more: the earlier is named whatever the worker count
+    # two runs or more: the earlier is named whatever the run count
     # (unchecked, every extractor returned non-finite features)
     x = batch.copy()
     x[200, 1, 300] = complex(np.nan, 0.0)
@@ -278,7 +287,7 @@ def test_extractors_reject_non_finite_samples_naming_the_first(batch, name, at_w
         with pytest.raises(ValueError) as err:
             f(x)
         return str(err.value)
-    assert at_worker_counts(call) == [f"{name}: snapshot 37 holds a non-finite sample"] * 4
+    assert at_worker_counts(call) == [f"{name}: snapshot 37 holds a non-finite sample"] * 3
 
 
 def test_finite_samples_whose_block_energy_overflows_are_accepted(batch):
@@ -319,9 +328,9 @@ def test_single_snapshot_and_empty_batch(batch, name):
 @pytest.mark.parametrize("name", EXTRACTORS)
 def test_extractor_memory_is_block_bounded(monkeypatch, name):
     # unblocked, the temporaries of one 256-snapshot chunk reach 24-126 MB;
-    # on as many workers as a large host has, _BLOCK snapshots stay in
-    # flight over all runs
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    # in two runs, as on any host of two CPUs or more, _BLOCK snapshots stay
+    # in flight over all runs
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     x = np.random.default_rng(0).standard_normal((256, 4, 2048)).view(np.complex128)
     f = _extractor(name, x)
     tracemalloc.start()

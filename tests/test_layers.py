@@ -258,9 +258,9 @@ def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case,
 
 def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch):
     # paper width of the IQ encoder's dilated convs, fed and differentiated
-    # channels-last as inside the model: eight chunks, which eight workers
-    # would split eight ways if the runs were not capped
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    # channels-last as inside the model: eight chunks, split in two runs as
+    # on any host of two CPUs or more
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     B, C, T, K = 32, 64, 1024, 3
     rng = np.random.default_rng(31)
     layer = Conv1D(C, C, K, rng, dilation=16, dtype=np.float32)
@@ -283,7 +283,7 @@ def test_grouped_conv_forward_keeps_no_workspace_for_backward(monkeypatch):
     # forward keeps its output, which backward masks by, and no workspace.
     # Held: 1.08 MiB for a 1.00 MiB output; a forward that kept one run's
     # cols workspace for backward (16 items, 4.5 MiB) would hold 5.58 MiB
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     B, C, H = 32, 128, 8
     rng = np.random.default_rng(33)
     layer = Conv2D(C, C, 3, rng, padding=1, groups=8, dtype=np.float32, relu=True)
@@ -365,8 +365,9 @@ def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case)
 def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch):
     # MCAFF's grouped 3x3 conv at paper width (128 channels, 8 groups, 8x8),
     # fed and differentiated channels-last as inside the model, at B=256:
-    # 16384 output rows, four chunks, on as many workers as the runs allow
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    # 16384 output rows, four chunks, in two runs as on any host of two CPUs
+    # or more
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     B, C, G, HW = 256, 128, 8, (8, 8)
     rng = np.random.default_rng(33)
     layer = Conv2D(C, C, 3, rng, padding=1, groups=G, dtype=np.float32)
@@ -406,8 +407,8 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
     with monkeypatch.context() as m:
         if rows is not None:
             m.setattr(layers, "_ROWS", rows)
-        for workers, graphs in itertools.product((1, 2), (1, 2)):
-            m.setattr(_workers, "_WORKERS", workers)
+        for runs, graphs in itertools.product((1, 2), (1, 2)):
+            m.setattr(_workers, "_RUNS", runs)
             outs = [layer(x) for x in xs]
             losses = [_loss_with_upstream(out, up) for out, up in zip(outs, ups)]
             if graphs == 1:
@@ -428,8 +429,8 @@ def test_convs_reenter_with_shared_weights(monkeypatch, dim, rows):
                          ids=["1d-K3", "1d-K1", "2d-s2", "2d-grouped-same", "2d-1x1"])
 def test_convs_take_an_empty_batch(monkeypatch, dim, case):
     layer, x, want = _conv_case(dim, case)
-    for workers in (1, 2):
-        monkeypatch.setattr(_workers, "_WORKERS", workers)
+    for runs in (1, 2):
+        monkeypatch.setattr(_workers, "_RUNS", runs)
         leaf = Tensor(x[:0], requires_grad=True)
         out = layer(leaf)
         assert out.shape == (0, *want.shape[1:])
@@ -483,8 +484,8 @@ WORKER_CASES = {
                          ids=["1-chunk", "2-chunks", "3-chunks", "5-chunks", "10-chunks"])
 @pytest.mark.parametrize("case", sorted(WORKER_CASES))
 def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, case, items):
-    # one run a worker, at most three: 2 chunks split 1 + 1, 3 chunks 1 + 2
-    # or 1 + 1 + 1, and 10 chunks 5 + 5 or 3 + 3 + 4; each run writes its own
+    # one, two or three runs: 2 chunks split 1 + 1, 3 chunks 1 + 2 or
+    # 1 + 1 + 1, and 10 chunks 5 + 5 or 3 + 3 + 4; each run writes its own
     # items of out and dx, and the dW partials are summed in one order
     cls, kwargs, shape, x_grad = WORKER_CASES[case]
     rng = np.random.default_rng(50)
@@ -495,17 +496,16 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, cas
     chunks = -(-shape[0] // min(items, shape[0] // 2))
     runs = []
     monkeypatch.setattr(layers, "_ROWS", items * int(np.prod(G.shape[2:])))
-    monkeypatch.setattr(_workers, "_RUNS", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # threads switch often, so a shared write would show
     try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_workers, "_WORKERS", workers)
+        for n_runs in (1, 2, 3):
+            monkeypatch.setattr(_workers, "_RUNS", n_runs)
             map_jobs.clear()
             leaf = Tensor(x.copy(), requires_grad=x_grad)
             out = layer(leaf)
             _loss_with_upstream(out, G).backward()
-            assert map_jobs == [min(workers, chunks)] * 2     # forward, backward
+            assert map_jobs == [min(n_runs, chunks)] * 2     # forward, backward
             runs.append([out.data, leaf.grad, layer.weight.grad, layer.bias.grad])
             layer.weight.grad = layer.bias.grad = None
     finally:
@@ -520,8 +520,8 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, cas
 @pytest.mark.parametrize("case", sorted(WORKER_CASES))
 def test_conv_chunks_are_the_same_for_any_worker_count(monkeypatch, at_worker_counts, case):
     # the floor of two chunks is a fixed 2, not _RUNS, so the chunk
-    # boundaries (and with them the bits) do not move with the worker count
-    # or the run cap: at _ROWS of the whole batch, 3 items and 1 item
+    # boundaries (and with them the bits) do not move with the run count:
+    # at _ROWS of the whole batch, 3 items and 1 item
     cls, kwargs, shape, _ = WORKER_CASES[case]
     layer = cls(**kwargs, rng=np.random.default_rng(52))
     x = Tensor(np.random.default_rng(53).normal(size=shape))
@@ -541,10 +541,10 @@ def test_conv_chunks_are_the_same_for_any_worker_count(monkeypatch, at_worker_co
 
 
 def test_calls_of_one_item_submit_nothing_and_runs_are_capped(monkeypatch, pool_jobs):
-    # 8 workers: a call of one item (one chunk) runs inline, a call of two
+    # two runs: a call of one item (one chunk) runs inline, a call of two
     # items or more runs at most _RUNS runs of at least one chunk, the last
     # on the calling thread
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     T = 11
     monkeypatch.setattr(layers, "_ROWS", 2 * T)      # chunks of 2 items at most
     rng = np.random.default_rng(51)
@@ -576,8 +576,8 @@ def test_calls_of_one_item_submit_nothing_and_runs_are_capped(monkeypatch, pool_
 def test_convs_of_one_and_two_items_match_oracles(monkeypatch, pool_jobs, make, shape, ref,
                                                   grads_ref, B, dtype):
     # one item is one chunk, run inline; two are two one-item chunks, one
-    # run each on two workers, a pointwise conv's too
-    monkeypatch.setattr(_workers, "_WORKERS", 2)
+    # run each in two runs, a pointwise conv's too
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     rng = np.random.default_rng(54)
     layer = make(rng, dtype)
     layer.bias.data[...] = rng.normal(size=layer.out_channels)
@@ -594,14 +594,41 @@ def test_convs_of_one_and_two_items_match_oracles(monkeypatch, pool_jobs, make, 
     assert [job[0] for job in pool_jobs] == ([] if B == 1 else [[(0, 1)]] * 2)
 
 
+def _child(code: str) -> str:
+    """What ``code`` prints, run in a child process that imports this
+    checkout's jamloc."""
+    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True).stdout
+
+
 def test_importing_jamloc_starts_no_thread():
     code = ("import threading, jamloc, jamloc.dsp, jamloc.models, jamloc.nn, jamloc.sigsim; "
             "from jamloc import _workers; "
             "print(threading.active_count(), _workers._pool.cache_info().currsize)")
-    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout.split() == ["1", "0"]
+    assert _child(code).split() == ["1", "0"]
+
+
+_PINNABLE = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                               reason="no CPU affinity on this platform")
+
+
+@_PINNABLE
+def test_runs_are_the_cpus_the_process_may_use_two_at_most():
+    assert _child("from jamloc import _workers; print(_workers._RUNS)").strip() == \
+        str(min(2, len(os.sched_getaffinity(0))))
+
+
+@_PINNABLE
+def test_a_process_pinned_to_one_cpu_takes_one_run_and_still_maps_two_jobs():
+    # _RUNS is read at import: pinned before, the process splits no loop,
+    # and a map handed two jobs of its own runs the first on the pool's one
+    # thread
+    code = ("import os, threading; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from jamloc import _workers; "
+            "print(_workers._RUNS, _workers._runs([1, 2, 3]), "
+            "_workers._map(lambda j: threading.current_thread().name, [0, 1]))")
+    assert _child(code).strip() == "1 [[1, 2, 3]] ['jamloc-worker_0', 'MainThread']"
 
 
 def test_a_map_inside_a_mapped_job_runs_inline(pool_jobs):
@@ -612,10 +639,7 @@ def test_a_map_inside_a_mapped_job_runs_inline(pool_jobs):
             "outer = lambda j: (threading.current_thread().name, "
             "_workers._map(lambda i: 2 * i, [j, j + 1])); "
             "print(_workers._map(outer, [0, 10]))")
-    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "[('jamloc-worker_0', [0, 2]), ('MainThread', [20, 22])]"
+    assert _child(code).strip() == "[('jamloc-worker_0', [0, 2]), ('MainThread', [20, 22])]"
     # a map inside the caller's own job runs inline too, and a job that
     # raises leaves its thread unmarked, so the next map fans out again
     def inner(j):
@@ -654,11 +678,11 @@ def _branch_case(rng):
     return convs, [a, b], [a, b.reshape(3, 4, 5, 6), c]
 
 
-# the maps of more than one job at (2, 2), (8, 2) and (8, 3) workers and
-# runs: the branches', then each conv's in its branch (three items, two
-# chunks, two runs, inline), forward then backward
-@pytest.mark.parametrize("used,ungraded,jobs", [((0, 1, 2), 0, [2] * 16 + [3, 2, 2, 2] * 2),
-                                               ((2, 0), 3, [2] * 14 + [3, 2, 2, 2, 2, 2, 2])],
+# the maps of more than one job at two and three runs: the branches', then
+# each conv's in its branch (three items, two chunks, two runs, inline),
+# forward then backward
+@pytest.mark.parametrize("used,ungraded,jobs", [((0, 1, 2), 0, [2] * 8 + [3, 2, 2, 2] * 2),
+                                               ((2, 0), 3, [2] * 7 + [3, 2, 2, 2, 2, 2, 2])],
                          ids=["all", "two"])
 def test_branches_are_bitwise_the_inline_calls(used, ungraded, jobs, map_jobs, at_worker_counts):
     # outputs and every gradient, inputs' too, as the layers give inline, on
@@ -721,7 +745,7 @@ def test_a_failing_branch_raises_after_every_run_and_the_first_error_first(in_ba
                                                                            monkeypatch):
     # two runs: the first branch, on the pool, fails last; the second, on the
     # calling thread, at once; the first branch's error comes out, as serially
-    monkeypatch.setattr(_workers, "_WORKERS", 2)
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     finished = []
     branch = [_Failing("first", 0.2, in_backward, finished),
               _Failing("second", 0.0, in_backward, finished)]

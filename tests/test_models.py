@@ -395,8 +395,8 @@ def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch
     # three momentum-SGD steps at B=32, float32: the IQ encoder's convs run
     # 8 chunks each, on one thread or split in two runs
     digests = []
-    for workers in (1, 2):
-        monkeypatch.setattr(_workers, "_WORKERS", workers)
+    for runs in (1, 2):
+        monkeypatch.setattr(_workers, "_RUNS", runs)
         model = FusionModel(FusionConfig(), seed=0)
         opt = SGD(model.params(), learning_rate=1e-2)
         rng = np.random.default_rng(5)
@@ -417,8 +417,8 @@ def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch
 def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at_worker_counts):
     # three momentum-SGD steps at B=32, float32: the four stems run as
     # branches in one run, or split in two or three, forward and backward,
-    # and every conv has two chunks, so its map has two jobs at two workers
-    # or more (inline inside a branch)
+    # and every conv has two chunks, so its map has two jobs at two runs or
+    # more (inline inside a branch)
     def train():
         model = McaffModel(McaffConfig(), seed=0)
         opt = SGD(model.params(), learning_rate=1e-2)
@@ -437,20 +437,21 @@ def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at
     assert digests == [digests[0]] * len(digests)
     # per step and pass (forward, backward): the branches' map, the 8 stem
     # convs' maps (inline in their branches) and the block's 3; each has two
-    # jobs at the three worker counts above one, but the branches' map has
-    # three at the cap of three runs
+    # jobs at the two run counts above one, but the branches' map has three
+    # at three runs
     per_pass = 1 + 8 + 3
-    assert sorted(n for n in map_jobs if n > 1) == [2] * 3 * (6 * per_pass - 2) + [3] * 3 * 2
+    assert sorted(n for n in map_jobs if n > 1) == [2] * (2 * 6 * per_pass - 3 * 2) + [3] * 3 * 2
 
 
 @pytest.mark.parametrize("preset", sorted(MCAFF_PRESETS))
 def test_mcaff_hands_the_pool_one_run_of_stems_per_pass(preset, monkeypatch, pool_jobs):
-    # 8 workers, two runs at most: a one-path preset runs its stem inline and
-    # submits no run of stems; the others submit one run of stems in forward
-    # and one in backward, and run the other beside it. A run of stems is a
-    # list (of (stem, input) pairs forward, of (output, gradient) backward);
-    # the convs' runs, the block's and a lone stem's, are tuples
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    # two runs, as on any host of two CPUs or more: a one-path preset runs
+    # its stem inline and submits no run of stems; the others submit one run
+    # of stems in forward and one in backward, and run the other beside it.
+    # A run of stems is a list (of (stem, input) pairs forward, of (output,
+    # gradient) backward); the convs' runs, the block's and a lone stem's,
+    # are tuples
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     model = McaffModel(McaffConfig(enabled_paths=MCAFF_PRESETS[preset]), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
     _proj_loss(model.forward(batch)).backward()
@@ -460,12 +461,13 @@ def test_mcaff_hands_the_pool_one_run_of_stems_per_pass(preset, monkeypatch, poo
 
 
 def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_jobs):
-    # 8 workers, two runs at most, B=32 at paper width: each of the block's
-    # convs (2048 rows, under _ROWS) takes the floor's two chunks of 16
-    # items, and hands the pool the first, forward and backward; the stems'
-    # convs run inline in their branches. A conv's job is (chunks, workspace),
-    # its workspace (n, Ho, Wo, groups, kh, kw, C/groups)
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    # two runs, as on any host of two CPUs or more, B=32 at paper width:
+    # each of the block's convs (2048 rows, under _ROWS) takes the floor's
+    # two chunks of 16 items, and hands the pool the first, forward and
+    # backward; the stems' convs run inline in their branches. A conv's job
+    # is (chunks, workspace), its workspace (n, Ho, Wo, groups, kh, kw,
+    # C/groups)
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     model = McaffModel(McaffConfig(), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
     _proj_loss(model.forward(batch)).backward()
@@ -482,9 +484,10 @@ def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_
 def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch):
     # what a train-mode forward of the paper-width model keeps for backward,
     # at B=8: 20.6 MiB with each conv's ReLU inside the conv, 30.9 MiB when a
-    # separate ReLU node also kept every conv's pre-activation output; as
-    # many workers as a large host has, so the runs' workspaces count too
-    monkeypatch.setattr(_workers, "_WORKERS", 8)
+    # separate ReLU node also kept every conv's pre-activation output; in
+    # two runs, as on any host of two CPUs or more, so the runs' workspaces
+    # count too
+    monkeypatch.setattr(_workers, "_RUNS", 2)
     model = FusionModel(FusionConfig(), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(0, b=8).items()}
     tracemalloc.start()

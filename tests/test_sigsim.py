@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ def test_profile_range_validation():
         JammerProfile(JammerClass.CHIRP, 0, bandwidth_hz=0.1e6, power_dbm=0.0)
     with pytest.raises(ValueError):
         JammerProfile(JammerClass.CHIRP, 0, bandwidth_hz=1e6, power_dbm=11.0)
+    # a class name built a profile whose class_id raised; a subclass id of
+    # -1 labelled every snapshot with the last subclass logit's target
+    with pytest.raises(ValueError, match=r"^JammerProfile.jclass must be a JammerClass, "
+                                         r"got 'Chirp'$"):
+        JammerProfile("Chirp", 0, bandwidth_hz=5e6, power_dbm=0.0)
+    for bad in (-1, True, "a", 1.0):
+        with pytest.raises(ValueError, match=rf"^JammerProfile.subclass_id must be an integer "
+                                             rf">= 0, got {re.escape(repr(bad))}$"):
+            JammerProfile(JammerClass.CHIRP, bad, bandwidth_hz=5e6, power_dbm=0.0)
+    assert JammerProfile(JammerClass.NOISE, np.int64(3), 5e6, 0.0).class_id == 5
 
 
 # ----------------------------------------------------------------------
@@ -271,14 +283,22 @@ def test_propagate_rejects_a_waveform_not_one_snapshot_long(shape):
         propagate(_quiet_scene(), ArrayGeometry(), (0.0, 15.0, 4.0), wf, np.random.default_rng(17))
 
 
-@pytest.mark.parametrize("shape", [(4, 512), (3, N), (1, 4, N), (4 * N,)],
-                         ids=["short", "three-patches", "batch-of-one", "flat"])
-def test_snapshot_record_rejects_a_shape_the_extractors_refuse(shape):
-    # a (4, 512) record was built, and failed only when featurized
+_WRONG_SHAPE = rf"^snapshot must have shape \(4, {N}\), got "
+
+
+@pytest.mark.parametrize("shape,dtype,match", [
+    ((4, 512), complex, _WRONG_SHAPE), ((3, N), complex, _WRONG_SHAPE),
+    ((1, 4, N), complex, _WRONG_SHAPE), ((4 * N,), complex, _WRONG_SHAPE),
+    ((4, N), np.float64, r"^IQSnapshot.samples must be complex, got float64$"),
+    ((4, N), np.int64, r"^IQSnapshot.samples must be complex, got int64$"),
+], ids=["short", "three-patches", "batch-of-one", "flat", "float64", "int"])
+def test_snapshot_record_rejects_a_shape_the_extractors_refuse(shape, dtype, match):
+    # a (4, 512) record was built, and failed only when featurized; a
+    # float64 record too, and its features had constant Q rows
     label = Label.from_displacement((1.0, 2.0, 3.0))
     assert IQSnapshot(np.zeros((4, N), complex), label).samples.shape == (4, N)
-    with pytest.raises(ValueError, match=rf"^snapshot must have shape \(4, {N}\), got "):
-        IQSnapshot(np.zeros(shape, complex), label)
+    with pytest.raises(ValueError, match=match):
+        IQSnapshot(np.zeros(shape, dtype), label)
 
 
 def test_hall_array_and_snapshot_shape_are_constants():

@@ -175,8 +175,8 @@ def test_output_is_bitwise_the_same_for_any_chunk_size(monkeypatch):
 
 def test_output_is_bitwise_the_same_for_any_worker_count(map_jobs, at_worker_counts,
                                                          monkeypatch):
-    # 100 poses, 7 chunks of 16 at every worker count: one run on one
-    # worker, two on 2 or 8, and three with the cap raised to three runs
+    # 100 poses, 7 chunks of 16 at every run count, split in one, two or
+    # three runs
     cfg = _small(points=50)
     chunks, simulate = [], dataset._simulate
 
@@ -189,7 +189,7 @@ def test_output_is_bitwise_the_same_for_any_worker_count(map_jobs, at_worker_cou
         chunks.clear()
         return sigsim.make_dataset(cfg, GEOMETRY, 21), sorted(chunks)
     outs, spans = zip(*at_worker_counts(call))
-    assert map_jobs == [1, 2, 2, 3]
+    assert map_jobs == [1, 2, 3]
     assert spans[0] == [(s, min(s + 16, 100)) for s in range(0, 100, 16)]
     assert all(s == spans[0] for s in spans[1:])
     for out in outs[1:]:
