@@ -1,4 +1,4 @@
-"""The package's one FFT: numpy's, behind a power-of-two and dtype contract.
+"""The one FFT of ``dsp``: numpy's, behind a power-of-two and dtype contract.
 
 ``fft`` transforms the last axis of any array whose length is a power of
 two. Single precision in (complex64 or float32) gives complex64 out; double

@@ -3,6 +3,11 @@
 No layer draws randomness or computes differently in training. The models'
 ``forward``, the fusion encoders and ``TaskHead`` still accept a trailing
 ``(mode, rng)`` pair, because perfbench passes one, and ignore it.
+
+A model's one precision option is its ``dtype`` (float32 by default): its
+parts are built in float64 and the constructor ends with ``self.cast(dtype)``
+(``nn.Layer.cast``), so ``model.dtype`` names its parameters' dtype, and
+``as_inputs`` converts the batch to it.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import is_int
 from ..nn import Dense, Layer, Tensor
 
 __all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_inputs", "read_out",
@@ -38,10 +44,6 @@ class Prediction:
         return BETA_SCALE * self.angle_raw.data[:, 1]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def require_positive(cfg, *fields: str) -> None:
     """Reject a config whose named int field is not an int or is below 1, or
     whose named tuple field is empty or holds an entry that is not an int
@@ -49,9 +51,9 @@ def require_positive(cfg, *fields: str) -> None:
     for name in fields:
         value = getattr(cfg, name)
         if isinstance(value, (tuple, list)):
-            if not value or not all(_is_int(v) and v >= 1 for v in value):
+            if not value or not all(is_int(v) and v >= 1 for v in value):
                 raise ValueError(f"{name} must be a nonempty tuple of ints >= 1, got {value!r}")
-        elif not _is_int(value):
+        elif not is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
         elif value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
@@ -92,10 +94,9 @@ def as_inputs(batch: dict, keys, dtype) -> list[Tensor]:
 class TaskHead(Layer):
     """Dense(in -> hidden), ReLU, Dense(hidden -> out)."""
 
-    def __init__(self, in_dim: int, hidden: int, out_dim: int,
-                 rng: np.random.Generator, dtype=np.float64):
-        self.fc1 = Dense(in_dim, hidden, rng, dtype=dtype)
-        self.fc2 = Dense(hidden, out_dim, rng, dtype=dtype)
+    def __init__(self, in_dim: int, hidden: int, out_dim: int, rng: np.random.Generator):
+        self.fc1 = Dense(in_dim, hidden, rng)
+        self.fc2 = Dense(hidden, out_dim, rng)
 
     def __call__(self, x: Tensor, mode=None, rng=None) -> Tensor:
         return self.fc2(self.fc1(x).relu())

@@ -60,12 +60,12 @@ class FusionConfig:
 class SpectrogramEncoder(Layer):
     """4 stride-2 conv blocks over the 4x32x32 spectrogram, GAP, linear."""
 
-    def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
+    def __init__(self, cfg: FusionConfig, rng: np.random.Generator):
         chans = (4,) + tuple(cfg.spec_channels)
-        self.convs = [Conv2D(chans[i], chans[i + 1], 3, rng, stride=2, padding=1, dtype=dtype,
-                             relu=True) for i in range(len(cfg.spec_channels))]
+        self.convs = [Conv2D(chans[i], chans[i + 1], 3, rng, stride=2, padding=1, relu=True)
+                      for i in range(len(cfg.spec_channels))]
         self.pool = GlobalAvgPool()
-        self.proj = Dense(chans[-1], cfg.spec_branch_dim, rng, dtype=dtype)
+        self.proj = Dense(chans[-1], cfg.spec_branch_dim, rng)
 
     def __call__(self, x: Tensor, mode=None, rng=None) -> Tensor:
         h = x
@@ -86,18 +86,17 @@ class IQEncoder(Layer):
     of every timestep, and no full-length residual sum is built.
     """
 
-    def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
+    def __init__(self, cfg: FusionConfig, rng: np.random.Generator):
         chans = (8,) + tuple(cfg.iq_channels)
         # (conv, skip or None) per block: params() then lists a block's conv
         # before its skip, the GJW1 order
         self.blocks = []
         for i, d in enumerate(cfg.iq_dilations):
-            conv = Conv1D(chans[i], chans[i + 1], IQ_KERNEL, rng, dilation=d, dtype=dtype, relu=True)
-            skip = Conv1D(chans[i], chans[i + 1], 1, rng, dtype=dtype) \
-                if chans[i] != chans[i + 1] else None
+            conv = Conv1D(chans[i], chans[i + 1], IQ_KERNEL, rng, dilation=d, relu=True)
+            skip = Conv1D(chans[i], chans[i + 1], 1, rng) if chans[i] != chans[i + 1] else None
             self.blocks.append((conv, skip))
         self.pool = GlobalAvgPool()
-        self.proj = Dense(chans[-1], cfg.iq_branch_dim, rng, dtype=dtype)
+        self.proj = Dense(chans[-1], cfg.iq_branch_dim, rng)
 
     @property
     def convs(self) -> list[Conv1D]:
@@ -119,9 +118,9 @@ class IQEncoder(Layer):
 class AoaEncoder(Layer):
     """Kernel-1 conv mixing the 22 features per patch, flatten, linear."""
 
-    def __init__(self, cfg: FusionConfig, rng: np.random.Generator, dtype):
-        self.mix = Conv1D(22, cfg.aoa_conv_channels, 1, rng, dtype=dtype, relu=True)
-        self.proj = Dense(cfg.aoa_conv_channels * 4, cfg.aoa_branch_dim, rng, dtype=dtype)
+    def __init__(self, cfg: FusionConfig, rng: np.random.Generator):
+        self.mix = Conv1D(22, cfg.aoa_conv_channels, 1, rng, relu=True)
+        self.proj = Dense(cfg.aoa_conv_channels * 4, cfg.aoa_branch_dim, rng)
 
     def __call__(self, x: Tensor, mode=None, rng=None) -> Tensor:
         # (B, 4, 22) -> channels-first (B, 22, 4) so the conv mixes features
@@ -140,16 +139,16 @@ class FusionModel(Layer):
 
     def __init__(self, cfg: FusionConfig, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
-        self.dtype = np.dtype(dtype).type
         rng = np.random.default_rng(seed)
         encoder_cls = {"spec": SpectrogramEncoder, "iq": IQEncoder, "aoa": AoaEncoder}
-        self.encoders = {name: encoder_cls[name](cfg, rng, self.dtype)
+        self.encoders = {name: encoder_cls[name](cfg, rng)
                          for name in BRANCHES if name in cfg.enabled_branches}
-        self.disp_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 3, rng, dtype=self.dtype)
-        self.angle_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 2, rng, dtype=self.dtype)
-        self.class_head = TaskHead(cfg.fused_dim, cfg.head_hidden, cfg.n_classes, rng,
-                                   dtype=self.dtype) if cfg.with_classifier else None
+        self.disp_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 3, rng)
+        self.angle_head = TaskHead(cfg.fused_dim, cfg.head_hidden, 2, rng)
+        self.class_head = TaskHead(cfg.fused_dim, cfg.head_hidden, cfg.n_classes, rng) \
+            if cfg.with_classifier else None
         self.subclass_head = None
+        self.cast(dtype)
 
     def forward(self, batch: dict, mode=None, rng=None) -> Prediction:
         inputs = as_inputs(batch, list(self.encoders), self.dtype)

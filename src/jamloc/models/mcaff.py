@@ -74,8 +74,8 @@ class SharedAttention(TaskHead):
     """Squeeze-excitation channel gate; one parameter set for every path.
     The gate is the sigmoid of the head's MLP on the pooled channels."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, dtype):
-        super().__init__(channels, channels // ATTENTION_REDUCTION, channels, rng, dtype=dtype)
+    def __init__(self, channels: int, rng: np.random.Generator):
+        super().__init__(channels, channels // ATTENTION_REDUCTION, channels, rng)
         self.pool = GlobalAvgPool()
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -87,12 +87,11 @@ class SharedAttention(TaskHead):
 class _Stem(Layer):
     """Two strided convs mapping a path representation onto (C, 8, 8)."""
 
-    def __init__(self, in_channels: int, strides, cfg: McaffConfig,
-                 rng: np.random.Generator, dtype):
+    def __init__(self, in_channels: int, strides, cfg: McaffConfig, rng: np.random.Generator):
         self.conv1 = Conv2D(in_channels, cfg.stem_channels, 3, rng,
-                            stride=strides[0], padding=1, dtype=dtype, relu=True)
+                            stride=strides[0], padding=1, relu=True)
         self.conv2 = Conv2D(cfg.stem_channels, cfg.path_feature_dim, 3, rng,
-                            stride=strides[1], padding=1, dtype=dtype, relu=True)
+                            stride=strides[1], padding=1, relu=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv2(self.conv1(x))
@@ -101,12 +100,10 @@ class _Stem(Layer):
 class _GroupedBlock(Layer):
     """Bottleneck residual: 1x1 reduce, grouped 3x3, 1x1 expand, skip add."""
 
-    def __init__(self, channels: int, width: int, cardinality: int,
-                 rng: np.random.Generator, dtype):
-        self.reduce = Conv2D(channels, width, 1, rng, dtype=dtype, relu=True)
-        self.grouped = Conv2D(width, width, 3, rng, padding=1, groups=cardinality,
-                              dtype=dtype, relu=True)
-        self.expand = Conv2D(width, channels, 1, rng, dtype=dtype)
+    def __init__(self, channels: int, width: int, cardinality: int, rng: np.random.Generator):
+        self.reduce = Conv2D(channels, width, 1, rng, relu=True)
+        self.grouped = Conv2D(width, width, 3, rng, padding=1, groups=cardinality, relu=True)
+        self.expand = Conv2D(width, channels, 1, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.grouped(self.reduce(x))
@@ -118,23 +115,20 @@ class McaffModel(Layer):
 
     def __init__(self, cfg: McaffConfig, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
-        self.dtype = np.dtype(dtype).type
         rng = np.random.default_rng(seed)
         stem_specs = {"iq": (8, (2, 2)), "fft": (4, (2, 2)),
                       "cfo": (4, (2, 2)), "stft": (4, ((4, 2), (4, 1)))}
-        self.stems = {name: _Stem(cin, strides, cfg, rng, self.dtype)
+        self.stems = {name: _Stem(cin, strides, cfg, rng)
                       for name, (cin, strides) in stem_specs.items()
                       if name in cfg.enabled_paths}
-        self.attention = SharedAttention(cfg.path_feature_dim, rng, self.dtype)
-        self.block = _GroupedBlock(cfg.concat_channels, cfg.block_width,
-                                   cfg.cardinality, rng, self.dtype)
+        self.attention = SharedAttention(cfg.path_feature_dim, rng)
+        self.block = _GroupedBlock(cfg.concat_channels, cfg.block_width, cfg.cardinality, rng)
         self.pool = GlobalAvgPool()
-        self.disp_head = TaskHead(cfg.concat_channels, cfg.head_hidden, 3, rng, dtype=self.dtype)
-        self.angle_head = TaskHead(cfg.concat_channels, cfg.head_hidden, 2, rng, dtype=self.dtype)
-        self.class_head = TaskHead(cfg.concat_channels, cfg.head_hidden, cfg.n_classes,
-                                   rng, dtype=self.dtype)
-        self.subclass_head = TaskHead(cfg.concat_channels, cfg.head_hidden, cfg.n_subclasses,
-                                      rng, dtype=self.dtype)
+        self.disp_head = TaskHead(cfg.concat_channels, cfg.head_hidden, 3, rng)
+        self.angle_head = TaskHead(cfg.concat_channels, cfg.head_hidden, 2, rng)
+        self.class_head = TaskHead(cfg.concat_channels, cfg.head_hidden, cfg.n_classes, rng)
+        self.subclass_head = TaskHead(cfg.concat_channels, cfg.head_hidden, cfg.n_subclasses, rng)
+        self.cast(dtype)
 
     def forward(self, batch: dict, mode=None, rng=None) -> Prediction:
         inputs = as_inputs(batch, [PATH_KEYS[name] for name in self.stems], self.dtype)

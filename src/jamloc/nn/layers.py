@@ -1,9 +1,11 @@
 """Network layers built on the tensor autodiff core.
 
 ``Layer.params()`` defines the GJW1 checkpoint order for every layer and model
-built from layers. All learned parameters are initialized uniform in
-+/- sqrt(6 / (fan_in + fan_out)) from the caller's seeded generator; biases
-start at zero.
+built from layers. All learned parameters are initialized in float64, uniform
+in +/- sqrt(6 / (fan_in + fan_out)) from the caller's seeded generator;
+biases start at zero. ``Layer.cast`` is the one place a precision is set: it
+takes float32 or float64 and rounds every parameter to it, so a float32 model
+holds the float64 draws rounded.
 
 Layout contract of the convolutions: ``Conv1D`` and ``Conv2D`` take and return
 channels-first shapes, (B, C, T) and (B, C, H, W), and their weights are
@@ -70,7 +72,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .. import _workers
-from .tensor import ShapeError, Tensor
+from .._checks import is_int
+from .tensor import ShapeError, Tensor, _float_dtype
 
 __all__ = [
     "Mode", "Layer", "Dense", "Conv1D", "Conv2D",
@@ -85,9 +88,9 @@ class Mode(enum.Enum):
     EVAL = "eval"
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 class Layer:
@@ -119,6 +122,15 @@ class Layer:
         walk(list(vars(self).values()))
         return out
 
+    def cast(self, dtype) -> "Layer":
+        """Set the precision of every parameter, float32 or float64 (any other
+        dtype is a ValueError naming it), keep it as ``self.dtype`` and
+        return the layer."""
+        self.dtype = _float_dtype(dtype)
+        for p in self.params():
+            p.data = p.data.astype(self.dtype, copy=False)
+        return self
+
 
 # ----------------------------------------------------------------------
 # dense / pooling
@@ -126,24 +138,22 @@ class Layer:
 
 def _count(least: int):
     """The rule of a count: an int, not a bool, of at least ``least``."""
-    return lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+    return lambda v: is_int(v) and v >= least
 
 
 class Dense(Layer):
     """(B, in_features) -> (B, out_features); each count is an int >= 1
     (``_count(1)``, as the convs check theirs), else a ValueError naming it."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         for name, value in (("in_features", in_features), ("out_features", out_features)):
             if not _count(1)(value):
                 raise ValueError(f"Dense {name} out of range: {value}")
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(glorot_uniform(rng, (in_features, out_features),
-                                            in_features, out_features, dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
+                                            in_features, out_features), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.in_features:
@@ -386,7 +396,7 @@ class _Conv(Layer):
     fan-in is a group's input channels times the taps, fan-out a group's
     output channels, times the taps too if ``fan_out_taps``. The bias is 0."""
 
-    def __init__(self, rng: np.random.Generator, dtype, *, axes: int, fan_out_taps: bool, **args):
+    def __init__(self, rng: np.random.Generator, *, axes: int, fan_out_taps: bool, **args):
         for name, value in args.items():
             if not _CONV_RULES[name](value):
                 raise ValueError(f"{type(self).__name__} {name} out of range: {value}")
@@ -397,9 +407,9 @@ class _Conv(Layer):
         k, cg = args["kernel_size"], cin // groups
         taps = k ** axes
         self.weight = Tensor(glorot_uniform(rng, (cout, cg) + (k,) * axes, cg * taps,
-                                            cout // groups * (taps if fan_out_taps else 1), dtype),
+                                            cout // groups * (taps if fan_out_taps else 1)),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout), requires_grad=True)
 
 
 class Conv1D(_Conv):
@@ -407,9 +417,8 @@ class Conv1D(_Conv):
     Tap j reads x[t - (K-1-j)*d], zero before the signal."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, dilation: int = 1, dtype=np.float64,
-                 relu: bool = False):
-        super().__init__(rng, dtype, axes=1, fan_out_taps=False, in_channels=in_channels,
+                 rng: np.random.Generator, dilation: int = 1, relu: bool = False):
+        super().__init__(rng, axes=1, fan_out_taps=False, in_channels=in_channels,
                          out_channels=out_channels, kernel_size=kernel_size, dilation=dilation,
                          relu=relu)
 
@@ -426,8 +435,8 @@ class Conv2D(_Conv):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, stride=1, padding: int = 0,
-                 groups: int = 1, dtype=np.float64, relu: bool = False):
-        super().__init__(rng, dtype, axes=2, fan_out_taps=True, in_channels=in_channels,
+                 groups: int = 1, relu: bool = False):
+        super().__init__(rng, axes=2, fan_out_taps=True, in_channels=in_channels,
                          out_channels=out_channels, kernel_size=kernel_size,
                          stride=(stride, stride) if np.ndim(stride) == 0 else tuple(stride),
                          padding=padding, groups=groups, relu=relu)

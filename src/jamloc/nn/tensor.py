@@ -34,6 +34,15 @@ class GraphConsumedError(RuntimeError):
     """backward() was called on a graph whose gradients were already propagated."""
 
 
+def _float_dtype(dtype) -> type:
+    """``dtype`` as a numpy scalar type if it is float32 or float64, the two
+    precisions the package computes in; any other is a ValueError naming it."""
+    dt = None if dtype is None else np.dtype(dtype)     # np.dtype(None) is float64
+    if dt not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dt}")
+    return dt.type
+
+
 def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     if grad.shape == shape:
@@ -54,7 +63,9 @@ class Tensor:
     ``requires_grad`` marks participation in gradient flow; leaves created
     with ``requires_grad=True`` receive accumulated gradients in ``.grad``
     after ``backward()``. Intermediate gradients are freed as soon as they
-    have been propagated.
+    have been propagated. Data holds float32 or float64: a given ``dtype``
+    must be one of them (``_float_dtype``, the check ``Layer.cast`` makes
+    too), and data of any other inferred dtype becomes float64.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
@@ -62,7 +73,7 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data, dtype=None if dtype is None else _float_dtype(dtype))
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr

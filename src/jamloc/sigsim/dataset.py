@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import _workers
+from .._checks import is_int
 from .geometry import ArrayGeometry
-from .jammers import JammerProfile, _is_int, gen_baseband
+from .jammers import JammerProfile, gen_baseband
 from .records import SCENARIO_TAGS, IQSnapshot
 from .scene import SceneConfig, _check_scene, _draw_noise, _receive
 from .trajectory import DEFAULT_HEIGHTS, gen_trajectory
@@ -64,11 +65,11 @@ class SimConfig:
 
 
 def _check_config(cfg: SimConfig, seed, jobs) -> None:
-    if not _is_int(jobs) or jobs != 1:
+    if not is_int(jobs) or jobs != 1:
         raise ValueError(f"make_dataset: jobs must be 1 (chunks run on the calling "
                          f"process's threads), got {jobs!r}")
     for name, value in (("make_dataset: seed", seed), ("SimConfig.seed_channel", cfg.seed_channel)):
-        if not _is_int(value) or value < 0:
+        if not is_int(value) or value < 0:
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     if not (np.isfinite(cfg.pose_jitter_m) and cfg.pose_jitter_m >= 0):
         raise ValueError(f"SimConfig.pose_jitter_m must be finite and >= 0, "

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import is_int
+
 __all__ = ["JammerClass", "JammerProfile", "gen_baseband",
            "BANDWIDTH_RANGE_HZ", "POWER_RANGE_DBM"]
 
@@ -39,10 +41,6 @@ class JammerClass(enum.Enum):
 JAMMER_CLASSES = tuple(JammerClass)  # index in this tuple = integer class id
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class JammerProfile:
     jclass: JammerClass
@@ -53,7 +51,7 @@ class JammerProfile:
     def __post_init__(self):
         if not isinstance(self.jclass, JammerClass):
             raise ValueError(f"JammerProfile.jclass must be a JammerClass, got {self.jclass!r}")
-        if not _is_int(self.subclass_id) or self.subclass_id < 0:
+        if not is_int(self.subclass_id) or self.subclass_id < 0:
             raise ValueError(f"JammerProfile.subclass_id must be an integer >= 0, "
                              f"got {self.subclass_id!r}")
         lo, hi = BANDWIDTH_RANGE_HZ

@@ -266,9 +266,13 @@ def _transmission(surf: _Surfaces, antenna: np.ndarray, jammers: np.ndarray,
 
 
 def compute_paths(scene: SceneConfig, antenna: np.ndarray, jammer: np.ndarray) -> list[PropPath]:
-    """Direct path plus one single-bounce path per reflecting surface."""
+    """Direct path plus one single-bounce path per reflecting surface. A
+    jammer outside the hall or on the antenna is a ValueError, as in
+    ``propagate`` (``_check_jammers``)."""
     antenna = np.asarray(antenna, dtype=np.float64)
-    paths = _path_arrays(scene, antenna, np.asarray(jammer, dtype=np.float64)[None])
+    jammers = np.asarray(jammer, dtype=np.float64)[None]
+    _check_jammers(antenna, jammers)
+    paths = _path_arrays(scene, antenna, jammers)
     return [PropPath(direction=paths.direction[0, i], distance=float(paths.distance[0, i]),
                      gain=float(paths.gain[0, i]), kind="direct" if i == 0 else f"reflect:{i - 1}")
             for i in np.flatnonzero(paths.valid[0])]

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import is_int
+
 __all__ = ["gen_trajectory", "DEFAULT_HEIGHTS"]
 
 DEFAULT_HEIGHTS = (3.9, 4.4, 4.9, 5.4)
@@ -18,7 +20,7 @@ _PARAMS = {"circles": ("center", "radii", "points_per_circle", "phase"),
 def _count(kind: str, params: dict, key: str, default: int) -> int:
     """``params[key]`` (or ``default``) if an int >= 1, else a ValueError naming the key."""
     n = params.get(key, default)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError(f"{kind}: {key} must be an int >= 1, got {n!r}")
     return int(n)
 

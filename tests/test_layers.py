@@ -72,7 +72,7 @@ def test_conv2d_asymmetric_stride():
 def test_conv1d_matches_direct_oracle(kernel_size, dilation):
     for dtype, tol in FWD_TOL.items():
         rng = np.random.default_rng(7)
-        layer = Conv1D(3, 5, kernel_size, rng, dilation=dilation, dtype=dtype)
+        layer = Conv1D(3, 5, kernel_size, rng, dilation=dilation).cast(dtype)
         layer.bias.data[...] = rng.normal(size=5)
         x = rng.normal(size=(2, 3, 40)).astype(dtype)
         out = layer(Tensor(x))
@@ -87,7 +87,7 @@ def test_conv1d_matches_direct_oracle(kernel_size, dilation):
 def test_conv2d_matches_direct_oracle(stride, padding, groups):
     for dtype, tol in FWD_TOL.items():
         rng = np.random.default_rng(8)
-        layer = Conv2D(8, 16, 3, rng, stride=stride, padding=padding, groups=groups, dtype=dtype)
+        layer = Conv2D(8, 16, 3, rng, stride=stride, padding=padding, groups=groups).cast(dtype)
         layer.bias.data[...] = rng.normal(size=16)
         x = rng.normal(size=(2, 8, 11, 9)).astype(dtype)
         out = layer(Tensor(x))
@@ -129,6 +129,25 @@ def test_dense_rejects_bad_arguments(field, kwargs):
         Dense(**{**args, **kwargs})
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex64],
+                         ids=["float16", "int32", "complex64"])
+def test_cast_rejects_a_dtype_other_than_float32_or_float64(dtype):
+    layer = Dense(2, 4, np.random.default_rng(0))
+    bad = f"^dtype must be float32 or float64, got {np.dtype(dtype)}$"
+    with pytest.raises(ValueError, match=bad):
+        layer.cast(dtype)
+    assert [p.data.dtype for p in layer.params()] == [np.float64] * 2
+
+
+def test_cast_sets_every_parameter_and_records_the_dtype():
+    # layers draw float64 weights; a cast rounds the same draws
+    want = Dense(3, 5, np.random.default_rng(0))
+    layer = Dense(3, 5, np.random.default_rng(0))
+    assert layer.cast(np.float32) is layer and layer.dtype == np.float32
+    for p, q in zip(layer.params(), want.params()):
+        assert p.data.dtype == np.float32 and np.array_equal(p.data, q.data.astype(np.float32))
+
+
 # ----------------------------------------------------------------------
 # memory layouts: the convs compute channels-last, whatever they are fed
 # ----------------------------------------------------------------------
@@ -159,12 +178,12 @@ def _conv_case(dim, case, dtype=np.float64):
     rng = np.random.default_rng(20)
     if dim == 1:
         cin, cout, k, d, t = case
-        layer = Conv1D(cin, cout, k, rng, dilation=d, dtype=dtype)
+        layer = Conv1D(cin, cout, k, rng, dilation=d).cast(dtype)
         x = rng.normal(size=(2, cin, t)).astype(dtype)
         layer.bias.data[...] = rng.normal(size=cout)
         return layer, x, conv1d_ref(x, layer.weight.data, layer.bias.data, d)
     cin, cout, k, s, p, g, hw = case
-    layer = Conv2D(cin, cout, k, rng, stride=s, padding=p, groups=g, dtype=dtype)
+    layer = Conv2D(cin, cout, k, rng, stride=s, padding=p, groups=g).cast(dtype)
     x = rng.normal(size=(2, cin, *hw)).astype(dtype)
     layer.bias.data[...] = rng.normal(size=cout)
     return layer, x, conv2d_ref(x, layer.weight.data, layer.bias.data, layer.stride, p, g)
@@ -234,7 +253,7 @@ def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case,
     assert layers._ROWS // T == 2    # the chunk shape these cases were written for
     for dtype, tol in FWD_TOL.items():
         rng = np.random.default_rng(30)
-        layer = Conv1D(C, O, K, rng, dilation=d, dtype=dtype)
+        layer = Conv1D(C, O, K, rng, dilation=d).cast(dtype)
         layer.bias.data[...] = rng.normal(size=O)
         x = Tensor(rng.normal(size=(B, C, T)).astype(dtype), requires_grad=x_grad)
         G = rng.normal(size=(B, O, T)).astype(dtype)
@@ -263,7 +282,7 @@ def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch):
     monkeypatch.setattr(_workers, "_RUNS", 2)
     B, C, T, K = 32, 64, 1024, 3
     rng = np.random.default_rng(31)
-    layer = Conv1D(C, C, K, rng, dilation=16, dtype=np.float32)
+    layer = Conv1D(C, C, K, rng, dilation=16).cast(np.float32)
     leaf = Tensor(rng.normal(size=(B, T, C)).astype(np.float32), requires_grad=True)
     G = np.moveaxis(rng.normal(size=(B, T, C)).astype(np.float32), -1, 1)
     whole_cols = B * T * K * C * 4
@@ -286,7 +305,7 @@ def test_grouped_conv_forward_keeps_no_workspace_for_backward(monkeypatch):
     monkeypatch.setattr(_workers, "_RUNS", 2)
     B, C, H = 32, 128, 8
     rng = np.random.default_rng(33)
-    layer = Conv2D(C, C, 3, rng, padding=1, groups=8, dtype=np.float32, relu=True)
+    layer = Conv2D(C, C, 3, rng, padding=1, groups=8, relu=True).cast(np.float32)
     leaf = Tensor(rng.normal(size=(B, H, H, C)).astype(np.float32), requires_grad=True)
     x = _channels_last_view(leaf)
     tracemalloc.start()
@@ -335,7 +354,7 @@ def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case)
     B, C, O, k, s, p, g, (H, W), x_grad = case
     for dtype in FWD_TOL:
         rng = np.random.default_rng(32)
-        layer = Conv2D(C, O, k, rng, stride=s, padding=p, groups=g, dtype=dtype)
+        layer = Conv2D(C, O, k, rng, stride=s, padding=p, groups=g).cast(dtype)
         layer.bias.data[...] = rng.normal(size=O)
         xd = rng.normal(size=(B, C, H, W)).astype(dtype)
         leaf = Tensor(np.moveaxis(xd, 1, -1).copy(), requires_grad=True) if x_grad else Tensor(xd)
@@ -370,7 +389,7 @@ def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch):
     monkeypatch.setattr(_workers, "_RUNS", 2)
     B, C, G, HW = 256, 128, 8, (8, 8)
     rng = np.random.default_rng(33)
-    layer = Conv2D(C, C, 3, rng, padding=1, groups=G, dtype=np.float32)
+    layer = Conv2D(C, C, 3, rng, padding=1, groups=G).cast(np.float32)
     leaf = Tensor(rng.normal(size=(B, *HW, C)).astype(np.float32), requires_grad=True)
     up = np.moveaxis(rng.normal(size=(B, *HW, C)).astype(np.float32), -1, 1)
     whole_cols = B * HW[0] * HW[1] * 9 * C * 4
@@ -489,7 +508,7 @@ def test_convs_are_bitwise_equal_for_any_worker_count(monkeypatch, map_jobs, cas
     # items of out and dx, and the dW partials are summed in one order
     cls, kwargs, shape, x_grad = WORKER_CASES[case]
     rng = np.random.default_rng(50)
-    layer = cls(**kwargs, rng=rng, dtype=np.float32)
+    layer = cls(**kwargs, rng=rng).cast(np.float32)
     layer.bias.data[...] = rng.normal(size=kwargs["out_channels"])
     x = rng.normal(size=shape).astype(np.float32)
     G = rng.normal(size=layer(Tensor(x)).shape).astype(np.float32)
@@ -560,16 +579,16 @@ def test_calls_of_one_item_submit_nothing_and_runs_are_capped(monkeypatch, pool_
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 @pytest.mark.parametrize("B", [1, 2])
 @pytest.mark.parametrize("make,shape,ref,grads_ref", [
-    (lambda rng, dt: Conv1D(3, 4, 3, rng, dilation=2, dtype=dt), (3, 11),
+    (lambda rng, dt: Conv1D(3, 4, 3, rng, dilation=2).cast(dt), (3, 11),
      lambda x, layer: conv1d_ref(x, layer.weight.data, layer.bias.data, 2),
      lambda x, layer, up: conv1d_grads_ref(x, layer.weight.data, up, 2)),
-    (lambda rng, dt: Conv1D(3, 4, 1, rng, dtype=dt), (3, 11),
+    (lambda rng, dt: Conv1D(3, 4, 1, rng).cast(dt), (3, 11),
      lambda x, layer: conv1d_ref(x, layer.weight.data, layer.bias.data, 1),
      lambda x, layer, up: conv1d_grads_ref(x, layer.weight.data, up, 1)),
-    (lambda rng, dt: Conv2D(4, 4, 3, rng, stride=2, padding=1, groups=2, dtype=dt), (4, 8, 6),
+    (lambda rng, dt: Conv2D(4, 4, 3, rng, stride=2, padding=1, groups=2).cast(dt), (4, 8, 6),
      lambda x, layer: conv2d_ref(x, layer.weight.data, layer.bias.data, (2, 2), 1, 2),
      lambda x, layer, up: conv2d_grads_ref(x, layer.weight.data, up, (2, 2), 1, 2)),
-    (lambda rng, dt: Conv2D(4, 6, 1, rng, dtype=dt), (4, 5, 3),
+    (lambda rng, dt: Conv2D(4, 6, 1, rng).cast(dt), (4, 5, 3),
      lambda x, layer: conv2d_ref(x, layer.weight.data, layer.bias.data, (1, 1), 0, 1),
      lambda x, layer, up: conv2d_grads_ref(x, layer.weight.data, up, (1, 1), 0, 1)),
 ], ids=["1d-K3d2", "1d-K1", "2d-strided-grouped", "2d-1x1"])
@@ -784,7 +803,7 @@ def test_relu_epilogue_is_bitwise_conv_then_relu(monkeypatch, case, dtype, layou
     # gradient is negative at about half the entries the ReLU zeroes
     cls, kwargs, shape = FUSED_CASES[case]
     rng = np.random.default_rng(40)
-    fused, plain = (cls(**kwargs, rng=np.random.default_rng(41), dtype=dtype, relu=relu)
+    fused, plain = (cls(**kwargs, rng=np.random.default_rng(41), relu=relu).cast(dtype)
                     for relu in (True, False))
     fused.bias.data[...] = plain.bias.data[...] = rng.normal(size=kwargs["out_channels"])
     x = rng.normal(size=shape).astype(dtype)
@@ -899,11 +918,11 @@ def test_every_layer_keeps_float32():
     rng = np.random.default_rng(17)
     f32 = np.float32
     cases = [
-        (Dense(6, 4, rng, dtype=f32), (3, 6)),
-        (Conv1D(3, 4, 3, rng, dilation=2, dtype=f32), (2, 3, 11)),
-        (Conv1D(3, 4, 1, rng, dtype=f32), (2, 3, 11)),
-        (Conv2D(4, 6, 3, rng, stride=2, padding=1, dtype=f32), (2, 4, 7, 7)),
-        (Conv2D(4, 6, 3, rng, padding=1, groups=2, dtype=f32), (2, 4, 5, 5)),
+        (Dense(6, 4, rng).cast(f32), (3, 6)),
+        (Conv1D(3, 4, 3, rng, dilation=2).cast(f32), (2, 3, 11)),
+        (Conv1D(3, 4, 1, rng).cast(f32), (2, 3, 11)),
+        (Conv2D(4, 6, 3, rng, stride=2, padding=1).cast(f32), (2, 4, 7, 7)),
+        (Conv2D(4, 6, 3, rng, padding=1, groups=2).cast(f32), (2, 4, 5, 5)),
         (GlobalAvgPool(), (2, 3, 4, 4)),
     ]
     for layer, shape in cases:

@@ -58,6 +58,41 @@ def test_models_keep_float32(build):
     assert [p.grad.dtype for p in model.params()] == [np.float32] * len(model.params())
 
 
+BAD_DTYPES = pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex64],
+                                     ids=["float16", "int32", "complex64"])
+
+
+@BAD_DTYPES
+@pytest.mark.parametrize("build", [_fusion, _mcaff], ids=["fusion", "mcaff"])
+def test_models_reject_a_dtype_other_than_float32_or_float64(build, dtype):
+    # a float16 model said float16 and held float64 weights and outputs
+    bad = f"^dtype must be float32 or float64, got {np.dtype(dtype)}$"
+    with pytest.raises(ValueError, match=bad):
+        build(dtype)
+
+
+@BAD_DTYPES
+def test_load_rejects_a_dtype_other_than_float32_or_float64(dtype, tmp_path):
+    save_model(tmp_path / "model.gjw", _fusion(np.float32))
+    bad = f"dtype must be float32 or float64, got {np.dtype(dtype)}$"
+    with pytest.raises(CheckpointError, match=bad):
+        load_model(tmp_path / "model.gjw", dtype=dtype)
+
+
+@pytest.mark.parametrize("build", [_fusion, _mcaff], ids=["fusion", "mcaff"])
+def test_a_float32_model_cast_to_float64_runs_in_float64(build):
+    # the cast weights are the float64 model's, rounded to float32 and back
+    model, want = build(np.float32).cast(np.float64), build(np.float64)
+    assert model.dtype == np.float64
+    for p, q in zip(model.params(), want.params()):
+        assert p.data.dtype == np.float64 and np.array_equal(p.data, q.data.astype(np.float32))
+    pred = model.forward(_batch(3), Mode.TRAIN, np.random.default_rng(4))
+    outs = _outputs(pred)
+    assert [t.dtype for t in outs] == [np.float64] * len(outs)
+    _proj_loss(pred).backward()
+    assert [p.grad.dtype for p in model.params()] == [np.float64] * len(model.params())
+
+
 def _gradcheck(model, input_names, params, seed):
     """Finite differences through the whole forward w.r.t. the named inputs
     and the given parameters."""

@@ -223,6 +223,24 @@ def test_jammer_position_validation():
         propagate(_quiet_scene(), geom, (50.0, 15.0, 4.0), wf, rng)  # outside hall
 
 
+@pytest.mark.parametrize("pose,match", [
+    ((0.0, 1.0, 1.0), r"^jammer coincides with the antenna position$"),
+    ((50.0, 15.0, 4.0), r"^jammer \[50\.0, 15\.0, 4\.0\] outside hall extent "),
+    ((np.nan, 15.0, 4.0), r"^jammer \[nan, 15\.0, 4\.0\] outside hall extent "),
+], ids=["on-antenna", "outside-hall", "nan-x"])
+def test_compute_paths_checks_the_pose_as_propagate_does(pose, match):
+    # unchecked, these gave a direct path of distance 0 and direction NaN,
+    # two paths from outside the hall, and a NaN path
+    scene = scenario_configs("desk")["wall1"].scene
+    antenna = np.array(scene.antenna_position)
+    with pytest.raises(ValueError, match=match) as paths_error:
+        compute_paths(scene, antenna, np.array(pose))
+    with pytest.raises(ValueError) as propagate_error:
+        propagate(scene, ArrayGeometry(), pose, np.ones(N, dtype=complex),
+                  np.random.default_rng(18))
+    assert str(paths_error.value) == str(propagate_error.value)
+
+
 SURFACE_ARGS = {
     Reflector: dict(x1=10.0, y1=0.0, x2=10.0, y2=30.0, reflection_coeff=0.5),
     WallSegment: dict(x1=-5.0, y1=8.0, x2=5.0, y2=8.0, transmission_loss_db=20.0,

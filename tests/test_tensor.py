@@ -159,6 +159,24 @@ def test_non_finite_detection():
         x.assert_finite("unit test")
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex64, np.bool_],
+                         ids=["float16", "int32", "complex64", "bool"])
+def test_an_explicit_dtype_other_than_float32_or_float64_is_rejected(dtype):
+    # Tensor(np.zeros(3), dtype=np.float16) was a float64 Tensor
+    bad = f"^dtype must be float32 or float64, got {np.dtype(dtype)}$"
+    with pytest.raises(ValueError, match=bad):
+        Tensor(np.zeros(3), dtype=dtype)
+
+
+@pytest.mark.parametrize("data,dtype", [
+    (np.arange(3), np.float64), (np.ones(3, dtype=bool), np.float64),
+    (np.ones(3, dtype=np.float16), np.float64), (np.ones(3, dtype=np.float32), np.float32),
+], ids=["int", "bool", "float16", "float32"])
+def test_an_inferred_dtype_is_float32_or_float64(data, dtype):
+    assert Tensor(data).dtype == dtype
+    assert Tensor(data, dtype=np.float32).dtype == np.float32
+
+
 def test_scalar_and_ndarray_operands_keep_float32():
     x = Tensor(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3), requires_grad=True)
     outs = [x.mean(), x.mean(axis=1), x * 0.5, 0.5 * x, x / 2, x + 1, 1 - x,
