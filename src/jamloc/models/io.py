@@ -23,6 +23,7 @@ import numpy as np
 
 from ..dsp import NormalizationSpec
 from ..nn import CheckpointError, load_checkpoint, save_checkpoint
+from ..nn.tensor import _float_dtype
 from .fusion import IQ_KERNEL, FusionConfig, FusionModel
 from .mcaff import ATTENTION_REDUCTION, McaffConfig, McaffModel
 
@@ -48,8 +49,10 @@ def save_model(path, model, norm: NormalizationSpec | None = None,
 def load_model(path, dtype=np.float32):
     """Rebuild the model from its config echo and load the stored weights.
 
-    Returns (model, normalization or None, metadata dict).
+    Returns (model, normalization or None, metadata dict). A ``dtype`` other
+    than float32 or float64 is a ValueError, raised before the file is read.
     """
+    dtype = _float_dtype(dtype)
     arrays, meta = load_checkpoint(path)
     if not meta or "kind" not in meta or "config" not in meta:
         raise CheckpointError(f"{path} has no model metadata block")

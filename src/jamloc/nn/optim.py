@@ -1,7 +1,10 @@
 """Momentum SGD with weight decay at a fixed learning rate. Per parameter p
 with gradient g and velocity v (zero at start), in place, in p's dtype and
 in this order: v <- 0.9*v + g + 5e-4*p (MOMENTUM, WEIGHT_DECAY), then
-p <- p - learning_rate*v. Gradients are cleared after each step.
+p <- p - learning_rate*v. Gradients are cleared after each step. A step
+with a parameter that has no gradient, or whose gradient or velocity is not
+in its dtype (as after a ``Layer.cast`` that followed ``SGD``), raises before
+any parameter changes.
 """
 
 from __future__ import annotations
@@ -30,10 +33,14 @@ class SGD:
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
+        for i, (p, v) in enumerate(zip(self.params, self.velocity)):
             if p.grad is None:
                 raise RuntimeError(f"parameter {i} has no gradient; run backward() first")
-            v = self.velocity[i]
+            # in-place arithmetic would round a wider gradient or velocity silently
+            if p.grad.dtype != p.data.dtype or v.dtype != p.data.dtype:
+                raise ValueError(f"parameter {i} is {p.data.dtype} but its gradient is "
+                                 f"{p.grad.dtype} and its velocity {v.dtype}")
+        for p, v in zip(self.params, self.velocity):
             v *= MOMENTUM
             v += p.grad
             v += WEIGHT_DECAY * p.data

@@ -16,9 +16,11 @@ for W walls. ``_synthesize`` turns them into snapshots: one
 ``(amp * carrier) * steer`` coefficient per path and patch, the delayed
 copies of each waveform gathered with one fancy index into a strided view of
 the zero-headed waveform, and one batched matmul. The number of numpy calls
-per chunk does not depend on P or S. ``_receive`` checks a chunk's poses and
-turns them into labeled snapshots; ``propagate`` is its one-pose call, and
-``compute_paths`` lists the paths of one pose.
+per chunk does not depend on P or S. Each call builds its per-surface
+arrays from the scene: nothing is cached between calls, and a scene edited
+in place is simulated as it now stands. ``_receive`` checks a chunk's poses
+and turns them into labeled snapshots; ``propagate`` is its one-pose call,
+and ``compute_paths`` lists the paths of one pose.
 
 Every operation is elementwise over poses, the steering phase is an explicit
 three-term sum and the matmul runs one GEMM per snapshot, so a pose's output
@@ -32,7 +34,6 @@ wall order), distances and directions agree to 1e-12, and samples to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -117,7 +118,18 @@ class PropPath:
 
 
 def _check_scene(scene: SceneConfig) -> None:
-    """Reject a noise floor that would make every sample non-finite."""
+    """Walls that are a list of ``WallSegment``s, reflectors that are a list
+    of ``Reflector``s (a wall among them would lose its transmission loss),
+    and a noise floor that does not make every sample non-finite."""
+    for name, cls in (("wall_segments", WallSegment), ("ambient_reflectors", Reflector)):
+        surfaces = getattr(scene, name)
+        if not isinstance(surfaces, list):
+            raise TypeError(f"SceneConfig.{name} must be a list of {cls.__name__}, "
+                            f"got {type(surfaces).__name__}")
+        for i, surface in enumerate(surfaces):
+            if not isinstance(surface, cls):
+                raise TypeError(f"SceneConfig.{name}[{i}] must be a {cls.__name__}, "
+                                f"got {type(surface).__name__}")
     if scene.noise_floor_dbm is not None and not np.isfinite(scene.noise_floor_dbm):
         raise ValueError(f"SceneConfig.noise_floor_dbm must be finite or None, "
                          f"got {scene.noise_floor_dbm!r}")
@@ -146,50 +158,6 @@ class _Paths(NamedTuple):
     valid: np.ndarray           # (P, 1+S) the path exists
 
 
-class _Surfaces(NamedTuple):
-    """What the path arrays need of a scene's surfaces and antenna; the
-    reflecting surfaces are the reflectors, then the walls."""
-
-    reflect: np.ndarray         # (8, S): a_x, a_y, e_x, e_y, unit e_x, unit e_y, w_x, w_y
-    reflects: np.ndarray        # (S,) the coefficient is positive
-    coeff: np.ndarray           # (S,) reflection coefficient
-    side_ant: np.ndarray        # (S,) which side of each surface's line the antenna is on
-    t_num: np.ndarray           # (S,) numerator of the antenna -> image ray parameter
-    wall: np.ndarray            # (6, W, 1, 1): a_x, a_y, b_x, b_y, e_x, e_y
-    loss: np.ndarray            # (W, 1, 1) crossing factor 10^(-loss_dB / 20)
-    free: np.ndarray            # (W, 1, 1+2S) the leg may cross the wall
-
-
-@lru_cache(maxsize=16)
-def _surfaces(reflectors: tuple, walls: tuple, antenna: tuple) -> _Surfaces:
-    """Built once per scene: ``compute_paths`` would otherwise spend about a
-    sixth of its time on these per-surface arrays. Keys are frozen
-    surfaces, so a scene edited in place gets a new entry."""
-    surfaces = reflectors + walls
-    n_s, n_w = len(surfaces), len(walls)
-    ax, ay, bx, by, coeff = np.array([(s.x1, s.y1, s.x2, s.y2, s.reflection_coeff)
-                                      for s in surfaces], dtype=np.float64).reshape(n_s, 5).T
-    ex, ey = bx - ax, by - ay
-    norm = np.sqrt(ex * ex + ey * ey)
-    wx, wy = ax - antenna[0], ay - antenna[1]                       # a - antenna
-    wall = np.array([(w.x1, w.y1, w.x2, w.y2) for w in walls], dtype=np.float64).reshape(n_w, 4).T
-    wall = np.concatenate([wall, wall[2:] - wall[:2]])[..., None, None]
-    free = np.ones((n_w, 1, 1 + 2 * n_s), dtype=bool)
-    own = n_s - n_w + np.arange(n_w)                                # wall w is surface own[w]
-    free[np.arange(n_w), 0, 1 + own] = free[np.arange(n_w), 0, 1 + n_s + own] = False
-    out = _Surfaces(
-        reflect=np.stack([ax, ay, ex, ey, ex / norm, ey / norm, wx, wy]),
-        reflects=~(coeff <= 0.0), coeff=coeff,
-        side_ant=ex * (antenna[1] - ay) - ey * (antenna[0] - ax),
-        t_num=wx * ey - wy * ex,
-        wall=wall,
-        loss=np.array([10.0 ** (-w.transmission_loss_db / 20.0) for w in walls])[:, None, None],
-        free=free)
-    for arr in out:
-        arr.flags.writeable = False     # shared by every caller with these surfaces
-    return out
-
-
 def _path_arrays(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray) -> _Paths:
     """Direct and single-bounce paths from each pose of ``jammers`` (P, 3).
 
@@ -199,12 +167,18 @@ def _path_arrays(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray) -
     inside it. Its gain is the coefficient times the crossing factors of the
     jammer -> bounce point and bounce point -> antenna legs, the surface
     itself excluded. Entries of paths that do not exist are finite filler.
+    The (S,) per-surface arrays are built from ``scene`` on every call.
     """
-    surf = _surfaces(tuple(scene.ambient_reflectors), tuple(scene.wall_segments),
-                     tuple(antenna.tolist()))
-    ax, ay, ex, ey, ux, uy, wx, wy = surf.reflect                  # (S,) each
-    n_p, n_s = len(jammers), len(ax)
+    surfaces = list(scene.ambient_reflectors) + list(scene.wall_segments)
+    n_p, n_s = len(jammers), len(surfaces)
     ant_x, ant_y, ant_z = antenna.tolist()
+    ax, ay, bx, by, coeff = np.array([(s.x1, s.y1, s.x2, s.y2, s.reflection_coeff)
+                                      for s in surfaces], dtype=np.float64).reshape(n_s, 5).T
+    ex, ey = bx - ax, by - ay                                       # (S,) each
+    norm = np.sqrt(ex * ex + ey * ey)
+    ux, uy = ex / norm, ey / norm
+    wx, wy = ax - ant_x, ay - ant_y                                 # a - antenna
+    side_ant = ex * (ant_y - ay) - ey * (ant_x - ax)                # antenna's side of each line
     jx, jy = jammers[:, 0:1], jammers[:, 1:2]                      # (P, 1)
 
     # image source of each pose in each surface, and where its ray to the
@@ -216,13 +190,13 @@ def _path_arrays(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray) -
     denom = rx * ey - ry * ex
     parallel = np.abs(denom) < 1e-12
     denom = np.where(parallel, 1.0, denom)
-    t = surf.t_num / denom
+    t = (wx * ey - wy * ex) / denom
     u = (wx * ry - wy * rx) / denom
     valid = np.ones((n_p, 1 + n_s), dtype=bool)
-    valid[:, 1:] = (surf.reflects & ~((ex * vy - ey * vx) * surf.side_ant <= 0) & ~parallel
+    valid[:, 1:] = (~(coeff <= 0.0) & ~((ex * vy - ey * vx) * side_ant <= 0) & ~parallel
                     & (0.0 < t) & (t < 1.0) & (0.0 <= u) & (u <= 1.0))
 
-    legs = _transmission(surf, antenna, jammers, t * rx, t * ry)  # (P, 1+2S)
+    legs = _transmission(scene, antenna, jammers, t * rx, t * ry)  # (P, 1+2S)
 
     vec = np.empty((n_p, 1 + n_s, 3))
     vec[:, 0] = jammers - antenna
@@ -231,11 +205,11 @@ def _path_arrays(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray) -
     dist = np.where(valid, np.sqrt(dx * dx + dy * dy + dz * dz), 1.0)
     gain = np.empty_like(dist)
     gain[:, 0] = legs[:, 0]
-    gain[:, 1:] = surf.coeff * legs[:, 1:1 + n_s] * legs[:, 1 + n_s:]
+    gain[:, 1:] = coeff * legs[:, 1:1 + n_s] * legs[:, 1 + n_s:]
     return _Paths(dist, gain, vec / dist[..., None], valid)
 
 
-def _transmission(surf: _Surfaces, antenna: np.ndarray, jammers: np.ndarray,
+def _transmission(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray,
                   hit_dx: np.ndarray, hit_dy: np.ndarray) -> np.ndarray:
     """Crossing factor product of each leg: leg 0 antenna -> jammer, legs 1+i
     jammer -> bounce point on surface i (antenna + (hit_dx, hit_dy)), legs
@@ -245,9 +219,12 @@ def _transmission(surf: _Surfaces, antenna: np.ndarray, jammers: np.ndarray,
     segments) picks up its factor, unless the leg belongs to that wall's own
     bounce. The factors are multiplied in wall order, a reduction over the
     leading wall axis, as the per-wall loop this replaced did; with no
-    walls every product is empty, 1.0.
+    walls every product is empty, 1.0. The (W, 1, 1) wall arrays are built
+    from ``scene`` on every call.
     """
+    walls = scene.wall_segments
     n_p, n_s = hit_dx.shape
+    n_w = len(walls)
     p = np.empty((2, n_p, 1 + 2 * n_s))
     q = np.empty_like(p)
     p[:, :, :1] = q[:, :, 1 + n_s:] = antenna[:2, None, None]
@@ -256,19 +233,29 @@ def _transmission(surf: _Surfaces, antenna: np.ndarray, jammers: np.ndarray,
     np.add(antenna[1], hit_dy, out=p[1, :, 1 + n_s:])
     q[:, :, 1:1 + n_s] = p[:, :, 1 + n_s:]
 
-    ax, ay, bx, by, ex, ey = surf.wall                              # (W, 1, 1) each
+    wall = np.array([(w.x1, w.y1, w.x2, w.y2) for w in walls], dtype=np.float64).reshape(n_w, 4).T
+    ax, ay, bx, by = wall[..., None, None]                          # (W, 1, 1) each
+    ex, ey = bx - ax, by - ay
+    loss = np.array([10.0 ** (-w.transmission_loss_db / 20.0) for w in walls])[:, None, None]
+    # the legs of wall w's own bounce (surface n_s - n_w + w) may not cross it
+    free = np.ones((n_w, 1, 1 + 2 * n_s), dtype=bool)
+    own = n_s - n_w + np.arange(n_w)
+    free[np.arange(n_w), 0, 1 + own] = free[np.arange(n_w), 0, 1 + n_s + own] = False
+
     (px, py), (qx, qy) = p, q                                       # (P, L) each
     fx, fy = qx - px, qy - py
     crossed = (((ex * (py - ay) - ey * (px - ax)) * (ex * (qy - ay) - ey * (qx - ax)) < 0)
                & ((fx * (ay - py) - fy * (ax - px)) * (fx * (by - py) - fy * (bx - px)) < 0)
-               & surf.free)
-    return np.where(crossed, surf.loss, 1.0).prod(axis=0)
+               & free)
+    return np.where(crossed, loss, 1.0).prod(axis=0)
 
 
 def compute_paths(scene: SceneConfig, antenna: np.ndarray, jammer: np.ndarray) -> list[PropPath]:
-    """Direct path plus one single-bounce path per reflecting surface. A
-    jammer outside the hall or on the antenna is a ValueError, as in
-    ``propagate`` (``_check_jammers``)."""
+    """Direct path plus one single-bounce path per reflecting surface. The
+    scene and the pose are checked as in ``propagate``: a jammer outside the
+    hall or on the antenna is a ValueError (``_check_jammers``), and a
+    surface of the wrong type a TypeError (``_check_scene``)."""
+    _check_scene(scene)
     antenna = np.asarray(antenna, dtype=np.float64)
     jammers = np.asarray(jammer, dtype=np.float64)[None]
     _check_jammers(antenna, jammers)

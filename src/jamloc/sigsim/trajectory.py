@@ -25,9 +25,21 @@ def _count(kind: str, params: dict, key: str, default: int) -> int:
     return int(n)
 
 
+def _reals(kind: str, key: str, value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a nonempty float64 array of ``shape`` (None matches any
+    length) with finite entries, else a ValueError naming the key."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if (arr is None or arr.ndim != len(shape) or arr.size == 0
+            or any(m is not None and n != m for n, m in zip(arr.shape, shape))
+            or not np.isfinite(arr).all()):
+        raise ValueError(f"{kind}: {key} must be {what}, got {value!r}")
+    return arr
+
+
 def _circle(center, radius: float, n_points: int, phase: float) -> np.ndarray:
-    if radius <= 0:
-        raise ValueError(f"circle radius must be positive, got {radius}")
     ang = phase + 2 * np.pi * np.arange(n_points) / n_points
     return np.stack([center[0] + radius * np.cos(ang),
                      center[1] + radius * np.sin(ang)], axis=1)
@@ -41,29 +53,30 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
     grid_circles: centers (4 x (x, y)), radii, points_per_circle, phase
     meander:      x_range, y_range, rows, points_per_row
     """
-    heights = tuple(heights)
-    if not heights:
-        raise ValueError("heights must be nonempty")
     kind = kind.lower()
     if kind not in _PARAMS:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     unknown = sorted(set(params) - set(_PARAMS[kind]))
     if unknown:
         raise ValueError(f"{kind}: unknown parameter(s) {unknown}; valid: {_PARAMS[kind]}")
+    heights = _reals(kind, "heights", tuple(heights), (None,),
+                     "a nonempty sequence of finite numbers")
     if kind == "circles":
-        centers = [tuple(params.get("center", (0.0, 16.0)))]
+        centers = _reals(kind, "center", params.get("center", (0.0, 16.0)), (2,),
+                         "a finite (x, y) pair")[None]
     elif kind == "grid_circles":
-        centers = [tuple(c) for c in params.get("centers", ())]
-        if not centers:
-            raise ValueError("grid_circles: centers must be a nonempty sequence of (x, y)")
+        centers = _reals(kind, "centers", params.get("centers", ()), (None, 2),
+                         "a nonempty sequence of finite (x, y) pairs")
     else:
         return _meander(params, heights)
 
-    radii = params.get("radii", (3.0, 4.5, 6.0, 7.5, 9.0))
-    if len(radii) == 0:
-        raise ValueError(f"{kind}: radii must be nonempty")
+    value = params.get("radii", (3.0, 4.5, 6.0, 7.5, 9.0))
+    radii = _reals(kind, "radii", value, (None,), "a nonempty sequence of finite numbers > 0")
+    if np.any(radii <= 0):
+        raise ValueError(f"{kind}: radii must be a nonempty sequence of finite numbers > 0, "
+                         f"got {value!r}")
     n_pts = _count(kind, params, "points_per_circle", 100)
-    phase = float(params.get("phase", 0.0))
+    phase = float(_reals(kind, "phase", params.get("phase", 0.0), (), "a finite number"))
     poses = []
     for z in heights:
         for center in centers:
@@ -74,8 +87,10 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
 
 
 def _meander(params: dict, heights) -> np.ndarray:
-    x0, x1 = params.get("x_range", (-6.0, 6.0))
-    y0, y1 = params.get("y_range", (10.0, 20.0))
+    x0, x1 = _reals("meander", "x_range", params.get("x_range", (-6.0, 6.0)), (2,),
+                    "a finite (lo, hi) pair")
+    y0, y1 = _reals("meander", "y_range", params.get("y_range", (10.0, 20.0)), (2,),
+                    "a finite (lo, hi) pair")
     rows = _count("meander", params, "rows", 10)
     n_pts = _count("meander", params, "points_per_row", 30)
     ys = np.linspace(y0, y1, rows)

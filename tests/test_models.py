@@ -75,8 +75,14 @@ def test_models_reject_a_dtype_other_than_float32_or_float64(build, dtype):
 def test_load_rejects_a_dtype_other_than_float32_or_float64(dtype, tmp_path):
     save_model(tmp_path / "model.gjw", _fusion(np.float32))
     bad = f"dtype must be float32 or float64, got {np.dtype(dtype)}$"
-    with pytest.raises(CheckpointError, match=bad):
+    with pytest.raises(ValueError, match=bad):
         load_model(tmp_path / "model.gjw", dtype=dtype)
+
+
+def test_load_checks_the_dtype_before_it_reads_the_file(tmp_path):
+    # the file was opened first, so a missing file hid the bad dtype
+    with pytest.raises(ValueError, match=r"^dtype must be float32 or float64, got float16$"):
+        load_model(tmp_path / "missing.gjw", dtype=np.float16)
 
 
 @pytest.mark.parametrize("build", [_fusion, _mcaff], ids=["fusion", "mcaff"])

@@ -69,6 +69,44 @@ def test_missing_grad_raises():
         opt.step()
 
 
+@pytest.mark.parametrize("bias_grad,error,match", [
+    (None, RuntimeError, r"^parameter 1 has no gradient"),
+    (np.ones(2, dtype=np.float32), ValueError,
+     r"^parameter 1 is float64 but its gradient is float32 and its velocity float64$"),
+], ids=["missing-grad", "float32-grad"])
+def test_a_failed_step_changes_no_parameter(bias_grad, error, match):
+    # the weight was stepped, its gradient cleared and its velocity changed
+    # before the bias's missing gradient raised
+    rng = np.random.default_rng(5)
+    layer = Dense(3, 2, np.random.default_rng(6))
+    opt = SGD(layer.params(), learning_rate=0.1)
+    for _ in range(2):      # so that the velocities are nonzero
+        (layer(Tensor(rng.normal(size=(4, 3)))) ** 2.0).mean().backward()
+        opt.step()
+    layer.weight.grad = np.full((3, 2), 0.5)
+    layer.bias.grad = bias_grad
+
+    def state():
+        return [(p.data.tobytes(), None if p.grad is None else p.grad.tobytes(), v.tobytes())
+                for p, v in zip(opt.params, opt.velocity)]
+
+    before = state()
+    with pytest.raises(error, match=match):
+        opt.step()
+    assert state() == before
+
+
+def test_a_cast_after_sgd_raises_naming_the_parameter():
+    # the float32 velocities rounded the float64 gradients down silently
+    layer = Dense(3, 2, np.random.default_rng(8)).cast(np.float32)
+    opt = SGD(layer.params())
+    layer.cast(np.float64)
+    (layer(Tensor(np.ones((4, 3)))) ** 2.0).mean().backward()
+    with pytest.raises(ValueError, match=r"^parameter 0 is float64 but its gradient is "
+                                         r"float64 and its velocity float32$"):
+        opt.step()
+
+
 @pytest.mark.parametrize("field,value", [
     ("learning_rate", 0.0), ("learning_rate", -1e-2), ("learning_rate", math.nan),
     ("learning_rate", math.inf),

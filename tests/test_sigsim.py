@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,36 @@ def test_propagate_checks_the_scene_naming_the_field(field, value):
     wf = gen_baseband(_profile(), N, FS, np.random.default_rng(15))
     with pytest.raises(ValueError, match=rf"^SceneConfig\.{field} "):
         propagate(scene, ArrayGeometry(), (0.0, 15.0, 4.0), wf, np.random.default_rng(16))
+
+
+_POSE = (0.0, 15.0, 4.0)
+_ENTRY_POINTS = {
+    "compute_paths": lambda scene: compute_paths(scene, np.array(scene.antenna_position),
+                                                 np.array(_POSE)),
+    "propagate": lambda scene: propagate(scene, ArrayGeometry(), _POSE, np.ones(N, dtype=complex),
+                                         np.random.default_rng(19)),
+    "make_dataset": lambda scene: make_dataset(replace(_tiny_sim(), scene=scene), ArrayGeometry(),
+                                               seed=0),
+}
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("wall_segments", [Reflector(**SURFACE_ARGS[Reflector])],
+     r"^SceneConfig\.wall_segments\[0\] must be a WallSegment, got Reflector$"),
+    ("wall_segments", [(-5.0, 8.0, 5.0, 8.0, 20.0)],
+     r"^SceneConfig\.wall_segments\[0\] must be a WallSegment, got tuple$"),
+    ("wall_segments", None,
+     r"^SceneConfig\.wall_segments must be a list of WallSegment, got NoneType$"),
+    ("ambient_reflectors", [WallSegment(**SURFACE_ARGS[WallSegment])],
+     r"^SceneConfig\.ambient_reflectors\[0\] must be a Reflector, got WallSegment$"),
+], ids=["reflector-as-wall", "tuple-as-wall", "no-wall-list", "wall-as-reflector"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_scene_rejects_a_surface_of_the_wrong_type_naming_it(entry, field, value, match):
+    # the first three failed deep in the path arrays with an AttributeError or
+    # TypeError naming no field; a wall among the reflectors lost its loss
+    scene = SceneConfig(**{field: value}, noise_floor_dbm=None)
+    with pytest.raises(TypeError, match=match):
+        _ENTRY_POINTS[entry](scene)
 
 
 @pytest.mark.parametrize("shape", [(512,), (2048,), (1, N), (4, N), ()],

@@ -79,3 +79,23 @@ def test_misspelled_parameter_rejected_naming_it(kind, params, key):
     # a misspelled key used to be ignored, leaving the default in its place
     with pytest.raises(ValueError, match=rf"^{kind}: unknown parameter\(s\) \['{key}'\]"):
         gen_trajectory(kind, params)
+
+
+@pytest.mark.parametrize("kind,params,heights,name", [
+    ("circles", {"radii": (3.0, np.nan)}, (4.4,), "radii"),
+    ("circles", {"radii": (np.inf,)}, (4.4,), "radii"),
+    ("circles", {"phase": np.nan}, (4.4,), "phase"),
+    ("meander", {"x_range": (-6.0, np.inf)}, (4.4,), "x_range"),
+    ("meander", {"y_range": (np.nan, 20.0)}, (4.4,), "y_range"),
+    ("circles", {}, (4.4, np.nan), "heights"),
+    ("meander", {}, (np.inf,), "heights"),
+    ("meander", {"x_range": (1.0,)}, (4.4,), "x_range"),
+    ("circles", {"center": (1.0,)}, (4.4,), "center"),
+    ("grid_circles", {"centers": ((0.0, 12.0, 1.0),)}, (4.4,), "centers"),
+], ids=["nan-radius", "inf-radius", "nan-phase", "inf-x-range", "nan-y-range", "nan-height",
+        "inf-height", "one-value-x-range", "one-value-center", "three-value-center"])
+def test_a_non_finite_or_misshapen_parameter_is_rejected_naming_it(kind, params, heights, name):
+    # non-finite values gave non-finite poses, the short pairs a bare unpack
+    # or index error, and a third center value was dropped
+    with pytest.raises(ValueError, match=rf"^{kind}: {name} must be "):
+        gen_trajectory(kind, params, heights)
