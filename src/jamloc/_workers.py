@@ -2,26 +2,27 @@
 
 Four loops run here: the convolutions' chunks (``nn.layers._conv``), the
 dsp extractors' snapshot blocks (``dsp.features._blocked``), the
-simulator's pose chunks (``sigsim.dataset.make_dataset``) and the model
-branches, independent layers such as MCAFF's four path stems, each run as
-a graph of its own, forward and backward (``nn.layers.branches``). All four
-take one rule: a loop cuts its items into pieces that depend on no setting
-and no CPU count (a conv's chunks of whole items, 8-snapshot dsp blocks,
-16-pose simulator chunks, one branch each), and ``_runs`` splits those
-pieces into contiguous runs of at least one piece each, ``_RUNS`` at most:
-two, or one on a process that may use one CPU. ``_map`` runs the last run
-on the calling thread and the others on one pool. A loop inside a run,
-such as a branch's convs, runs inline. Runs overlap where numpy releases
-the interpreter lock: in GEMMs, FFTs, copies and ufuncs over a block, and
-little in the short calls of the simulator's per-pose draws.
+simulator's pose chunks (``sigsim.dataset.make_dataset``) and the forwards
+of model branches, independent layers such as MCAFF's four path stems
+(``nn.layers.branches``); a branch's backward runs on the calling thread,
+its convs' chunk loops like any other conv's. All four take one rule: a
+loop cuts its items into pieces that depend on no setting and no CPU count
+(a conv's chunks of whole items, 8-snapshot dsp blocks, 16-pose simulator
+chunks, one branch each), and ``_runs`` splits those pieces into
+contiguous runs of at least one piece each, ``_RUNS`` at most: two, or one
+on a process that may use one CPU. ``_map`` runs the last run on the
+calling thread and the others on one pool. A loop inside a run, such as a
+branch's convs in its forward, runs inline. Runs overlap where numpy
+releases the interpreter lock: in GEMMs, FFTs, copies and ufuncs over a
+block, and little in the short calls of the simulator's per-pose draws.
 
 So a loop holds at most ``_RUNS`` pieces in flight: the dsp and the
 simulator at most ``_RUNS`` blocks or chunks, and a conv, which keeps only
 its input and output between passes, one workspace per run in a pass (see
 ``nn.layers``); branches keep what their layers keep inline, but build and
-free their workspaces side by side. A job computes what one thread computes
-for its items and writes only its own outputs, so results are bitwise those
-of one thread, whatever ``_RUNS`` is.
+free their forward workspaces side by side. A job computes what one thread
+computes for its items and writes only its own outputs, so results are
+bitwise those of one thread, whatever ``_RUNS`` is.
 """
 from __future__ import annotations
 

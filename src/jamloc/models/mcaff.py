@@ -8,13 +8,14 @@ The trunk always sees four channel slots; a disabled path contributes zeros,
 so ablations change the parameter count by exactly that path's stem.
 
 The stems share no parameter, so ``forward`` runs the enabled ones side by
-side on the shared workers, each a graph of its own, forward and backward
-(``nn.branches``), and a stem's convs run inline in its branch. The shared
-attention, the concat, the block and the heads then run on the calling
-thread, path by path as before, so outputs and gradients are bitwise those
-of running the stems one after another. The block's three convs still use
-both workers: like every conv call of two items or more, each splits its
-batch into two runs, forward and backward.
+side on the shared workers (``nn.branches``), a stem's convs inline in its
+job. Their outputs are nodes of the one graph: the shared attention, the
+concat, the block and the heads run on the calling thread, path by path,
+and so does the whole backward, so outputs and gradients are bitwise those
+of running the stems one after another. Every conv outside a stem's
+forward still uses both workers: like every conv call of two items or
+more, each splits its batch into two runs, the stems' convs in backward
+and the block's in both passes.
 """
 
 from __future__ import annotations

@@ -45,21 +45,22 @@ calling thread and the others on the pool; numpy's GEMMs and copies release
 the interpreter lock. So every call of two items or more splits where
 ``_RUNS`` is 2, pointwise or not: MCAFF's grouped block at B=32 (2048 rows a
 conv) runs on both workers, forward and backward. MCAFF's four stems run
-side by side, each a graph of its own (``branches``), and a conv inside a
-branch runs inline. The result is bitwise the one-thread result: the chunks
-do not depend on ``_RUNS``, each run writes only its own rows of the output
-and items of dx, the per-chunk weight-gradient GEMMs are summed last chunk
-first, as one thread sums them, and the bias gradient stays one GEMV over
-the batch. Between forward and backward a conv keeps only its channels-last
-input and its output (backward's ReLU mask). Each run of a pass builds one
-workspace, sized for its largest chunk, and frees it when the pass ends; in
-backward it holds the run's cols rebuilds, then its dcols. So at most one
-workspace per run, ``_RUNS`` in all, is alive at any time. The gain rests on
-numpy running each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the
-benchmark sets): the paper-width fusion train step (B=32, float32, 2-vCPU
-x86-64 VM) then takes 41-43 ms on two workers, against 64-68 ms on one. With
-OpenBLAS running its own threads on the same CPUs, the workers gain nothing:
-59-83 ms either way.
+their forwards side by side (``branches``), a conv inside one inline; their
+backward runs on the calling thread, each stem conv split like any other.
+The result is bitwise the one-thread result: the chunks do not depend on
+``_RUNS``, each run writes only its own rows of the output and items of dx,
+the per-chunk weight-gradient GEMMs are summed last chunk first, as one
+thread sums them, and the bias gradient stays one GEMV over the batch.
+Between forward and backward a conv keeps only its channels-last input and
+its output (backward's ReLU mask). Each run of a pass builds one workspace,
+sized for its largest chunk, and frees it when the pass ends; in backward it
+holds the run's cols rebuilds, then its dcols. So at most one workspace per
+run, ``_RUNS`` in all, is alive at any time. The gain rests on numpy running
+each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark
+sets): the paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM)
+then takes 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS
+running its own threads on the same CPUs, the workers gain nothing: 59-83 ms
+either way.
 """
 
 from __future__ import annotations
@@ -450,66 +451,16 @@ class Conv2D(_Conv):
 
 
 # ----------------------------------------------------------------------
-# branches: independent layers as graphs of their own, run side by side
+# branches: independent layers called side by side
 # ----------------------------------------------------------------------
 
-def _leaves(root: Tensor) -> list[Tensor]:
-    """The leaves of ``root``'s graph that require grad."""
-    out, seen, stack = [], set(), [root]
-    while stack:
-        node = stack.pop()
-        if node.requires_grad and id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-            if not node._parents:
-                out.append(node)
-    return out
-
-
 def branches(layers, inputs) -> list[Tensor]:
-    """``[layer(x) for layer, x in zip(layers, inputs)]``, each call a graph
-    of its own on a leaf over ``x``'s data, the calls split into contiguous
-    runs on the shared workers (a map inside a branch runs inline).
-
-    The graphs are joined behind the outputs: each output that requires grad
-    is a node whose one parent is a join node, and the join's parents are the
-    inputs and the branches' leaves that require grad, so a backward through
-    the outputs runs the join after every output it reaches has its gradient
-    and never walks into a branch. The join then runs each such branch's
-    backward from that gradient, on the workers as the forward ran, and adds
-    each input leaf's gradient into its input, in branch order. Two branches
-    that share a leaf that requires grad would add into it from two threads,
-    so they raise ValueError. Each branch computes what it computes inline,
-    so outputs and gradients are bitwise the inline ones."""
-    pairs = list(zip(layers, inputs))
-
-    def forward(run):
-        out = []
-        for layer, x in run:
-            leaf = Tensor(x.data, requires_grad=x.requires_grad)
-            out.append((leaf, layer(leaf)))
-        return out
-
-    graphs = [g for run in _workers._map(forward, _workers._runs(pairs)) for g in run]
-    leaves = [leaf for _, y in graphs for leaf in _leaves(y)]
-    if len({id(leaf) for leaf in leaves}) < len(leaves):
-        raise ValueError("branches share a leaf that requires grad")
-
-    def join_bw(grads):
-        reached = [(y, g) for (_, y), g in zip(graphs, grads) if g is not None]
-        _workers._map(lambda run: [y.backward(g) for y, g in run], _workers._runs(reached))
-        for x, (leaf, _) in zip(inputs, graphs):
-            if leaf.grad is not None:
-                x._accum(leaf.grad)
-
-    join = Tensor.from_op(np.empty(0), [x for x in inputs if x.requires_grad] + leaves, join_bw)
-
-    def output(i, y):
-        """``y`` behind the join, whose gradient is the list of its outputs'."""
-        def bw(g):
-            if join.grad is None:
-                join.grad = [None] * len(graphs)
-            join.grad[i] = g
-        return Tensor.from_op(y.data, (join,), bw) if y.requires_grad else y
-
-    return [output(i, y) for i, (_, y) in enumerate(graphs)]
+    """``[layer(x) for layer, x in zip(layers, inputs)]``, the calls split
+    into contiguous runs on the shared workers (a map inside a call runs
+    inline). The outputs are nodes of the caller's graph, so backward
+    through them runs on the calling thread, as inline; only the forward
+    runs side by side. Each call computes what it computes inline, so
+    outputs and gradients are bitwise the inline ones."""
+    runs = _workers._map(lambda run: [layer(x) for layer, x in run],
+                         _workers._runs(list(zip(layers, inputs))))
+    return [y for run in runs for y in run]

@@ -116,7 +116,8 @@ class Tensor:
 
     @staticmethod
     def from_op(data: np.ndarray, parents, backward_fn) -> "Tensor":
-        """Create an op result; ``backward_fn(grad)`` must accumulate into parents."""
+        """Create an op result; ``backward_fn(grad)`` must accumulate into
+        every parent that requires grad."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -130,19 +131,14 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Propagate gradients from this root to every reachable leaf: from a
-        scalar loss, or, given ``grad``, the upstream gradient of a root of
-        any shape, which must have the root's shape and dtype.
+    def backward(self) -> None:
+        """Propagate gradients from this scalar loss to every reachable leaf.
 
         The graph is single-use: a second backward() through the same nodes
         raises GraphConsumedError.
         """
-        if grad is None and self.data.size != 1:
+        if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-        if grad is not None and (grad.shape, grad.dtype) != (self.data.shape, self.data.dtype):
-            raise ShapeError(f"backward() grad {grad.shape} {grad.dtype} does not match "
-                             f"the root's {self.data.shape} {self.data.dtype}")
         if self._consumed:
             raise GraphConsumedError("backward() already ran on this graph")
         if not self.requires_grad:
@@ -167,13 +163,10 @@ class Tensor:
                         raise GraphConsumedError("graph reuses a node from a consumed graph")
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data) if grad is None else grad
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None:
-                # a node no path gave a gradient (the input of a branch that
-                # nothing read, see nn.branches) passes none on
-                if node.grad is not None:
-                    node._backward_fn(node.grad)
+                node._backward_fn(node.grad)
                 node._consumed = True
                 node.grad = None  # intermediate: free after propagation
                 node._backward_fn = None

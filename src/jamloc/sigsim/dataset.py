@@ -24,6 +24,7 @@ so the output is bitwise the same for any chunk size and worker count.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,13 +65,23 @@ class SimConfig:
     seed_channel: int = 0
 
 
-def _check_config(cfg: SimConfig, seed, jobs) -> None:
+def _check_config(cfg: SimConfig, geometry, seed, jobs) -> None:
+    """Each argument and field of ``make_dataset`` that a wrong value would
+    fail deep inside the simulation, checked at entry: the error names it."""
     if not is_int(jobs) or jobs != 1:
         raise ValueError(f"make_dataset: jobs must be 1 (chunks run on the calling "
                          f"process's threads), got {jobs!r}")
     for name, value in (("make_dataset: seed", seed), ("SimConfig.seed_channel", cfg.seed_channel)):
         if not is_int(value) or value < 0:
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    for name, value, cls, noun in (
+            ("make_dataset: geometry", geometry, ArrayGeometry, "an ArrayGeometry"),
+            ("SimConfig.scene", cfg.scene, SceneConfig, "a SceneConfig"),
+            ("SimConfig.trajectory_kind", cfg.trajectory_kind, str, "a str"),
+            ("SimConfig.trajectory_params", cfg.trajectory_params, dict, "a dict"),
+            ("SimConfig.pose_jitter_m", cfg.pose_jitter_m, numbers.Real, "a real number")):
+        if not isinstance(value, cls):
+            raise TypeError(f"{name} must be {noun}, got {type(value).__name__}")
     if not (np.isfinite(cfg.pose_jitter_m) and cfg.pose_jitter_m >= 0):
         raise ValueError(f"SimConfig.pose_jitter_m must be finite and >= 0, "
                          f"got {cfg.pose_jitter_m!r}")
@@ -79,9 +90,10 @@ def _check_config(cfg: SimConfig, seed, jobs) -> None:
                          f"got {cfg.scenario_tag!r}")
     if not cfg.profiles:
         raise ValueError("no jammer profiles configured")
-    for p in cfg.profiles:
+    for i, p in enumerate(cfg.profiles):
         if not isinstance(p, JammerProfile):
-            raise TypeError("profiles must be JammerProfile instances")
+            raise TypeError(f"SimConfig.profiles[{i}] must be a JammerProfile, "
+                            f"got {type(p).__name__}")
     _check_scene(cfg.scene)
 
 
@@ -114,7 +126,7 @@ def make_dataset(cfg: SimConfig, geometry: ArrayGeometry, seed: int,
     ``seed`` is an int >= 0. ``jobs`` must be 1: the chunks run on the
     calling process's worker threads.
     """
-    _check_config(cfg, seed, jobs)
+    _check_config(cfg, geometry, seed, jobs)
     poses = gen_trajectory(cfg.trajectory_kind, cfg.trajectory_params, cfg.heights)
     if len(poses) == 0:
         raise ValueError("trajectory produced no poses")

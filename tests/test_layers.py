@@ -681,7 +681,7 @@ def test_a_map_inside_a_mapped_job_runs_inline(pool_jobs):
 
 
 # ----------------------------------------------------------------------
-# branches: independent layers as parallel graphs
+# branches: independent layers called side by side
 # ----------------------------------------------------------------------
 
 def _branch_case(rng):
@@ -697,18 +697,19 @@ def _branch_case(rng):
     return convs, [a, b], [a, b.reshape(3, 4, 5, 6), c]
 
 
-# the maps of more than one job at two and three runs: the branches', then
-# each conv's in its branch (three items, two chunks, two runs, inline),
-# forward then backward
-@pytest.mark.parametrize("used,ungraded,jobs", [((0, 1, 2), 0, [2] * 8 + [3, 2, 2, 2] * 2),
-                                               ((2, 0), 3, [2] * 7 + [3, 2, 2, 2, 2, 2, 2])],
+# the maps of more than one job at two and three runs: forward, the
+# branches', then each conv's in its branch (three items, two chunks, two
+# runs, inline); backward, each conv's that the loss reaches, on the calling
+# thread
+@pytest.mark.parametrize("used,ungraded,jobs", [((0, 1, 2), 0, [2] * 7 + [3] + [2] * 6),
+                                               ((2, 0), 3, [2] * 6 + [3] + [2] * 5)],
                          ids=["all", "two"])
 def test_branches_are_bitwise_the_inline_calls(used, ungraded, jobs, map_jobs, at_worker_counts):
     # outputs and every gradient, inputs' too, as the layers give inline, on
     # one run or split in two or three; a branch the loss does not read gets
     # no gradient, as inline: unread, the second conv's weight and bias and
     # the leaf under its input get none, and backward runs only the two
-    # branches read
+    # convs read
     def run(parallel):
         convs, leaves, xs = _branch_case(np.random.default_rng(60))
         outs = layers.branches(convs, xs) if parallel else [conv(x) for conv, x in zip(convs, xs)]
@@ -728,15 +729,21 @@ def test_branches_are_bitwise_the_inline_calls(used, ungraded, jobs, map_jobs, a
     assert [n for n in map_jobs if n > 1] == jobs     # forward, backward
 
 
-def test_branches_sharing_a_leaf_that_requires_grad_raise():
-    rng = np.random.default_rng(61)
-    conv = Conv2D(2, 2, 1, rng)
-    x = Tensor(rng.normal(size=(2, 2, 3, 3)))
-    with pytest.raises(ValueError, match="share a leaf that requires grad"):
-        layers.branches([conv, conv], [x, x])
-    # a shared input is not a shared leaf: each branch reads its own leaf
-    x.requires_grad = True
-    layers.branches([conv, Conv2D(2, 2, 1, rng)], [x, x])
+def test_one_layer_as_two_branches_is_bitwise_the_inline_calls(at_worker_counts):
+    # one conv on one leaf that requires grad, as both branches: the weight,
+    # the bias and the leaf sum both branches' gradients, as inline
+    def run(parallel):
+        rng = np.random.default_rng(61)
+        conv = Conv2D(2, 3, 3, rng, padding=1)
+        x = Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
+        outs = layers.branches([conv, conv], [x, x]) if parallel else [conv(x), conv(x)]
+        (_proj_loss(outs[0], 1) + _proj_loss(outs[1], 2)).backward()
+        return [o.data for o in outs] + [t.grad for t in conv.params() + [x]]
+
+    want = run(False)
+    for got in at_worker_counts(lambda: run(True)):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class _Failing:
@@ -762,8 +769,10 @@ class _Failing:
 @pytest.mark.parametrize("in_backward", [False, True], ids=["forward", "backward"])
 def test_a_failing_branch_raises_after_every_run_and_the_first_error_first(in_backward,
                                                                            monkeypatch):
-    # two runs: the first branch, on the pool, fails last; the second, on the
-    # calling thread, at once; the first branch's error comes out, as serially
+    # two runs: forward, the first branch, on the pool, fails last; the
+    # second, on the calling thread, at once; the first branch's error comes
+    # out, as serially. Backward runs on the calling thread, as inline: the
+    # first branch's fails, and the second's never runs
     monkeypatch.setattr(_workers, "_RUNS", 2)
     finished = []
     branch = [_Failing("first", 0.2, in_backward, finished),
@@ -772,7 +781,7 @@ def test_a_failing_branch_raises_after_every_run_and_the_first_error_first(in_ba
     with pytest.raises(ValueError, match="^first$"):
         outs = layers.branches(branch, [x, x])
         (outs[0].sum() + outs[1].sum()).backward()
-    assert finished == ["second", "first"]
+    assert finished == (["first"] if in_backward else ["second", "first"])
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from jamloc import _workers
 from jamloc.dsp import NormalizationSpec
 from jamloc.models import (MCAFF_PRESETS, FusionConfig, FusionModel, McaffConfig,
-                           McaffModel, Prediction, load_model, save_model,
+                           McaffModel, Prediction, load_model, mcaff, save_model,
                            tiny_fusion_config, tiny_mcaff_config)
 from jamloc.nn import SGD, CheckpointError, Conv1D, Conv2D, Mode, Tensor, save_checkpoint
 
@@ -455,11 +455,13 @@ def test_paper_width_fusion_training_is_bitwise_for_any_worker_count(monkeypatch
     assert digests[0] == digests[1]
 
 
-def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at_worker_counts):
-    # three momentum-SGD steps at B=32, float32: the four stems run as
-    # branches in one run, or split in two or three, forward and backward,
-    # and every conv has two chunks, so its map has two jobs at two runs or
-    # more (inline inside a branch)
+def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at_worker_counts,
+                                                                     monkeypatch):
+    # three momentum-SGD steps at B=32, float32: the four stems' forwards
+    # run as branches in one run, or split in two or three, and every conv
+    # has two chunks, so its map has two jobs at two runs or more (inline
+    # inside a branch); outputs and gradients are bitwise those of the stems
+    # called inline, one after another, at every run count
     def train():
         model = McaffModel(McaffConfig(), seed=0)
         opt = SGD(model.params(), learning_rate=1e-2)
@@ -474,51 +476,67 @@ def test_paper_width_mcaff_training_is_bitwise_for_any_worker_count(map_jobs, at
                 h.update(p.grad.tobytes())
             opt.step()
         return h.hexdigest()
+    with monkeypatch.context() as m:
+        m.setattr(mcaff, "branches", lambda layers, inputs: [f(x) for f, x in zip(layers, inputs)])
+        inline = at_worker_counts(train)
     digests = at_worker_counts(train)
-    assert digests == [digests[0]] * len(digests)
-    # per step and pass (forward, backward): the branches' map, the 8 stem
-    # convs' maps (inline in their branches) and the block's 3; each has two
-    # jobs at the two run counts above one, but the branches' map has three
-    # at three runs
-    per_pass = 1 + 8 + 3
-    assert sorted(n for n in map_jobs if n > 1) == [2] * (2 * 6 * per_pass - 3 * 2) + [3] * 3 * 2
+    assert digests == inline == [inline[0]] * len(inline)
+    # per step: forward, the branches' map, the 8 stem convs' maps (inline in
+    # their branches) and the block's 3; backward, the 11 convs' maps. Each
+    # has two jobs at the two run counts above one, but the branches' map
+    # has three at three runs
+    per_step = 1 + 8 + 3 + 11
+    assert sorted(n for n in map_jobs if n > 1) == [2] * (2 * 3 * per_step - 3) + [3] * 3
 
 
 @pytest.mark.parametrize("preset", sorted(MCAFF_PRESETS))
 def test_mcaff_hands_the_pool_one_run_of_stems_per_pass(preset, monkeypatch, pool_jobs):
     # two runs, as on any host of two CPUs or more: a one-path preset runs
     # its stem inline and submits no run of stems; the others submit one run
-    # of stems in forward and one in backward, and run the other beside it.
-    # A run of stems is a list (of (stem, input) pairs forward, of (output,
-    # gradient) backward); the convs' runs, the block's and a lone stem's,
-    # are tuples
+    # of stems in forward, and run the other beside it, and none in
+    # backward, which runs on the calling thread. A run of stems is a list
+    # of (stem, input) pairs; the convs' runs are tuples
     monkeypatch.setattr(_workers, "_RUNS", 2)
     model = McaffModel(McaffConfig(enabled_paths=MCAFF_PRESETS[preset]), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
     _proj_loss(model.forward(batch)).backward()
     stems = len(model.stems)
     runs = [job for job in pool_jobs if isinstance(job, list)]
-    assert [len(job) for job in runs] == ([] if stems == 1 else [stems // 2] * 2)
+    assert [len(job) for job in runs] == ([] if stems == 1 else [stems // 2])
 
 
 def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_jobs):
     # two runs, as on any host of two CPUs or more, B=32 at paper width:
     # each of the block's convs (2048 rows, under _ROWS) takes the floor's
     # two chunks of 16 items, and hands the pool the first, forward and
-    # backward; the stems' convs run inline in their branches. A conv's job
-    # is (chunks, workspace), its workspace (n, Ho, Wo, groups, kh, kw,
-    # C/groups)
+    # backward. The stems' convs run inline in their branches forward, but
+    # hand the pool their runs in backward, so the block's convs are told
+    # by identity: each is wrapped, its call and its output's backward
+    # recording what they hand the pool. A conv's job is (chunks, workspace)
     monkeypatch.setattr(_workers, "_RUNS", 2)
     model = McaffModel(McaffConfig(), seed=0)
+    jobs = []
+
+    def recorded(name, fn):
+        def run(*args):
+            n = len(pool_jobs)
+            out = fn(*args)
+            jobs.extend((name, job[0]) for job in pool_jobs[n:])
+            return out
+        return run
+
+    def watched(name, conv):
+        def call(x):
+            y = recorded(name, conv)(x)
+            y._backward_fn = recorded(name, y._backward_fn)
+            return y
+        return call
+
+    order = ["reduce", "grouped", "expand"]
+    for name in order:
+        monkeypatch.setattr(model.block, name, watched(name, getattr(model.block, name)))
     batch = {k: v.astype(np.float32) for k, v in _batch(8, b=32).items()}
     _proj_loss(model.forward(batch)).backward()
-    block = model.block
-    names = {(conv.groups, conv.kernel_size, conv.in_channels // conv.groups): name
-             for name, conv in (("reduce", block.reduce), ("grouped", block.grouped),
-                                ("expand", block.expand))}
-    jobs = [(names[(job[1].shape[3], job[1].shape[4], job[1].shape[6])], job[0])
-            for job in pool_jobs if isinstance(job, tuple)]
-    order = ["reduce", "grouped", "expand"]
     assert jobs == [(name, [(0, 16)]) for name in order + order[::-1]]
 
 

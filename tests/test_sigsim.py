@@ -419,6 +419,28 @@ def test_sim_config_fails_at_entry_naming_the_field(field, value):
         make_dataset(cfg, ArrayGeometry(), seed=0)
 
 
+@pytest.mark.parametrize("field,value,match", [
+    ("profiles", [_profile(), "chirp"], r"^SimConfig\.profiles\[1\] must be a JammerProfile, got str$"),
+    ("trajectory_params", None, r"^SimConfig\.trajectory_params must be a dict, got NoneType$"),
+    ("trajectory_kind", 3, r"^SimConfig\.trajectory_kind must be a str, got int$"),
+    ("pose_jitter_m", "a", r"^SimConfig\.pose_jitter_m must be a real number, got str$"),
+    ("geometry", None, r"^make_dataset: geometry must be an ArrayGeometry, got NoneType$"),
+    ("geometry", "x", r"^make_dataset: geometry must be an ArrayGeometry, got str$"),
+    ("scene", None, r"^SimConfig\.scene must be a SceneConfig, got NoneType$"),
+], ids=["profile-str", "params-none", "kind-int", "jitter-str", "geometry-none", "geometry-str",
+        "scene-none"])
+def test_make_dataset_rejects_a_value_of_the_wrong_type_naming_it(field, value, match):
+    # unchecked, the profile's message named neither its index nor its type,
+    # and the others failed deeper with a bare TypeError or AttributeError
+    cfg, geometry = _tiny_sim(), ArrayGeometry()
+    if field == "geometry":
+        geometry = value
+    else:
+        setattr(cfg, field, value)
+    with pytest.raises(TypeError, match=match):
+        make_dataset(cfg, geometry, seed=0)
+
+
 @pytest.mark.parametrize("jobs", [0, -2, 2, 7, True, 1.0])
 def test_make_dataset_rejects_jobs_other_than_one(jobs):
     with pytest.raises(ValueError, match=r"^make_dataset: jobs must be 1 .*got "):
