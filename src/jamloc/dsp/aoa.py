@@ -13,6 +13,7 @@ import logging
 
 import numpy as np
 
+from .._checks import real
 from .features import _blocked, _phase_increments
 from .fourier import fft
 
@@ -51,8 +52,7 @@ def aoa_features(samples: np.ndarray, fs: float) -> np.ndarray:
     one; the two differ in the last bits, and the sequential order keeps the
     column bitwise stable across versions.
     """
-    if not 0 < fs < np.inf:
-        raise ValueError(f"aoa_features expects a finite positive sample rate fs, got fs = {fs}")
+    real("aoa_features: fs", fs, 0, above=True)
     out = _blocked("aoa_features", lambda b, rows: _aoa_block(b, fs, rows), samples,
                    (4, N_AOA_FEATURES))
     dead = int(np.count_nonzero(out[..., 12] == 0))      # column 12 is the channel energy

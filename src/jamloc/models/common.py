@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._checks import is_int
+from .._checks import choice, count, instance
 from ..nn import Dense, Layer, Tensor
 
 __all__ = ["Prediction", "TaskHead", "ALPHA_SCALE", "BETA_SCALE", "as_inputs", "read_out",
@@ -45,27 +45,30 @@ class Prediction:
 
 
 def require_positive(cfg, *fields: str) -> None:
-    """Reject a config whose named int field is not an int or is below 1, or
-    whose named tuple field is empty or holds an entry that is not an int
-    >= 1; bools are not ints here. The error names the field."""
+    """Check each named field of ``cfg`` with ``_checks``' rules: an int field
+    is an integer >= 1, and a tuple field (one whose default is a tuple) a
+    nonempty tuple of them, each entry named ``Config.field[i]``."""
     for name in fields:
-        value = getattr(cfg, name)
-        if isinstance(value, (tuple, list)):
-            if not value or not all(is_int(v) and v >= 1 for v in value):
-                raise ValueError(f"{name} must be a nonempty tuple of ints >= 1, got {value!r}")
-        elif not is_int(value):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        elif value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+        where, value = f"{type(cfg).__name__}.{name}", getattr(cfg, name)
+        if isinstance(getattr(type(cfg), name), tuple):
+            instance(where, value, tuple)
+            if not value:
+                raise ValueError(f"{where} must be a nonempty tuple, got ()")
+            for i, v in enumerate(value):
+                count(f"{where}[{i}]", v, 1)
+        else:
+            count(where, value, 1)
 
 
 def require_subset(cfg, name: str, allowed: tuple) -> None:
     """Store the named field of ``cfg`` as a tuple, and reject it unless it
     is a nonempty subset of ``allowed`` with each entry named once; the
-    error names the field."""
-    value = tuple(getattr(cfg, name))
-    if not value or len(set(value) & set(allowed)) < len(value):     # unknown or repeated
-        raise ValueError(f"{name} must be a nonempty subset of {allowed}, "
+    error names the field, and an entry outside ``allowed`` its index."""
+    where, value = f"{type(cfg).__name__}.{name}", tuple(getattr(cfg, name))
+    for i, v in enumerate(value):
+        choice(f"{where}[{i}]", v, allowed)
+    if not value or len(set(value)) < len(value):
+        raise ValueError(f"{where} must be a nonempty subset of {allowed}, "
                          f"each named once, got {value!r}")
     setattr(cfg, name, value)
 

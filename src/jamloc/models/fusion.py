@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import instance
 from ..nn import Conv1D, Conv2D, Dense, GlobalAvgPool, Layer, Tensor, concat
 from .common import (Prediction, TaskHead, as_inputs, read_out, require_positive,
                      require_subset)
@@ -41,10 +42,9 @@ class FusionConfig:
         require_positive(self, "spec_branch_dim", "iq_branch_dim", "aoa_branch_dim",
                          "head_hidden", "n_classes", "spec_channels", "iq_channels",
                          "iq_dilations", "aoa_conv_channels")
-        if not isinstance(self.with_classifier, bool):
-            raise ValueError(f"with_classifier must be a bool, got {self.with_classifier!r}")
+        instance("FusionConfig.with_classifier", self.with_classifier, bool)
         if len(self.iq_channels) != len(self.iq_dilations):
-            raise ValueError("iq_channels and iq_dilations must have equal length")
+            raise ValueError("FusionConfig.iq_channels and iq_dilations must have equal length")
 
     @property
     def fused_dim(self) -> int:

@@ -56,7 +56,7 @@ def load_model(path, dtype=np.float32):
     arrays, meta = load_checkpoint(path)
     if not meta or "kind" not in meta or "config" not in meta:
         raise CheckpointError(f"{path} has no model metadata block")
-    if meta["kind"] not in _KINDS:
+    if meta["kind"] not in tuple(_KINDS):     # compared, not hashed: a list kind is unknown
         raise CheckpointError(f"unknown model kind {meta['kind']!r}")
     model_cls, cfg_cls, retired = _KINDS[meta["kind"]]
     config = meta["config"]

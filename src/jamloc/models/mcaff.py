@@ -61,10 +61,10 @@ class McaffConfig:
         require_positive(self, "path_feature_dim", "cardinality", "block_width",
                          "stem_channels", "head_hidden", "n_classes", "n_subclasses")
         if self.path_feature_dim % ATTENTION_REDUCTION:
-            raise ValueError(f"path_feature_dim must be a multiple of {ATTENTION_REDUCTION}, "
-                             f"got {self.path_feature_dim}")
+            raise ValueError(f"McaffConfig.path_feature_dim must be a multiple of "
+                             f"{ATTENTION_REDUCTION}, got {self.path_feature_dim}")
         if self.block_width % self.cardinality:
-            raise ValueError("cardinality must divide block_width")
+            raise ValueError("McaffConfig.cardinality must divide block_width")
 
     @property
     def concat_channels(self) -> int:

@@ -8,11 +8,11 @@ Layout (little-endian throughout):
     optionally, a trailing metadata block: length u32 + UTF-8 JSON, then
     the end of the file
 
-Weights are stored in float32 regardless of the in-memory training precision,
-and are finite: ``save_checkpoint`` refuses, and ``load_checkpoint`` rejects,
-a tensor that holds NaN or inf. A save writes a temporary file beside
-``path`` and moves it onto ``path`` only once it is whole on disk, so a save
-that fails leaves the checkpoint it was replacing as it was.
+Weights are stored in float32 regardless of the in-memory training precision.
+``save_checkpoint`` refuses, and ``load_checkpoint`` rejects, a NaN or inf in
+a weight or in the metadata. A save writes a temporary file beside ``path``
+and moves it onto ``path`` only once it is whole on disk, so a save that
+fails leaves the checkpoint it was replacing as it was.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def save_checkpoint(path, params, metadata: dict | None = None) -> None:
     for i, a in enumerate(arrays):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"tensor {i} of shape {a.shape} holds non-finite weights")
-    blob = None if metadata is None else json.dumps(metadata, sort_keys=True).encode("utf-8")
+    blob = (None if metadata is None
+            else json.dumps(metadata, sort_keys=True, allow_nan=False).encode("utf-8"))
     # private to this thread, in path's directory so that the replace is a rename
     tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
@@ -80,7 +81,7 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
     """Read tensors (as float32 arrays) plus the metadata block if present.
-    A tensor that holds NaN or inf is a ``CheckpointError`` naming it."""
+    A NaN or inf in a tensor or in the metadata is a ``CheckpointError``."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MAGIC:
             raise CheckpointError(f"bad magic in {path}; not a GJW1 checkpoint")
@@ -106,8 +107,11 @@ def load_checkpoint(path) -> tuple[list[np.ndarray], dict | None]:
         blob = _read_exact(f, mlen, "metadata")
         if trailing := os.fstat(f.fileno()).st_size - f.tell():
             raise CheckpointError(f"{path} has {trailing} trailing bytes after the metadata block")
+
+    def non_finite(token):
+        raise CheckpointError(f"metadata block of {path} is not strict JSON: it holds {token}")
     try:
-        meta = json.loads(blob.decode("utf-8"))
+        meta = json.loads(blob.decode("utf-8"), parse_constant=non_finite)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"metadata block of {path} is not UTF-8 JSON: {e}") from e
     if not isinstance(meta, dict):

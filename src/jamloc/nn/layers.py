@@ -73,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .. import _workers
-from .._checks import is_int
+from .._checks import count, instance
 from .tensor import ShapeError, Tensor, _float_dtype
 
 __all__ = [
@@ -137,19 +137,13 @@ class Layer:
 # dense / pooling
 # ----------------------------------------------------------------------
 
-def _count(least: int):
-    """The rule of a count: an int, not a bool, of at least ``least``."""
-    return lambda v: is_int(v) and v >= least
-
-
 class Dense(Layer):
-    """(B, in_features) -> (B, out_features); each count is an int >= 1
-    (``_count(1)``, as the convs check theirs), else a ValueError naming it."""
+    """(B, in_features) -> (B, out_features); each count is an integer >= 1
+    (``_checks.count``, as the convs check theirs)."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        for name, value in (("in_features", in_features), ("out_features", out_features)):
-            if not _count(1)(value):
-                raise ValueError(f"Dense {name} out of range: {value}")
+        count("Dense.in_features", in_features, 1)
+        count("Dense.out_features", out_features, 1)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(glorot_uniform(rng, (in_features, out_features),
@@ -383,24 +377,24 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
     return Tensor.from_op(y.transpose(0, -1, *range(1, len(sp) + 1)), (x, w, b), bw)
 
 
-# each conv argument's rule, checked before any shape arithmetic
-_CONV_RULES = {"in_channels": _count(1), "out_channels": _count(1), "kernel_size": _count(1),
-               "dilation": _count(1), "stride": lambda s: len(s) == 2 and all(map(_count(1), s)),
-               "padding": _count(0), "groups": _count(1), "relu": lambda v: isinstance(v, bool)}
-
-
 class _Conv(Layer):
-    """The construction both convs share. Each argument is checked against
-    ``_CONV_RULES`` (a ValueError names the first one out of range), then
-    kept as the attribute of its name. The weight has shape (out_channels,
+    """The construction both convs share. Each argument passes a ``_checks``
+    rule (``relu`` a bool, ``padding`` >= 0, other counts and strides >= 1)
+    and is kept under its name. The weight has shape (out_channels,
     in_channels // groups) + (kernel_size,) * ``axes`` and is Glorot-uniform:
     fan-in is a group's input channels times the taps, fan-out a group's
     output channels, times the taps too if ``fan_out_taps``. The bias is 0."""
 
     def __init__(self, rng: np.random.Generator, *, axes: int, fan_out_taps: bool, **args):
         for name, value in args.items():
-            if not _CONV_RULES[name](value):
-                raise ValueError(f"{type(self).__name__} {name} out of range: {value}")
+            where = f"{type(self).__name__}.{name}"
+            if name == "relu":
+                instance(where, value, bool)
+            elif name == "stride" and len(value) == 2:     # any other length fails as a count
+                for i, s in enumerate(value):
+                    count(f"{where}[{i}]", s, 1)
+            else:
+                count(where, value, 0 if name == "padding" else 1)
         groups, cin, cout = args.get("groups", 1), args["in_channels"], args["out_channels"]
         if cin % groups or cout % groups:
             raise ValueError(f"groups={groups} must divide in_channels={cin} and out_channels={cout}")

@@ -9,10 +9,9 @@ any parameter changes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .._checks import real
 from .tensor import Tensor
 
 __all__ = ["SGD"]
@@ -22,14 +21,12 @@ WEIGHT_DECAY = 5e-4
 
 
 class SGD:
-    """Momentum SGD over a fixed parameter set (see the module docstring)."""
+    """Momentum SGD over a fixed parameter set at a finite ``learning_rate`` > 0."""
 
     def __init__(self, params: list[Tensor], learning_rate: float = 1e-2):
         # a NaN or infinite rate would turn every weight non-finite on the first step
-        if not 0.0 < learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
+        self.learning_rate = float(real("SGD.learning_rate", learning_rate, 0, above=True))
         self.params = list(params)
-        self.learning_rate = float(learning_rate)
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:

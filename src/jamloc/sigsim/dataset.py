@@ -24,13 +24,12 @@ so the output is bitwise the same for any chunk size and worker count.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import _workers
-from .._checks import is_int
+from .._checks import choice, count, instance, is_int, real
 from .geometry import ArrayGeometry
 from .jammers import JammerProfile, gen_baseband
 from .records import SCENARIO_TAGS, IQSnapshot
@@ -71,29 +70,19 @@ def _check_config(cfg: SimConfig, geometry, seed, jobs) -> None:
     if not is_int(jobs) or jobs != 1:
         raise ValueError(f"make_dataset: jobs must be 1 (chunks run on the calling "
                          f"process's threads), got {jobs!r}")
-    for name, value in (("make_dataset: seed", seed), ("SimConfig.seed_channel", cfg.seed_channel)):
-        if not is_int(value) or value < 0:
-            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-    for name, value, cls, noun in (
-            ("make_dataset: geometry", geometry, ArrayGeometry, "an ArrayGeometry"),
-            ("SimConfig.scene", cfg.scene, SceneConfig, "a SceneConfig"),
-            ("SimConfig.trajectory_kind", cfg.trajectory_kind, str, "a str"),
-            ("SimConfig.trajectory_params", cfg.trajectory_params, dict, "a dict"),
-            ("SimConfig.pose_jitter_m", cfg.pose_jitter_m, numbers.Real, "a real number")):
-        if not isinstance(value, cls):
-            raise TypeError(f"{name} must be {noun}, got {type(value).__name__}")
-    if not (np.isfinite(cfg.pose_jitter_m) and cfg.pose_jitter_m >= 0):
-        raise ValueError(f"SimConfig.pose_jitter_m must be finite and >= 0, "
-                         f"got {cfg.pose_jitter_m!r}")
-    if cfg.scenario_tag not in SCENARIO_TAGS:
-        raise ValueError(f"SimConfig.scenario_tag must be one of {SCENARIO_TAGS}, "
-                         f"got {cfg.scenario_tag!r}")
+    instance("make_dataset: cfg", cfg, SimConfig)
+    count("make_dataset: seed", seed, 0)
+    count("SimConfig.seed_channel", cfg.seed_channel, 0)
+    instance("make_dataset: geometry", geometry, ArrayGeometry)
+    instance("SimConfig.scene", cfg.scene, SceneConfig)
+    instance("SimConfig.trajectory_kind", cfg.trajectory_kind, str)
+    instance("SimConfig.trajectory_params", cfg.trajectory_params, dict)
+    real("SimConfig.pose_jitter_m", cfg.pose_jitter_m, 0)
+    choice("SimConfig.scenario_tag", cfg.scenario_tag, SCENARIO_TAGS)
     if not cfg.profiles:
         raise ValueError("no jammer profiles configured")
     for i, p in enumerate(cfg.profiles):
-        if not isinstance(p, JammerProfile):
-            raise TypeError(f"SimConfig.profiles[{i}] must be a JammerProfile, "
-                            f"got {type(p).__name__}")
+        instance(f"SimConfig.profiles[{i}]", p, JammerProfile)
     _check_scene(cfg.scene)
 
 
@@ -123,13 +112,11 @@ def make_dataset(cfg: SimConfig, geometry: ArrayGeometry, seed: int,
                  jobs: int = 1) -> list[IQSnapshot]:
     """Generate one labeled snapshot list; deterministic for a fixed seed.
 
-    ``seed`` is an int >= 0. ``jobs`` must be 1: the chunks run on the
-    calling process's worker threads.
+    ``seed`` is an integer >= 0 (``_checks.count``), as is ``seed_channel``.
+    ``jobs`` must be 1: the chunks run on the calling process's threads.
     """
     _check_config(cfg, geometry, seed, jobs)
     poses = gen_trajectory(cfg.trajectory_kind, cfg.trajectory_params, cfg.heights)
-    if len(poses) == 0:
-        raise ValueError("trajectory produced no poses")
     indices = range(len(poses))
 
     def run(chunks):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._checks import is_int
+from .._checks import count, instance, real
 
 __all__ = ["JammerClass", "JammerProfile", "gen_baseband",
            "BANDWIDTH_RANGE_HZ", "POWER_RANGE_DBM"]
@@ -43,23 +43,19 @@ JAMMER_CLASSES = tuple(JammerClass)  # index in this tuple = integer class id
 
 @dataclass(frozen=True)
 class JammerProfile:
+    """A class, a subclass id >= 0, and a bandwidth (Hz) and power (dBm) within
+    ``BANDWIDTH_RANGE_HZ`` and ``POWER_RANGE_DBM``, each checked by a ``_checks`` rule."""
+
     jclass: JammerClass
     subclass_id: int
     bandwidth_hz: float
     power_dbm: float
 
     def __post_init__(self):
-        if not isinstance(self.jclass, JammerClass):
-            raise ValueError(f"JammerProfile.jclass must be a JammerClass, got {self.jclass!r}")
-        if not is_int(self.subclass_id) or self.subclass_id < 0:
-            raise ValueError(f"JammerProfile.subclass_id must be an integer >= 0, "
-                             f"got {self.subclass_id!r}")
-        lo, hi = BANDWIDTH_RANGE_HZ
-        if not lo <= self.bandwidth_hz <= hi:
-            raise ValueError(f"bandwidth {self.bandwidth_hz:g} Hz outside [{lo:g}, {hi:g}]")
-        lo, hi = POWER_RANGE_DBM
-        if not lo <= self.power_dbm <= hi:
-            raise ValueError(f"power {self.power_dbm:g} dBm outside [{lo:g}, {hi:g}]")
+        instance("JammerProfile.jclass", self.jclass, JammerClass)
+        count("JammerProfile.subclass_id", self.subclass_id, 0)
+        real("JammerProfile.bandwidth_hz", self.bandwidth_hz, *BANDWIDTH_RANGE_HZ)
+        real("JammerProfile.power_dbm", self.power_dbm, *POWER_RANGE_DBM)
 
     @property
     def class_id(self) -> int:

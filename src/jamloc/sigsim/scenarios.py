@@ -9,6 +9,7 @@ path roughly equally.
 
 from __future__ import annotations
 
+from .._checks import choice
 from .dataset import SimConfig
 from .jammers import JammerClass, JammerProfile
 from .scene import Reflector, SceneConfig, WallSegment
@@ -68,9 +69,7 @@ def base_scene(walls=()) -> SceneConfig:
 
 def scenario_configs(scale: str = "desk") -> dict[str, SimConfig]:
     """SimConfig per dataset key; 'Random' appears as train and test splits."""
-    if scale not in SCALE_PRESETS:
-        raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(SCALE_PRESETS)}")
-    preset = SCALE_PRESETS[scale]
+    preset = SCALE_PRESETS[choice("scenario_configs: scale", scale, tuple(SCALE_PRESETS))]
     profiles = desk_profiles()
     random_circ = {"center": (0.0, 16.0), "radii": (3.0, 4.5, 6.0, 7.5, 9.0)}
     grid = {"centers": ((-3.5, 12.0), (3.5, 12.0), (-3.5, 17.0), (3.5, 17.0)),

@@ -38,6 +38,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from .._checks import instance, real
 from .geometry import C_LIGHT, ArrayGeometry
 from .records import IQSnapshot, Label
 
@@ -46,17 +47,14 @@ __all__ = ["WallSegment", "Reflector", "SceneConfig", "PropPath",
 
 
 def _check_surface(surface) -> None:
-    """Finite, distinct end points and a reflection coefficient in [0, 1]: a
-    larger one would amplify the bounce, and NaN would reach every sample."""
+    """Finite end points (``_checks.real``) that differ, and a reflection
+    coefficient in [0, 1]: more would amplify the bounce, NaN every sample."""
     name = type(surface).__name__
     for f in ("x1", "y1", "x2", "y2"):
-        if not np.isfinite(getattr(surface, f)):
-            raise ValueError(f"{name}.{f} must be finite, got {getattr(surface, f)!r}")
+        real(f"{name}.{f}", getattr(surface, f))
     if (surface.x1, surface.y1) == (surface.x2, surface.y2):
         raise ValueError(f"{name}.x2, y2 must differ from x1, y1 (a zero-length surface)")
-    c = surface.reflection_coeff
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"{name}.reflection_coeff must be in [0, 1], got {c!r}")
+    real(f"{name}.reflection_coeff", surface.reflection_coeff, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,7 @@ class WallSegment:
 
     def __post_init__(self):
         _check_surface(self)
-        loss = self.transmission_loss_db
-        if not (np.isfinite(loss) and loss >= 0.0):
-            raise ValueError(f"WallSegment.transmission_loss_db must be finite and >= 0, "
-                             f"got {loss!r}")
+        real("WallSegment.transmission_loss_db", self.transmission_loss_db, 0)
 
 
 @dataclass(frozen=True)
@@ -122,17 +117,10 @@ def _check_scene(scene: SceneConfig) -> None:
     of ``Reflector``s (a wall among them would lose its transmission loss),
     and a noise floor that does not make every sample non-finite."""
     for name, cls in (("wall_segments", WallSegment), ("ambient_reflectors", Reflector)):
-        surfaces = getattr(scene, name)
-        if not isinstance(surfaces, list):
-            raise TypeError(f"SceneConfig.{name} must be a list of {cls.__name__}, "
-                            f"got {type(surfaces).__name__}")
-        for i, surface in enumerate(surfaces):
-            if not isinstance(surface, cls):
-                raise TypeError(f"SceneConfig.{name}[{i}] must be a {cls.__name__}, "
-                                f"got {type(surface).__name__}")
-    if scene.noise_floor_dbm is not None and not np.isfinite(scene.noise_floor_dbm):
-        raise ValueError(f"SceneConfig.noise_floor_dbm must be finite or None, "
-                         f"got {scene.noise_floor_dbm!r}")
+        for i, surface in enumerate(instance(f"SceneConfig.{name}", getattr(scene, name), list)):
+            instance(f"SceneConfig.{name}[{i}]", surface, cls)
+    if scene.noise_floor_dbm is not None:
+        real("SceneConfig.noise_floor_dbm", scene.noise_floor_dbm)
 
 
 def _check_jammers(antenna: np.ndarray, jammers: np.ndarray) -> None:

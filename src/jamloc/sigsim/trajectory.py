@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._checks import is_int
+from .._checks import choice, count, instance, real
 
 __all__ = ["gen_trajectory", "DEFAULT_HEIGHTS"]
 
@@ -15,14 +15,6 @@ DEFAULT_HEIGHTS = (3.9, 4.4, 4.9, 5.4)
 _PARAMS = {"circles": ("center", "radii", "points_per_circle", "phase"),
            "grid_circles": ("centers", "radii", "points_per_circle", "phase"),
            "meander": ("x_range", "y_range", "rows", "points_per_row")}
-
-
-def _count(kind: str, params: dict, key: str, default: int) -> int:
-    """``params[key]`` (or ``default``) if an int >= 1, else a ValueError naming the key."""
-    n = params.get(key, default)
-    if not is_int(n) or n < 1:
-        raise ValueError(f"{kind}: {key} must be an int >= 1, got {n!r}")
-    return int(n)
 
 
 def _reals(kind: str, key: str, value, shape: tuple, what: str) -> np.ndarray:
@@ -53,9 +45,8 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
     grid_circles: centers (4 x (x, y)), radii, points_per_circle, phase
     meander:      x_range, y_range, rows, points_per_row
     """
-    kind = kind.lower()
-    if kind not in _PARAMS:
-        raise ValueError(f"unknown trajectory kind {kind!r}")
+    kind = choice("gen_trajectory: kind", instance("gen_trajectory: kind", kind, str).lower(),
+                  tuple(_PARAMS))
     unknown = sorted(set(params) - set(_PARAMS[kind]))
     if unknown:
         raise ValueError(f"{kind}: unknown parameter(s) {unknown}; valid: {_PARAMS[kind]}")
@@ -75,8 +66,8 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
     if np.any(radii <= 0):
         raise ValueError(f"{kind}: radii must be a nonempty sequence of finite numbers > 0, "
                          f"got {value!r}")
-    n_pts = _count(kind, params, "points_per_circle", 100)
-    phase = float(_reals(kind, "phase", params.get("phase", 0.0), (), "a finite number"))
+    n_pts = int(count(f"{kind}: points_per_circle", params.get("points_per_circle", 100), 1))
+    phase = float(real(f"{kind}: phase", params.get("phase", 0.0)))
     poses = []
     for z in heights:
         for center in centers:
@@ -91,8 +82,8 @@ def _meander(params: dict, heights) -> np.ndarray:
                     "a finite (lo, hi) pair")
     y0, y1 = _reals("meander", "y_range", params.get("y_range", (10.0, 20.0)), (2,),
                     "a finite (lo, hi) pair")
-    rows = _count("meander", params, "rows", 10)
-    n_pts = _count("meander", params, "points_per_row", 30)
+    rows = int(count("meander: rows", params.get("rows", 10), 1))
+    n_pts = int(count("meander: points_per_row", params.get("points_per_row", 30), 1))
     ys = np.linspace(y0, y1, rows)
     poses = []
     for z in heights:

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -130,6 +131,29 @@ def test_bad_metadata_block_detected(tmp_path, blob):
     save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))])
     path.write_bytes(path.read_bytes() + struct.pack("<I", len(blob)) + blob)
     with pytest.raises(CheckpointError, match="metadata"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_metadata_is_refused_before_the_file_is_opened(tmp_path, bad):
+    # json.dumps wrote NaN, Infinity or -Infinity, which a strict JSON parser rejects
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))], {"kind": "FUSION"})
+    good = path.read_bytes()
+    with pytest.raises(ValueError, match=r"^Out of range float values are not JSON compliant"):
+        save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))], {"extra": {"lr": bad}})
+    assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_metadata_is_rejected_on_load(tmp_path, token):
+    # json.loads read these back as floats from a file written by other means
+    path = tmp_path / "w.gjw"
+    save_checkpoint(path, [Tensor(np.ones(3, dtype=np.float32))])
+    blob = f'{{"extra": {{"lr": {token}}}}}'.encode()
+    path.write_bytes(path.read_bytes() + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(CheckpointError, match=rf"^metadata block of {re.escape(str(path))} is not "
+                                              rf"strict JSON: it holds {token}$"):
         load_checkpoint(path)
 
 

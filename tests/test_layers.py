@@ -98,8 +98,8 @@ def test_conv2d_matches_direct_oracle(stride, padding, groups):
 
 
 @pytest.mark.parametrize("cls,field,kwargs", [
-    (Conv2D, "kernel_size", dict(kernel_size=0)), (Conv2D, "stride", dict(stride=0)),
-    (Conv2D, "stride", dict(stride=(2, 0))), (Conv2D, "padding", dict(padding=-1)),
+    (Conv2D, "kernel_size", dict(kernel_size=0)), (Conv2D, "stride[0]", dict(stride=0)),
+    (Conv2D, "stride[1]", dict(stride=(2, 0))), (Conv2D, "padding", dict(padding=-1)),
     (Conv2D, "groups", dict(groups=0)),
     (Conv2D, "in_channels", dict(in_channels=0)), (Conv2D, "out_channels", dict(out_channels=0)),
     (Conv1D, "in_channels", dict(in_channels=0)), (Conv1D, "out_channels", dict(out_channels=0)),
@@ -114,7 +114,9 @@ def test_conv2d_matches_direct_oracle(stride, padding, groups):
         "conv1d-dilation-float", "kernel_size-float", "groups-bool"])
 def test_conv2d_rejects_bad_arguments(cls, field, kwargs):
     args = dict(in_channels=4, out_channels=4, kernel_size=3, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match=f"^{cls.__name__} {field} out of range: "):
+    error, rule = ((TypeError, "a bool") if field == "relu"
+                   else (ValueError, f"an integer >= {int(field != 'padding')}"))
+    with pytest.raises(error, match=rf"^{cls.__name__}\.{re.escape(field)} must be {rule}, got "):
         cls(**{**args, **kwargs})
 
 
@@ -125,7 +127,8 @@ def test_conv2d_rejects_bad_arguments(cls, field, kwargs):
 ], ids=["in_features", "out_features", "in_features-float", "out_features-bool"])
 def test_dense_rejects_bad_arguments(field, kwargs):
     args = dict(in_features=2, out_features=4, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match=f"^Dense {field} out of range: "):
+    with pytest.raises(ValueError, match=rf"^Dense\.{field} must be an integer >= 1, "
+                                         rf"got {kwargs[field]!r}$"):
         Dense(**{**args, **kwargs})
 
 

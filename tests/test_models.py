@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -190,13 +191,14 @@ def test_prediction_angles_are_the_scaled_tanh_outputs():
 def test_fusion_config_rejects_a_repeated_branch(branches):
     # ("iq", "iq") counted the IQ width twice in fused_dim, so the first
     # forward failed in the head's Dense
-    with pytest.raises(ValueError, match=r"^enabled_branches must be .* each named once"):
+    with pytest.raises(ValueError, match=r"^FusionConfig\.enabled_branches must be .* "
+                                         r"each named once"):
         tiny_fusion_config(enabled_branches=branches)
 
 
 def test_mcaff_config_rejects_a_repeated_path():
     # ("iq", "iq") built one stem, but the config, and so the checkpoint, kept both
-    with pytest.raises(ValueError, match=r"^enabled_paths must be .* each named once"):
+    with pytest.raises(ValueError, match=r"^McaffConfig\.enabled_paths must be .* each named once"):
         tiny_mcaff_config(enabled_paths=("iq", "iq"))
 
 
@@ -217,15 +219,16 @@ def test_mcaff_config_rejects_a_repeated_path():
 ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict)
    else v.__name__.split("_")[1])
 def test_config_rejects_out_of_range_sizes(make, overrides):
-    field = next(iter(overrides))
-    with pytest.raises(ValueError, match=rf"^{field} "):
+    field, config = next(iter(overrides)), type(make()).__name__
+    with pytest.raises(ValueError, match=rf"^{config}\.{field}(\[\d\])? must be "):
         make(**overrides)
 
 
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_fusion_config_rejects_a_non_bool_with_classifier(value):
     # "no" built the class head: the field's truth was read
-    with pytest.raises(ValueError, match=rf"^with_classifier must be a bool, got {value!r}$"):
+    with pytest.raises(TypeError, match=rf"^FusionConfig\.with_classifier must be a bool, "
+                                        rf"got {value!r}$"):
         tiny_fusion_config(with_classifier=value)
 
 
@@ -371,17 +374,26 @@ def test_load_takes_a_retired_field_only_at_its_constant(build, retired, bad, tm
             load_model(path)
 
 
+@pytest.mark.parametrize("kind", [[1], {"FUSION": 1}], ids=["list", "dict"])
+def test_load_rejects_a_kind_that_is_not_a_string(tmp_path, kind):
+    # the kind was looked up in a dict: a list or a dict raised "unhashable type"
+    model = FusionModel(tiny_fusion_config(), seed=0)
+    save_checkpoint(tmp_path / "model.gjw", model.params(), {"kind": kind, "config": {}})
+    with pytest.raises(CheckpointError, match=rf"^unknown model kind {re.escape(repr(kind))}$"):
+        load_model(tmp_path / "model.gjw")
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda meta, arrays: meta["config"].update(head_width=16),
      r"unknown FusionConfig fields \['head_width'\]"),
     (lambda meta, arrays: meta["config"].update(head_hidden=0),
-     r"bad FusionConfig: head_hidden must be >= 1"),
+     r"bad FusionConfig: FusionConfig\.head_hidden must be an integer >= 1, got 0$"),
     (lambda meta, arrays: meta["config"].pop("n_classes"),
      r"missing FusionConfig fields \['n_classes'\]"),
     (lambda meta, arrays: arrays[4].fill(np.nan),
      r"tensor 4 of shape \(4, 2, 3, 3\) holds non-finite weights"),
     (lambda meta, arrays: meta["config"].update(head_hidden=16.0),
-     r"bad FusionConfig: head_hidden must be an int, got 16.0$"),
+     r"bad FusionConfig: FusionConfig\.head_hidden must be an integer >= 1, got 16\.0$"),
 ], ids=["unknown-field", "out-of-range", "missing-field", "nan-weight", "non-int-field"])
 def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, edit, match):
     model = FusionModel(tiny_fusion_config(), seed=0)

@@ -113,7 +113,8 @@ def test_a_cast_after_sgd_raises_naming_the_parameter():
 ])
 def test_sgd_rejects_bad_hyperparameter_naming_field_and_value(field, value):
     p = Tensor(np.array([1.0]), requires_grad=True)
-    with pytest.raises(ValueError, match=rf"^{field} .*, got {re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=rf"^SGD\.{field} must be a finite number in \(0, inf\], "
+                                         rf"got {re.escape(repr(value))}$"):
         SGD([p], **{field: value})
 
 

@@ -79,8 +79,8 @@ def test_profile_range_validation():
         JammerProfile(JammerClass.CHIRP, 0, bandwidth_hz=1e6, power_dbm=11.0)
     # a class name built a profile whose class_id raised; a subclass id of
     # -1 labelled every snapshot with the last subclass logit's target
-    with pytest.raises(ValueError, match=r"^JammerProfile.jclass must be a JammerClass, "
-                                         r"got 'Chirp'$"):
+    with pytest.raises(TypeError, match=r"^JammerProfile\.jclass must be a JammerClass, "
+                                        r"got 'Chirp'$"):
         JammerProfile("Chirp", 0, bandwidth_hz=5e6, power_dbm=0.0)
     for bad in (-1, True, "a", 1.0):
         with pytest.raises(ValueError, match=rf"^JammerProfile.subclass_id must be an integer "
@@ -306,13 +306,14 @@ _ENTRY_POINTS = {
 
 @pytest.mark.parametrize("field,value,match", [
     ("wall_segments", [Reflector(**SURFACE_ARGS[Reflector])],
-     r"^SceneConfig\.wall_segments\[0\] must be a WallSegment, got Reflector$"),
+     r"^SceneConfig\.wall_segments\[0\] must be a WallSegment, got Reflector\(x1="),
     ("wall_segments", [(-5.0, 8.0, 5.0, 8.0, 20.0)],
-     r"^SceneConfig\.wall_segments\[0\] must be a WallSegment, got tuple$"),
+     r"^SceneConfig\.wall_segments\[0\] must be a WallSegment, "
+     r"got \(-5\.0, 8\.0, 5\.0, 8\.0, 20\.0\)$"),
     ("wall_segments", None,
-     r"^SceneConfig\.wall_segments must be a list of WallSegment, got NoneType$"),
+     r"^SceneConfig\.wall_segments must be a list, got None$"),
     ("ambient_reflectors", [WallSegment(**SURFACE_ARGS[WallSegment])],
-     r"^SceneConfig\.ambient_reflectors\[0\] must be a Reflector, got WallSegment$"),
+     r"^SceneConfig\.ambient_reflectors\[0\] must be a Reflector, got WallSegment\(x1?"),
 ], ids=["reflector-as-wall", "tuple-as-wall", "no-wall-list", "wall-as-reflector"])
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_scene_rejects_a_surface_of_the_wrong_type_naming_it(entry, field, value, match):
@@ -420,24 +421,27 @@ def test_sim_config_fails_at_entry_naming_the_field(field, value):
 
 
 @pytest.mark.parametrize("field,value,match", [
-    ("profiles", [_profile(), "chirp"], r"^SimConfig\.profiles\[1\] must be a JammerProfile, got str$"),
-    ("trajectory_params", None, r"^SimConfig\.trajectory_params must be a dict, got NoneType$"),
-    ("trajectory_kind", 3, r"^SimConfig\.trajectory_kind must be a str, got int$"),
-    ("pose_jitter_m", "a", r"^SimConfig\.pose_jitter_m must be a real number, got str$"),
-    ("geometry", None, r"^make_dataset: geometry must be an ArrayGeometry, got NoneType$"),
-    ("geometry", "x", r"^make_dataset: geometry must be an ArrayGeometry, got str$"),
-    ("scene", None, r"^SimConfig\.scene must be a SceneConfig, got NoneType$"),
+    ("profiles", [_profile(), "chirp"],
+     r"^SimConfig\.profiles\[1\] must be a JammerProfile, got 'chirp'$"),
+    ("trajectory_params", None, r"^SimConfig\.trajectory_params must be a dict, got None$"),
+    ("trajectory_kind", 3, r"^SimConfig\.trajectory_kind must be a str, got 3$"),
+    ("pose_jitter_m", "a", r"^SimConfig\.pose_jitter_m must be a finite number in \[0, inf\], "
+                           r"got 'a'$"),
+    ("geometry", None, r"^make_dataset: geometry must be an ArrayGeometry, got None$"),
+    ("geometry", "x", r"^make_dataset: geometry must be an ArrayGeometry, got 'x'$"),
+    ("scene", None, r"^SimConfig\.scene must be a SceneConfig, got None$"),
 ], ids=["profile-str", "params-none", "kind-int", "jitter-str", "geometry-none", "geometry-str",
         "scene-none"])
 def test_make_dataset_rejects_a_value_of_the_wrong_type_naming_it(field, value, match):
     # unchecked, the profile's message named neither its index nor its type,
-    # and the others failed deeper with a bare TypeError or AttributeError
+    # and the others failed deeper with a bare TypeError or AttributeError; a
+    # string jitter is a ValueError, as every value that is not a number is
     cfg, geometry = _tiny_sim(), ArrayGeometry()
     if field == "geometry":
         geometry = value
     else:
         setattr(cfg, field, value)
-    with pytest.raises(TypeError, match=match):
+    with pytest.raises(ValueError if field == "pose_jitter_m" else TypeError, match=match):
         make_dataset(cfg, geometry, seed=0)
 
 
