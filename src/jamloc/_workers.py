@@ -18,8 +18,8 @@ block, and little in the short calls of the simulator's per-pose draws.
 
 So a loop holds at most ``_RUNS`` pieces in flight: the dsp and the
 simulator at most ``_RUNS`` blocks or chunks, and a conv, which keeps only
-its input and output between passes, one workspace per run in a pass (see
-``nn.layers``); branches keep what their layers keep inline, but build and
+its input and its ReLU mask's bits between passes, one workspace per run
+in a pass (see ``nn.layers``); branches keep what their layers keep inline, but build and
 free their forward workspaces side by side. A job computes what one thread
 computes for its items and writes only its own outputs, so results are
 bitwise those of one thread, whatever ``_RUNS`` is.

@@ -61,16 +61,16 @@ def require_positive(cfg, *fields: str) -> None:
 
 
 def require_subset(cfg, name: str, allowed: tuple) -> None:
-    """Store the named field of ``cfg`` as a tuple, and reject it unless it
-    is a nonempty subset of ``allowed`` with each entry named once; the
-    error names the field, and an entry outside ``allowed`` its index."""
-    where, value = f"{type(cfg).__name__}.{name}", tuple(getattr(cfg, name))
+    """Reject the named field of ``cfg`` unless it is a tuple that is a
+    nonempty subset of ``allowed`` with each entry named once; the error
+    names the field, and an entry outside ``allowed`` its index."""
+    where = f"{type(cfg).__name__}.{name}"
+    value = instance(where, getattr(cfg, name), tuple)
     for i, v in enumerate(value):
         choice(f"{where}[{i}]", v, allowed)
     if not value or len(set(value)) < len(value):
         raise ValueError(f"{where} must be a nonempty subset of {allowed}, "
                          f"each named once, got {value!r}")
-    setattr(cfg, name, value)
 
 
 def as_inputs(batch: dict, keys, dtype) -> list[Tensor]:

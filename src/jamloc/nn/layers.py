@@ -33,10 +33,13 @@ each group's GEMM writes contiguous rows: MCAFF's grouped conv took 2.0 ms
 for the GEMM and 3.2 ms for the scatter that way, against 3.6 and 4.5 ms
 channels-last (B=32, float32, one BLAS thread, 2-vCPU x86-64 Xeon VM).
 The bias gradient is one GEMV. ``relu=True`` adds a ReLU epilogue, for
-memory: rows are clamped in place after the bias add, and backward masks
-the upstream by the kept output, bitwise as ``Tensor.relu``, whose node
-would hold each pre-activation output (paper-width fusion train forward,
-B=32, float32: 81 MiB held, not 122).
+memory: rows are clamped in place after the bias add, and each forward job
+packs its chunks' ``out > 0`` into bits (``np.packbits``); backward unpacks
+a chunk's bits and masks its upstream rows by them, bitwise as
+``Tensor.relu``, whose node keeps a byte per value where the conv keeps a
+bit (paper-width fusion train forward, B=32, float32, two runs: 29.5 MiB
+held; 80.7 MiB when each conv kept its output for the mask and each node
+its parents).
 
 The chunks run on the shared workers (``jamloc._workers``) by the one rule
 of every chunk loop: ``_workers._runs`` splits the fixed chunks into
@@ -51,16 +54,17 @@ The result is bitwise the one-thread result: the chunks do not depend on
 ``_RUNS``, each run writes only its own rows of the output and items of dx,
 the per-chunk weight-gradient GEMMs are summed last chunk first, as one
 thread sums them, and the bias gradient stays one GEMV over the batch.
-Between forward and backward a conv keeps only its channels-last input and
-its output (backward's ReLU mask). Each run of a pass builds one workspace,
-sized for its largest chunk, and frees it when the pass ends; in backward it
-holds the run's cols rebuilds, then its dcols. So at most one workspace per
-run, ``_RUNS`` in all, is alive at any time. The gain rests on numpy running
-each GEMM on one BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark
-sets): the paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM)
-then takes 41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS
-running its own threads on the same CPUs, the workers gain nothing: 59-83 ms
-either way.
+Between forward and backward a conv keeps only what its backward reads
+(the rule of ``nn.tensor``): its channels-last input and, with
+``relu=True``, the mask's bits, not its output. Each run of a pass builds
+one workspace, sized for its largest chunk, and frees it when the pass
+ends; in backward it holds the run's cols rebuilds, then its dcols. So at
+most one workspace per run, ``_RUNS`` in all, is alive at any time. The
+gain rests on numpy running each GEMM on one BLAS thread
+(OPENBLAS_NUM_THREADS=1, as the benchmark sets): the paper-width fusion
+train step (B=32, float32, 2-vCPU x86-64 VM) then takes 41-43 ms on two
+workers, against 64-68 ms on one. With OpenBLAS running its own threads on
+the same CPUs, the workers gain nothing: 59-83 ms either way.
 """
 
 from __future__ import annotations
@@ -316,6 +320,8 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
     w2 = wg.transpose(0, 3, 4, 2, 1).reshape(G, kh * kw * cg, og)
     out = np.empty((B * r, O), dtype=xl.dtype)
     runs = _workers._runs(geo.chunks)
+    masks = {}      # b0 -> the chunk's rows > 0, bit-packed, for backward
+    xn, wn, bn, wshape = x._node, w._node, b._node, w.data.shape
 
     def forward(job):
         run, ws = job
@@ -325,6 +331,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
             o += b.data
             if relu:
                 np.maximum(o, 0, out=o)
+                masks[b0] = np.packbits(o > 0)
 
     # workspaces come from the calling thread, so the pool's threads allocate
     # little; each lives for one pass
@@ -332,9 +339,9 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
 
     def bw(g):
         g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
-        if relu:    # masked by the kept output, each run its own rows
+        if relu:    # masked by the kept bits, each run its own rows
             g_up, g2 = g2, np.empty_like(g2)
-        if x.requires_grad:
+        if xn is not None:
             dx = np.empty(geo.shape, g2.dtype)
 
         def backward(job):
@@ -344,12 +351,13 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
             if relu:
                 for b0, n in run:
                     rows = slice(b0 * r, (b0 + n) * r)
-                    np.multiply(g_up[rows], out[rows] > 0, out=g2[rows])
+                    keep = np.unpackbits(masks[b0], count=n * r * O).view(bool)
+                    np.multiply(g_up[rows], keep.reshape(n * r, O), out=g2[rows])
             parts = []
-            if w.requires_grad:
+            if wn is not None:
                 parts = [np.matmul(c.transpose(1, 2, 0), _by_group(g2[b0 * r:(b0 + n) * r], G))
                          for c, (b0, n) in zip(geo.cols(xl, run, ws), run)]
-            if x.requires_grad:
+            if xn is not None:
                 # a pointwise conv's dcols are its dx rows; the others' are
                 # group-major, so each group's GEMM writes contiguous rows
                 dcols = ws.reshape(-1)
@@ -362,16 +370,16 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
             return parts
 
         parts = _workers._map(backward, [(run[::-1], geo.workspace(run, g2.dtype)) for run in runs])
-        if b.requires_grad:
-            b._accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
-        if w.requires_grad:
+        if bn is not None:
+            bn.accum(np.ones(len(g2), dtype=g2.dtype) @ g2)
+        if wn is not None:
             # summed in the one-thread order, last chunk first
             dw = np.zeros(w2.shape, g2.dtype)
             for p in itertools.chain.from_iterable(parts[::-1]):
                 dw += p
-            w._accum(dw.reshape(G, kh, kw, cg, og).transpose(0, 4, 3, 1, 2).reshape(w.data.shape))
-        if x.requires_grad:
-            x._accum(dx.reshape(B, *sp, C).transpose(0, -1, *range(1, len(sp) + 1)))
+            wn.accum(dw.reshape(G, kh, kw, cg, og).transpose(0, 4, 3, 1, 2).reshape(wshape))
+        if xn is not None:
+            xn.accum(dx.reshape(B, *sp, C).transpose(0, -1, *range(1, len(sp) + 1)))
 
     y = out.reshape(B, *geo.out_hw[2 - len(sp):], O)
     return Tensor.from_op(y.transpose(0, -1, *range(1, len(sp) + 1)), (x, w, b), bw)

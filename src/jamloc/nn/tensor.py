@@ -17,6 +17,16 @@ An ndarray on the left defers to the Tensor's reflected operator, so
 TypeError. Each op is its value plus its local vector-Jacobian product,
 built by one of two node builders: ``_binary`` for ``+ - *`` and ``@``,
 ``_unary`` for everything with one operand.
+
+The graph is kept apart from the data, by one rule: a node keeps only what
+its backward reads. A Tensor is its data and, if it requires grad, its
+``_Node``: the nodes of its parents, its backward function, its gradient
+and whether backward has consumed it. No node holds a Tensor, so an
+operand's data lives only as long as the caller or a backward that reads
+it holds it: add, sub and concat keep no array; mul, matmul, pow and log
+keep their operands, tanh, sigmoid and exp their output, relu a bool mask;
+sum and getitem keep the operand's shape, dtype and axis order, so
+``sum``'s gradient of a channels-last operand is channels-last too.
 """
 
 from __future__ import annotations
@@ -57,18 +67,50 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _like(a: np.ndarray):
+    """A function that returns a new uninitialized array of ``a``'s shape,
+    dtype and axis order, as ``np.empty_like(a)`` does, and keeps no data."""
+    order = sorted(range(a.ndim), key=lambda ax: -abs(a.strides[ax]))
+    shape, inv, dtype = [a.shape[ax] for ax in order], np.argsort(order), a.dtype
+    return lambda: np.empty(shape, dtype).transpose(inv)
+
+
+def _identity(g):
+    return g
+
+
+class _Node:
+    """The graph state of a Tensor that requires grad: its parents' nodes
+    and its ``backward_fn`` (none for a leaf), the gradient accumulated so
+    far, and whether backward has run through it."""
+
+    __slots__ = ("parents", "backward_fn", "grad", "consumed")
+
+    def __init__(self, parents: tuple = (), backward_fn=None):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.grad = None
+        self.consumed = False
+
+    def accum(self, grad: np.ndarray) -> None:
+        self.grad = grad if self.grad is None else self.grad + grad
+
+
 class Tensor:
     """Dense n-d array with optional gradient tracking.
 
     ``requires_grad`` marks participation in gradient flow; leaves created
     with ``requires_grad=True`` receive accumulated gradients in ``.grad``
     after ``backward()``. Intermediate gradients are freed as soon as they
-    have been propagated. Data holds float32 or float64: a given ``dtype``
-    must be one of them (``_float_dtype``, the check ``Layer.cast`` makes
-    too), and data of any other inferred dtype becomes float64.
+    have been propagated. The graph state lives in the Tensor's node, and a
+    node keeps only what its backward reads: never a Tensor, so an op's
+    operand dies with the caller's last reference unless its backward reads
+    it. Data holds float32 or float64: a given ``dtype`` must be one of
+    them (``_float_dtype``, the check ``Layer.cast`` makes too), and data
+    of any other inferred dtype becomes float64.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "_node")
     # numpy defers to the reflected operators instead of looping over elements
     __array_ufunc__ = None
 
@@ -77,11 +119,7 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward_fn = None
-        self._consumed = False
+        self._node = _Node() if requires_grad else None
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -98,6 +136,23 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        """The gradient accumulated so far, or None; a tensor that does not
+        require grad has none, and can be set to None only."""
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise AttributeError("a tensor that does not require grad has no gradient to set")
 
     def item(self) -> float:
         return float(self.data)
@@ -117,19 +172,18 @@ class Tensor:
     @staticmethod
     def from_op(data: np.ndarray, parents, backward_fn) -> "Tensor":
         """Create an op result; ``backward_fn(grad)`` must accumulate into
-        every parent that requires grad."""
+        every parent that requires grad. The result's node keeps the
+        parents' nodes and ``backward_fn``, so ``backward_fn`` should close
+        over only the arrays it reads and the parents' nodes, not the
+        parents themselves."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        if nodes:
+            out._node = _Node(nodes, backward_fn)
         return out
 
     def _accum(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = grad
-        else:
-            self.grad = self.grad + grad
+        self._node.accum(grad)
 
     def backward(self) -> None:
         """Propagate gradients from this scalar loss to every reachable leaf.
@@ -139,39 +193,40 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-        if self._consumed:
-            raise GraphConsumedError("backward() already ran on this graph")
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise RuntimeError("loss does not require grad; nothing to differentiate")
+        if root.consumed:
+            raise GraphConsumedError("backward() already ran on this graph")
 
-        # iterative topological sort over grad-requiring nodes
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        # iterative topological sort over the nodes
+        topo: list[_Node] = []
+        visited: set[_Node] = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    if p._consumed:
+            for p in node.parents:
+                if p not in visited:
+                    if p.consumed:
                         raise GraphConsumedError("graph reuses a node from a consumed graph")
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-                node._consumed = True
+            if node.backward_fn is not None:
+                node.backward_fn(node.grad)
+                node.consumed = True
                 node.grad = None  # intermediate: free after propagation
-                node._backward_fn = None
-                node._parents = ()
-        self._consumed = True
+                node.backward_fn = None
+                node.parents = ()
+        root.consumed = True
 
     # ------------------------------------------------------------------
     # node builders
@@ -182,40 +237,45 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
 
     def _binary(self, other, op, grad_a, grad_b) -> "Tensor":
-        """A node of value ``op(self, other)``; ``grad_a(g, a, b)`` and
-        ``grad_b`` give each operand's gradient before the axes it was
-        broadcast along are summed out."""
+        """A node of value ``op(self, other)``. ``grad_a(a, b)`` and
+        ``grad_b``, given the operands' data, return the function of ``g``
+        that gives that operand's gradient before the axes it was broadcast
+        along are summed out; it is built only for an operand that requires
+        grad and closes over only the data it reads."""
         a, b = self, self._operand(other)
+        grads = [(t._node, t.data.shape, grad(a.data, b.data))
+                 for t, grad in ((a, grad_a), (b, grad_b)) if t._node is not None]
 
         def bw(g):
-            if a.requires_grad:
-                a._accum(_sum_to_shape(grad_a(g, a.data, b.data), a.data.shape))
-            if b.requires_grad:
-                b._accum(_sum_to_shape(grad_b(g, a.data, b.data), b.data.shape))
+            for node, shape, grad in grads:
+                node.accum(_sum_to_shape(grad(g), shape))
 
         return Tensor.from_op(op(a.data, b.data), (a, b), bw)
 
     def _unary(self, out: np.ndarray, grad) -> "Tensor":
-        """A node of value ``out`` whose operand's gradient is ``grad(g)``."""
-        return Tensor.from_op(out, (self,), lambda g: self._accum(grad(g)))
+        """A node of value ``out`` whose operand's gradient is ``grad(g)``;
+        ``grad`` closes over only the data it reads."""
+        node = self._node
+        return Tensor.from_op(out, (self,), lambda g: node.accum(grad(g)))
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
 
     def __add__(self, other):
-        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
+        return self._binary(other, np.add, lambda a, b: _identity, lambda a, b: _identity)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+        return self._binary(other, np.subtract, lambda a, b: _identity, lambda a, b: np.negative)
 
     def __rsub__(self, other):
         return self._operand(other) - self
 
     def __mul__(self, other):
-        return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+        return self._binary(other, np.multiply, lambda a, b: lambda g: g * b,
+                            lambda a, b: lambda g: g * a)
 
     __rmul__ = __mul__
 
@@ -223,11 +283,11 @@ class Tensor:
         return self * self._operand(other) ** -1.0
 
     def __neg__(self):
-        return self._unary(-self.data, lambda g: -g)
+        return self._unary(-self.data, np.negative)
 
     def __pow__(self, p):
-        p = float(p)
-        return self._unary(self.data ** p, lambda g: g * p * self.data ** (p - 1.0))
+        p, x = float(p), self.data
+        return self._unary(x ** p, lambda g: g * p * x ** (p - 1.0))
 
     def __matmul__(self, other):
         other = self._operand(other)
@@ -235,11 +295,15 @@ class Tensor:
             raise ShapeError(f"matmul supports 2-D operands, got {self.data.shape} @ {other.data.shape}")
         if self.data.shape[1] != other.data.shape[0]:
             raise ShapeError(f"matmul inner dims differ: {self.data.shape} @ {other.data.shape}")
-        return self._binary(other, np.matmul, lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g)
+        return self._binary(other, np.matmul, lambda a, b: lambda g: g @ b.T,
+                            lambda a, b: lambda g: a.T @ g)
 
     def __getitem__(self, idx):
+        like = _like(self.data)
+
         def grad(g):
-            full = np.zeros_like(self.data)
+            full = like()
+            full[...] = 0
             np.add.at(full, idx, g)
             return full
 
@@ -250,10 +314,12 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
+        # the operand's memory layout (a channels-last conv output gets a
+        # channels-last gradient), without its data
+        like = _like(self.data)
+
         def grad(g):
-            # empty_like keeps the operand's memory layout (a channels-last
-            # conv output gets a channels-last gradient)
-            full = np.empty_like(self.data)
+            full = like()
             full[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
             return full
 
@@ -279,7 +345,8 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def relu(self):
-        return self._unary(np.maximum(self.data, 0), lambda g: g * (self.data > 0))
+        mask = self.data > 0
+        return self._unary(np.maximum(self.data, 0), lambda g: g * mask)
 
     def tanh(self):
         out = np.tanh(self.data)
@@ -296,7 +363,8 @@ class Tensor:
         return self._unary(out, lambda g: g * out)
 
     def log(self):
-        return self._unary(np.log(self.data), lambda g: g / self.data)
+        x = self.data
+        return self._unary(np.log(x), lambda g: g / x)
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -308,10 +376,11 @@ def concat(tensors, axis: int = 1) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
+    nodes = [t._node for t in tensors]
+
     def bw(g):
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accum(piece)
+        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            if node is not None:
+                node.accum(piece)
 
     return Tensor.from_op(out_data, tuple(tensors), bw)

@@ -77,6 +77,7 @@ def _check_config(cfg: SimConfig, geometry, seed, jobs) -> None:
     instance("SimConfig.scene", cfg.scene, SceneConfig)
     instance("SimConfig.trajectory_kind", cfg.trajectory_kind, str)
     instance("SimConfig.trajectory_params", cfg.trajectory_params, dict)
+    instance("SimConfig.heights", cfg.heights, tuple)
     real("SimConfig.pose_jitter_m", cfg.pose_jitter_m, 0)
     choice("SimConfig.scenario_tag", cfg.scenario_tag, SCENARIO_TAGS)
     if not cfg.profiles:

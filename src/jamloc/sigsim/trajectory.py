@@ -39,7 +39,8 @@ def _circle(center, radius: float, n_points: int, phase: float) -> np.ndarray:
 
 def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarray:
     """Return poses (P, 3) for one of the kinds {"circles", "grid_circles", "meander"},
-    from these keys of ``params``; any other key is an error that names it.
+    from these keys of the dict ``params``; any other key is an error that
+    names it. Each pose is repeated at each of the tuple ``heights``.
 
     circles:      center (x, y), radii (5 by default), points_per_circle, phase
     grid_circles: centers (4 x (x, y)), radii, points_per_circle, phase
@@ -47,11 +48,11 @@ def gen_trajectory(kind: str, params: dict, heights=DEFAULT_HEIGHTS) -> np.ndarr
     """
     kind = choice("gen_trajectory: kind", instance("gen_trajectory: kind", kind, str).lower(),
                   tuple(_PARAMS))
-    unknown = sorted(set(params) - set(_PARAMS[kind]))
+    unknown = sorted(set(instance("gen_trajectory: params", params, dict)) - set(_PARAMS[kind]))
     if unknown:
         raise ValueError(f"{kind}: unknown parameter(s) {unknown}; valid: {_PARAMS[kind]}")
-    heights = _reals(kind, "heights", tuple(heights), (None,),
-                     "a nonempty sequence of finite numbers")
+    heights = _reals(kind, "heights", instance("gen_trajectory: heights", heights, tuple), (None,),
+                     "a nonempty tuple of finite numbers")
     if kind == "circles":
         centers = _reals(kind, "center", params.get("center", (0.0, 16.0)), (2,),
                          "a finite (x, y) pair")[None]

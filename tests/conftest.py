@@ -1,6 +1,8 @@
-"""Fixtures for the tests of the chunk loops that share ``jamloc._workers``."""
+"""Fixtures for the tests of the chunk loops that share ``jamloc._workers``,
+and ``traced``, which measures what a call allocates."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -41,6 +43,22 @@ def at_worker_counts(monkeypatch, map_jobs):
         finally:
             sys.setswitchinterval(interval)
         return outs
+    return run
+
+
+@pytest.fixture
+def traced():
+    """A function that calls ``f()`` under tracemalloc and returns
+    ``(f(), held, peak)``: the bytes the call allocated that are still held
+    when it returns, with its result alive, and the most it held at once."""
+    def run(f):
+        tracemalloc.start()
+        try:
+            result = f()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
     return run
 
 

@@ -131,6 +131,10 @@ BOUNDARIES = {
         r"^circles: phase must be a finite number in \[-inf, inf\], got True$"),
     "trajectory-int-kind": (lambda: gen_trajectory(3, {}), TypeError,
                             r"^gen_trajectory: kind must be a str, got 3$"),
+    "trajectory-none-params": (lambda: gen_trajectory("circles", None), TypeError,
+                               r"^gen_trajectory: params must be a dict, got None$"),
+    "trajectory-list-heights": (lambda: gen_trajectory("circles", {}, [4.4]), TypeError,
+                                r"^gen_trajectory: heights must be a tuple, got \[4\.4\]$"),
     "trajectory-unknown-kind": (
         lambda: gen_trajectory("spiral", {}), ValueError,
         r"^gen_trajectory: kind must be one of \('circles', 'grid_circles', 'meander'\), "
@@ -147,14 +151,25 @@ BOUNDARIES = {
         lambda: McaffConfig(head_hidden=np.float64(8)), ValueError,
         r"^McaffConfig\.head_hidden must be an integer >= 1, got np\.float64\(8\.0\)$"),
     "McaffConfig-list-path": (
-        lambda: McaffConfig(enabled_paths=["iq", ["fft"]]), ValueError,
+        lambda: McaffConfig(enabled_paths=("iq", ["fft"])), ValueError,
         r"^McaffConfig\.enabled_paths\[1\] must be one of \('iq', 'fft', 'cfo', 'stft'\), "
         r"got \['fft'\]$"),
+    "McaffConfig-int-paths": (lambda: McaffConfig(enabled_paths=3), TypeError,
+                              r"^McaffConfig\.enabled_paths must be a tuple, got 3$"),
+    "FusionConfig-none-branches": (
+        lambda: FusionConfig(enabled_branches=None), TypeError,
+        r"^FusionConfig\.enabled_branches must be a tuple, got None$"),
     "make_dataset-no-cfg": (lambda: make_dataset(None, ArrayGeometry(), seed=0), TypeError,
                             r"^make_dataset: cfg must be a SimConfig, got None$"),
     "make_dataset-bool-jitter": (
         lambda: make_dataset(_sim(pose_jitter_m=True), ArrayGeometry(), seed=0), ValueError,
         r"^SimConfig\.pose_jitter_m must be a finite number in \[0, inf\], got True$"),
+    "make_dataset-none-heights": (
+        lambda: make_dataset(_sim(heights=None), ArrayGeometry(), seed=0), TypeError,
+        r"^SimConfig\.heights must be a tuple, got None$"),
+    "make_dataset-float-heights": (
+        lambda: make_dataset(_sim(heights=4.4), ArrayGeometry(), seed=0), TypeError,
+        r"^SimConfig\.heights must be a tuple, got 4\.4$"),
     "JammerProfile-str-class": (lambda: _profile(jclass="chirp"), TypeError,
                                 r"^JammerProfile\.jclass must be a JammerClass, got 'chirp'$"),
     "JammerProfile-bool-power": (

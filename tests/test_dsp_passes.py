@@ -5,7 +5,6 @@ benchmark's featurize glue makes."""
 
 import logging
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,18 +115,13 @@ def test_fit_iq_stats_equals_stacked_planes(desk, rows):
     assert _equal(mean, ref_mean) and _equal(std, ref_std)
 
 
-def test_fit_iq_stats_memory_is_chunk_bounded(monkeypatch):
+def test_fit_iq_stats_memory_is_chunk_bounded(monkeypatch, traced):
     # the stacked planes alone would be x.nbytes; the fit keeps a few
     # _BLOCK-sized temporaries, 1 MB each, over all its runs, two as on any
     # host of two CPUs or more
     monkeypatch.setattr(_workers, "_RUNS", 2)
     x = np.random.default_rng(0).standard_normal((1024, 4, 2048)).view(np.complex128)
-    tracemalloc.start()
-    try:
-        dsp.fit_iq_stats(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: dsp.fit_iq_stats(x))
     assert peak < x.nbytes / 16
 
 
@@ -327,19 +321,14 @@ def test_single_snapshot_and_empty_batch(batch, name):
 
 
 @pytest.mark.parametrize("name", EXTRACTORS)
-def test_extractor_memory_is_block_bounded(monkeypatch, name):
+def test_extractor_memory_is_block_bounded(monkeypatch, traced, name):
     # unblocked, the temporaries of one 256-snapshot chunk reach 24-126 MB;
     # in two runs, as on any host of two CPUs or more, _BLOCK snapshots stay
     # in flight over all runs
     monkeypatch.setattr(_workers, "_RUNS", 2)
     x = np.random.default_rng(0).standard_normal((256, 4, 2048)).view(np.complex128)
     f = _extractor(name, x)
-    tracemalloc.start()
-    try:
-        out = f(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, _, peak = traced(lambda: f(x))
     assert peak - out.nbytes < x.nbytes
 
 

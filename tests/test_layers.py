@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -278,7 +278,7 @@ def test_conv1d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case,
             assert np.max(np.abs(grad - want)) <= GRAD_REF_TOL[dtype] * np.max(np.abs(want))
 
 
-def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch):
+def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch, traced):
     # paper width of the IQ encoder's dilated convs, fed and differentiated
     # channels-last as inside the model: eight chunks, split in two runs as
     # on any host of two CPUs or more
@@ -289,36 +289,59 @@ def test_conv1d_never_holds_a_whole_batch_im2col(monkeypatch):
     leaf = Tensor(rng.normal(size=(B, T, C)).astype(np.float32), requires_grad=True)
     G = np.moveaxis(rng.normal(size=(B, T, C)).astype(np.float32), -1, 1)
     whole_cols = B * T * K * C * 4
-    tracemalloc.start()
-    try:
-        _loss_with_upstream(layer(_channels_last_view(leaf)), G).backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: _loss_with_upstream(layer(_channels_last_view(leaf)), G).backward())
     assert leaf.grad.shape == (B, T, C) and layer.weight.grad.shape == (C, C, K)
     assert peak < whole_cols, f"peak {peak} B, whole-batch cols {whole_cols} B"
 
 
-def test_grouped_conv_forward_keeps_no_workspace_for_backward(monkeypatch):
+def test_grouped_conv_forward_keeps_no_workspace_for_backward(monkeypatch, traced):
     # MCAFF's grouped conv at paper width (block width 128, cardinality 8,
     # 8x8 grid), B=32, float32, fed channels-last as inside the model: its
-    # forward keeps its output, which backward masks by, and no workspace.
-    # Held: 1.08 MiB for a 1.00 MiB output; a forward that kept one run's
-    # cols workspace for backward (16 items, 4.5 MiB) would hold 5.58 MiB
+    # forward keeps the bits of its ReLU mask, which backward masks by, and
+    # no workspace. Held: 1.11 MiB with the 1.00 MiB output; a forward that
+    # kept one run's cols workspace for backward (16 items, 4.5 MiB) would
+    # hold 5.58 MiB
     monkeypatch.setattr(_workers, "_RUNS", 2)
     B, C, H = 32, 128, 8
     rng = np.random.default_rng(33)
     layer = Conv2D(C, C, 3, rng, padding=1, groups=8, relu=True).cast(np.float32)
     leaf = Tensor(rng.normal(size=(B, H, H, C)).astype(np.float32), requires_grad=True)
     x = _channels_last_view(leaf)
-    tracemalloc.start()
-    try:
-        out = layer(x)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, held, _ = traced(lambda: layer(x))
     assert out.shape == (B, C, H, H) and out.requires_grad
     assert held <= out.data.nbytes * 5 // 4, f"{held / 2**20:.2f} MiB held"
+
+
+# a Tensor made from the leaf, and an op that reads nothing of it in
+# backward (an add, a pool's sum); the skip conv is pointwise, as the IQ
+# encoder's
+DROPPED = {
+    "add-operand": (lambda leaf: leaf * 2.0, lambda t: t + 1.0),
+    "pool-operand": (lambda leaf: leaf * 2.0, GlobalAvgPool()),
+    "skip-conv-output": (Conv1D(4, 6, 1, np.random.default_rng(35)), lambda t: t + 1.0),
+    "relu-conv-output": (Conv1D(4, 6, 3, np.random.default_rng(36), dilation=2, relu=True),
+                         lambda t: t + 1.0),
+}
+
+
+@pytest.mark.parametrize("make,use", DROPPED.values(), ids=DROPPED.keys())
+def test_the_data_of_a_dropped_tensor_dies_before_backward(make, use):
+    # a node keeps only what its backward reads: once the caller drops the
+    # Tensor, its data (the buffer a conv's output views) dies, and backward
+    # through it gives the gradient it gives with the Tensor alive
+    leaf = Tensor(np.random.default_rng(37).normal(size=(2, 4, 9)), requires_grad=True)
+    grads = []
+    for drop in (False, True):
+        x = make(leaf)
+        loss = _proj_loss(use(x))
+        if drop:
+            data = weakref.ref(x.data if x.data.base is None else x.data.base)
+            del x
+            assert data() is None
+        loss.backward()
+        grads.append(leaf.grad)
+        leaf.grad = None
+    np.testing.assert_array_equal(grads[1], grads[0])
 
 
 def _assert_grads(got, dtype):
@@ -384,7 +407,7 @@ def test_conv2d_chunks_match_oracles_and_the_one_chunk_result(monkeypatch, case)
             layer.weight.grad = layer.bias.grad = leaf.grad = None
 
 
-def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch):
+def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch, traced):
     # MCAFF's grouped 3x3 conv at paper width (128 channels, 8 groups, 8x8),
     # fed and differentiated channels-last as inside the model, at B=256:
     # 16384 output rows, four chunks, in two runs as on any host of two CPUs
@@ -396,12 +419,7 @@ def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch):
     leaf = Tensor(rng.normal(size=(B, *HW, C)).astype(np.float32), requires_grad=True)
     up = np.moveaxis(rng.normal(size=(B, *HW, C)).astype(np.float32), -1, 1)
     whole_cols = B * HW[0] * HW[1] * 9 * C * 4
-    tracemalloc.start()
-    try:
-        _loss_with_upstream(layer(_channels_last_view(leaf)), up).backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: _loss_with_upstream(layer(_channels_last_view(leaf)), up).backward())
     assert leaf.grad.shape == (B, *HW, C) and layer.weight.grad.shape == (C, C // G, 3, 3)
     assert peak < whole_cols, f"peak {peak} B, whole-batch cols {whole_cols} B"
 

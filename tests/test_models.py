@@ -1,6 +1,5 @@
 import hashlib
 import re
-import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -540,7 +539,7 @@ def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_
     def watched(name, conv):
         def call(x):
             y = recorded(name, conv)(x)
-            y._backward_fn = recorded(name, y._backward_fn)
+            y._node.backward_fn = recorded(name, y._node.backward_fn)
             return y
         return call
 
@@ -552,23 +551,41 @@ def test_mcaff_block_hands_the_pool_one_run_per_conv_and_pass(monkeypatch, pool_
     assert jobs == [(name, [(0, 16)]) for name in order + order[::-1]]
 
 
-def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch):
+def test_fusion_train_forward_holds_no_pre_activation_buffers(monkeypatch, traced):
     # what a train-mode forward of the paper-width model keeps for backward,
-    # at B=8: 20.6 MiB with each conv's ReLU inside the conv, 30.9 MiB when a
-    # separate ReLU node also kept every conv's pre-activation output; in
-    # two runs, as on any host of two CPUs or more, so the runs' workspaces
-    # count too
+    # at B=8: 7.8 MiB with each conv's ReLU inside the conv and every node
+    # keeping only what its backward reads, 20.6 MiB when each conv kept its
+    # output and every node its parents, 30.9 MiB when a separate ReLU node
+    # also kept every conv's pre-activation output; in two runs, as on any
+    # host of two CPUs or more, so the runs' workspaces count too
     monkeypatch.setattr(_workers, "_RUNS", 2)
     model = FusionModel(FusionConfig(), seed=0)
     batch = {k: v.astype(np.float32) for k, v in _batch(0, b=8).items()}
-    tracemalloc.start()
-    try:
-        pred = model.forward(batch, Mode.TRAIN, np.random.default_rng(0))
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    pred, held, _ = traced(lambda: model.forward(batch, Mode.TRAIN, np.random.default_rng(0)))
     assert pred.disp.requires_grad
     assert held <= 33 << 20, f"{held / 2**20:.1f} MiB held"
+
+
+@pytest.mark.parametrize("build,held_mib,peak_mib", [
+    (lambda: FusionModel(FusionConfig(), seed=0), 40, 90),
+    (lambda: McaffModel(McaffConfig(), seed=0), 19, 34)], ids=["fusion", "mcaff"])
+def test_a_train_step_keeps_only_what_backward_reads(build, held_mib, peak_mib, monkeypatch,
+                                                     traced):
+    # paper width, B=32, float32, in two runs, as on any host of two CPUs or
+    # more. Held by the forward, fusion / MCAFF: 29.5 / 14.6 MiB, and 80.7 /
+    # 22.4 when every node kept its parents and each ReLU conv its output;
+    # forward and backward peak at 77.0 / 30.8 MiB, against 128.6 / 40.3
+    monkeypatch.setattr(_workers, "_RUNS", 2)
+    model = build()
+    batch = {k: v.astype(np.float32) for k, v in _batch(0, b=32).items()}
+    pred, held, _ = traced(lambda: model.forward(batch, Mode.TRAIN, np.random.default_rng(0)))
+    assert pred.disp.requires_grad
+    del pred
+    _, _, peak = traced(lambda: _proj_loss(model.forward(batch, Mode.TRAIN,
+                                                         np.random.default_rng(0))).backward())
+    assert all(p.grad is not None for p in model.params())
+    assert held <= held_mib << 20, f"{held / 2**20:.1f} MiB held"
+    assert peak <= peak_mib << 20, f"{peak / 2**20:.1f} MiB at peak"
 
 
 # eval predictions of the paper-width models (seed 0) on _batch(0, b=4),
@@ -634,14 +651,14 @@ def _spy_convs(monkeypatch):
     for cls in (Conv1D, Conv2D):
         def spy(self, x, call=cls.__call__):
             out = call(self, x)
-            rec, bw = [self, x.data, None], out._backward_fn
+            rec, bw = [self, x.data, None], out._node.backward_fn
             seen.append(rec)
 
             def spy_bw(g):
                 rec[2] = g
                 bw(g)
 
-            out._backward_fn = spy_bw
+            out._node.backward_fn = spy_bw
             return out
         monkeypatch.setattr(cls, "__call__", spy)
     return seen

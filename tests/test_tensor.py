@@ -63,6 +63,16 @@ def test_scalar_backward_keeps_its_three_errors():
         Tensor(np.ones(())).backward()
 
 
+def test_only_a_tensor_that_requires_grad_takes_a_gradient():
+    x, c = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2))
+    x.grad = np.full(2, 3.0)
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    c.grad = None
+    assert c.grad is None and not c.requires_grad
+    with pytest.raises(AttributeError, match="does not require grad"):
+        c.grad = np.ones(2)
+
+
 def test_broadcast_add_reduces_grad():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
