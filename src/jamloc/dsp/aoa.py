@@ -15,7 +15,6 @@ import numpy as np
 
 from .._checks import real
 from .features import _blocked, _phase_increments
-from .fourier import fft
 
 __all__ = ["aoa_features", "fit_aoa_stats", "standardize_aoa", "N_AOA_FEATURES", "AOA_FEATURE_NAMES"]
 
@@ -89,7 +88,7 @@ def _aoa_block(x: np.ndarray, fs: float, out: np.ndarray) -> None:
     out[..., 5] = (i_part[..., 1:] * i_part[..., :-1] < 0).mean(axis=-1)
 
     # spectral (on the shifted 1024-bin power spectrum) -------------------
-    P = np.fft.fftshift(np.abs(fft(x)) ** 2, axes=-1)
+    P = np.fft.fftshift(np.abs(np.fft.fft(x)) ** 2, axes=-1)
     f = (np.arange(N) - N // 2) * (fs / N)                # shifted bin freqs, Hz
     Ptot = P.sum(axis=-1)
     Psafe = np.where(Ptot > 0, Ptot, 1.0)
@@ -162,6 +161,12 @@ def fit_aoa_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize_aoa(features: np.ndarray, norm) -> np.ndarray:
-    """Apply fitted train-split statistics: (..., 4, 22) -> same shape."""
+    """Apply fitted train-split statistics: (4, 22) or (M, 4, 22) -> the
+    same shape. Any other shape is a ValueError naming it, where the
+    statistics would broadcast it silently."""
+    feats = np.asarray(features)
+    if feats.shape[-2:] != (4, N_AOA_FEATURES) or feats.ndim not in (2, 3):
+        raise ValueError(f"standardize_aoa expects features of shape (4, {N_AOA_FEATURES}) or "
+                         f"(M, 4, {N_AOA_FEATURES}), got {feats.shape}")
     mean, std = norm.fitted("aoa")
-    return (np.asarray(features) - mean) / std
+    return (feats - mean) / std

@@ -4,21 +4,23 @@ The extractors (``spectrogram``, ``stft``, ``cfo_accumulated``,
 ``normalize_iq`` and ``aoa.aoa_features``) take one snapshot of shape
 (4, 1024), 4 patches of 1024 complex samples, or a batch (M, 4, 1024), and
 ``fit_iq_stats`` a non-empty batch; the length is fixed because one FFT per
-patch fills the 32 x 32 spectrogram grid. ``_snapshots`` rejects any other
-shape, naming the function and the shape, and real samples, naming the
-dtype. Each extractor returns a C-contiguous float64 array, whatever the
-input's complex dtype. Every call runs one path (``_blocked``): a snapshot
-is a batch of one, a non-finite sample is a ValueError naming the function
-and the snapshot, and the extractor's body, or the fit's sum of squared
-deviations, writes each block of ``_BLOCK`` snapshots' rows straight into
-the output, so that a block's temporaries stay in cache. ``_workers._runs``
-splits the blocks among the worker threads the convs use too
-(``jamloc._workers``), so at most ``_RUNS`` blocks are in flight. A
-snapshot's result does not depend on its block, so results are bitwise the
-same whatever the batch size and the worker count.
+patch fills the 32 x 32 spectrogram grid. Every FFT is ``np.fft.fft`` on the
+last axis, of a 1024-sample patch or of a 128-sample STFT frame.
+``_snapshots`` rejects any other shape, naming the function and the shape,
+and real samples, naming the dtype. Each extractor returns a C-contiguous
+float64 array, whatever the input's complex dtype. Every call runs one path
+(``_blocked``): a snapshot is a batch of one, a non-finite sample is a
+ValueError naming the function and the snapshot, and the extractor's body,
+or the fit's sum of squared deviations, writes each block of ``_BLOCK``
+snapshots' rows straight into the output, so that a block's temporaries stay
+in cache. ``_workers._runs`` splits the blocks among the worker threads the
+convs use too (``jamloc._workers``), so at most ``_RUNS`` blocks are in
+flight. A snapshot's result does not depend on its block, so results are
+bitwise the same whatever the batch size and the worker count.
 
 The functions are pure; the only state is the fitted normalization
-statistics, which must come from the training split. The spectrogram clamp
+statistics, which must come from the training split and which
+``NormalizationSpec`` checks whenever one is set. The spectrogram clamp
 (``SPEC_DB_MIN``/``SPEC_DB_MAX``) and the STFT geometry (``STFT_WINDOW``/
 ``STFT_HOP``) are constants.
 """
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import _workers
-from .fourier import fft
 
 __all__ = [
     "NormalizationSpec", "SPEC_DB_MIN", "SPEC_DB_MAX", "STFT_WINDOW", "STFT_HOP",
@@ -131,10 +132,10 @@ class NormalizationSpec:
 
     ``iq_mean``/``iq_std`` are per real channel (patch-major, I before Q,
     shape (8,)); ``aoa_mean``/``aoa_std`` are per (patch, feature), (4, 22).
-    Construction checks that each statistic given has its shape, is finite
-    and, for a std, is positive. ``normalize_iq`` and ``standardize_aoa``
-    run the same check on the statistics they apply (``fitted``), so
-    statistics assigned after construction are checked too.
+    Each statistic other than None is checked when it is set, at
+    construction or by a later assignment: it has its shape, is finite and,
+    for a std, is positive, or the ValueError names it and the spec keeps
+    its old value.
     """
 
     iq_mean: np.ndarray | None = None
@@ -142,19 +143,16 @@ class NormalizationSpec:
     aoa_mean: np.ndarray | None = None
     aoa_std: np.ndarray | None = None
 
-    def __post_init__(self):
-        for name in _STAT_SHAPES:
-            if getattr(self, name) is not None:
-                _check_stat(name, getattr(self, name))
+    def __setattr__(self, name: str, value) -> None:
+        if name in _STAT_SHAPES and value is not None:
+            _check_stat(name, value)
+        super().__setattr__(name, value)
 
     def fitted(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """The (mean, std) pair of ``kind`` ("iq" or "aoa"), checked as at
-        construction, since the statistics may have been assigned since."""
+        """The (mean, std) pair of ``kind`` ("iq" or "aoa")."""
         mean, std = getattr(self, f"{kind}_mean"), getattr(self, f"{kind}_std")
         if mean is None or std is None:
             raise ValueError(f"normalization spec has no fitted {_KIND_NAMES[kind]} statistics")
-        _check_stat(f"{kind}_mean", mean)
-        _check_stat(f"{kind}_std", std)
         return np.asarray(mean), np.asarray(std)
 
     def to_dict(self) -> dict:
@@ -185,7 +183,8 @@ def spectrogram(samples: np.ndarray) -> np.ndarray:
     centrally, then reshaped row-major.
     """
     def body(x, out):
-        unit = db_to_unit(10.0 * np.log10(np.abs(fft(x)) ** 2 / _SNAPSHOT_LEN + _EPS_POWER))
+        power = np.abs(np.fft.fft(x)) ** 2 / _SNAPSHOT_LEN
+        unit = db_to_unit(10.0 * np.log10(power + _EPS_POWER))
         rows, half = out.reshape(x.shape), _SNAPSHOT_LEN // 2
         rows[..., :half], rows[..., half:] = unit[..., half:], unit[..., :half]   # fftshift
 
@@ -207,7 +206,7 @@ def stft(samples: np.ndarray) -> np.ndarray:
         frames = (np.lib.stride_tricks.sliding_window_view(x, STFT_WINDOW, axis=-1)
                   [..., ::STFT_HOP, :] * win)
         # (b, 4, frame, window) magnitudes into the (b, 4, window, frame) rows
-        np.abs(fft(frames), out=np.swapaxes(out, -1, -2))
+        np.abs(np.fft.fft(frames), out=np.swapaxes(out, -1, -2))
 
     return _blocked("stft", body, samples, (4, STFT_WINDOW, _STFT_FRAMES))
 

@@ -5,9 +5,9 @@ The spectrogram clamp is a constant of ``dsp``, so the block holds no
 bounds; the ``spec_min``/``spec_max`` that older blocks carry were never
 applied and are ignored on load.
 
-A config field that became a constant is retired (``_KINDS`` pairs each
-with its constant): an older echo that holds it loads if it holds the
-constant's value, and any other value is a ``CheckpointError`` naming it.
+The config echo must hold exactly the config's fields: a missing or an
+unknown one is a ``CheckpointError`` naming it, as is a field the config
+dropped (``iq_kernel``, ``attention_reduction``, the dropout rates).
 
 The block is not enough for inference on its own: the per-patch
 standardization of the cfo and stft inputs and the displacement-target
@@ -24,16 +24,13 @@ import numpy as np
 from ..dsp import NormalizationSpec
 from ..nn import CheckpointError, load_checkpoint, save_checkpoint
 from ..nn.tensor import _float_dtype
-from .fusion import IQ_KERNEL, FusionConfig, FusionModel
-from .mcaff import ATTENTION_REDUCTION, McaffConfig, McaffModel
+from .fusion import FusionConfig, FusionModel
+from .mcaff import McaffConfig, McaffModel
 
 __all__ = ["save_model", "load_model"]
 
-# kind -> (model, config, {retired config field: the constant it became})
-_KINDS = {FusionModel.KIND: (FusionModel, FusionConfig, {"iq_kernel": IQ_KERNEL,
-                                                         "dropout_pre_concat": 0.0,
-                                                         "dropout_post_head": 0.0}),
-          McaffModel.KIND: (McaffModel, McaffConfig, {"attention_reduction": ATTENTION_REDUCTION})}
+_KINDS = {FusionModel.KIND: (FusionModel, FusionConfig),
+          McaffModel.KIND: (McaffModel, McaffConfig)}
 
 
 def save_model(path, model, norm: NormalizationSpec | None = None,
@@ -58,15 +55,10 @@ def load_model(path, dtype=np.float32):
         raise CheckpointError(f"{path} has no model metadata block")
     if meta["kind"] not in tuple(_KINDS):     # compared, not hashed: a list kind is unknown
         raise CheckpointError(f"unknown model kind {meta['kind']!r}")
-    model_cls, cfg_cls, retired = _KINDS[meta["kind"]]
+    model_cls, cfg_cls = _KINDS[meta["kind"]]
     config = meta["config"]
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config echo is not a JSON object")
-    for name, value in retired.items():
-        if config.get(name, value) != value:
-            raise CheckpointError(f"{path}: retired {cfg_cls.__name__} field {name} must hold "
-                                  f"its constant {value}, got {config[name]!r}")
-    config = {k: v for k, v in config.items() if k not in retired}
     names = {f.name for f in fields(cfg_cls)}
     # a missing field would silently take the dataclass default
     for what, bad in (("unknown", set(config) - names), ("missing", names - set(config))):

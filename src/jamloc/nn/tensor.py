@@ -182,9 +182,6 @@ class Tensor:
             out._node = _Node(nodes, backward_fn)
         return out
 
-    def _accum(self, grad: np.ndarray) -> None:
-        self._node.accum(grad)
-
     def backward(self) -> None:
         """Propagate gradients from this scalar loss to every reachable leaf.
 

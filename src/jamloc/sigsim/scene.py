@@ -123,6 +123,16 @@ def _check_scene(scene: SceneConfig) -> None:
         real("SceneConfig.noise_floor_dbm", scene.noise_floor_dbm)
 
 
+def _pose(where: str, jammer) -> np.ndarray:
+    """``jammer`` as a (1, 3) float64 array if it is one (x, y, z) position;
+    otherwise a ValueError naming ``where``, the argument, and its shape."""
+    pose = np.asarray(jammer, dtype=np.float64)
+    if pose.shape != (3,):
+        raise ValueError(f"{where} must be one (x, y, z) position of shape (3,), got shape "
+                         f"{pose.shape}")
+    return pose[None]
+
+
 def _check_jammers(antenna: np.ndarray, jammers: np.ndarray) -> None:
     """Every pose of ``jammers`` (P, 3) inside the hall and off the antenna."""
     ex, ey, ez = SceneConfig.hall_extent
@@ -240,12 +250,13 @@ def _transmission(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray,
 
 def compute_paths(scene: SceneConfig, antenna: np.ndarray, jammer: np.ndarray) -> list[PropPath]:
     """Direct path plus one single-bounce path per reflecting surface. The
-    scene and the pose are checked as in ``propagate``: a jammer outside the
-    hall or on the antenna is a ValueError (``_check_jammers``), and a
-    surface of the wrong type a TypeError (``_check_scene``)."""
+    scene and the pose are checked as in ``propagate``: a ``jammer`` that is
+    not one (x, y, z) position (``_pose``), is outside the hall or is on the
+    antenna is a ValueError (``_check_jammers``), and a surface of the wrong
+    type a TypeError (``_check_scene``)."""
     _check_scene(scene)
     antenna = np.asarray(antenna, dtype=np.float64)
-    jammers = np.asarray(jammer, dtype=np.float64)[None]
+    jammers = _pose("compute_paths: jammer", jammer)
     _check_jammers(antenna, jammers)
     paths = _path_arrays(scene, antenna, jammers)
     return [PropPath(direction=paths.direction[0, i], distance=float(paths.distance[0, i]),
@@ -323,15 +334,17 @@ def propagate(scene: SceneConfig, geometry: ArrayGeometry, jammer_pos,
     ``waveform`` carries the transmit scale: unit average power corresponds
     to 0 dBm, and amplitudes combine free-space loss 20*log10(4 pi d / lambda),
     wall crossings, and reflection coefficients; its shape is
-    ``(SceneConfig.snapshot_len,)``. Per-path delay is an integer-sample
-    shift plus the exact carrier phase rotation.
+    ``(SceneConfig.snapshot_len,)``. ``jammer_pos`` is one (x, y, z)
+    position. Per-path delay is an integer-sample shift plus the exact
+    carrier phase rotation.
     """
     _check_scene(scene)
+    jammers = _pose("propagate: jammer_pos", jammer_pos)
     waveform = np.asarray(waveform)
     if waveform.shape != (SceneConfig.snapshot_len,):
         raise ValueError(f"propagate: waveform must have shape ({SceneConfig.snapshot_len},), "
                          f"got {waveform.shape}")
     noise = _draw_noise(scene, rng)
-    return _receive(scene, geometry, np.asarray(jammer_pos, dtype=np.float64)[None],
-                    waveform[None], None if noise is None else noise[None],
-                    [(class_id, subclass_id)], scenario_tag)[0]
+    return _receive(scene, geometry, jammers, waveform[None],
+                    None if noise is None else noise[None], [(class_id, subclass_id)],
+                    scenario_tag)[0]

@@ -98,6 +98,15 @@ def test_wrong_channel_count_rejected():
         aoa_features(np.zeros((3, N), dtype=complex), FS)
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 1), (3, 1, 22), (22,), (2, 3, 4, 22), (4, 21)])
+def test_standardize_aoa_rejects_another_shape_naming_it(shape):
+    # the (4, 22) statistics broadcast (3, 4, 1), (3, 1, 22) and (22,) silently
+    norm = NormalizationSpec(aoa_mean=np.zeros((4, 22)), aoa_std=np.ones((4, 22)))
+    got = re.escape(str(shape))
+    with pytest.raises(ValueError, match=rf"^standardize_aoa expects .* got {got}$"):
+        standardize_aoa(np.ones(shape), norm)
+
+
 def test_standardization_and_constant_feature_handling():
     batch = np.stack([_random_snapshot(i) for i in range(16)])
     feats = aoa_features(batch, FS)

@@ -3,8 +3,7 @@ import pytest
 
 from jamloc.dsp import (SPEC_DB_MAX, SPEC_DB_MIN, STFT_HOP, STFT_WINDOW,
                         NormalizationSpec, cfo_accumulated, db_to_unit,
-                        fit_iq_stats, normalize_iq, spectrogram,
-                        standardize_aoa, stft)
+                        fit_iq_stats, normalize_iq, spectrogram, stft)
 
 from _oracles import naive_dft
 
@@ -251,12 +250,10 @@ def test_normalization_spec_from_dict_names_missing_key():
     ("aoa_std", np.full((4, 22), np.inf), "aoa_std holds non-finite"),
 ], ids=["iq_std-shape", "iq_mean-shape", "iq_std-zero", "iq_mean-nan", "aoa_std-zero",
         "aoa_mean-shape", "aoa_std-inf"])
-def test_statistics_assigned_after_construction_are_checked_where_applied(field, value, match):
-    # the benchmark glue builds an empty spec and assigns fitted statistics
-    norm = NormalizationSpec(iq_mean=np.zeros(8), iq_std=np.ones(8),
-                             aoa_mean=np.zeros((4, 22)), aoa_std=np.ones((4, 22)))
-    setattr(norm, field, value)
-    apply = {"iq": lambda: normalize_iq(np.ones((2, 4, N), dtype=complex), norm),
-             "aoa": lambda: standardize_aoa(np.ones((2, 4, 22)), norm)}[field.split("_")[0]]
+def test_statistics_assigned_after_construction_are_checked_where_assigned(field, value, match):
+    # the benchmark glue builds an empty spec and assigns fitted statistics;
+    # one checked only where applied was saved, and failed only on load
+    norm = NormalizationSpec()
     with pytest.raises(ValueError, match=f"NormalizationSpec.{match}"):
-        apply()
+        setattr(norm, field, value)
+    assert getattr(norm, field) is None

@@ -204,7 +204,8 @@ def _upstream(shape, kind, rng):
 def _loss_with_upstream(out: Tensor, G: np.ndarray) -> Tensor:
     """sum(out * G) whose backward hands ``out`` the array G itself (the loss
     is the graph's root, so its own gradient is 1)."""
-    return Tensor.from_op(np.sum(out.data * G), (out,), lambda g: out._accum(G))
+    node = out._node
+    return Tensor.from_op(np.sum(out.data * G), (out,), lambda g: node.accum(G))
 
 
 @pytest.mark.parametrize("dim,case", CONV_CASES)

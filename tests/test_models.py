@@ -131,16 +131,11 @@ def test_mcaff_gradcheck_all_paths():
 
 @pytest.mark.parametrize("field", ["dropout_pre_concat", "dropout_post_head"])
 @pytest.mark.parametrize("rate", [-0.1, 1.0, -3.0])
-def test_fusion_config_rejects_dropout_out_of_range(field, rate, tmp_path):
-    # the rates are retired at 0.0: no config takes one, and a checkpoint
-    # echo holding another rate is refused, naming the field
+def test_fusion_config_rejects_dropout_out_of_range(field, rate):
+    # dropout is gone: no config takes a rate, and a checkpoint echo that
+    # holds one is an unknown field (the dropped-* rows below)
     with pytest.raises(TypeError, match=field):
         tiny_fusion_config(**{field: rate})
-    model = FusionModel(tiny_fusion_config(), seed=0)
-    save_checkpoint(tmp_path / "model.gjw", model.params(),
-                    {"kind": model.KIND, "config": {**asdict(model.cfg), field: rate}})
-    with pytest.raises(CheckpointError, match=rf"retired FusionConfig field {field} .*got {rate}$"):
-        load_model(tmp_path / "model.gjw")
 
 
 @pytest.mark.parametrize("build", [
@@ -345,34 +340,6 @@ def test_load_rejects_bad_normalization_block(tmp_path):
         load_model(tmp_path / "model.gjw")
 
 
-@pytest.mark.parametrize("build,retired,bad", [
-    (lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1), {"iq_kernel": 3}, 5),
-    (lambda: McaffModel(tiny_mcaff_config(), seed=2), {"attention_reduction": 4}, 5),
-    (lambda: FusionModel(tiny_fusion_config(with_classifier=True), seed=1),
-     {"dropout_pre_concat": 0.0, "dropout_post_head": 0.0}, 0.2),
-], ids=["fusion", "mcaff", "fusion-dropout"])
-def test_load_takes_a_retired_field_only_at_its_constant(build, retired, bad, tmp_path):
-    # checkpoints written while the fields were config options echo them:
-    # the dropout rates, both 0.0, are what such a fusion checkpoint holds
-    model = build()
-    path = tmp_path / "model.gjw"
-
-    def save(values):
-        meta = {"kind": model.KIND, "config": {**asdict(model.cfg), **values}}
-        save_checkpoint(path, model.params(), meta)
-
-    save(retired)
-    loaded, _, meta = load_model(path)
-    assert loaded.cfg == model.cfg and {f: meta["config"][f] for f in retired} == retired
-    batch = _batch(9)
-    for a, b in zip(_outputs(model.forward(batch)), _outputs(loaded.forward(batch))):
-        assert a.data.tobytes() == b.data.tobytes()
-    for field in retired:
-        save({**retired, field: bad})
-        with pytest.raises(CheckpointError, match=rf"retired \w+Config field {field} .*got {bad}$"):
-            load_model(path)
-
-
 @pytest.mark.parametrize("kind", [[1], {"FUSION": 1}], ids=["list", "dict"])
 def test_load_rejects_a_kind_that_is_not_a_string(tmp_path, kind):
     # the kind was looked up in a dict: a list or a dict raised "unhashable type"
@@ -382,20 +349,42 @@ def test_load_rejects_a_kind_that_is_not_a_string(tmp_path, kind):
         load_model(tmp_path / "model.gjw")
 
 
-@pytest.mark.parametrize("edit,match", [
-    (lambda meta, arrays: meta["config"].update(head_width=16),
-     r"unknown FusionConfig fields \['head_width'\]"),
-    (lambda meta, arrays: meta["config"].update(head_hidden=0),
+def _tiny_fusion():
+    return FusionModel(tiny_fusion_config(), seed=0)
+
+
+def _tiny_mcaff():
+    return McaffModel(tiny_mcaff_config(), seed=0)
+
+
+def _echo(**fields):
+    return lambda meta, arrays: meta["config"].update(fields)
+
+
+# the echo of a field a config dropped is unknown, even at the value that
+# became its constant
+@pytest.mark.parametrize("build,edit,match", [
+    (_tiny_fusion, _echo(head_width=16), r"unknown FusionConfig fields \['head_width'\]"),
+    (_tiny_fusion, _echo(head_hidden=0),
      r"bad FusionConfig: FusionConfig\.head_hidden must be an integer >= 1, got 0$"),
-    (lambda meta, arrays: meta["config"].pop("n_classes"),
+    (_tiny_fusion, lambda meta, arrays: meta["config"].pop("n_classes"),
      r"missing FusionConfig fields \['n_classes'\]"),
-    (lambda meta, arrays: arrays[4].fill(np.nan),
+    (_tiny_fusion, lambda meta, arrays: arrays[4].fill(np.nan),
      r"tensor 4 of shape \(4, 2, 3, 3\) holds non-finite weights"),
-    (lambda meta, arrays: meta["config"].update(head_hidden=16.0),
+    (_tiny_fusion, _echo(head_hidden=16.0),
      r"bad FusionConfig: FusionConfig\.head_hidden must be an integer >= 1, got 16\.0$"),
-], ids=["unknown-field", "out-of-range", "missing-field", "nan-weight", "non-int-field"])
-def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, edit, match):
-    model = FusionModel(tiny_fusion_config(), seed=0)
+    (_tiny_fusion, _echo(iq_kernel=3), r"unknown FusionConfig fields \['iq_kernel'\]$"),
+    (_tiny_fusion, _echo(dropout_pre_concat=0.0),
+     r"unknown FusionConfig fields \['dropout_pre_concat'\]$"),
+    (_tiny_fusion, _echo(dropout_post_head=0.0),
+     r"unknown FusionConfig fields \['dropout_post_head'\]$"),
+    (_tiny_mcaff, _echo(attention_reduction=4),
+     r"unknown McaffConfig fields \['attention_reduction'\]$"),
+], ids=["unknown-field", "out-of-range", "missing-field", "nan-weight", "non-int-field",
+        "dropped-iq_kernel", "dropped-dropout_pre_concat", "dropped-dropout_post_head",
+        "dropped-attention_reduction"])
+def test_load_rejects_bad_checkpoint_naming_the_field_or_tensor(tmp_path, build, edit, match):
+    model = build()
     meta = {"kind": model.KIND, "config": asdict(model.cfg)}
     arrays = [p.data.copy() for p in model.params()]
     edit(meta, arrays)

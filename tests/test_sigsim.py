@@ -242,6 +242,20 @@ def test_compute_paths_checks_the_pose_as_propagate_does(pose, match):
     assert str(paths_error.value) == str(propagate_error.value)
 
 
+@pytest.mark.parametrize("pose", [(0.0, 10.0), np.ones((2, 3)), 5.0, (0.0, 10.0, 1.0, 0.0)],
+                         ids=["two-coordinates", "two-poses", "scalar", "four-coordinates"])
+def test_a_pose_that_is_not_one_position_is_rejected_naming_the_argument(pose):
+    # (0.0, 10.0) failed to broadcast against the antenna, and a (2, 3)
+    # array in propagate failed to unpack, naming no argument
+    scene = scenario_configs("desk")["wall1"].scene
+    tail = rf" must be one \(x, y, z\) position .* got shape {re.escape(str(np.shape(pose)))}$"
+    with pytest.raises(ValueError, match="^compute_paths: jammer" + tail):
+        compute_paths(scene, np.array(scene.antenna_position), pose)
+    with pytest.raises(ValueError, match="^propagate: jammer_pos" + tail):
+        propagate(scene, ArrayGeometry(), pose, np.ones(N, dtype=complex),
+                  np.random.default_rng(19))
+
+
 SURFACE_ARGS = {
     Reflector: dict(x1=10.0, y1=0.0, x2=10.0, y2=30.0, reflection_coeff=0.5),
     WallSegment: dict(x1=-5.0, y1=8.0, x2=5.0, y2=8.0, transmission_loss_db=20.0,
