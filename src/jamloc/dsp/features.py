@@ -135,7 +135,8 @@ class NormalizationSpec:
     Each statistic other than None is checked when it is set, at
     construction or by a later assignment: it has its shape, is finite and,
     for a std, is positive, or the ValueError names it and the spec keeps
-    its old value.
+    its old value. The spec keeps a read-only copy, so no in-place edit,
+    of the caller's array or of its own, gets past the check.
     """
 
     iq_mean: np.ndarray | None = None
@@ -145,6 +146,8 @@ class NormalizationSpec:
 
     def __setattr__(self, name: str, value) -> None:
         if name in _STAT_SHAPES and value is not None:
+            value = np.array(value)
+            value.flags.writeable = False
             _check_stat(name, value)
         super().__setattr__(name, value)
 

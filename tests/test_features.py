@@ -257,3 +257,15 @@ def test_statistics_assigned_after_construction_are_checked_where_assigned(field
     with pytest.raises(ValueError, match=f"NormalizationSpec.{match}"):
         setattr(norm, field, value)
     assert getattr(norm, field) is None
+
+
+def test_statistics_cannot_be_edited_in_place_past_the_check():
+    # when a statistic was checked where applied, a zero written into the
+    # caller's array after assignment was caught there
+    std = np.ones(8)
+    norm = NormalizationSpec(iq_mean=np.zeros(8), iq_std=std)
+    std[0] = 0.0
+    x = np.ones((1, 4, N), dtype=complex)
+    np.testing.assert_array_equal(normalize_iq(x, norm)[0, :, 0], [1.0, 0.0] * 4)
+    with pytest.raises(ValueError, match="read-only"):
+        norm.iq_std[0] = 0.0
