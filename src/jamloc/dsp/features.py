@@ -186,8 +186,7 @@ def spectrogram(samples: np.ndarray) -> np.ndarray:
     centrally, then reshaped row-major.
     """
     def body(x, out):
-        power = np.abs(np.fft.fft(x)) ** 2 / _SNAPSHOT_LEN
-        unit = db_to_unit(10.0 * np.log10(power + _EPS_POWER))
+        unit = db_to_unit(10.0 * np.log10(np.abs(np.fft.fft(x)) ** 2 / _SNAPSHOT_LEN + _EPS_POWER))
         rows, half = out.reshape(x.shape), _SNAPSHOT_LEN // 2
         rows[..., :half], rows[..., half:] = unit[..., half:], unit[..., :half]   # fftshift
 
