@@ -46,10 +46,10 @@ def _host() -> str:
     """What fixes the data path's bits besides the code: numpy's version, the
     SIMD targets its loops dispatch to, and the BLAS build and kernel."""
     config = np.show_config(mode="dicts")
-    blas = config["Build Dependencies"]["blas"]
-    return (f"numpy {np.__version__}; {platform.machine()}; "
-            f"SIMD {' '.join(config['SIMD Extensions']['found'])}; "
-            f"BLAS {blas.get('openblas configuration', blas['name'] + ' ' + blas['version'])}")
+    simd = config.get("SIMD Extensions", {}).get("found", [])
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    kernel = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+    return f"numpy {np.__version__}; {platform.machine()}; SIMD {' '.join(simd)}; BLAS {kernel}"
 
 
 def _poses(n: int) -> np.ndarray:
@@ -121,17 +121,19 @@ def test_golden_is_small():
 
 @pytest.mark.parametrize("key", sigsim.DATASET_KEYS)
 def test_data_path_matches_golden(key):
-    golden = np.load(GOLDEN)
+    with np.load(GOLDEN) as npz:
+        golden = {name: npz[f"{key}_{name}"] for name in ("labels", "layout", "sha256", "sketch")}
+        same_host = str(npz["host"]) == _host()
     ref, labels, arrays = _data_path(key)
     assert ref == json.loads(LABELS_REF.read_text())["desk"][key]
-    assert [_layout(arrays[n]) for n in NAMES] == golden[f"{key}_layout"].tolist()
-    if str(golden["host"]) == _host():
-        assert labels.tobytes() == golden[f"{key}_labels"].tobytes()
-        for name, want in zip(NAMES, golden[f"{key}_sha256"]):
+    assert [_layout(arrays[n]) for n in NAMES] == golden["layout"].tolist()
+    if same_host:
+        assert labels.tobytes() == golden["labels"].tobytes()
+        for name, want in zip(NAMES, golden["sha256"]):
             assert _sha256(arrays[name]) == want, f"{key} {name}"
     else:
-        np.testing.assert_allclose(labels, golden[f"{key}_labels"], rtol=SKETCH_RTOL, atol=0)
-        for name, got, want in zip(NAMES, _sketches(arrays), golden[f"{key}_sketch"]):
+        np.testing.assert_allclose(labels, golden["labels"], rtol=SKETCH_RTOL, atol=0)
+        for name, got, want in zip(NAMES, _sketches(arrays), golden["sketch"]):
             tol = SKETCH_RTOL * np.linalg.norm(_flat(arrays[name]))
             np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=f"{key} {name}")
 
