@@ -250,7 +250,7 @@ def test_normalization_spec_from_dict_names_missing_key():
     ("aoa_std", np.full((4, 22), np.inf), "aoa_std holds non-finite"),
 ], ids=["iq_std-shape", "iq_mean-shape", "iq_std-zero", "iq_mean-nan", "aoa_std-zero",
         "aoa_mean-shape", "aoa_std-inf"])
-def test_statistics_assigned_after_construction_are_checked_where_assigned(field, value, match):
+def test_statistics_are_checked_where_assigned(field, value, match):
     # the benchmark glue builds an empty spec and assigns fitted statistics;
     # one checked only where applied was saved, and failed only on load
     norm = NormalizationSpec()
