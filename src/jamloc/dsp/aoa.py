@@ -74,15 +74,15 @@ def _aoa_block(x: np.ndarray, fs: float, out: np.ndarray) -> None:
 
     # temporal -----------------------------------------------------------
     mu = env.mean(axis=-1)
-    sig = env.std(axis=-1)
     cen = env - mu[..., None]
     c2 = cen * cen  # integer powers above 2 go through a per-element pow
+    sig = np.sqrt(c2.sum(axis=-1) / N)                    # env.std's own arithmetic
     safe_sig = np.where(sig > 0, sig, 1.0)
     out[..., 0] = mu
     out[..., 1] = sig
     out[..., 2] = np.where(sig > 0, (c2 * cen).mean(axis=-1) / safe_sig ** 3, 0.0)
     out[..., 3] = np.where(sig > 0, (c2 * c2).mean(axis=-1) / safe_sig ** 4, 0.0)
-    rms = np.sqrt(env_sq.mean(axis=-1))
+    rms = np.sqrt(energy / N)
     out[..., 4] = rms
     i_part = x.real
     out[..., 5] = (i_part[..., 1:] * i_part[..., :-1] < 0).mean(axis=-1)
@@ -96,7 +96,7 @@ def _aoa_block(x: np.ndarray, fs: float, out: np.ndarray) -> None:
     centroid = (f * p).sum(axis=-1)
     out[..., 6] = centroid
     out[..., 7] = np.sqrt((((f - centroid[..., None]) ** 2) * p).sum(axis=-1))
-    out[..., 8] = np.exp(np.log(P + _EPS).mean(axis=-1)) / (P.mean(axis=-1) + _EPS)
+    out[..., 8] = np.exp(np.log(P + _EPS).mean(axis=-1)) / (Ptot / N + _EPS)
     cum = np.cumsum(P, axis=-1)
     roll_idx = np.argmax(cum >= 0.85 * Ptot[..., None], axis=-1)
     out[..., 9] = f[roll_idx]
@@ -105,7 +105,7 @@ def _aoa_block(x: np.ndarray, fs: float, out: np.ndarray) -> None:
 
     # energy ---------------------------------------------------------------
     out[..., 12] = energy
-    peak = env_sq.max(axis=-1)
+    peak = env_max * env_max                              # squaring keeps the order
     mean_pow = np.where(energy > 0, energy / N, 1.0)
     out[..., 13] = np.where(energy > 0, peak / mean_pow, 0.0)
     # the band |f| <= fs/4 is bins N/4 .. 3N/4; summed bin by bin in order

@@ -12,9 +12,11 @@ channels-first shapes, (B, C, T) and (B, C, H, W), and their weights are
 (O, C, K) and (O, C/groups, k, k). In memory they compute channels-last. Each
 returns a transposed view of a C-contiguous (B, T, O) or (B, H, W, O) buffer,
 and reads its input as channels-last, which costs no copy when the producer
-was a conv: numpy elementwise ops (ReLU, residual adds) and ``Tensor.sum``'s
-gradient keep their operand's layout, so a conv stack passes channels-last
-buffers from conv to conv, and their gradients take the same path back.
+was a conv: numpy elementwise ops (ReLU, residual adds) keep their operand's
+layout, so a conv stack passes channels-last buffers from conv to conv, and
+their gradients take the same path back. A mean over the grid
+(``GlobalAvgPool``) hands down a stride-0 broadcast of its (B, C) gradient
+instead (``Tensor.sum``), which a ReLU conv reads as it is.
 
 Both are shells over one channels-last core, ``_conv`` (``Conv1D`` is a
 (1, K) kernel with (K-1)*d zeros before the signal). It works over chunks of
@@ -35,11 +37,14 @@ channels-last (B=32, float32, one BLAS thread, 2-vCPU x86-64 Xeon VM).
 The bias gradient is one GEMV. ``relu=True`` adds a ReLU epilogue, for
 memory: rows are clamped in place after the bias add, and each forward job
 packs its chunks' ``out > 0`` into bits (``np.packbits``); backward unpacks
-a chunk's bits and masks its upstream rows by them, bitwise as
-``Tensor.relu``, whose node keeps a byte per value where the conv keeps a
+a chunk's bits and multiplies the chunk's upstream, in whatever strides it
+came, by them straight into the chunk's rows of the masked gradient, bitwise
+as ``Tensor.relu``, whose node keeps a byte per value where the conv keeps a
 bit (paper-width fusion train forward, B=32, float32, two runs: 29.5 MiB
 held; 80.7 MiB when each conv kept its output for the mask and each node
-its parents).
+its parents). So a ReLU conv never copies its upstream whole; a conv
+without one reads its upstream as C-contiguous channels-last rows, a copy
+only when the upstream comes in another layout.
 
 The chunks run on the shared workers (``jamloc._workers``) by the one rule
 of every chunk loop: ``_workers._runs`` splits the fixed chunks into
@@ -59,12 +64,16 @@ Between forward and backward a conv keeps only what its backward reads
 ``relu=True``, the mask's bits, not its output. Each run of a pass builds
 one workspace, sized for its largest chunk, and frees it when the pass
 ends; in backward it holds the run's cols rebuilds, then its dcols. So at
-most one workspace per run, ``_RUNS`` in all, is alive at any time. The
-gain rests on numpy running each GEMM on one BLAS thread
-(OPENBLAS_NUM_THREADS=1, as the benchmark sets): the paper-width fusion
-train step (B=32, float32, 2-vCPU x86-64 VM) then takes 41-43 ms on two
-workers, against 64-68 ms on one. With OpenBLAS running its own threads on
-the same CPUs, the workers gain nothing: 59-83 ms either way.
+most one workspace per run, ``_RUNS`` in all, is alive at any time, beside
+dx and, with ``relu=True``, the masked gradient; the upstream is read where
+it lies. The paper-width fusion train step (B=32, float32, two runs) peaks
+at 61.0 MiB (tracemalloc), against 77.0 MiB when the pool's gradient was
+filled in whole and the IQ encoder's last conv copied it again before
+masking it. The workers' gain rests on numpy running each GEMM on one
+BLAS thread (OPENBLAS_NUM_THREADS=1, as the benchmark and CI set): the
+paper-width fusion train step (B=32, float32, 2-vCPU x86-64 VM) then takes
+41-43 ms on two workers, against 64-68 ms on one. With OpenBLAS running its
+own threads on the same CPUs, the workers gain nothing: 59-83 ms either way.
 """
 
 from __future__ import annotations
@@ -338,9 +347,11 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
     _workers._map(forward, [(run, geo.workspace(run, xl.dtype)) for run in runs])
 
     def bw(g):
-        g2 = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1)).reshape(-1, O)
+        g_up = g.transpose(0, *range(2, g.ndim), 1)     # channels-last, any strides
         if relu:    # masked by the kept bits, each run its own rows
-            g_up, g2 = g2, np.empty_like(g2)
+            g2 = np.empty((B * r, O), g.dtype)
+        else:       # no copy for a conv's channels-last gradient
+            g2 = np.ascontiguousarray(g_up).reshape(-1, O)
         if xn is not None:
             dx = np.empty(geo.shape, g2.dtype)
 
@@ -350,9 +361,9 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, kernel, stride, dilation, pad, groups
             run, ws = job
             if relu:
                 for b0, n in run:
-                    rows = slice(b0 * r, (b0 + n) * r)
-                    keep = np.unpackbits(masks[b0], count=n * r * O).view(bool)
-                    np.multiply(g_up[rows], keep.reshape(n * r, O), out=g2[rows])
+                    up = g_up[b0:b0 + n]
+                    keep = np.unpackbits(masks[b0], count=n * r * O).view(bool).reshape(up.shape)
+                    np.multiply(up, keep, out=g2[b0 * r:(b0 + n) * r].reshape(up.shape))
             parts = []
             if wn is not None:
                 parts = [np.matmul(c.transpose(1, 2, 0), _by_group(g2[b0 * r:(b0 + n) * r], G))

@@ -25,8 +25,15 @@ and whether backward has consumed it. No node holds a Tensor, so an
 operand's data lives only as long as the caller or a backward that reads
 it holds it: add, sub and concat keep no array; mul, matmul, pow and log
 keep their operands, tanh, sigmoid and exp their output, relu a bool mask;
-sum and getitem keep the operand's shape, dtype and axis order, so
-``sum``'s gradient of a channels-last operand is channels-last too.
+sum keeps the operand's shape and dtype, getitem its axis order too.
+
+A gradient passed between nodes may be a read-only view: ``sum``'s is its
+upstream broadcast to the operand's shape (``np.broadcast_to``), with no
+copy, so a mean over time hands the conv below it a stride-0 array that
+the conv reads chunk by chunk. A leaf's ``.grad`` never is one: the first
+read copies a read-only gradient into a writable array of the leaf's shape
+and axis order, so ``sum``'s gradient of a channels-last leaf is
+channels-last, and an optimizer may update it in place.
 """
 
 from __future__ import annotations
@@ -144,8 +151,16 @@ class Tensor:
     @property
     def grad(self):
         """The gradient accumulated so far, or None; a tensor that does not
-        require grad has none, and can be set to None only."""
-        return None if self._node is None else self._node.grad
+        require grad has none, and can be set to None only. A read-only
+        gradient (a reduction's broadcast view) is copied, on this first
+        read, into a writable array of the data's shape and axis order, in
+        the gradient's dtype: the leaf rule of the module docstring."""
+        node = self._node
+        if node is not None and node.grad is not None and not node.grad.flags.writeable:
+            full = np.empty_like(self.data, dtype=node.grad.dtype)
+            full[...] = node.grad
+            node.grad = full
+        return None if node is None else node.grad
 
     @grad.setter
     def grad(self, value) -> None:
@@ -311,14 +326,14 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        # the operand's memory layout (a channels-last conv output gets a
-        # channels-last gradient), without its data
-        like = _like(self.data)
+        # a read-only broadcast of g in the operand's shape and dtype, no
+        # copy: every value of it is one of g's, and a conv below reads it
+        # chunk by chunk; where it lands on a leaf, Tensor.grad copies it
+        shape, dtype = self.data.shape, self.data.dtype
 
         def grad(g):
-            full = like()
-            full[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
-            return full
+            g = g if axis is None or keepdims else np.expand_dims(g, axis)
+            return np.broadcast_to(g.astype(dtype, copy=False), shape)
 
         return self._unary(self.data.sum(axis=axis, keepdims=keepdims), grad)
 

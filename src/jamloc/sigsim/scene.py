@@ -123,13 +123,17 @@ def _check_scene(scene: SceneConfig) -> None:
         real("SceneConfig.noise_floor_dbm", scene.noise_floor_dbm)
 
 
-def _pose(where: str, jammer) -> np.ndarray:
-    """``jammer`` as a (1, 3) float64 array if it is one (x, y, z) position;
-    otherwise a ValueError naming ``where``, the argument, and its shape."""
-    pose = np.asarray(jammer, dtype=np.float64)
+def _pose(where: str, position) -> np.ndarray:
+    """``position`` as a (1, 3) float64 array if it is one (x, y, z)
+    position; otherwise a ValueError naming ``where``, the argument, and its
+    shape, or its value if numpy cannot read it as numbers."""
+    rule = f"{where} must be one (x, y, z) position of shape (3,), got"
+    try:
+        pose = np.asarray(position, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{rule} {position!r}") from err
     if pose.shape != (3,):
-        raise ValueError(f"{where} must be one (x, y, z) position of shape (3,), got shape "
-                         f"{pose.shape}")
+        raise ValueError(f"{rule} shape {pose.shape}")
     return pose[None]
 
 
@@ -250,12 +254,12 @@ def _transmission(scene: SceneConfig, antenna: np.ndarray, jammers: np.ndarray,
 
 def compute_paths(scene: SceneConfig, antenna: np.ndarray, jammer: np.ndarray) -> list[PropPath]:
     """Direct path plus one single-bounce path per reflecting surface. The
-    scene and the pose are checked as in ``propagate``: a ``jammer`` that is
-    not one (x, y, z) position (``_pose``), is outside the hall or is on the
-    antenna is a ValueError (``_check_jammers``), and a surface of the wrong
-    type a TypeError (``_check_scene``)."""
+    scene and the pose are checked as in ``propagate``: an ``antenna`` or a
+    ``jammer`` that is not one (x, y, z) position (``_pose``), or a jammer
+    outside the hall or on the antenna, is a ValueError (``_check_jammers``),
+    and a surface of the wrong type a TypeError (``_check_scene``)."""
     _check_scene(scene)
-    antenna = np.asarray(antenna, dtype=np.float64)
+    antenna = _pose("compute_paths: antenna", antenna)[0]
     jammers = _pose("compute_paths: jammer", jammer)
     _check_jammers(antenna, jammers)
     paths = _path_arrays(scene, antenna, jammers)

@@ -196,6 +196,14 @@ BOUNDARIES = {
         r"^SceneConfig\.noise_floor_dbm must be a finite number in \[-inf, inf\], got True$"),
     "SceneConfig-tuple-walls": (lambda: _paths(wall_segments=(_wall(),)), TypeError,
                                 r"^SceneConfig\.wall_segments must be a list, got \(WallSegment\("),
+    "compute_paths-short-antenna": (
+        lambda: compute_paths(SceneConfig(), (0.0, 1.0), (0.0, 10.0, 1.0)), ValueError,
+        r"^compute_paths: antenna must be one \(x, y, z\) position of shape \(3,\), "
+        r"got shape \(2,\)$"),
+    "compute_paths-str-jammer": (
+        lambda: compute_paths(SceneConfig(), (0.0, 0.0, 1.0), "abc"), ValueError,
+        r"^compute_paths: jammer must be one \(x, y, z\) position of shape \(3,\), "
+        r"got 'abc'$"),
     "SGD-bool-rate": (lambda: SGD([], learning_rate=True), ValueError,
                       r"^SGD\.learning_rate must be a finite number in \(0, inf\], got True$"),
     "aoa_features-bool-fs": (

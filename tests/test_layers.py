@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from jamloc import _workers
+from jamloc.models import FusionConfig, IQEncoder
 from jamloc.nn import Conv1D, Conv2D, Dense, GlobalAvgPool, ShapeError, Tensor, concat, layers
 
 from _oracles import check_grads, conv1d_grads_ref, conv1d_ref, conv2d_grads_ref, conv2d_ref
@@ -423,6 +424,81 @@ def test_conv2d_never_holds_a_whole_batch_im2col(monkeypatch, traced):
     _, _, peak = traced(lambda: _loss_with_upstream(layer(_channels_last_view(leaf)), up).backward())
     assert leaf.grad.shape == (B, *HW, C) and layer.weight.grad.shape == (C, C // G, 3, 3)
     assert peak < whole_cols, f"peak {peak} B, whole-batch cols {whole_cols} B"
+
+
+# ----------------------------------------------------------------------
+# upstream gradients of any strides: a ReLU conv masks the upstream as it
+# is, chunk by chunk; any other conv copies it to channels-last rows first
+# ----------------------------------------------------------------------
+
+# (layer class, constructor arguments, input shape); B = 5 gives two
+# chunks of 3 + 2 items, which two runs split
+STRIDED_UPSTREAM_CASES = {
+    "1d-K3d2": (Conv1D, dict(in_channels=3, out_channels=4, kernel_size=3, dilation=2),
+                (5, 3, 11)),
+    "2d-strided-grouped": (Conv2D, dict(in_channels=4, out_channels=6, kernel_size=3, stride=2,
+                                        padding=1, groups=2), (5, 4, 7, 6)),
+}
+
+
+def _strided_upstream(shape, kind, rng):
+    """A float32 (B, C, ...) gradient that is not C-contiguous: a mean over
+    the grid's stride-0 broadcast, the reversed axis order, or a slice."""
+    if kind == "broadcast":
+        pooled = rng.normal(size=(*shape[:2], *(1,) * (len(shape) - 2))).astype(np.float32)
+        return np.broadcast_to(pooled, shape)
+    if kind == "transposed":
+        return rng.normal(size=shape[::-1]).astype(np.float32).T
+    return rng.normal(size=(*shape[:-1], shape[-1] + 3)).astype(np.float32)[..., 1:-2]
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("case", sorted(STRIDED_UPSTREAM_CASES))
+def test_conv_backward_from_a_strided_upstream_equals_it_from_a_copy(monkeypatch, case, relu):
+    # the oracle is the same conv differentiated from a C-contiguous copy of
+    # the upstream: input, weight and bias gradients bitwise equal, in one
+    # run and in two
+    cls, kwargs, shape = STRIDED_UPSTREAM_CASES[case]
+    rng = np.random.default_rng(55)
+    layer = cls(**kwargs, rng=rng, relu=relu).cast(np.float32)
+    layer.bias.data[...] = rng.normal(size=kwargs["out_channels"])
+    x = rng.normal(size=shape).astype(np.float32)
+    out_shape = layer(Tensor(x)).shape
+    for kind in ("broadcast", "transposed", "sliced"):
+        up = _strided_upstream(out_shape, kind, rng)
+        assert up.shape == out_shape and not up.flags.c_contiguous, kind
+        for runs in (1, 2):
+            monkeypatch.setattr(_workers, "_RUNS", runs)
+            grads = []
+            for g in (up, np.ascontiguousarray(up)):
+                leaf = Tensor(x, requires_grad=True)
+                _loss_with_upstream(layer(leaf), g).backward()
+                grads.append([leaf.grad, layer.weight.grad, layer.bias.grad])
+                layer.weight.grad = layer.bias.grad = None
+            for name, got, want in zip(("x", "weight", "bias"), *grads):
+                assert got.tobytes() == want.tobytes(), (kind, runs, name)
+
+
+def test_a_pooled_relu_conv_copies_no_upstream(monkeypatch, traced):
+    # the IQ encoder's last conv (64 -> 128 channels, d=16, ReLU) at paper
+    # width, T=1024, float32, fed channels-last as inside the model, in two
+    # runs: from the pool's stride-0 gradient its backward allocates what it
+    # allocates from a C-contiguous channels-last one, which it reads with
+    # no copy, and not one array more of the upstream's size
+    monkeypatch.setattr(_workers, "_RUNS", 2)
+    conv = IQEncoder(FusionConfig(), np.random.default_rng(0)).cast(np.float32).blocks[-1][0]
+    assert (conv.dilation, conv.relu) == (16, True)
+    B, T, C, O = 4, 1024, conv.in_channels, conv.out_channels
+    rng = np.random.default_rng(56)
+    leaf = Tensor(rng.normal(size=(B, T, C)).astype(np.float32), requires_grad=True)
+    pooled = np.broadcast_to(rng.normal(size=(B, O, 1)).astype(np.float32), (B, O, T))
+    assert pooled.strides[2] == 0
+    peaks = []
+    for up in (pooled, np.moveaxis(np.ascontiguousarray(np.moveaxis(pooled, 1, -1)), -1, 1)):
+        loss = _loss_with_upstream(conv(_channels_last_view(leaf)), up)
+        peaks.append(traced(loss.backward)[2])
+        leaf.grad = conv.weight.grad = conv.bias.grad = None
+    assert peaks[0] - peaks[1] < pooled.nbytes // 2, f"peaks {peaks} B, upstream {pooled.nbytes} B"
 
 
 @pytest.mark.parametrize("rows", [None, 1], ids=["one-chunk", "item-chunks"])
